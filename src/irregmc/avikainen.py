@@ -16,8 +16,8 @@ from numpy.random import Generator, Philox
 
 from .errors import DegenerateCurveError, InvalidArgumentError
 from .payoff import Payoff
-from .randomkit import SeedSpec, StreamTag, derive_seed, increment_batch
-from .sde import SdeModel, StepCounter, em_terminal_batch
+from .randomkit import StreamTag, derive_seed, increment_batch
+from .sde import SdeModel, StepCounter, block_sums, em_terminal_batch
 from .stats import Welford, loglog_fit
 
 DEFAULT_BATCH = 4096
@@ -98,11 +98,11 @@ def qerror_curves(
         ref = em_terminal_batch(model, inc, counter)
         f_ref = [pay(ref) for pay, _ in targets]
         for n in n_list:
-            coarse = inc.reshape(b, n, n_ref // n, model.d).sum(axis=2)
-            xn = em_terminal_batch(model, coarse, counter)
+            xn = em_terminal_batch(model, block_sums(inc, n_ref // n), counter)
             for i, (pay, q) in enumerate(targets):
                 diff = np.abs(f_ref[i] - pay(xn)) ** q
                 accs[(i, n)].update(diff)
+        del inc  # free this batch before the next one is drawn
         done += b
     curves = []
     for i, (pay, q) in enumerate(targets):
@@ -246,8 +246,10 @@ def inequality_check(
     lhs_se = np.empty_like(scale_grid)
     base = np.empty_like(scale_grid)
     for i, t in enumerate(scale_grid):
-        key = SeedSpec(derive_seed(seed, i), 0, StreamTag.AUXILIARY).philox_key()
-        gen = Generator(Philox(key=key))
+        # The key [derive_seed(seed, i), 1] is passed as a list, as criteria 6a
+        # and 6b have always drawn it: numpy takes a list holding a word
+        # >= 2**63 through float64, so randomkit.stream would give other draws.
+        gen = Generator(Philox(key=[derive_seed(seed, i), int(StreamTag.AUXILIARY)]))
         x, xhat = sampler(gen, N, float(t))
         acc = Welford()
         acc.update(np.abs(payoff(x) - payoff(xhat)) ** q)

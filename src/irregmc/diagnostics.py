@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitFailureError, InvalidArgumentError
-from .randomkit import increment_batch
+from .randomkit import increment_batch, path_windows
 from .sde import SdeModel, em_terminal_batch
 
 MIN_BIN_COUNT = 5
@@ -84,13 +84,9 @@ def terminal_histogram(
     if bins < 20:
         raise InvalidArgumentError("need at least 20 bins")
     samples = np.empty(N)
-    done = 0
-    max_paths = max(1, batch_size // n)
-    while done < N:
-        b = min(max_paths, N - done)
-        inc = increment_batch(seed, model.d, model.T, n, done, b)
-        samples[done : done + b] = em_terminal_batch(model, inc)[:, 0]
-        done += b
+    for first, b in path_windows(0, N, n * model.d, batch_size):
+        samples[first : first + b] = em_terminal_batch(
+            model, increment_batch(seed, model.d, model.T, n, first, b))[:, 0]
     if value_range is None:
         lo, hi = float(samples.min()), float(samples.max())
         if lo == hi:

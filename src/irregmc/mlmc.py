@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateCurveError, InvalidArgumentError, NonconvergenceError
 from .payoff import Payoff
-from .randomkit import derive_seed, increment_batch
+from .randomkit import derive_seed, increment_batch, path_windows
 from .sde import SdeModel, StepCounter, coupled_terminal_batch, em_terminal_batch
 from .stats import LineFit, Welford, loglog_fit
 
@@ -110,21 +110,16 @@ def _sample_level(
     counter: StepCounter,
     batch_size: int = DEFAULT_BATCH,
 ) -> None:
-    first = state.count
-    done = 0
-    max_paths = max(1, batch_size // max(1, state.n_fine))
-    while done < n_new:
-        b = min(max_paths, n_new - done)
-        inc = increment_batch(state.seed, model.d, model.T, state.n_fine,
-                              first + done, b)
+    for first, b in path_windows(state.count, n_new, state.n_fine * model.d, batch_size):
+        inc = increment_batch(state.seed, model.d, model.T, state.n_fine, first, b)
         if state.level == 0:
             x = em_terminal_batch(model, inc, counter)
             vals = payoff(x)
         else:
             fine, coarse = coupled_terminal_batch(model, inc, state.M, counter)
             vals = payoff(fine) - payoff(coarse)
+        del inc  # free this batch before the next one is drawn
         state.acc.update(vals)
-        done += b
 
 
 def level_sample(
@@ -340,14 +335,11 @@ def single_level_run(
 
     counter = StepCounter()
     acc = Welford()
-    done = 0
-    max_paths = max(1, DEFAULT_BATCH // n_steps)
     run_seed = derive_seed(seed, 0xF1A7)
-    while done < N:
-        b = min(max_paths, N - done)
-        inc = increment_batch(run_seed, model.d, model.T, n_steps, done, b)
+    for first, b in path_windows(0, N, n_steps * model.d, DEFAULT_BATCH):
+        inc = increment_batch(run_seed, model.d, model.T, n_steps, first, b)
         acc.update(payoff(em_terminal_batch(model, inc, counter)))
-        done += b
+        del inc  # free this batch before the next one is drawn
     return SingleLevelResult(
         estimate=acc.mean, n_steps=n_steps, N=N,
         cost=float(counter.steps), calibration_cost=float(calib.steps),

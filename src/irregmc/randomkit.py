@@ -1,16 +1,18 @@
-"""Seedable Brownian increment generation with per-path substreams.
+"""Seedable Brownian increments from block-keyed, time-major Philox streams.
 
-Each (master_seed, path_index, stream_tag) triple keys its own counter-based
-Philox stream, so paths can be generated in any order or batch size and still
-reproduce bit-for-bit. Coarse increments are always obtained by summing fine
-ones, never by bridge refinement, so the coarse/fine coupling is a structural
-identity.
+Path indices are grouped into fixed blocks of ``BLOCK_PATHS`` consecutive
+paths, and each (master_seed, block, stream_tag) triple keys one counter-based
+Philox stream (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11). A block's stream is read time-major: every path's step k comes before
+any path's step k+1. Windows of paths are cut out of whole blocks, so a path's
+increments are bit-identical whatever batch size or order produced them.
+Coarse increments are always obtained by summing fine ones, never by bridge
+refinement, so the coarse/fine coupling is a structural identity.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -19,29 +21,35 @@ from .errors import InvalidArgumentError
 
 _MASK64 = (1 << 64) - 1
 
+# Paths per Philox key. Part of the stream definition: changing it changes
+# every increment drawn.
+BLOCK_PATHS = 1024
+# Normals per draw into the reusable block buffer; sequential draws are
+# chunk-invariant, so this bounds memory without touching the streams.
+_CHUNK_NORMALS = 1 << 16
+# path_windows widens windows to a whole block up to this many normals.
+_WHOLE_BLOCK_NORMALS = 1 << 18
+
 
 class StreamTag(enum.IntEnum):
     PATH = 0
     AUXILIARY = 1
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Addresses one substream: a path (or auxiliary draw) of one experiment."""
+def _check_key(master_seed: int, index: int) -> None:
+    if not 0 <= master_seed <= _MASK64:
+        raise InvalidArgumentError(f"master_seed must lie in [0, 2**64), got {master_seed}")
+    if not 0 <= index < 1 << 63:
+        raise InvalidArgumentError(f"stream index must lie in [0, 2**63), got {index}")
 
-    master_seed: int
-    path_index: int = 0
-    stream_tag: StreamTag = StreamTag.PATH
 
-    def __post_init__(self):
-        if not 0 <= self.master_seed <= _MASK64:
-            raise InvalidArgumentError("master_seed must fit in 64 bits")
-        if self.path_index < 0:
-            raise InvalidArgumentError("path_index must be nonnegative")
-
-    def philox_key(self) -> list[int]:
-        # word 0 identifies the experiment, word 1 the substream
-        return [self.master_seed, (self.path_index << 1) | int(self.stream_tag)]
+def stream(master_seed: int, index: int, stream_tag: StreamTag = StreamTag.PATH) -> Generator:
+    """Generator for the substream keyed [master_seed, (index << 1) | tag]."""
+    _check_key(master_seed, index)
+    # word 0 identifies the experiment, word 1 the substream; an explicit
+    # uint64 array keeps seeds >= 2**63 exact (a list would go through float64)
+    key = np.array([master_seed, (index << 1) | int(stream_tag)], dtype=np.uint64)
+    return Generator(Philox(key=key))
 
 
 def derive_seed(master_seed: int, *words: int) -> int:
@@ -55,89 +63,6 @@ def derive_seed(master_seed: int, *words: int) -> int:
     return z
 
 
-@dataclass
-class IncrementGrid:
-    """Gaussian increments of one Brownian path on a uniform grid.
-
-    ``increments[k]`` ~ N(0, (T/n_fine) I_d). ``refinement`` records the
-    cumulative coarsening factor relative to the originally generated grid
-    (1 for a fresh grid).
-    """
-
-    d: int
-    T: float
-    n_fine: int
-    increments: np.ndarray
-    refinement: int = 1
-    seed: SeedSpec | None = field(default=None, compare=False)
-
-    @property
-    def dt(self) -> float:
-        return self.T / self.n_fine
-
-
-def generate_increments(seed: SeedSpec, d: int, T: float, n_fine: int) -> IncrementGrid:
-    """Draw the n_fine x d increment array for one path."""
-    if n_fine < 1:
-        raise InvalidArgumentError(f"n_fine must be >= 1, got {n_fine}")
-    if T <= 0:
-        raise InvalidArgumentError(f"T must be positive, got {T}")
-    if d < 1:
-        raise InvalidArgumentError(f"d must be >= 1, got {d}")
-    gen = Generator(Philox(key=seed.philox_key()))
-    inc = gen.standard_normal((n_fine, d)) * np.sqrt(T / n_fine)
-    return IncrementGrid(d=d, T=T, n_fine=n_fine, increments=inc, seed=seed)
-
-
-def coarsen(grid: IncrementGrid, M: int) -> IncrementGrid:
-    """Sum blocks of M consecutive fine increments; M must divide n_fine."""
-    if M < 1:
-        raise InvalidArgumentError(f"refinement must be >= 1, got {M}")
-    if grid.n_fine % M != 0:
-        raise InvalidArgumentError(
-            f"refinement {M} does not divide n_fine={grid.n_fine}"
-        )
-    if M == 1:
-        return IncrementGrid(
-            d=grid.d, T=grid.T, n_fine=grid.n_fine, increments=grid.increments,
-            refinement=grid.refinement, seed=grid.seed,
-        )
-    n_coarse = grid.n_fine // M
-    coarse = grid.increments.reshape(n_coarse, M, grid.d).sum(axis=1)
-    return IncrementGrid(
-        d=grid.d, T=grid.T, n_fine=n_coarse, increments=coarse,
-        refinement=grid.refinement * M, seed=grid.seed,
-    )
-
-
-class PhiloxCursor:
-    """Reusable Philox generator that jumps between substream keys.
-
-    Re-keying through the state dict skips per-path BitGenerator construction
-    (about 10x faster) and yields streams bit-identical to fresh construction.
-    """
-
-    def __init__(self):
-        self._bitgen = Philox(key=[0, 0])
-        self._gen = Generator(self._bitgen)
-        self._state = self._bitgen.state
-
-    def rekey(self, key0: int, key1: int) -> Generator:
-        st = self._state
-        st["state"]["key"][0] = key0
-        st["state"]["key"][1] = key1
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bitgen.state = st
-        return self._gen
-
-    def for_seed(self, seed: SeedSpec) -> Generator:
-        k0, k1 = seed.philox_key()
-        return self.rekey(k0, k1)
-
-
 def increment_batch(
     master_seed: int,
     d: int,
@@ -149,20 +74,58 @@ def increment_batch(
 ) -> np.ndarray:
     """Increments for paths first_path..first_path+n_paths-1, shape (B, n_fine, d).
 
-    Row i is bit-identical to generate_increments for path_index first_path+i.
+    Path p belongs to block p // BLOCK_PATHS, whose stream fills an
+    (n_fine, BLOCK_PATHS, d) array of standard normals in C order; row i of
+    the result is the column of path first_path+i, scaled by sqrt(T/n_fine).
+    Blocks the window only partly covers are drawn whole and sliced, so row i
+    does not depend on the window. The result is the (B, n_fine, d) transpose
+    of a C-contiguous (n_fine, B, d) array: ``result[:, k, :]`` is contiguous.
     """
+    if d < 1:
+        raise InvalidArgumentError(f"d must be >= 1, got {d}")
     if n_fine < 1:
         raise InvalidArgumentError(f"n_fine must be >= 1, got {n_fine}")
     if T <= 0:
         raise InvalidArgumentError(f"T must be positive, got {T}")
+    if first_path < 0:
+        raise InvalidArgumentError(f"first_path must be nonnegative, got {first_path}")
     if n_paths < 0:
         raise InvalidArgumentError("n_paths must be nonnegative")
-    out = np.empty((n_paths, n_fine, d))
-    cursor = PhiloxCursor()
+    end = first_path + n_paths
+    _check_key(master_seed, end // BLOCK_PATHS)
+    out = np.empty((n_fine, n_paths, d))
+    if n_paths == 0:
+        return out.transpose(1, 0, 2)
     scale = np.sqrt(T / n_fine)
-    tag = int(stream_tag)
-    for i in range(n_paths):
-        gen = cursor.rekey(master_seed, ((first_path + i) << 1) | tag)
-        out[i] = gen.standard_normal((n_fine, d))
-    out *= scale
-    return out
+    rows = max(1, _CHUNK_NORMALS // (BLOCK_PATHS * d))
+    buf = np.empty((min(rows, n_fine), BLOCK_PATHS, d))
+    for block in range(first_path // BLOCK_PATHS, -(-end // BLOCK_PATHS)):
+        start = block * BLOCK_PATHS
+        lo, hi = max(first_path, start), min(end, start + BLOCK_PATHS)
+        src = slice(lo - start, hi - start)
+        dst = slice(lo - first_path, hi - first_path)
+        gen = stream(master_seed, block, stream_tag)
+        for k in range(0, n_fine, rows):
+            chunk = buf[: min(rows, n_fine - k)]
+            gen.standard_normal(out=chunk)
+            np.multiply(chunk[:, src], scale, out=out[k : k + len(chunk), dst])
+    return out.transpose(1, 0, 2)
+
+
+def path_windows(first_path: int, n_paths: int, normals_per_path: int,
+                 budget: int = 1 << 16):
+    """Yield (start, count) windows covering first_path..first_path+n_paths-1.
+
+    A window that splits a block still draws all of it, so a window holds
+    about ``budget`` normals but at least one block of paths, capped at 2**18
+    normals (2 MB). Sizes are powers of two and windows are aligned to
+    multiples of their size, so they split no block they need not.
+    """
+    size = max(1, budget // normals_per_path,
+               min(BLOCK_PATHS, _WHOLE_BLOCK_NORMALS // normals_per_path))
+    size = 1 << (size.bit_length() - 1)
+    pos, end = first_path, first_path + n_paths
+    while pos < end:
+        stop = min(end, (pos // size + 1) * size)
+        yield pos, stop - pos
+        pos = stop

@@ -14,7 +14,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError
-from .randomkit import IncrementGrid, SeedSpec, coarsen
 
 
 @dataclass(frozen=True)
@@ -48,13 +47,6 @@ class SdeModel:
     diffusion_diag: Callable | None = None
 
 
-@dataclass(frozen=True)
-class TerminalSample:
-    value: np.ndarray
-    n_steps: int
-    seed: SeedSpec | None
-
-
 class StepCounter:
     """Counts Euler-Maruyama steps actually executed (cost accounting)."""
 
@@ -66,7 +58,7 @@ class StepCounter:
 
 
 def _check_finite(x: np.ndarray, step: int) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericFailureError(f"non-finite state at Euler-Maruyama step {step}")
 
 
@@ -75,7 +67,13 @@ def em_terminal_batch(
     increments: np.ndarray,
     counter: StepCounter | None = None,
 ) -> np.ndarray:
-    """Terminal values for a batch of paths; increments has shape (B, n, d)."""
+    """Terminal values for a batch of paths; increments has shape (B, n, d).
+
+    Iterates X_{k+1} = X_k + b(t_k, X_k) dt + sigma(t_k, X_k) dB_k from x0 and
+    returns X_n, shape (B, d). Any memory layout gives the same values;
+    time-major increments (as ``increment_batch`` returns them) make each
+    step read contiguous memory.
+    """
     if increments.ndim != 3 or increments.shape[2] != model.d:
         raise InvalidArgumentError(
             f"increments must have shape (B, n, {model.d}), got {increments.shape}"
@@ -86,61 +84,33 @@ def em_terminal_batch(
     diag = model.diffusion_diag
     for k in range(n):
         t = k * dt
-        b = model.drift(t, x)
+        drift = model.drift(t, x) * dt
         if diag is not None:
-            x = x + b * dt + diag(t, x) * increments[:, k, :]
+            noise = diag(t, x) * increments[:, k, :]
         else:
-            sig = model.diffusion(t, x)
-            x = x + b * dt + np.einsum("...ij,...j->...i", sig, increments[:, k, :])
+            noise = np.einsum("...ij,...j->...i", model.diffusion(t, x), increments[:, k, :])
+        x += drift
+        x += noise
         _check_finite(x, k)
     if counter is not None:
         counter.add(n_paths * n)
     return x
 
 
-def em_path(model: SdeModel, grid: IncrementGrid) -> np.ndarray:
-    """Full path on the grid, shape (n_fine + 1, d); row 0 is x0."""
-    n = grid.n_fine
-    dt = model.T / n
-    out = np.empty((n + 1, model.d))
-    out[0] = model.x0
-    x = model.x0[None, :].copy()
-    diag = model.diffusion_diag
-    for k in range(n):
-        t = k * dt
-        b = model.drift(t, x)
-        if diag is not None:
-            x = x + b * dt + diag(t, x) * grid.increments[None, k, :]
-        else:
-            sig = model.diffusion(t, x)
-            x = x + b * dt + np.einsum("...ij,...j->...i", sig, grid.increments[None, k, :])
-        _check_finite(x, k)
-        out[k + 1] = x[0]
-    return out
+def block_sums(increments: np.ndarray, M: int) -> np.ndarray:
+    """Coarse increments (B, n // M, d): sums of M consecutive fine steps.
 
-
-def euler_maruyama(model: SdeModel, n: int, grid: IncrementGrid) -> TerminalSample:
-    """Iterate X_{k+1} = X_k + b(t_k, X_k) dt + sigma(t_k, X_k) dB_k; return X_n."""
-    if grid.d != model.d:
-        raise InvalidArgumentError(
-            f"grid dimension {grid.d} does not match model dimension {model.d}"
-        )
-    if grid.n_fine != n:
-        raise InvalidArgumentError(
-            f"grid has {grid.n_fine} steps but n={n}; pre-coarsen the grid"
-        )
-    x = em_terminal_batch(model, grid.increments[None, :, :])
-    return TerminalSample(value=x[0], n_steps=n, seed=grid.seed)
-
-
-def coupled_pair(
-    model: SdeModel, grid: IncrementGrid, M: int
-) -> tuple[TerminalSample, TerminalSample]:
-    """Fine and coarse terminals driven by the same underlying path."""
-    fine = euler_maruyama(model, grid.n_fine, grid)
-    coarse_grid = coarsen(grid, M)
-    coarse = euler_maruyama(model, coarse_grid.n_fine, coarse_grid)
-    return fine, coarse
+    Each sum is added step by step in time order, so a path's coarse
+    increments do not depend on the batch it was drawn in or on the layout.
+    """
+    n = increments.shape[1]
+    if M < 1 or n % M != 0:
+        raise InvalidArgumentError(f"refinement {M} does not divide n_fine={n}")
+    steps = increments.transpose(1, 0, 2)  # (n, B, d); a view, never a copy
+    coarse = steps[0::M].copy()
+    for j in range(1, M):
+        coarse += steps[j::M]
+    return coarse.transpose(1, 0, 2)
 
 
 def coupled_terminal_batch(
@@ -149,22 +119,16 @@ def coupled_terminal_batch(
     M: int,
     counter: StepCounter | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch version of coupled_pair; returns (fine, coarse) of shape (B, d)."""
-    n = increments.shape[1]
-    if n % M != 0:
-        raise InvalidArgumentError(f"refinement {M} does not divide n_fine={n}")
-    fine = em_terminal_batch(model, increments, counter)
+    """Fine and coarse terminals, each (B, d), driven by the same increments.
+
+    The coarse path takes n // M steps driven by ``block_sums(increments, M)``.
+    """
     if M == 1:
+        fine = em_terminal_batch(model, increments, counter)
         return fine, fine.copy()
-    n_paths = increments.shape[0]
-    coarse_inc = increments.reshape(n_paths, n // M, M, model.d).sum(axis=2)
-    coarse = em_terminal_batch(model, coarse_inc, counter)
-    return fine, coarse
-
-
-def reference_terminal(model: SdeModel, grid: IncrementGrid) -> TerminalSample:
-    """Euler-Maruyama at the finest available resolution; truth proxy for X(T)."""
-    return euler_maruyama(model, grid.n_fine, grid)
+    coarse_inc = block_sums(increments, M)
+    fine = em_terminal_batch(model, increments, counter)
+    return fine, em_terminal_batch(model, coarse_inc, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +141,7 @@ def _constant_model(mu=0.1, sigma=0.2, d=1, T=1.0, x0=0.0) -> SdeModel:
     sig = float(sigma)
 
     def drift(t, x):
-        return np.broadcast_to(mu_vec, x.shape)
+        return np.full(x.shape, mu_vec)
 
     def diffusion(t, x):
         return np.broadcast_to(sig * np.eye(d), x.shape + (d,))

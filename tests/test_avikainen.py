@@ -104,13 +104,37 @@ def test_estimator_consistency_doubling_N():
         assert abs(v1 - v2) < 4 * math.hypot(s1, s2)
 
 
-def test_monotone_refinement_of_truth_proxy():
+def _refinement_fits(curve=qerror_curve):
     model = make_model("sincos")
     pay = make_payoff("clamp_ramp")
     n_list = [8, 16, 32, 64]
-    f1 = fit_rate(qerror_curve(model, pay, 2.0, n_list, 20_000, 512, seed=11))
-    f2 = fit_rate(qerror_curve(model, pay, 2.0, n_list, 20_000, 1024, seed=11))
-    assert f2.slope <= f1.slope + f1.slope_stderr
+    f1 = fit_rate(curve(model, pay, 2.0, n_list, 20_000, 512, seed=11))
+    f2 = fit_rate(curve(model, pay, 2.0, n_list, 20_000, 1024, seed=11))
+    return f1, f2
+
+
+def _refinement_does_not_steepen(f1, f2) -> bool:
+    # EM's truth-proxy bias is about c (1/n - 1/n_ref): a finer reference lifts
+    # the error at large n and flattens the curve. It may not steepen it by
+    # more than the two fits' combined standard error.
+    return f2.slope >= f1.slope - math.hypot(f1.slope_stderr, f2.slope_stderr)
+
+
+def test_monotone_refinement_of_truth_proxy():
+    assert _refinement_does_not_steepen(*_refinement_fits())
+
+
+def test_refinement_gate_fails_on_steeper_refined_curve():
+    # tilt the n_ref=1024 curve by n^-0.2: the gate must catch the steepening
+    def tilted(*args, **kwargs):
+        curve = qerror_curve(*args, **kwargs)
+        if curve.n_ref == 1024:
+            curve.value = curve.value * (curve.n / curve.n[0]) ** -0.2
+        return curve
+
+    f1, f2 = _refinement_fits(tilted)
+    assert f2.slope < f1.slope
+    assert not _refinement_does_not_steepen(f1, f2)
 
 
 def test_qerror_2d_model_with_ball_indicator():

@@ -19,8 +19,7 @@ from irregmc.mlmc import (
 )
 from irregmc.payoff import make_payoff
 from irregmc.randomkit import derive_seed, increment_batch
-from irregmc.sde import StepCounter, em_terminal_batch, euler_maruyama, make_model
-from irregmc.randomkit import SeedSpec, generate_increments
+from irregmc.sde import StepCounter, em_terminal_batch, make_model
 
 
 def test_level_zero_equals_plain_estimator():
@@ -163,8 +162,8 @@ def test_telescoping_zero_diffusion():
     pay = make_payoff("clamp_ramp", lo=-2.0, hi=2.0)
     L, M = 3, 2
     means = [level_sample(model, pay, l, M, 10, seed=5).mean for l in range(L + 1)]
-    grid = generate_increments(SeedSpec(0, 0), 1, 1.0, M**L)
-    direct = float(pay(euler_maruyama(model, M**L, grid).value[None, :])[0])
+    inc = increment_batch(0, 1, 1.0, M**L, 0, 1)
+    direct = float(pay(em_terminal_batch(model, inc))[0])
     assert math.fsum(means) == pytest.approx(direct, abs=1e-14)
 
 

@@ -1,41 +1,43 @@
 import numpy as np
 import pytest
 
+from irregmc import avikainen as av
 from irregmc.errors import InvalidArgumentError
+from irregmc.payoff import make_payoff
 from irregmc.randomkit import (
-    IncrementGrid,
-    SeedSpec,
+    BLOCK_PATHS,
     StreamTag,
-    coarsen,
     derive_seed,
-    generate_increments,
     increment_batch,
+    path_windows,
+    stream,
 )
+from irregmc.sde import block_sums
 
 
 def test_same_seed_is_bitwise_identical():
-    a = generate_increments(SeedSpec(42, 3), 2, 1.0, 64)
-    b = generate_increments(SeedSpec(42, 3), 2, 1.0, 64)
-    assert np.array_equal(a.increments, b.increments)
+    a = increment_batch(42, 2, 1.0, 64, 3, 5)
+    b = increment_batch(42, 2, 1.0, 64, 3, 5)
+    assert np.array_equal(a, b)
 
 
 def test_distinct_paths_and_tags_differ():
-    base = generate_increments(SeedSpec(42, 0), 1, 1.0, 32).increments
-    other_path = generate_increments(SeedSpec(42, 1), 1, 1.0, 32).increments
-    aux = generate_increments(
-        SeedSpec(42, 0, StreamTag.AUXILIARY), 1, 1.0, 32
-    ).increments
-    assert not np.allclose(base, other_path)
-    assert not np.allclose(base, aux)
+    base = increment_batch(42, 1, 1.0, 32, 0, 2)
+    aux = increment_batch(42, 1, 1.0, 32, 0, 1, StreamTag.AUXILIARY)
+    other_block = increment_batch(42, 1, 1.0, 32, BLOCK_PATHS, 1)
+    assert not np.allclose(base[0], base[1])
+    assert not np.allclose(base[0], aux[0])
+    assert not np.allclose(base[0], other_block[0])
 
 
 def test_preconditions():
-    with pytest.raises(InvalidArgumentError):
-        generate_increments(SeedSpec(1, 0), 1, 1.0, 0)
-    with pytest.raises(InvalidArgumentError):
-        generate_increments(SeedSpec(1, 0), 1, -1.0, 8)
-    with pytest.raises(InvalidArgumentError):
-        SeedSpec(1, -2)
+    # the checks the per-path layer used to make, and an empty d
+    good = {"master_seed": 1, "d": 1, "T": 1.0, "n_fine": 8, "first_path": 0,
+            "n_paths": 4}
+    for bad in [{"n_fine": 0}, {"T": -1.0}, {"d": 0}, {"first_path": -1},
+                {"n_paths": -1}, {"master_seed": -1}, {"master_seed": 2**64}]:
+        with pytest.raises(InvalidArgumentError):
+            increment_batch(**(good | bad))
 
 
 def test_variance_scaling_clt():
@@ -67,46 +69,97 @@ def test_substream_independence():
 
 
 def test_coarsen_identity_and_definition():
-    g = generate_increments(SeedSpec(5, 0), 1, 1.0, 4)
-    same = coarsen(g, 1)
-    assert np.array_equal(same.increments, g.increments)
-    a, b, c, d = g.increments[:, 0]
-    two = coarsen(g, 2)
-    assert np.allclose(two.increments[:, 0], [a + b, c + d], rtol=0, atol=0)
-    assert two.refinement == 2
+    inc = increment_batch(5, 1, 1.0, 4, 0, 3)
+    assert np.array_equal(block_sums(inc, 1), inc)
+    a, b, c, d = inc[:, :, 0].T
+    two = block_sums(inc, 2)
+    assert np.array_equal(two[:, :, 0], np.stack([a + b, c + d], axis=1))
     with pytest.raises(InvalidArgumentError):
-        coarsen(g, 3)
+        block_sums(inc, 3)
+    with pytest.raises(InvalidArgumentError):
+        block_sums(inc, 0)
 
 
 def test_coarsen_telescoping():
-    g = generate_increments(SeedSpec(17, 2), 2, 3.0, 36)
-    once = coarsen(coarsen(g, 2), 3)
-    direct = coarsen(g, 6)
-    assert np.allclose(once.increments, direct.increments, rtol=1e-12)
+    inc = increment_batch(17, 2, 3.0, 36, 2, 5)
+    once = block_sums(block_sums(inc, 2), 3)
+    direct = block_sums(inc, 6)
+    assert np.allclose(once, direct, rtol=1e-12)
 
 
 def test_coarse_marginals_are_brownian():
     # summed blocks must have variance M * (T/n_fine) per coordinate
     N, n_fine, M = 50_000, 8, 4
     inc = increment_batch(23, 1, 1.0, n_fine, 0, N)
-    coarse = inc.reshape(N, n_fine // M, M, 1).sum(axis=2).ravel()
+    coarse = block_sums(inc, M).ravel()
     target = M / n_fine
     assert abs(coarse.var() - target) < 4 * target * np.sqrt(2.0 / coarse.size)
 
 
 def test_batch_matches_per_path():
-    batch = increment_batch(99, 2, 1.5, 16, 10, 5)
-    for i in range(5):
-        single = generate_increments(SeedSpec(99, 10 + i), 2, 1.5, 16)
-        assert np.array_equal(batch[i], single.increments)
+    # the stream definition: block b's stream fills (n_fine, BLOCK_PATHS, d)
+    # time-major; path p is column p - b * BLOCK_PATHS of block p // BLOCK_PATHS.
+    # n_fine = 100 spans several draw chunks, so chunking must not show.
+    first, n_paths, n_fine, d = BLOCK_PATHS - 3, 5, 100, 2
+    batch = increment_batch(99, d, 1.5, n_fine, first, n_paths)
+    scale = np.sqrt(1.5 / n_fine)
+    blocks = [stream(99, b).standard_normal((n_fine, BLOCK_PATHS, d)) * scale
+              for b in (0, 1)]
+    for i in range(n_paths):
+        b, col = divmod(first + i, BLOCK_PATHS)
+        assert np.array_equal(batch[i], blocks[b][:, col, :])
+
+
+def test_batch_is_time_major():
+    inc = increment_batch(3, 2, 1.0, 8, 5, 300)
+    assert inc.shape == (300, 8, 2)
+    assert inc.transpose(1, 0, 2).flags.c_contiguous
+    assert inc[:, 4, :].flags.c_contiguous
+
+
+def test_auxiliary_stream_key_is_pinned(monkeypatch):
+    # inequality_check draws from the key [derive_seed(seed, i), 1] exactly as
+    # it always has; criteria 6a and 6b depend on it, so its draws are pinned
+    drawn = []
+    shift = av.PAIR_FAMILIES["gaussian_shift"]
+
+    def recording(gen, N, t):
+        x, xhat = shift(gen, N, t)
+        drawn.append(x[:2, 0].tolist())
+        return x, xhat
+
+    monkeypatch.setitem(av.PAIR_FAMILIES, "gaussian_shift", recording)
+    rep = av.inequality_check("gaussian_shift", make_payoff("interval_indicator"),
+                              p=1.0, q=1.0, rule="bv", scale_grid=[0.2, 0.1],
+                              N=5000, seed=113)
+    assert drawn[0] == [0.908002965936728, 1.3538387238814646]
+    assert rep.lhs.tolist() == [0.136, 0.0628]
+
+
+def test_seeds_above_2_63_stay_exact():
+    # keys differing only in low bits of a large seed give different streams
+    a = increment_batch(2**63 + 1, 1, 1.0, 4, 0, 1)
+    b = increment_batch(2**63 + 2, 1, 1.0, 4, 0, 1)
+    top = increment_batch(2**64 - 1, 1, 1.0, 4, 0, 1)
+    assert not np.array_equal(a, b)
+    assert np.all(np.isfinite(top))
+
+
+def test_path_windows_cover_and_align():
+    for first, n, per_path in [(0, 5000, 1), (1000, 3000, 256), (7, 10, 1 << 22)]:
+        wins = list(path_windows(first, n, per_path))
+        starts = [s for s, _ in wins]
+        assert starts[0] == first
+        assert sum(c for _, c in wins) == n
+        assert all(s + c == t for (s, c), t in zip(wins, starts[1:]))
+        size = max(c for _, c in wins)
+        assert all((s + c) % size == 0 for s, c in wins[:-1])
+    # whole blocks while a block has at most 2**20 normals
+    assert max(c for _, c in path_windows(0, 5000, 256)) == BLOCK_PATHS
+    assert list(path_windows(3, 0, 16)) == []
 
 
 def test_derive_seed_is_stable_and_spreads():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     assert derive_seed(1, 2) != derive_seed(1, 3)
     assert derive_seed(1) != derive_seed(2)
-
-
-def test_grid_dt():
-    g = IncrementGrid(d=1, T=2.0, n_fine=8, increments=np.zeros((8, 1)))
-    assert g.dt == 0.25

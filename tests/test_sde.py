@@ -1,46 +1,58 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from irregmc.errors import InvalidArgumentError, NumericFailureError
-from irregmc.randomkit import SeedSpec, generate_increments, increment_batch
+from irregmc.randomkit import increment_batch
 from irregmc.sde import (
     CoefficientMeta,
     SdeModel,
-    coupled_pair,
+    block_sums,
     coupled_terminal_batch,
-    em_path,
     em_terminal_batch,
-    euler_maruyama,
     make_model,
-    reference_terminal,
     verify_model,
 )
 from irregmc.stats import loglog_fit
 
 
+def _states(model, inc):
+    """States after 0..n steps, each from em_terminal_batch on a prefix.
+
+    A prefix of j steps on a model with horizon j*dt keeps the step dt and
+    the grid times t_k = k*dt, so it reproduces the first j steps exactly.
+    """
+    dt = model.T / inc.shape[1]
+    out = [np.broadcast_to(model.x0, (inc.shape[0], model.d))]
+    for j in range(1, inc.shape[1] + 1):
+        out.append(em_terminal_batch(dataclasses.replace(model, T=j * dt), inc[:, :j]))
+    return np.stack(out, axis=1)
+
+
 @pytest.mark.parametrize("n", [1, 7, 64, 1024])
 def test_constant_coefficients_collapse_to_closed_form(n):
     model = make_model("constant", mu=0.1, sigma=0.2)
-    grid = generate_increments(SeedSpec(3, n), 1, 1.0, n)
-    term = euler_maruyama(model, n, grid)
-    closed = 0.1 * 1.0 + 0.2 * grid.increments.sum()
-    assert abs(term.value[0] - closed) <= 1e-12 * max(1.0, abs(closed))
+    inc = increment_batch(3, 1, 1.0, n, 0, 16)
+    x = em_terminal_batch(model, inc)[:, 0]
+    closed = 0.1 * 1.0 + 0.2 * inc.sum(axis=(1, 2))
+    assert np.all(np.abs(x - closed) <= 1e-12 * np.maximum(1.0, np.abs(closed)))
 
 
 def test_zero_dynamics_returns_x0():
     model = make_model("zero", x0=1.5)
-    grid = generate_increments(SeedSpec(1, 0), 1, 1.0, 16)
-    assert euler_maruyama(model, 16, grid).value[0] == 1.5
+    inc = increment_batch(1, 1, 1.0, 16, 0, 3)
+    assert np.all(em_terminal_batch(model, inc) == 1.5)
 
 
 def test_dimension_and_step_mismatch():
     model = make_model("constant", d=2)
-    grid = generate_increments(SeedSpec(1, 0), 1, 1.0, 8)
     with pytest.raises(InvalidArgumentError):
-        euler_maruyama(model, 8, grid)
-    grid2 = generate_increments(SeedSpec(1, 0), 2, 1.0, 8)
+        em_terminal_batch(model, increment_batch(1, 1, 1.0, 8, 0, 2))
     with pytest.raises(InvalidArgumentError):
-        euler_maruyama(model, 4, grid2)
+        em_terminal_batch(model, np.zeros((8, 2)))
+    with pytest.raises(InvalidArgumentError):
+        coupled_terminal_batch(model, increment_batch(1, 2, 1.0, 8, 0, 2), 3)
 
 
 def test_nonfinite_state_names_step():
@@ -50,17 +62,17 @@ def test_nonfinite_state_names_step():
         diffusion=lambda t, x: np.zeros(x.shape + (1,)),
         meta=CoefficientMeta(0, 0, 0, 0, 0),
     )
-    grid = generate_increments(SeedSpec(1, 0), 1, 1.0, 4)
+    inc = increment_batch(1, 1, 1.0, 4, 0, 2)
     with pytest.raises(NumericFailureError, match="step 0"):
-        euler_maruyama(bad, 4, grid)
+        em_terminal_batch(bad, inc)
 
 
 @pytest.mark.parametrize("M", [1, 2, 8])
 def test_coupling_exact_for_constant_coefficients(M):
     model = make_model("constant", mu=0.3, sigma=0.5)
-    grid = generate_increments(SeedSpec(9, 1), 1, 1.0, 16)
-    fine, coarse = coupled_pair(model, grid, M)
-    assert abs(fine.value[0] - coarse.value[0]) <= 1e-12 * max(1.0, abs(fine.value[0]))
+    inc = increment_batch(9, 1, 1.0, 16, 1, 8)
+    fine, coarse = coupled_terminal_batch(model, inc, M)
+    assert np.all(np.abs(fine - coarse) <= 1e-12 * np.maximum(1.0, np.abs(fine)))
 
 
 def test_coupled_batch_m1_identity():
@@ -72,23 +84,29 @@ def test_coupled_batch_m1_identity():
 
 def test_determinism_bitwise():
     model = make_model("sincos")
-    grid = generate_increments(SeedSpec(77, 0), 1, 1.0, 32)
-    a = euler_maruyama(model, 32, grid).value
-    b = euler_maruyama(model, 32, grid).value
+    a = em_terminal_batch(model, increment_batch(77, 1, 1.0, 32, 0, 4))
+    b = em_terminal_batch(model, increment_batch(77, 1, 1.0, 32, 0, 4))
     assert np.array_equal(a, b)
 
 
 def test_markov_step_locality():
     # changing increment k only affects states at steps > k
     model = make_model("sincos")
-    grid = generate_increments(SeedSpec(4, 0), 1, 1.0, 16)
-    base = em_path(model, grid)
-    bumped = generate_increments(SeedSpec(4, 0), 1, 1.0, 16)
+    inc = increment_batch(4, 1, 1.0, 16, 0, 1)
+    base = _states(model, inc)
+    bumped = inc.copy()
     k = 9
-    bumped.increments[k, 0] += 0.5
-    path = em_path(model, bumped)
-    assert np.array_equal(base[: k + 1], path[: k + 1])
-    assert not np.allclose(base[k + 1 :], path[k + 1 :])
+    bumped[0, k, 0] += 0.5
+    path = _states(model, bumped)
+    assert np.array_equal(base[:, : k + 1], path[:, : k + 1])
+    assert not np.allclose(base[:, k + 1 :], path[:, k + 1 :])
+
+
+def test_prefix_states_match_terminal():
+    # the prefix construction in _states ends at em_terminal_batch's terminal
+    model = make_model("sincos2d")
+    inc = increment_batch(8, 2, 1.0, 16, 0, 3)
+    assert np.array_equal(_states(model, inc)[:, -1], em_terminal_batch(model, inc))
 
 
 def test_reference_terminal_kurtosis():
@@ -108,8 +126,8 @@ def test_reference_refinement_monotone():
     N, n_ref = 4000, 1024
     inc = increment_batch(31, 1, 1.0, 2 * n_ref, 0, N)
     ref2 = em_terminal_batch(model, inc)
-    ref1 = em_terminal_batch(model, inc.reshape(N, n_ref, 2, 1).sum(axis=2))
-    coarse = em_terminal_batch(model, inc.reshape(N, 8, 2 * n_ref // 8, 1).sum(axis=2))
+    ref1 = em_terminal_batch(model, block_sums(inc, 2))
+    coarse = em_terminal_batch(model, block_sums(inc, 2 * n_ref // 8))
     gap_ref = np.mean((ref2 - ref1) ** 2)
     gap_coarse = np.mean((ref2 - coarse) ** 2)
     assert gap_ref < gap_coarse
@@ -124,7 +142,7 @@ def test_strong_rate_of_l2_distance():
     ref = em_terminal_batch(model, inc)
     dists = []
     for n in n_list:
-        xn = em_terminal_batch(model, inc.reshape(N, n, n_ref // n, 1).sum(axis=2))
+        xn = em_terminal_batch(model, block_sums(inc, n_ref // n))
         dists.append(np.sqrt(np.mean((xn - ref) ** 2)))
     fit = loglog_fit(n_list, dists)
     assert -0.65 <= fit.slope <= -0.35
@@ -144,12 +162,14 @@ def test_coupled_variance_scaling_in_n_fine():
     assert -1.3 <= fit.slope <= -0.7
 
 
-def test_reference_terminal_matches_euler():
-    model = make_model("constant", mu=0.1, sigma=0.2)
-    grid = generate_increments(SeedSpec(2, 0), 1, 1.0, 32)
-    assert np.array_equal(
-        reference_terminal(model, grid).value, euler_maruyama(model, 32, grid).value
-    )
+def test_coupled_fine_matches_euler():
+    # the fine terminal of a coupled pair is the plain EM terminal, and the
+    # coarse one is EM driven by the block sums
+    model = make_model("sincos")
+    inc = increment_batch(2, 1, 1.0, 32, 0, 6)
+    fine, coarse = coupled_terminal_batch(model, inc, 4)
+    assert np.array_equal(fine, em_terminal_batch(model, inc))
+    assert np.array_equal(coarse, em_terminal_batch(model, block_sums(inc, 4)))
 
 
 def test_registry_and_verification():
