@@ -27,8 +27,9 @@ BLOCK_PATHS = 1024
 # Normals per draw into the reusable block buffer; sequential draws are
 # chunk-invariant, so this bounds memory without touching the streams.
 _CHUNK_NORMALS = 1 << 16
-# path_windows widens windows to a whole block up to this many normals.
-_WHOLE_BLOCK_NORMALS = 1 << 18
+# path_windows keeps windows at least one whole block wide up to this many
+# normals (128 MB, the size of the strong-rate driver's 4096 x 4096 batch).
+_WHOLE_BLOCK_NORMALS = 1 << 24
 
 
 class StreamTag(enum.IntEnum):
@@ -117,9 +118,11 @@ def path_windows(first_path: int, n_paths: int, normals_per_path: int,
     """Yield (start, count) windows covering first_path..first_path+n_paths-1.
 
     A window that splits a block still draws all of it, so a window holds
-    about ``budget`` normals but at least one block of paths, capped at 2**18
-    normals (2 MB). Sizes are powers of two and windows are aligned to
-    multiples of their size, so they split no block they need not.
+    about ``budget`` normals but at least one block of paths: each block is
+    drawn once. Only past 2**24 normals per block (16384 per path) do
+    windows narrow to 2**24 normals, and each then redraws its block.
+    Sizes are powers of two and windows are aligned to multiples of their
+    size, so they split no block they need not.
     """
     size = max(1, budget // normals_per_path,
                min(BLOCK_PATHS, _WHOLE_BLOCK_NORMALS // normals_per_path))

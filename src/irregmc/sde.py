@@ -80,7 +80,7 @@ def em_terminal_batch(
         )
     n_paths, n, _ = increments.shape
     dt = model.T / n
-    x = np.broadcast_to(model.x0, (n_paths, model.d)).copy()
+    x = np.array(np.broadcast_to(model.x0, (n_paths, model.d)), dtype=float)
     diag = model.diffusion_diag
     for k in range(n):
         t = k * dt

@@ -194,6 +194,23 @@ def test_cost_accounting_instrumented():
     assert counter.steps == stats.cost == 500 * (4 + 2)
 
 
+def test_deep_level_keys_each_block_once(monkeypatch):
+    # at 1024 normals per path a level's windows must still be whole blocks,
+    # or every window would redraw its block
+    import irregmc.randomkit as rk
+
+    keyed = []
+    original = rk.stream
+
+    def counting(master_seed, index, stream_tag=rk.StreamTag.PATH):
+        keyed.append(index)
+        return original(master_seed, index, stream_tag)
+
+    monkeypatch.setattr(rk, "stream", counting)
+    level_sample(make_model("constant"), make_payoff("clamp_ramp"), 5, 4, 2048, seed=2)
+    assert sorted(keyed) == [0, 1]
+
+
 def test_single_level_run_basics():
     model = make_model("constant", mu=0.1, sigma=0.2)
     pay = make_payoff("clamp_ramp")

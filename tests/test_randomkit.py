@@ -154,8 +154,14 @@ def test_path_windows_cover_and_align():
         assert all(s + c == t for (s, c), t in zip(wins, starts[1:]))
         size = max(c for _, c in wins)
         assert all((s + c) % size == 0 for s, c in wins[:-1])
-    # whole blocks while a block has at most 2**20 normals
-    assert max(c for _, c in path_windows(0, 5000, 256)) == BLOCK_PATHS
+    # windows split no block (so none is drawn twice) while a block holds at
+    # most 2**24 normals; past that they narrow to 2**24 normals
+    for per_path in (256, 4096, 1 << 14):
+        wins = list(path_windows(100, 5000, per_path))
+        blocks = [b for s, c in wins
+                  for b in range(s // BLOCK_PATHS, -(-(s + c) // BLOCK_PATHS))]
+        assert len(blocks) == len(set(blocks))
+    assert max(c for _, c in path_windows(0, 5000, 1 << 15)) == BLOCK_PATHS // 2
     assert list(path_windows(3, 0, 16)) == []
 
 

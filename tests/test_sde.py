@@ -55,6 +55,17 @@ def test_dimension_and_step_mismatch():
         coupled_terminal_batch(model, increment_batch(1, 2, 1.0, 8, 0, 2), 3)
 
 
+@pytest.mark.parametrize("diag", [True, False])
+def test_integer_x0_gives_float_state(diag):
+    model = make_model("constant", mu=0.1, sigma=0.2, x0=1.0)
+    if not diag:
+        model = dataclasses.replace(model, diffusion_diag=None)
+    inc = increment_batch(4, 1, 1.0, 8, 0, 3)
+    x = em_terminal_batch(dataclasses.replace(model, x0=np.array([1])), inc)
+    assert x.dtype == np.float64
+    assert np.array_equal(x, em_terminal_batch(model, inc))
+
+
 def test_nonfinite_state_names_step():
     bad = SdeModel(
         name="bad", d=1, T=1.0, x0=np.array([0.0]),
