@@ -8,6 +8,7 @@ fine and coarse terminals agree to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,23 +19,19 @@ from .errors import InvalidArgumentError, NumericFailureError
 
 @dataclass(frozen=True)
 class CoefficientMeta:
-    """Regularity metadata: bounds and constants the rate predictions consume."""
+    """Declared bounds: sup |b| and two-sided ellipticity of a = diag(sigma)^2."""
 
     sup_b: float
-    lip_space: float
-    holder_time: float
     a_lower: float
     a_upper: float
 
 
 @dataclass(frozen=True)
 class SdeModel:
-    """Time-inhomogeneous Markovian diffusion dX = b dt + sigma dB on R^d.
+    """Time-inhomogeneous Markovian diffusion dX = b dt + diag(sigma) dB on R^d.
 
-    ``drift(t, x)`` and ``diffusion(t, x)`` must be vectorized over leading
-    axes of x (shape (..., d) -> (..., d) and (..., d, d)). Models with
-    diagonal noise also provide ``diffusion_diag`` (shape (..., d)), which the
-    simulation engine prefers to avoid per-path matrix products.
+    ``drift(t, x)`` and ``sigma(t, x)`` map states of shape (..., d) to shape
+    (..., d); ``sigma`` is the diagonal of the diffusion matrix.
     """
 
     name: str
@@ -42,9 +39,18 @@ class SdeModel:
     T: float
     x0: np.ndarray
     drift: Callable
-    diffusion: Callable
+    sigma: Callable
     meta: CoefficientMeta
-    diffusion_diag: Callable | None = None
+
+
+def diagonal_model(name: str, d: int, T, x0, drift: Callable, sigma: Callable,
+                   sup_b: float, a_lower: float, a_upper: float) -> SdeModel:
+    """Model with x0 broadcast to a float (d,) vector; the callables are kept as given."""
+    return SdeModel(
+        name=name, d=d, T=float(T),
+        x0=np.broadcast_to(np.asarray(x0, dtype=float), (d,)).copy(),
+        drift=drift, sigma=sigma, meta=CoefficientMeta(sup_b, a_lower, a_upper),
+    )
 
 
 class StepCounter:
@@ -81,14 +87,10 @@ def em_terminal_batch(
     n_paths, n, _ = increments.shape
     dt = model.T / n
     x = np.array(np.broadcast_to(model.x0, (n_paths, model.d)), dtype=float)
-    diag = model.diffusion_diag
     for k in range(n):
         t = k * dt
         drift = model.drift(t, x) * dt
-        if diag is not None:
-            noise = diag(t, x) * increments[:, k, :]
-        else:
-            noise = np.einsum("...ij,...j->...i", model.diffusion(t, x), increments[:, k, :])
+        noise = model.sigma(t, x) * increments[:, k, :]
         x += drift
         x += noise
         _check_finite(x, k)
@@ -139,130 +141,52 @@ def coupled_terminal_batch(
 def _constant_model(mu=0.1, sigma=0.2, d=1, T=1.0, x0=0.0) -> SdeModel:
     mu_vec = np.broadcast_to(np.asarray(mu, dtype=float), (d,)).copy()
     sig = float(sigma)
-
-    def drift(t, x):
-        return np.full(x.shape, mu_vec)
-
-    def diffusion(t, x):
-        return np.broadcast_to(sig * np.eye(d), x.shape + (d,))
-
-    def diffusion_diag(t, x):
-        return np.full_like(x, sig)
-
-    meta = CoefficientMeta(
-        sup_b=float(np.linalg.norm(mu_vec)),
-        lip_space=0.0,
-        holder_time=0.0,
-        a_lower=sig**2,
-        a_upper=sig**2,
-    )
-    return SdeModel(
-        name="constant", d=d, T=float(T),
-        x0=np.broadcast_to(np.asarray(x0, dtype=float), (d,)).copy(),
-        drift=drift, diffusion=diffusion, meta=meta, diffusion_diag=diffusion_diag,
+    return diagonal_model(
+        "constant", d, T, x0,
+        drift=lambda t, x: np.full(x.shape, mu_vec),
+        sigma=lambda t, x: np.full_like(x, sig),
+        sup_b=float(np.linalg.norm(mu_vec)), a_lower=sig**2, a_upper=sig**2,
     )
 
 
-def _sincos_model(T=1.0, x0=0.0, cos_amp=0.5) -> SdeModel:
-    # cos_amp < 1 keeps sigma uniformly elliptic; large enough that the
-    # state-dependent (strong-rate-1/2) error term dominates the drift-induced
-    # h^2 term over practical step windows
-    amp = float(cos_amp)
-    if not 0.0 < amp < 1.0:
-        raise InvalidArgumentError("cos_amp must lie in (0,1) for ellipticity")
+def _sincos(name: str, d: int):
+    """Builder of dX = sin(X) dt + (1 + cos_amp cos(X)) dB, coordinatewise on R^d."""
 
-    def drift(t, x):
-        return np.sin(x)
+    def build(T=1.0, x0=0.0, cos_amp=0.5) -> SdeModel:
+        # cos_amp < 1 keeps sigma uniformly elliptic; large enough that the
+        # state-dependent (strong-rate-1/2) error term dominates the
+        # drift-induced h^2 term over practical step windows
+        amp = float(cos_amp)
+        if not 0.0 < amp < 1.0:
+            raise InvalidArgumentError("cos_amp must lie in (0,1) for ellipticity")
+        return diagonal_model(
+            name, d, T, x0,
+            drift=lambda t, x: np.sin(x),
+            sigma=lambda t, x: 1.0 + amp * np.cos(x),
+            sup_b=math.sqrt(d), a_lower=(1.0 - amp) ** 2, a_upper=(1.0 + amp) ** 2,
+        )
 
-    def diffusion_diag(t, x):
-        return 1.0 + amp * np.cos(x)
-
-    def diffusion(t, x):
-        return diffusion_diag(t, x)[..., :, None] * np.eye(1)
-
-    meta = CoefficientMeta(
-        sup_b=1.0, lip_space=1.0, holder_time=0.0,
-        a_lower=(1.0 - amp) ** 2, a_upper=(1.0 + amp) ** 2,
-    )
-    return SdeModel(
-        name="sincos", d=1, T=float(T), x0=np.array([float(x0)]),
-        drift=drift, diffusion=diffusion, meta=meta, diffusion_diag=diffusion_diag,
-    )
-
-
-def _sincos2d_model(T=1.0, x0=0.0, cos_amp=0.5) -> SdeModel:
-    amp = float(cos_amp)
-    if not 0.0 < amp < 1.0:
-        raise InvalidArgumentError("cos_amp must lie in (0,1) for ellipticity")
-
-    def drift(t, x):
-        return np.sin(x)
-
-    def diffusion_diag(t, x):
-        return 1.0 + amp * np.cos(x)
-
-    def diffusion(t, x):
-        out = np.zeros(x.shape + (2,))
-        dg = diffusion_diag(t, x)
-        out[..., 0, 0] = dg[..., 0]
-        out[..., 1, 1] = dg[..., 1]
-        return out
-
-    meta = CoefficientMeta(
-        sup_b=np.sqrt(2.0), lip_space=1.0, holder_time=0.0,
-        a_lower=(1.0 - amp) ** 2, a_upper=(1.0 + amp) ** 2,
-    )
-    return SdeModel(
-        name="sincos2d", d=2, T=float(T),
-        x0=np.broadcast_to(np.asarray(x0, dtype=float), (2,)).copy(),
-        drift=drift, diffusion=diffusion, meta=meta, diffusion_diag=diffusion_diag,
-    )
+    return build
 
 
 def _zero_model(d=1, T=1.0, x0=0.0) -> SdeModel:
     """Zero drift, zero diffusion; useful for exact telescoping checks."""
-    def drift(t, x):
-        return np.zeros_like(x)
-
-    def diffusion(t, x):
-        return np.zeros(x.shape + (d,))
-
-    def diffusion_diag(t, x):
-        return np.zeros_like(x)
-
-    meta = CoefficientMeta(sup_b=0.0, lip_space=0.0, holder_time=0.0,
-                           a_lower=0.0, a_upper=0.0)
-    return SdeModel(
-        name="zero", d=d, T=float(T),
-        x0=np.broadcast_to(np.asarray(x0, dtype=float), (d,)).copy(),
-        drift=drift, diffusion=diffusion, meta=meta, diffusion_diag=diffusion_diag,
-    )
+    return diagonal_model("zero", d, T, x0, drift=lambda t, x: np.zeros_like(x),
+                          sigma=lambda t, x: np.zeros_like(x),
+                          sup_b=0.0, a_lower=0.0, a_upper=0.0)
 
 
 def _ode_model(d=1, T=1.0, x0=0.5) -> SdeModel:
     """Deterministic dynamics dX = cos(X) dt; zero diffusion."""
-    def drift(t, x):
-        return np.cos(x)
-
-    def diffusion(t, x):
-        return np.zeros(x.shape + (d,))
-
-    def diffusion_diag(t, x):
-        return np.zeros_like(x)
-
-    meta = CoefficientMeta(sup_b=1.0, lip_space=1.0, holder_time=0.0,
-                           a_lower=0.0, a_upper=0.0)
-    return SdeModel(
-        name="ode", d=d, T=float(T),
-        x0=np.broadcast_to(np.asarray(x0, dtype=float), (d,)).copy(),
-        drift=drift, diffusion=diffusion, meta=meta, diffusion_diag=diffusion_diag,
-    )
+    return diagonal_model("ode", d, T, x0, drift=lambda t, x: np.cos(x),
+                          sigma=lambda t, x: np.zeros_like(x),
+                          sup_b=1.0, a_lower=0.0, a_upper=0.0)
 
 
 MODEL_REGISTRY = {
     "constant": _constant_model,
-    "sincos": _sincos_model,
-    "sincos2d": _sincos2d_model,
+    "sincos": _sincos("sincos", 1),
+    "sincos2d": _sincos("sincos2d", 2),
     "zero": _zero_model,
     "ode": _ode_model,
 }
@@ -280,8 +204,8 @@ def verify_model(model: SdeModel, seed: int = 0, n_probe: int = 256) -> None:
     """Numerically spot-check the declared coefficient bounds.
 
     Samples (t, x, xi) and verifies drift boundedness and two-sided
-    ellipticity of a = sigma sigma^T against the metadata; raises
-    InvalidArgumentError on a violation.
+    ellipticity of a = diag(sigma)^2, <a xi, xi> = sum_i (sigma_i xi_i)^2,
+    against the metadata; raises InvalidArgumentError on a violation.
     """
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0.0, model.T, n_probe)
@@ -289,17 +213,14 @@ def verify_model(model: SdeModel, seed: int = 0, n_probe: int = 256) -> None:
     tol = 1e-9
     for t, x in zip(ts, xs):
         xb = x[None, :]
-        b = model.drift(float(t), xb)[0]
-        if np.linalg.norm(b) > model.meta.sup_b + tol:
+        b = float(np.linalg.norm(model.drift(float(t), xb)[0]))
+        if b > model.meta.sup_b + tol:
             raise InvalidArgumentError(
-                f"drift bound violated: |b|={np.linalg.norm(b):.6g} "
-                f"> sup_b={model.meta.sup_b}"
+                f"drift bound violated: |b|={b:.6g} > sup_b={model.meta.sup_b}"
             )
-        sig = model.diffusion(float(t), xb)[0]
-        a = sig @ sig.T
         xi = rng.normal(size=model.d)
         xi /= np.linalg.norm(xi)
-        quad = float(xi @ a @ xi)
+        quad = float(np.sum((model.sigma(float(t), xb)[0] * xi) ** 2))
         if model.meta.a_upper > 0:
             if quad < model.meta.a_lower - tol or quad > model.meta.a_upper + tol:
                 raise InvalidArgumentError(

@@ -6,10 +6,12 @@ import pytest
 from irregmc.errors import InvalidArgumentError, NumericFailureError
 from irregmc.randomkit import increment_batch
 from irregmc.sde import (
+    MODEL_REGISTRY,
     CoefficientMeta,
     SdeModel,
     block_sums,
     coupled_terminal_batch,
+    diagonal_model,
     em_terminal_batch,
     make_model,
     verify_model,
@@ -55,11 +57,8 @@ def test_dimension_and_step_mismatch():
         coupled_terminal_batch(model, increment_batch(1, 2, 1.0, 8, 0, 2), 3)
 
 
-@pytest.mark.parametrize("diag", [True, False])
-def test_integer_x0_gives_float_state(diag):
+def test_integer_x0_gives_float_state():
     model = make_model("constant", mu=0.1, sigma=0.2, x0=1.0)
-    if not diag:
-        model = dataclasses.replace(model, diffusion_diag=None)
     inc = increment_batch(4, 1, 1.0, 8, 0, 3)
     x = em_terminal_batch(dataclasses.replace(model, x0=np.array([1])), inc)
     assert x.dtype == np.float64
@@ -70,8 +69,8 @@ def test_nonfinite_state_names_step():
     bad = SdeModel(
         name="bad", d=1, T=1.0, x0=np.array([0.0]),
         drift=lambda t, x: np.full_like(x, np.nan),
-        diffusion=lambda t, x: np.zeros(x.shape + (1,)),
-        meta=CoefficientMeta(0, 0, 0, 0, 0),
+        sigma=lambda t, x: np.zeros_like(x),
+        meta=CoefficientMeta(0, 0, 0),
     )
     inc = increment_batch(1, 1, 1.0, 4, 0, 2)
     with pytest.raises(NumericFailureError, match="step 0"):
@@ -183,27 +182,36 @@ def test_coupled_fine_matches_euler():
     assert np.array_equal(coarse, em_terminal_batch(model, block_sums(inc, 4)))
 
 
+@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+def test_registry_model_passes_verification(name):
+    verify_model(make_model(name))
+
+
 def test_registry_and_verification():
     with pytest.raises(InvalidArgumentError):
         make_model("no_such_model")
-    for name in ("constant", "sincos", "sincos2d"):
-        verify_model(make_model(name))
-    lying = SdeModel(
-        name="lying", d=1, T=1.0, x0=np.array([0.0]),
-        drift=lambda t, x: np.full_like(x, 5.0),
-        diffusion=lambda t, x: np.ones(x.shape + (1,)),
-        meta=CoefficientMeta(sup_b=1.0, lip_space=0.0, holder_time=0.0,
-                             a_lower=1.0, a_upper=1.0),
-    )
-    with pytest.raises(InvalidArgumentError):
-        verify_model(lying)
+    # the drift breaks sup_b
+    fast = diagonal_model("fast", 1, 1.0, 0.0, drift=lambda t, x: np.full_like(x, 5.0),
+                          sigma=lambda t, x: np.ones_like(x),
+                          sup_b=1.0, a_lower=1.0, a_upper=1.0)
+    with pytest.raises(InvalidArgumentError, match="drift bound"):
+        verify_model(fast)
+    # sigma = 0.5 in one coordinate lets <a xi, xi> fall below a_lower = 1
+    flat = diagonal_model("flat", 2, 1.0, 0.0, drift=lambda t, x: np.zeros_like(x),
+                          sigma=lambda t, x: np.broadcast_to([1.0, 0.5], x.shape),
+                          sup_b=1.0, a_lower=1.0, a_upper=1.0)
+    with pytest.raises(InvalidArgumentError, match="ellipticity"):
+        verify_model(flat)
 
 
 def test_sincos2d_diagonal_consistency():
-    model = make_model("sincos2d")
+    # sincos2d is the sin/cos model at d = 2: each coordinate of its drift and
+    # sigma is the one-dimensional model's, and sup |b| = sqrt(2)
+    one, two = make_model("sincos", cos_amp=0.3), make_model("sincos2d", cos_amp=0.3)
     x = np.random.default_rng(0).normal(size=(5, 2))
-    full = model.diffusion(0.3, x)
-    diag = model.diffusion_diag(0.3, x)
-    assert np.allclose(full[:, 0, 0], diag[:, 0])
-    assert np.allclose(full[:, 1, 1], diag[:, 1])
-    assert np.allclose(full[:, 0, 1], 0.0)
+    for c in range(2):
+        xc = x[:, c : c + 1]
+        assert np.array_equal(two.drift(0.3, x)[:, c : c + 1], one.drift(0.3, xc))
+        assert np.array_equal(two.sigma(0.3, x)[:, c : c + 1], one.sigma(0.3, xc))
+    assert two.meta.sup_b == np.sqrt(2.0) and one.meta.sup_b == 1.0
+    assert (two.meta.a_lower, two.meta.a_upper) == (one.meta.a_lower, one.meta.a_upper)
