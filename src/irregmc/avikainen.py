@@ -12,14 +12,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator
 
 from .errors import DegenerateCurveError, InvalidArgumentError
 from .payoff import Payoff
-from .randomkit import StreamTag, derive_seed, increment_batch
+from .randomkit import StreamTag, derive_seed, increment_batch, stream
 from .sde import SdeModel, StepCounter, block_sums, em_terminal_batch
 from .stats import Welford, loglog_fit
 
+# Paths per window, read at call time; a multiple of BLOCK_PATHS, so windows
+# split no block and the curves do not depend on it.
 DEFAULT_BATCH = 4096
 NOISE_FLOOR_FACTOR = 10.0
 
@@ -74,13 +76,14 @@ def qerror_curves(
     N: int,
     n_ref: int,
     seed: int,
-    batch_size: int = DEFAULT_BATCH,
     counter: StepCounter | None = None,
 ) -> list[ErrorCurve]:
     """Error curves for several (payoff, q) targets from one coupled sweep.
 
     All targets share the same reference terminals, so indicator curves for
-    different q are bit-identical by construction.
+    different q are bit-identical by construction. Each window's values are
+    folded in block by block, so the curves are bit-identical whatever the
+    window size.
     """
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) == 0:
@@ -93,7 +96,7 @@ def qerror_curves(
     accs = {(i, n): Welford() for i in range(len(targets)) for n in n_list}
     done = 0
     while done < N:
-        b = min(batch_size, N - done)
+        b = min(DEFAULT_BATCH, N - done)
         inc = increment_batch(seed, model.d, model.T, n_ref, done, b)
         ref = em_terminal_batch(model, inc, counter)
         f_ref = [pay(ref) for pay, _ in targets]
@@ -101,7 +104,7 @@ def qerror_curves(
             xn = em_terminal_batch(model, block_sums(inc, n_ref // n), counter)
             for i, (pay, q) in enumerate(targets):
                 diff = np.abs(f_ref[i] - pay(xn)) ** q
-                accs[(i, n)].update(diff)
+                accs[(i, n)].update(diff, done)
         del inc  # free this batch before the next one is drawn
         done += b
     curves = []
@@ -120,9 +123,9 @@ def qerror_curves(
 
 def qerror_curve(
     model: SdeModel, payoff: Payoff, q: float, n_list, N: int, n_ref: int,
-    seed: int, batch_size: int = DEFAULT_BATCH,
+    seed: int,
 ) -> ErrorCurve:
-    return qerror_curves(model, [(payoff, q)], n_list, N, n_ref, seed, batch_size)[0]
+    return qerror_curves(model, [(payoff, q)], n_list, N, n_ref, seed)[0]
 
 
 def fit_rate(curve: ErrorCurve) -> RateFit:
@@ -246,13 +249,10 @@ def inequality_check(
     lhs_se = np.empty_like(scale_grid)
     base = np.empty_like(scale_grid)
     for i, t in enumerate(scale_grid):
-        # The key [derive_seed(seed, i), 1] is passed as a list, as criteria 6a
-        # and 6b have always drawn it: numpy takes a list holding a word
-        # >= 2**63 through float64, so randomkit.stream would give other draws.
-        gen = Generator(Philox(key=[derive_seed(seed, i), int(StreamTag.AUXILIARY)]))
+        gen = stream(derive_seed(seed, i), 0, StreamTag.AUXILIARY)
         x, xhat = sampler(gen, N, float(t))
         acc = Welford()
-        acc.update(np.abs(payoff(x) - payoff(xhat)) ** q)
+        acc.update(np.abs(payoff(x) - payoff(xhat)) ** q, 0)
         lhs[i] = acc.mean
         lhs_se[i] = acc.stderr
         gap = float(np.mean(np.linalg.norm(x - xhat, axis=-1) ** moment))

@@ -280,9 +280,9 @@ def _run_maximal(config: ExperimentConfig, out: str, summary: RunSummary) -> Non
     total_violations = 0
     mid = 0
     plans = (
-        ("atomic", int(p.get("n_atomic", 100)), selftest._random_atomic_measure),
-        ("grid1d", int(p.get("n_grid_1d", 50)), selftest._random_density_1d),
-        ("grid2d", int(p.get("n_grid_2d", 50)), selftest._random_density_2d),
+        ("atomic", int(p.get("n_atomic", 100)), mx.random_atomic_measure),
+        ("grid1d", int(p.get("n_grid_1d", 50)), mx.random_density_1d),
+        ("grid2d", int(p.get("n_grid_2d", 50)), mx.random_density_2d),
     )
     for kind, count, maker in plans:
         for _ in range(count):
@@ -474,9 +474,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="path to the JSON config")
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("--seed", type=int, default=None, help="seed override")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker cap (runs are vectorized and single-threaded; "
-                          "results never depend on this value)")
 
 
 def main(argv=None) -> int:
@@ -491,8 +488,6 @@ def main(argv=None) -> int:
     st.add_argument("--scale", type=float, default=0.25,
                     help="sample-size scale (1.0 = full acceptance scale)")
     st.add_argument("--out", default=None, help="optional directory for results JSON")
-    st.add_argument("--seed", type=int, default=None, help="(accepted, unused)")
-    st.add_argument("--threads", type=int, default=1, help="(accepted, unused)")
 
     args = parser.parse_args(argv)
     if args.command == "selftest":

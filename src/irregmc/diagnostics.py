@@ -76,7 +76,6 @@ def gaussian_kernel(c: float, T: float, x0: float, y) -> np.ndarray:
 def terminal_histogram(
     model: SdeModel, n: int, N: int, bins: int, seed: int,
     value_range: tuple[float, float] | None = None,
-    batch_size: int = 65536,
 ) -> Histogram:
     """Histogram of the first coordinate of X^(n)(T) over N paths."""
     if N < 10_000:
@@ -84,7 +83,7 @@ def terminal_histogram(
     if bins < 20:
         raise InvalidArgumentError("need at least 20 bins")
     samples = np.empty(N)
-    for first, b in path_windows(0, N, n * model.d, batch_size):
+    for first, b in path_windows(0, N, n * model.d):
         samples[first : first + b] = em_terminal_batch(
             model, increment_batch(seed, model.d, model.T, n, first, b))[:, 0]
     if value_range is None:

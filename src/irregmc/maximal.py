@@ -157,6 +157,37 @@ def measure_from_density(density: GridField) -> GridMeasure:
                        density=density)
 
 
+def random_atomic_measure(rng) -> GridMeasure:
+    """1 to 25 atoms on [-5, 5] with masses in [0.1, 2]."""
+    k = int(rng.integers(1, 26))
+    locs = rng.uniform(-5.0, 5.0, size=(k, 1))
+    masses = rng.uniform(0.1, 2.0, size=k)
+    return measure_from_atoms(locs, masses)
+
+
+def random_density_1d(rng) -> GridMeasure:
+    """Step density on [-3, 3]: 16 random levels over 256 cells."""
+    cells = 256
+    vals = np.repeat(rng.uniform(0.0, 1.0, size=16), (cells + 1) // 16 + 1)[: cells + 1]
+    return measure_from_density(
+        GridField(d=1, lo=-3.0, hi=3.0, spacing=6.0 / cells, values=vals))
+
+
+def random_density_2d(rng) -> GridMeasure:
+    """Sum of 1 to 4 Gaussian bumps on a 48 x 48-cell grid over [-2, 2]^2."""
+    cells = 48
+    ax = np.linspace(-2.0, 2.0, cells + 1)
+    xx, yy = np.meshgrid(ax, ax, indexing="ij")
+    vals = np.zeros_like(xx)
+    for _ in range(int(rng.integers(1, 5))):
+        cx, cy = rng.uniform(-1.5, 1.5, size=2)
+        w = rng.uniform(0.2, 1.0)
+        a = rng.uniform(0.2, 2.0)
+        vals += a * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * w**2))
+    return measure_from_density(
+        GridField(d=2, lo=-2.0, hi=2.0, spacing=4.0 / cells, values=vals))
+
+
 # ---------------------------------------------------------------------------
 # Maximal values
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .stats import LineFit, Welford, loglog_fit
 DEFAULT_PILOT = 1000
 DEFAULT_MAX_LEVEL = 12
 DEFAULT_MAX_ROUNDS = 5
-DEFAULT_BATCH = 65536
+DEFAULT_BATCH = 65536  # window budget in normals, read at call time
 
 
 @dataclass
@@ -108,9 +108,9 @@ def _sample_level(
     state: _LevelAccumulator,
     n_new: int,
     counter: StepCounter,
-    batch_size: int = DEFAULT_BATCH,
 ) -> None:
-    for first, b in path_windows(state.count, n_new, state.n_fine * model.d, batch_size):
+    """Add n_new paths to the level, folded into its statistics block by block."""
+    for first, b in path_windows(state.count, n_new, state.n_fine * model.d, DEFAULT_BATCH):
         inc = increment_batch(state.seed, model.d, model.T, state.n_fine, first, b)
         if state.level == 0:
             x = em_terminal_batch(model, inc, counter)
@@ -119,7 +119,7 @@ def _sample_level(
             fine, coarse = coupled_terminal_batch(model, inc, state.M, counter)
             vals = payoff(fine) - payoff(coarse)
         del inc  # free this batch before the next one is drawn
-        state.acc.update(vals)
+        state.acc.update(vals, first)
 
 
 def level_sample(
@@ -330,7 +330,7 @@ def single_level_run(
     pilot_seed = derive_seed(seed, 0x51E6)
     pilot = Welford()
     inc = increment_batch(pilot_seed, model.d, model.T, n_steps, 0, n_pilot)
-    pilot.update(payoff(em_terminal_batch(model, inc, calib)))
+    pilot.update(payoff(em_terminal_batch(model, inc, calib)), 0)
     N = max(2, int(math.ceil(2.0 * pilot.variance / epsilon**2)))
 
     counter = StepCounter()
@@ -338,7 +338,7 @@ def single_level_run(
     run_seed = derive_seed(seed, 0xF1A7)
     for first, b in path_windows(0, N, n_steps * model.d, DEFAULT_BATCH):
         inc = increment_batch(run_seed, model.d, model.T, n_steps, first, b)
-        acc.update(payoff(em_terminal_batch(model, inc, counter)))
+        acc.update(payoff(em_terminal_batch(model, inc, counter)), first)
         del inc  # free this batch before the next one is drawn
     return SingleLevelResult(
         estimate=acc.mean, n_steps=n_steps, N=N,

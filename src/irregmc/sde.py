@@ -75,8 +75,8 @@ def em_terminal_batch(
 ) -> np.ndarray:
     """Terminal values for a batch of paths; increments has shape (B, n, d).
 
-    Iterates X_{k+1} = X_k + b(t_k, X_k) dt + sigma(t_k, X_k) dB_k from x0 and
-    returns X_n, shape (B, d). Any memory layout gives the same values;
+    Iterates X_{k+1} = X_k + b(t_k, X_k) dt + sigma(t_k, X_k) * dB_k (the
+    product taken coordinatewise) from x0 and returns X_n, shape (B, d). Any memory layout gives the same values;
     time-major increments (as ``increment_batch`` returns them) make each
     step read contiguous memory.
     """

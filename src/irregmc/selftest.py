@@ -131,34 +131,6 @@ def check_power_trick(scale: float = 1.0, seed: int = 311) -> CheckResult:
     )
 
 
-def _random_atomic_measure(rng) -> mx.GridMeasure:
-    k = int(rng.integers(1, 26))
-    locs = rng.uniform(-5.0, 5.0, size=(k, 1))
-    masses = rng.uniform(0.1, 2.0, size=k)
-    return mx.measure_from_atoms(locs, masses)
-
-
-def _random_density_1d(rng) -> mx.GridMeasure:
-    cells = 256
-    vals = np.repeat(rng.uniform(0.0, 1.0, size=16), (cells + 1) // 16 + 1)[: cells + 1]
-    f = mx.GridField(d=1, lo=-3.0, hi=3.0, spacing=6.0 / cells, values=vals)
-    return mx.measure_from_density(f)
-
-
-def _random_density_2d(rng) -> mx.GridMeasure:
-    cells = 48
-    ax = np.linspace(-2.0, 2.0, cells + 1)
-    xx, yy = np.meshgrid(ax, ax, indexing="ij")
-    vals = np.zeros_like(xx)
-    for _ in range(int(rng.integers(1, 5))):
-        cx, cy = rng.uniform(-1.5, 1.5, size=2)
-        w = rng.uniform(0.2, 1.0)
-        a = rng.uniform(0.2, 2.0)
-        vals += a * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * w**2))
-    f = mx.GridField(d=2, lo=-2.0, hi=2.0, spacing=4.0 / cells, values=vals)
-    return mx.measure_from_density(f)
-
-
 def check_weak_type(scale: float = 1.0, seed: int = 555) -> CheckResult:
     """A_1 = 5^d weak-type bound: zero violations over random measures."""
     t0 = time.time()
@@ -168,7 +140,7 @@ def check_weak_type(scale: float = 1.0, seed: int = 555) -> CheckResult:
     violations = 0
     checked = 0
     for _ in range(n_atomic):
-        nu = _random_atomic_measure(rng)
+        nu = mx.random_atomic_measure(rng)
         probes = np.concatenate(
             [rng.uniform(-6, 6, size=200), nu.atoms[:, 0] + 1e-3, nu.atoms[:, 0] - 1e-3]
         )
@@ -178,7 +150,7 @@ def check_weak_type(scale: float = 1.0, seed: int = 555) -> CheckResult:
         violations += rep.violations
         checked += len(lams)
     for i in range(n_grid):
-        nu = _random_density_1d(rng) if i % 2 == 0 else _random_density_2d(rng)
+        nu = mx.random_density_1d(rng) if i % 2 == 0 else mx.random_density_2d(rng)
         fld = mx.maximal_field(nu)
         lams = mx.percentile_lambda_grid(fld.values.ravel(), 10)
         rep = mx.weak_type_check(nu, lams)

@@ -7,13 +7,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .randomkit import BLOCK_PATHS
 
 
 class Welford:
-    """Online mean/variance accumulator with batch updates.
+    """Online mean/variance of per-path values, folded block by block.
 
-    Batches are folded in with the pairwise combination rule, so results are
-    reproducible for a fixed sequence of update calls.
+    ``update(values, first)`` takes the values of paths first, first+1, ...
+    and folds them in pieces cut at multiples of ``BLOCK_PATHS``, in path
+    order, with the pairwise rule of Chan, Golub & LeVeque (1979). Windows
+    whose edges are block edges give the same folds however they cut the
+    paths, so the moments are bit-identical.
     """
 
     def __init__(self):
@@ -21,30 +25,17 @@ class Welford:
         self.mean = 0.0
         self._m2 = 0.0
 
-    def update(self, values) -> None:
+    def update(self, values, first: int) -> None:
         values = np.asarray(values, dtype=float).ravel()
         if values.size == 0:
             return
-        n_b = values.size
-        mean_b = float(np.mean(values))
-        m2_b = float(np.sum((values - mean_b) ** 2))
-        if self.count == 0:
-            self.count, self.mean, self._m2 = n_b, mean_b, m2_b
-            return
-        n_a, mean_a, m2_a = self.count, self.mean, self._m2
-        n = n_a + n_b
-        delta = mean_b - mean_a
-        self.mean = mean_a + delta * (n_b / n)
-        self._m2 = m2_a + m2_b + delta * delta * (n_a * n_b / n)
-        self.count = n
-
-    def merge(self, other: "Welford") -> None:
-        if other.count == 0:
-            return
-        combined = Welford()
-        combined.count, combined.mean, combined._m2 = self.count, self.mean, self._m2
-        combined.update_from_moments(other.count, other.mean, other._m2)
-        self.count, self.mean, self._m2 = combined.count, combined.mean, combined._m2
+        edges = np.arange(-first % BLOCK_PATHS, values.size, BLOCK_PATHS)
+        starts = np.unique(np.r_[0, edges])
+        counts = np.diff(np.r_[starts, values.size])
+        means = np.add.reduceat(values, starts) / counts
+        m2s = np.add.reduceat((values - np.repeat(means, counts)) ** 2, starts)
+        for n_b, mean_b, m2_b in zip(counts.tolist(), means.tolist(), m2s.tolist()):
+            self.update_from_moments(n_b, mean_b, m2_b)
 
     def update_from_moments(self, n_b: int, mean_b: float, m2_b: float) -> None:
         if n_b == 0:

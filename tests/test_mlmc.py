@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from irregmc import mlmc
 from irregmc.errors import (
     DegenerateCurveError,
     InvalidArgumentError,
@@ -20,6 +21,27 @@ from irregmc.mlmc import (
 from irregmc.payoff import make_payoff
 from irregmc.randomkit import derive_seed, increment_batch
 from irregmc.sde import StepCounter, em_terminal_batch, make_model
+
+
+def test_level_statistics_do_not_depend_on_the_window_budget(monkeypatch):
+    # 1024- and 4096-path windows over the same increments; folding each
+    # window as one batch gave variance ...871321 against ...871322 here
+    model = make_model("sincos")
+    pay = make_payoff("interval_indicator", a=-1.5, b=1.5)
+    stats, windows = [], []
+    for budget in (2**12, 2**16):
+        monkeypatch.setattr(mlmc, "DEFAULT_BATCH", budget)
+        cut = []
+
+        def recording(*args, cut=cut):
+            cut.append(args[-1])  # paths in the window
+            return increment_batch(*args)
+
+        monkeypatch.setattr(mlmc, "increment_batch", recording)
+        stats.append(level_sample(model, pay, 2, 4, 8192, seed=7))
+        windows.append(cut)
+    assert windows == [[1024] * 8, [4096] * 2]
+    assert (stats[0].mean, stats[0].variance) == (stats[1].mean, stats[1].variance)
 
 
 def test_level_zero_equals_plain_estimator():

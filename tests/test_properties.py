@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from irregmc.randomkit import BLOCK_PATHS, StreamTag, increment_batch, stream
 from irregmc.sde import block_sums, coupled_terminal_batch, em_terminal_batch, make_model
+from irregmc.stats import Welford
 
 PROPS = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
@@ -118,3 +119,16 @@ def test_constant_model_collapses_to_closed_form(seed, n, n_paths, mu, sigma):
     x = em_terminal_batch(model, inc)[:, 0]
     closed = mu + sigma * inc.sum(axis=(1, 2))
     assert np.all(np.abs(x - closed) <= 1e-12 * np.maximum(1.0, np.abs(closed)))
+
+
+@PROPS
+@given(seed=seeds, first=firsts, n=st.integers(1, 2 * BLOCK_PATHS + 10), data=st.data())
+def test_welford_folds_do_not_depend_on_block_aligned_windows(seed, first, n, data):
+    values = np.random.default_rng(seed).standard_normal(n)
+    edges = [e - first for e in range(first + 1, first + n) if e % BLOCK_PATHS == 0]
+    cuts = sorted(data.draw(st.sets(st.sampled_from(edges))) if edges else [])
+    whole, parts = Welford(), Welford()
+    whole.update(values, first)
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        parts.update(values[lo:hi], first + lo)
+    assert (parts.count, parts.mean, parts.variance) == (whole.count, whole.mean, whole.variance)

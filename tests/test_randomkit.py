@@ -118,8 +118,9 @@ def test_batch_is_time_major():
 
 
 def test_auxiliary_stream_key_is_pinned(monkeypatch):
-    # inequality_check draws from the key [derive_seed(seed, i), 1] exactly as
-    # it always has; criteria 6a and 6b depend on it, so its draws are pinned
+    # inequality_check draws grid point i from randomkit.stream's auxiliary
+    # substream of derive_seed(seed, i); criteria 6a and 6b depend on it, so
+    # its draws are pinned. derive_seed(113, 0) >= 2**63 checks the key is exact.
     drawn = []
     shift = av.PAIR_FAMILIES["gaussian_shift"]
 
@@ -132,8 +133,12 @@ def test_auxiliary_stream_key_is_pinned(monkeypatch):
     rep = av.inequality_check("gaussian_shift", make_payoff("interval_indicator"),
                               p=1.0, q=1.0, rule="bv", scale_grid=[0.2, 0.1],
                               N=5000, seed=113)
-    assert drawn[0] == [0.908002965936728, 1.3538387238814646]
-    assert rep.lhs.tolist() == [0.136, 0.0628]
+    assert derive_seed(113, 0) >= 2**63
+    assert drawn[0] == [2.6292954581206547, -1.0641639569917798]
+    assert rep.lhs.tolist() == [0.1312, 0.0628]
+    for i, first_two in enumerate(drawn):
+        gen = stream(derive_seed(113, i), 0, StreamTag.AUXILIARY)
+        assert gen.standard_normal(2).tolist() == first_two
 
 
 def test_seeds_above_2_63_stay_exact():

@@ -7,8 +7,6 @@ from irregmc.errors import InvalidArgumentError, NumericFailureError
 from irregmc.randomkit import increment_batch
 from irregmc.sde import (
     MODEL_REGISTRY,
-    CoefficientMeta,
-    SdeModel,
     block_sums,
     coupled_terminal_batch,
     diagonal_model,
@@ -66,12 +64,9 @@ def test_integer_x0_gives_float_state():
 
 
 def test_nonfinite_state_names_step():
-    bad = SdeModel(
-        name="bad", d=1, T=1.0, x0=np.array([0.0]),
-        drift=lambda t, x: np.full_like(x, np.nan),
-        sigma=lambda t, x: np.zeros_like(x),
-        meta=CoefficientMeta(0, 0, 0),
-    )
+    bad = diagonal_model("bad", 1, 1.0, 0.0, drift=lambda t, x: np.full_like(x, np.nan),
+                         sigma=lambda t, x: np.zeros_like(x),
+                         sup_b=0.0, a_lower=0.0, a_upper=0.0)
     inc = increment_batch(1, 1, 1.0, 4, 0, 2)
     with pytest.raises(NumericFailureError, match="step 0"):
         em_terminal_batch(bad, inc)
