@@ -56,6 +56,9 @@ class ExperimentConfig:
     payoff_params: dict
     params: dict
     out_dir: str | None
+    # built from the name and params above, so left out of equality
+    model: sde.SdeModel | None = field(default=None, compare=False, repr=False)
+    payoff: po.Payoff | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind, "params": self.params}
@@ -116,33 +119,14 @@ def parse_config(text: str) -> ExperimentConfig:
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"kind must be one of {EXPERIMENT_KINDS}, got {kind!r}")
 
-    model_name, model_params = None, {}
-    if "model" in doc:
-        block = doc["model"]
-        _reject_unknown(block, {"name", "params"}, "model")
-        model_name = block.get("name")
-        model_params = dict(block.get("params", {}))
-        if model_name not in sde.MODEL_REGISTRY:
-            raise ConfigError(
-                f"unknown model {model_name!r}; model registry has "
-                f"{sorted(sde.MODEL_REGISTRY)}"
-            )
-    elif kind in _NEEDS_MODEL:
+    if "model" not in doc and kind in _NEEDS_MODEL:
         raise ConfigError(f"experiment kind {kind!r} requires a model block")
-
-    payoff_name, payoff_params = None, {}
-    if "payoff" in doc:
-        block = doc["payoff"]
-        _reject_unknown(block, {"name", "params"}, "payoff")
-        payoff_name = block.get("name")
-        payoff_params = dict(block.get("params", {}))
-        if payoff_name not in po.PAYOFF_REGISTRY:
-            raise ConfigError(
-                f"unknown payoff {payoff_name!r}; payoff registry has "
-                f"{sorted(po.PAYOFF_REGISTRY)}"
-            )
-    elif kind in _NEEDS_PAYOFF:
+    if "payoff" not in doc and kind in _NEEDS_PAYOFF:
         raise ConfigError(f"experiment kind {kind!r} requires a payoff block")
+    model_name, model_params, model = _build_block(
+        doc, "model", sde.MODEL_REGISTRY, sde.make_model)
+    payoff_name, payoff_params, pay = _build_block(
+        doc, "payoff", po.PAYOFF_REGISTRY, po.make_payoff)
 
     params = dict(doc.get("params", {}))
     _reject_unknown(params, _PARAM_KEYS[kind], f"params for kind {kind!r}")
@@ -150,8 +134,30 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         kind=kind, model_name=model_name, model_params=model_params,
         payoff_name=payoff_name, payoff_params=payoff_params,
-        params=params, out_dir=doc.get("out"),
+        params=params, out_dir=doc.get("out"), model=model, payoff=pay,
     )
+
+
+def _build_block(doc: dict, key: str, registry: dict, make):
+    """(name, params, built object) of the model or payoff block; (None, {}, None)
+    if the block is absent.
+
+    Building here turns bad params (a TypeError for an unknown keyword or a
+    wrong type, a ValueError such as InvalidArgumentError for a bad value)
+    into a ConfigError that names the block.
+    """
+    if key not in doc:
+        return None, {}, None
+    block = doc[key]
+    _reject_unknown(block, {"name", "params"}, key)
+    name = block.get("name")
+    if name not in registry:
+        raise ConfigError(f"unknown {key} {name!r}; {key} registry has {sorted(registry)}")
+    try:
+        params = dict(block.get("params", {}))
+        return name, params, make(name, **params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad params in {key} block for {name!r}: {exc}") from exc
 
 
 def _validate_ranges(kind: str, params: dict) -> None:
@@ -191,16 +197,8 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _build(config: ExperimentConfig):
-    model = (sde.make_model(config.model_name, **config.model_params)
-             if config.model_name else None)
-    pay = (po.make_payoff(config.payoff_name, **config.payoff_params)
-           if config.payoff_name else None)
-    return model, pay
-
-
 def _run_rate(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
-    model, pay = _build(config)
+    model, pay = config.model, config.payoff
     p = config.params
     q = float(p.get("q", 2.0))
     n_list = p.get("n_list", [8, 16, 32, 64, 128, 256, 512])
@@ -243,7 +241,7 @@ def _run_rate(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
 
 
 def _run_inequality(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
-    _, pay = _build(config)
+    pay = config.payoff
     p = config.params
     rep = av.inequality_check(
         p.get("family", "gaussian_shift"), pay,
@@ -314,7 +312,7 @@ def _run_maximal(config: ExperimentConfig, out: str, summary: RunSummary) -> Non
 
 
 def _run_mlmc(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
-    model, pay = _build(config)
+    model, pay = config.model, config.payoff
     p = config.params
     eps = float(p.get("epsilon", 0.01))
     M = int(p.get("M", 2))
@@ -360,7 +358,7 @@ def _run_mlmc(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
 
 
 def _run_complexity(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
-    model, pay = _build(config)
+    model, pay = config.model, config.payoff
     p = config.params
     eps_list = p.get("epsilon_list", [0.02, 0.01, 0.005])
     M = int(p.get("M", 2))
@@ -404,7 +402,7 @@ def _run_complexity(config: ExperimentConfig, out: str, summary: RunSummary) -> 
 
 
 def _run_density(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
-    model, _ = _build(config)
+    model = config.model
     p = config.params
     n_list = p.get("n_list", [16, 64, 256])
     N = int(p.get("N", 100_000))

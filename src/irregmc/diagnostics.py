@@ -8,7 +8,7 @@ excluded from fitting to keep Poisson noise out of the max-ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,10 +60,7 @@ class GaussianEnvelope:
     n_bins_used: int
 
     def to_dict(self) -> dict:
-        return {
-            "C_plus": self.C_plus, "c_plus": self.c_plus,
-            "residual": self.residual, "n_bins_used": self.n_bins_used,
-        }
+        return asdict(self)
 
 
 def gaussian_kernel(c: float, T: float, x0: float, y) -> np.ndarray:

@@ -1,13 +1,15 @@
 """Discrete Hardy-Littlewood maximal operators and pointwise-estimate checks.
 
-Measures are either atom lists (1D maximal values computed exactly: the sup
-over radii is attained at an atom distance) or grid densities (radii restricted
-to multiples of the grid spacing, a documented lower-bound bias). The weak-type
-bound is checked against A_1 = 5^d.
+A measure is either an atom list (maximal values computed exactly: the sup over
+radii is attained at an atom distance) or a grid density, never both. 1D
+densities are exact too (the sup is attained at a cell-boundary radius); 2D
+densities restrict radii to multiples of the grid spacing, a documented
+lower-bound bias. The weak-type bound is checked against A_1 = 5^d.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,6 +23,7 @@ from .errors import (
 )
 
 WEAK_TYPE_A1_BASE = 5.0  # A_1 = 5^d
+KERNEL_ELEMENTS = 1 << 18  # (point, radius) candidates per block of the 1D kernel
 
 
 def ball_volume(d: int, s: float) -> float:
@@ -108,7 +111,7 @@ class GridField:
 
 @dataclass
 class GridMeasure:
-    """Locally finite measure: point atoms plus an optional density field."""
+    """Locally finite measure: point atoms or a density field, never both."""
 
     atoms: np.ndarray = field(default_factory=lambda: np.zeros((0, 1)))
     masses: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -122,6 +125,8 @@ class GridMeasure:
             raise InvalidArgumentError("atoms and masses must have equal length")
         if np.any(self.masses <= 0) and self.masses.size:
             raise InvalidArgumentError("atom masses must be positive")
+        if self.density is not None and self.masses.size:
+            raise InvalidArgumentError("a measure has atoms or a density, not both")
         if self.density is not None and np.any(self.density.values < 0):
             raise InvalidArgumentError("density values must be nonnegative")
         computed = float(self.masses.sum())
@@ -211,38 +216,26 @@ def _atomic_maximal_at(measure: GridMeasure, x: np.ndarray, R: float) -> float:
     return float(ratios.max())
 
 
-def _cell_boundaries(density: GridField) -> np.ndarray:
-    """Cell boundaries of the piecewise-constant density (cells around nodes)."""
+def _density_maximal_1d(density: GridField, xs: np.ndarray, R: float) -> np.ndarray:
+    """M_R of a 1D piecewise-constant density at each point of xs, shape (P,).
+
+    Exact: between the radii at which x +/- s crosses a cell boundary b the
+    ratio mass / (2s) is monotone, so the sup over 0 < s <= R is attained at
+    one of s = min(|x - b|, R). Points go through in row blocks of at most
+    KERNEL_ELEMENTS candidates (or one row), so memory does not grow with P.
+    """
     h = density.spacing
-    n = density.n_nodes_per_axis
-    return density.lo - 0.5 * h + h * np.arange(n + 1)
-
-
-def _cumulative_1d(density: GridField) -> tuple[np.ndarray, np.ndarray]:
-    bounds = _cell_boundaries(density)
-    prefix = np.concatenate([[0.0], np.cumsum(density.values * density.spacing)])
-    return bounds, prefix
-
-
-def _interval_mass_1d(bounds, prefix, a, b) -> np.ndarray:
-    """Exact mass of [a, b] for the piecewise-constant density."""
-    fa = np.interp(a, bounds, prefix)
-    fb = np.interp(b, bounds, prefix)
-    return fb - fa
-
-
-def _density_maximal_1d(density: GridField, x: float, R: float) -> float:
-    """Exact sup over 0 < s <= R: the ratio is monotone between the radii at
-    which x +/- s crosses a cell boundary, so those radii are the candidates."""
-    bounds, prefix = _cumulative_1d(density)
-    cand = np.unique(np.abs(bounds - x))
-    cand = cand[cand > 0]
-    if math.isfinite(R):
-        cand = np.concatenate([cand[cand < R], [R]])
-    if cand.size == 0:
-        return 0.0
-    mass = _interval_mass_1d(bounds, prefix, x - cand, x + cand)
-    return float(np.max(mass / (2.0 * cand)))
+    bounds = density.lo - 0.5 * h + h * np.arange(density.n_nodes_per_axis + 1)
+    prefix = np.concatenate([[0.0], np.cumsum(density.values * h)])
+    out = np.empty(xs.size)
+    rows = max(1, KERNEL_ELEMENTS // bounds.size)
+    for i in range(0, xs.size, rows):
+        x = xs[i : i + rows, None]
+        s = np.minimum(np.abs(x - bounds), R)
+        mass = np.interp(x + s, bounds, prefix) - np.interp(x - s, bounds, prefix)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[i : i + rows] = np.where(s > 0, mass / (2.0 * s), 0.0).max(axis=1)
+    return out
 
 
 def _disk_cummass_2d(density: GridField, x: np.ndarray, k_max: int) -> np.ndarray:
@@ -273,72 +266,38 @@ def maximal_at(measure: GridMeasure, x, R: float = math.inf) -> float:
     if measure.is_atomic:
         return _atomic_maximal_at(measure, x, R)
     density = measure.density
-    atom_part = 0.0
-    if measure.masses.size:
-        dist = np.linalg.norm(measure.atoms - x, axis=1)
-        if np.any(dist == 0.0):
-            return math.inf
-        atom_part = _atomic_maximal_at(
-            GridMeasure(atoms=measure.atoms, masses=measure.masses), x, R
-        )
     if density.d == 1:
-        dens_part = _density_maximal_1d(density, float(x[0]), R)
-        # lower bound for the combined measure: best of the two parts
-        return max(dens_part, atom_part)
+        return float(_density_maximal_1d(density, x[:1], R)[0])
     h = density.spacing
     diam = (density.hi - density.lo) * math.sqrt(2.0) + float(np.max(np.abs(x)))
     k_cap = math.ceil(diam / h) + 1
     k_max = k_cap if math.isinf(R) else int(min(math.floor(R / h + 1e-12), k_cap))
     if k_max < 1:
-        return atom_part
+        return 0.0
     cum = _disk_cummass_2d(density, x, k_max)
     ks = np.arange(1, k_max + 1)
     vols = ball_volume(2, (ks + 0.5) * h)
-    best = float(np.max(cum[1:] / vols))
-    return max(best, atom_part)
+    return float(np.max(cum[1:] / vols))
 
 
 def maximal_field(measure: GridMeasure, R: float = math.inf) -> GridField:
     """Restricted maximal values at every grid node of the density's grid.
 
-    1D fields use the exact cell-boundary candidate radii; 2D fields run one
-    disk convolution per ladder radius with the (k + 1/2) h covering volume.
-    Atoms are binned to their nearest node before convolution, which only
-    matters for hybrid measures.
+    1D fields run the exact kernel of maximal_at over all nodes at once; 2D
+    fields run one disk convolution per ladder radius with the (k + 1/2) h
+    covering volume.
     """
     if measure.density is None:
         raise InvalidArgumentError("maximal_field requires a density grid")
     density = measure.density
-    h, d = density.spacing, density.d
-    cell_mass = density.values * h**d
-    if measure.masses.size:
-        idx = np.round((measure.atoms - density.lo) / h).astype(int)
-        idx = np.clip(idx, 0, density.n_nodes_per_axis - 1)
-        cell_mass = cell_mass.copy()
-        for pos, m in zip(idx, measure.masses):
-            cell_mass[tuple(pos)] += m
+    h = density.spacing
+    if density.d == 1:
+        values = _density_maximal_1d(density, density.axis_nodes(), R)
+        return GridField(d=1, lo=density.lo, hi=density.hi, spacing=h, values=values)
+    cell_mass = density.values * h**2
     out = np.zeros_like(cell_mass)
-    if d == 1:
-        work = GridField(d=1, lo=density.lo, hi=density.hi, spacing=h,
-                         values=cell_mass / h)
-        bounds, prefix = _cumulative_1d(work)
-        nodes = work.axis_nodes()
-        for b in bounds:
-            s = np.abs(nodes - b)
-            if math.isfinite(R):
-                s = np.minimum(s, R)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(
-                    s > 0,
-                    _interval_mass_1d(bounds, prefix, nodes - s, nodes + s) / (2.0 * s),
-                    0.0,
-                )
-            np.maximum(out, ratio, out=out)
-        return GridField(d=1, lo=density.lo, hi=density.hi, spacing=h, values=out)
     diam_cells = int(math.ceil((density.hi - density.lo) / h * math.sqrt(2.0))) + 1
     k_max = int(min(math.floor(R / h + 1e-12), diam_cells)) if math.isfinite(R) else diam_cells
-    if k_max < 1:
-        return GridField(d=d, lo=density.lo, hi=density.hi, spacing=h, values=out)
     offs = np.arange(-k_max, k_max + 1)
     oi, oj = np.meshgrid(offs, offs, indexing="ij")
     rad2 = oi**2 + oj**2
@@ -348,7 +307,7 @@ def maximal_field(measure: GridMeasure, R: float = math.inf) -> GridField:
         kern = sel[k_max - k : k_max + k + 1, k_max - k : k_max + k + 1]
         mass = fftconvolve(cell_mass, kern.astype(float), mode="same")
         np.maximum(out, np.maximum(mass, 0.0) / ball_volume(2, (k + 0.5) * h), out=out)
-    return GridField(d=d, lo=density.lo, hi=density.hi, spacing=h, values=out)
+    return GridField(d=2, lo=density.lo, hi=density.hi, spacing=h, values=out)
 
 
 # ---------------------------------------------------------------------------
@@ -464,39 +423,23 @@ def gsp_field(f: GridField, s: float, p: float) -> GridField:
         raise InvalidArgumentError("p must be >= 1")
     h, d = f.spacing, f.d
     vals = f.values
+    n = vals.shape[0]
     acc = np.zeros_like(vals)
-    if d == 1:
-        n = vals.size
-        for o in range(1, n):
-            w = h / (o * h) ** (1.0 + s * p)
-            diff = np.abs(vals[o:] - vals[:-o]) ** p * w
-            acc[o:] += diff
-            acc[:-o] += diff
-    else:
-        n = vals.shape[0]
-        for oi in range(0, n):
-            oj_start = 1 if oi == 0 else -(n - 1)
-            for oj in range(oj_start, n):
-                if oi == 0 and oj <= 0:
-                    continue
-                dist = h * math.hypot(oi, oj)
-                w = h * h / dist ** (2.0 + s * p)
-                if oj >= 0:
-                    a = vals[oi:, oj:] if oj else vals[oi:, :]
-                    b = vals[: n - oi, : n - oj] if oj else vals[: n - oi, :]
-                    diff = np.abs(a - b) ** p * w
-                    if oj:
-                        acc[oi:, oj:] += diff
-                        acc[: n - oi, : n - oj] += diff
-                    else:
-                        acc[oi:, :] += diff
-                        acc[: n - oi, :] += diff
-                else:
-                    a = vals[oi:, : n + oj]
-                    b = vals[: n - oi, -oj:]
-                    diff = np.abs(a - b) ** p * w
-                    acc[oi:, : n + oj] += diff
-                    acc[: n - oi, -oj:] += diff
+    cell = math.prod([h] * d)  # h**d as a product: pow may round h*h differently
+    # per-axis slices of the nodes x and y = x - o for an offset o
+    at_x = {k: slice(k, n) if k >= 0 else slice(0, n + k) for k in range(1 - n, n)}
+    at_y = {k: slice(0, n - k) if k >= 0 else slice(-k, n) for k in range(1 - n, n)}
+    zero = (0,) * d
+    # each unordered node pair once: offsets lexicographically above zero
+    for o in itertools.product(range(1 - n, n), repeat=d):
+        if o <= zero:
+            continue
+        w = cell / (h * math.hypot(*o)) ** (d + s * p)
+        x = tuple(at_x[k] for k in o)
+        y = tuple(at_y[k] for k in o)
+        diff = np.abs(vals[x] - vals[y]) ** p * w
+        acc[x] += diff
+        acc[y] += diff
     return GridField(d=d, lo=f.lo, hi=f.hi, spacing=h, values=acc ** (1.0 / p))
 
 
@@ -528,8 +471,6 @@ def gsp_stability(fn, lo: float, hi: float, s: float, p: float,
 @dataclass
 class PointwiseReport:
     k0: float
-    max_ratio: float
-    max_nonsymmetric_ratio: float
     n_pairs: int
     n_used: int
     n_skipped: int
@@ -551,8 +492,6 @@ def pointwise_check(
     g = 1 in "bv" mode (source: gradient GridMeasure), g = s in "fractional"
     mode (source: G_{s,p}f GridField, used as a density). 0/0 pairs are
     skipped; a zero denominator against a nonzero numerator is a violation.
-    The nonsymmetric ratio (denominator using only the x term) is reported as
-    an empirical probe, never asserted.
     """
     if mode == "bv":
         gamma = 1.0
@@ -582,8 +521,7 @@ def pointwise_check(
         keep = ia != ib
         xs, ys = coords[ia[keep]], coords[ib[keep]]
 
-    max_ratio = 0.0
-    max_nonsym = 0.0
+    k0 = 0.0
     used = skipped = violations = 0
     for xv, yv in zip(xs, ys):
         num = abs(_grid_value(f, xv) - _grid_value(f, yv))
@@ -601,14 +539,11 @@ def pointwise_check(
                 violations += 1
             continue
         used += 1
-        max_ratio = max(max_ratio, num / den)
-        if mx > 0.0:
-            max_nonsym = max(max_nonsym, num / (dist**gamma * mx))
+        k0 = max(k0, num / den)
     if used == 0:
         raise InsufficientDataError("all sampled pairs were degenerate")
     return PointwiseReport(
-        k0=max_ratio, max_ratio=max_ratio, max_nonsymmetric_ratio=max_nonsym,
-        n_pairs=len(xs), n_used=used, n_skipped=skipped,
+        k0=k0, n_pairs=len(xs), n_used=used, n_skipped=skipped,
         violations=violations, gamma=gamma,
     )
 

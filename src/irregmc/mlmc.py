@@ -11,7 +11,7 @@ with the Richardson-style factor (M^alpha - 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,24 +61,7 @@ class MlmcResult:
     alpha_beta_flag: bool  # True when alpha >= beta/2 could not be confirmed
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "epsilon": self.epsilon,
-            "total_cost": self.total_cost,
-            "bias_estimate": self.bias_estimate,
-            "variance_estimate": self.variance_estimate,
-            "alpha_used": self.alpha_used,
-            "alpha_hat": self.alpha_hat,
-            "beta_hat": self.beta_hat,
-            "alpha_beta_flag": self.alpha_beta_flag,
-            "levels": [
-                {
-                    "level": ls.level, "h": ls.h, "M": ls.M, "N": ls.N,
-                    "mean": ls.mean, "variance": ls.variance, "cost": ls.cost,
-                }
-                for ls in self.levels
-            ],
-        }
+        return asdict(self)
 
 
 class _LevelAccumulator:
@@ -100,6 +83,13 @@ class _LevelAccumulator:
         if self.level == 0:
             return 1
         return self.n_fine + self.n_fine // self.M
+
+    def stats(self) -> LevelStats:
+        return LevelStats(
+            level=self.level, h=self.h, M=self.M, N=self.count,
+            mean=self.acc.mean, variance=self.acc.variance,
+            cost=float(self.count * self.steps_per_sample()),
+        )
 
 
 def _sample_level(
@@ -136,11 +126,7 @@ def level_sample(
     counter = counter or StepCounter()
     state = _LevelAccumulator(level, M, model.T, seed)
     _sample_level(model, payoff, state, N, counter)
-    return LevelStats(
-        level=level, h=state.h, M=M, N=N,
-        mean=state.acc.mean, variance=state.acc.variance,
-        cost=float(N * state.steps_per_sample()),
-    )
+    return state.stats()
 
 
 def allocate_samples(variances, hs, epsilon) -> np.ndarray:
@@ -231,10 +217,7 @@ def run_mlmc(
             if not grew:
                 break
         try:
-            alpha_fit, beta_fit, _ = estimate_alpha_beta(
-                [LevelStats(st.level, st.h, M, st.count, st.acc.mean,
-                            st.acc.variance, 0.0) for st in states]
-            )
+            alpha_fit, beta_fit, _ = estimate_alpha_beta([st.stats() for st in states])
             alpha_est, beta_est = alpha_fit.slope, beta_fit.slope
         except DegenerateCurveError:
             pass
@@ -257,24 +240,16 @@ def run_mlmc(
         _sample_level(model, payoff, new_state, n_pilot, counter)
         states.append(new_state)
 
-    levels = [
-        LevelStats(
-            level=st.level, h=st.h, M=M, N=st.count,
-            mean=st.acc.mean, variance=st.acc.variance,
-            cost=float(st.count * st.steps_per_sample()),
-        )
-        for st in states
-    ]
+    levels = [st.stats() for st in states]
     estimate = float(sum(ls.mean for ls in levels))
     variance_estimate = float(sum(ls.variance / ls.N for ls in levels))
-    alpha = alpha_hint if alpha_hint is not None else (alpha_est or 1.0)
     flag = not (
         alpha_est is not None and beta_est is not None and alpha_est >= beta_est / 2.0
     )
     return MlmcResult(
         estimate=estimate, levels=levels, epsilon=epsilon,
         total_cost=float(counter.steps),
-        bias_estimate=_bias_estimate(states, M, alpha),
+        bias_estimate=bias,
         variance_estimate=variance_estimate,
         alpha_used=alpha, alpha_hat=alpha_est, beta_hat=beta_est,
         alpha_beta_flag=flag,

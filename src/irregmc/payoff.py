@@ -20,8 +20,6 @@ from .errors import (
     UnsupportedOperationError,
 )
 
-SPACES = ("lipschitz", "bv", "sobolev", "orlicz", "variable", "fractional")
-
 
 # ---------------------------------------------------------------------------
 # Young functions
@@ -36,9 +34,6 @@ class YoungFunction:
     phi: Callable
     p: float
     alpha: float = 0.0
-    is_N_function: bool = True
-    delta2_phi: bool = True
-    delta2_psi: bool = True
 
 
 def young_power(p: float) -> YoungFunction:
@@ -62,9 +57,6 @@ def young_plog(p: float, alpha: float = 1.0) -> YoungFunction:
         return np.power(x, p) * np.power(np.log(np.e + x), alpha)
 
     return YoungFunction(name=f"plog(p={p:g},alpha={alpha:g})", phi=phi, p=p, alpha=alpha)
-
-
-YOUNG_REGISTRY = {"power": young_power, "plog": young_plog}
 
 
 def young_complement(young: YoungFunction, x: float) -> float:
@@ -171,10 +163,8 @@ class Payoff:
     space: str
     sup_norm: float
     structure: tuple | None = None
-    lip: float | None = None
     p: float | None = None
     s: float | None = None
-    young: YoungFunction | None = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(x, dtype=float))
@@ -221,7 +211,7 @@ def make_clamp_ramp(lo: float = 0.0, hi: float = 1.0) -> Payoff:
 
     return Payoff(
         name=f"clamp_ramp({lo:g},{hi:g})" if (lo, hi) != (0.0, 1.0) else "clamp_ramp",
-        fn=fn, space="lipschitz", sup_norm=float(max(abs(lo), abs(hi))), lip=1.0,
+        fn=fn, space="lipschitz", sup_norm=float(max(abs(lo), abs(hi))),
     )
 
 

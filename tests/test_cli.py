@@ -55,6 +55,21 @@ def test_unknown_model_names_registry():
         parse_config(json.dumps(doc))
 
 
+@pytest.mark.parametrize("block, name, params", [
+    ("model", "sincos", {"bogus": 1}),
+    ("payoff", "clamp_ramp", {"lo": "a"}),
+])
+def test_bad_block_params_exit_2(tmp_path, capsys, block, name, params):
+    doc = json.loads(json.dumps(RATE_CONFIG))
+    doc[block] = {"name": name, "params": params}
+    with pytest.raises(ConfigError, match=f"{block} block"):
+        parse_config(json.dumps(doc))
+    cfg_path = tmp_path / "bad_params.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["rate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{block} block" in capsys.readouterr().err
+
+
 def test_delta_range_rejected():
     doc = json.loads(json.dumps(RATE_CONFIG))
     doc["params"]["delta"] = 1.5

@@ -132,11 +132,11 @@ def test_mass_scaling():
         assert maximal_at(nu3, [x]) == pytest.approx(3.0 * maximal_at(nu, [x]), rel=1e-12)
 
 
-def test_maximal_field_matches_pointwise(slab):
-    fld = maximal_field(slab)
-    nodes = slab.density.axis_nodes()
-    for i in (0, 256, 512, 700, 1024):
-        assert fld.values[i] == pytest.approx(maximal_at(slab, [nodes[i]]), rel=1e-9)
+@pytest.mark.parametrize("R", [math.inf, 0.3])
+def test_maximal_field_matches_pointwise(slab, R):
+    fld = maximal_field(slab, R)
+    point = [maximal_at(slab, [x], R) for x in slab.density.axis_nodes()]
+    assert fld.values.tolist() == point
 
 
 def test_grid_field_validation():
@@ -157,6 +157,12 @@ def test_total_mass_consistency_check():
     with pytest.raises(InvalidArgumentError):
         GridMeasure(atoms=np.zeros((0, 1)), masses=np.zeros(0), density=f,
                     total_mass=99.0)
+
+
+def test_measure_with_atoms_and_density_rejected():
+    f = GridField(d=1, lo=0.0, hi=1.0, spacing=0.25, values=np.ones(5))
+    with pytest.raises(InvalidArgumentError, match="not both"):
+        GridMeasure(atoms=[[0.5]], masses=[1.0], density=f)
 
 
 def test_percentile_lambda_grid():
