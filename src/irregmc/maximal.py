@@ -158,8 +158,7 @@ def measure_from_atoms(locations, masses) -> GridMeasure:
 
 
 def measure_from_density(density: GridField) -> GridMeasure:
-    return GridMeasure(atoms=np.zeros((0, density.d)), masses=np.zeros(0),
-                       density=density)
+    return GridMeasure(density=density)
 
 
 def random_atomic_measure(rng) -> GridMeasure:
