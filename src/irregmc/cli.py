@@ -104,6 +104,12 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
                           f"allowed: {sorted(allowed)}")
 
 
+def _json_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate an experiment config document (strict mode)."""
     try:
@@ -112,8 +118,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
+    _json_object(doc, "config")
     _reject_unknown(doc, _COMMON_KEYS, "config")
     kind = doc.get("kind")
     if kind not in EXPERIMENT_KINDS:
@@ -128,7 +133,7 @@ def parse_config(text: str) -> ExperimentConfig:
     payoff_name, payoff_params, pay = _build_block(
         doc, "payoff", po.PAYOFF_REGISTRY, po.make_payoff)
 
-    params = dict(doc.get("params", {}))
+    params = dict(_json_object(doc.get("params", {}), "params"))
     _reject_unknown(params, _PARAM_KEYS[kind], f"params for kind {kind!r}")
     _validate_ranges(kind, params)
     return ExperimentConfig(
@@ -148,13 +153,15 @@ def _build_block(doc: dict, key: str, registry: dict, make):
     """
     if key not in doc:
         return None, {}, None
-    block = doc[key]
+    block = _json_object(doc[key], f"{key} block")
     _reject_unknown(block, {"name", "params"}, key)
     name = block.get("name")
+    if not isinstance(name, str):
+        raise ConfigError(f"{key} block needs a string name, got {name!r}")
     if name not in registry:
         raise ConfigError(f"unknown {key} {name!r}; {key} registry has {sorted(registry)}")
+    params = dict(_json_object(block.get("params", {}), f"params in {key} block"))
     try:
-        params = dict(block.get("params", {}))
         return name, params, make(name, **params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params in {key} block for {name!r}: {exc}") from exc
@@ -289,7 +296,7 @@ def _run_maximal(config: ExperimentConfig, out: str, summary: RunSummary) -> Non
                 probes = np.concatenate(
                     [rng.uniform(-6, 6, size=200), nu.atoms[:, 0] + 1e-3]
                 )
-                vals = [mx.maximal_at(nu, [x]) for x in probes]
+                vals = mx.maximal_at(nu, probes[:, None])
             else:
                 vals = mx.maximal_field(nu).values.ravel()
             lams = mx.percentile_lambda_grid(vals, n_lambdas)

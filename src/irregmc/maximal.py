@@ -23,7 +23,7 @@ from .errors import (
 )
 
 WEAK_TYPE_A1_BASE = 5.0  # A_1 = 5^d
-KERNEL_ELEMENTS = 1 << 18  # (point, radius) candidates per block of the 1D kernel
+KERNEL_ELEMENTS = 1 << 15  # (point, candidate) pairs per block of the 1D and atomic kernels
 
 
 def ball_volume(d: int, s: float) -> float:
@@ -197,86 +197,133 @@ def random_density_2d(rng) -> GridMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_maximal_at(measure: GridMeasure, x: np.ndarray, R: float) -> float:
-    d = measure.d
-    dist = np.linalg.norm(measure.atoms - x, axis=1)
-    if np.any((dist == 0.0) & (measure.masses > 0)):
-        return math.inf
-    admissible = dist <= R
-    if not np.any(admissible):
-        return 0.0
-    # closed-ball mass is right-continuous in s and mass/vol decreases between
-    # atom distances, so the sup is attained at an admissible atom distance
-    order = np.argsort(dist)
-    dist_sorted = dist[order]
-    cum = np.cumsum(measure.masses[order])
-    keep = dist_sorted <= R
-    ratios = cum[keep] / ball_volume(d, dist_sorted[keep])
-    return float(ratios.max())
+def _positive_radius(R) -> np.ndarray:
+    """R as a float array; every entry must be > 0 (written so NaN fails too)."""
+    R = np.asarray(R, dtype=float)
+    if not (R > 0).all():
+        raise InvalidArgumentError(f"radius bound must be positive, got {R}")
+    return R
 
 
-def _density_maximal_1d(density: GridField, xs: np.ndarray, R: float) -> np.ndarray:
+def _atomic_maximal(measure: GridMeasure, xs: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """M_R of an atomic measure at each row of xs (P, d), shape (P,).
+
+    Closed-ball mass is right-continuous in s and mass/vol decreases between
+    atom distances, so the sup is attained at an admissible atom distance; a
+    point on an atom gets inf. Rows go through in blocks of at most
+    KERNEL_ELEMENTS (point, atom) distances.
+    """
+    atoms, masses = measure.atoms, measure.masses
+    out = np.empty(len(xs))
+    rows = max(1, KERNEL_ELEMENTS // atoms.shape[0])
+    for i in range(0, len(xs), rows):
+        dist = np.linalg.norm(atoms - xs[i : i + rows, None, :], axis=2)
+        cum = np.cumsum(masses[np.argsort(dist, axis=1)], axis=1)
+        dist.sort(axis=1)
+        with np.errstate(divide="ignore"):
+            ratios = cum / ball_volume(measure.d, dist)
+        # ratios are positive, so 0 stands for "no admissible atom"
+        block = np.where(dist <= R[i : i + rows, None], ratios, 0.0).max(axis=1)
+        block[dist[:, 0] == 0.0] = math.inf
+        out[i : i + rows] = block
+    return out
+
+
+def _density_maximal_1d(density: GridField, xs: np.ndarray, R) -> np.ndarray:
     """M_R of a 1D piecewise-constant density at each point of xs, shape (P,).
 
     Exact: between the radii at which x +/- s crosses a cell boundary b the
     ratio mass / (2s) is monotone, so the sup over 0 < s <= R is attained at
-    one of s = min(|x - b|, R). Points go through in row blocks of at most
-    KERNEL_ELEMENTS candidates (or one row), so memory does not grow with P.
+    one of s = min(|x - b|, R). R is a scalar or one bound per point. Points
+    go through in row blocks of at most KERNEL_ELEMENTS candidates (or one
+    row), so memory does not grow with P.
     """
     h = density.spacing
     bounds = density.lo - 0.5 * h + h * np.arange(density.n_nodes_per_axis + 1)
     prefix = np.concatenate([[0.0], np.cumsum(density.values * h)])
+    R = np.broadcast_to(R, xs.shape)
     out = np.empty(xs.size)
     rows = max(1, KERNEL_ELEMENTS // bounds.size)
     for i in range(0, xs.size, rows):
         x = xs[i : i + rows, None]
-        s = np.minimum(np.abs(x - bounds), R)
+        s = np.minimum(np.abs(x - bounds), R[i : i + rows, None])
         mass = np.interp(x + s, bounds, prefix) - np.interp(x - s, bounds, prefix)
         with np.errstate(divide="ignore", invalid="ignore"):
             out[i : i + rows] = np.where(s > 0, mass / (2.0 * s), 0.0).max(axis=1)
     return out
 
 
-def _disk_cummass_2d(density: GridField, x: np.ndarray, k_max: int) -> np.ndarray:
-    """cummass[k] = mass of cells with centers within k*spacing of x (k=0..k_max)."""
+def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """M_R of a 2D density on the radius ladder k h at each row of xs, shape (P,).
+
+    Cell masses are binned by ceil(|node - x| / h) into disk masses for
+    k = 0..k_max, with one overflow bin. Only the rows and columns within
+    (k_max + 1) h of x are binned: every node outside that window falls in
+    the overflow bin, and the window keeps the row-major order of its nodes,
+    so each bin sums the same weights in the same order as a whole-grid pass.
+    """
     h = density.spacing
-    coords = density.node_coords()
-    dist = np.linalg.norm(coords - x, axis=1)
-    bins = np.ceil(dist / h - 1e-12).astype(int)
-    np.clip(bins, 0, k_max + 1, out=bins)
-    w = density.values.ravel() * h**density.d
-    counts = np.bincount(bins, weights=w, minlength=k_max + 2)
-    return np.cumsum(counts)[: k_max + 1]
+    ax = density.axis_nodes()
+    weights = density.values * h**density.d
+    out = np.zeros(len(xs))
+    for p, (x, r) in enumerate(zip(xs, R)):
+        diam = (density.hi - density.lo) * math.sqrt(2.0) + float(np.max(np.abs(x)))
+        k_cap = math.ceil(diam / h) + 1
+        k_max = k_cap if math.isinf(r) else int(min(math.floor(r / h + 1e-12), k_cap))
+        if k_max < 1:
+            continue
+        reach = (k_max + 1) * h
+        dx, rows = _window(ax - x[0], reach)
+        dy, cols = _window(ax - x[1], reach)
+        dist = np.sqrt(dx[:, None] ** 2 + dy[None, :] ** 2)
+        bins = np.ceil(dist / h - 1e-12).astype(int)
+        np.clip(bins, 0, k_max + 1, out=bins)
+        counts = np.bincount(bins.ravel(), weights=weights[rows, cols].ravel(),
+                             minlength=k_max + 2)
+        cum = np.cumsum(counts)[: k_max + 1]
+        ks = np.arange(1, k_max + 1)
+        out[p] = np.max(cum[1:] / ball_volume(2, (ks + 0.5) * h))
+    return out
 
 
-def maximal_at(measure: GridMeasure, x, R: float = math.inf) -> float:
+def _window(offsets: np.ndarray, reach: float) -> tuple[np.ndarray, slice]:
+    """The offsets with |offset| <= reach (a contiguous run of sorted offsets)
+    and the slice that selects them."""
+    inside = np.flatnonzero(np.abs(offsets) <= reach)
+    run = slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
+    return offsets[run], run
+
+
+def maximal_at(measure: GridMeasure, x, R=math.inf):
     """M_R nu(x): sup over 0 < s <= R of |nu|(B(x;s)) / Leb(B(x;s)).
+
+    x is one point, shape (d,), or a batch of points, shape (P, d); R is a
+    scalar or one bound per point, shape (P,). A single point gives a float,
+    a batch an array of shape (P,), from the same kernels.
 
     Exact for purely atomic measures and for 1D densities (piecewise-constant
     cell integration; the sup is attained at a cell-boundary radius). 2D
     densities restrict radii to spacing multiples and cover the included cell
     material with the ball of radius (k + 1/2) h, a conservative lower bound.
     """
-    if R <= 0:
-        raise InvalidArgumentError("radius bound must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    R = _positive_radius(R)
+    x = np.asarray(x, dtype=float)
+    xs = np.atleast_2d(x)
+    if xs.ndim != 2 or xs.shape[1] != measure.d:
+        raise InvalidArgumentError(
+            f"points must have shape (d,) or (P, d) with d = {measure.d}, got {x.shape}")
+    if R.shape not in ((), (len(xs),)):
+        raise InvalidArgumentError(f"R must be a scalar or have shape ({len(xs)},)")
+    R = np.full(len(xs), R) if R.ndim == 0 else R
     if measure.total_mass == 0.0:
-        return 0.0
-    if measure.is_atomic:
-        return _atomic_maximal_at(measure, x, R)
-    density = measure.density
-    if density.d == 1:
-        return float(_density_maximal_1d(density, x[:1], R)[0])
-    h = density.spacing
-    diam = (density.hi - density.lo) * math.sqrt(2.0) + float(np.max(np.abs(x)))
-    k_cap = math.ceil(diam / h) + 1
-    k_max = k_cap if math.isinf(R) else int(min(math.floor(R / h + 1e-12), k_cap))
-    if k_max < 1:
-        return 0.0
-    cum = _disk_cummass_2d(density, x, k_max)
-    ks = np.arange(1, k_max + 1)
-    vols = ball_volume(2, (ks + 0.5) * h)
-    return float(np.max(cum[1:] / vols))
+        out = np.zeros(len(xs))
+    elif measure.is_atomic:
+        out = _atomic_maximal(measure, xs, R)
+    elif measure.d == 1:
+        out = _density_maximal_1d(measure.density, xs[:, 0], R)
+    else:
+        out = _density_maximal_2d(measure.density, xs, R)
+    return float(out[0]) if x.ndim < 2 else out
 
 
 def maximal_field(measure: GridMeasure, R: float = math.inf) -> GridField:
@@ -286,6 +333,7 @@ def maximal_field(measure: GridMeasure, R: float = math.inf) -> GridField:
     fields run one disk convolution per ladder radius with the (k + 1/2) h
     covering volume.
     """
+    R = float(_positive_radius(R))
     if measure.density is None:
         raise InvalidArgumentError("maximal_field requires a density grid")
     density = measure.density
@@ -442,26 +490,6 @@ def gsp_field(f: GridField, s: float, p: float) -> GridField:
     return GridField(d=d, lo=f.lo, hi=f.hi, spacing=h, values=acc ** (1.0 / p))
 
 
-def gsp_stability(fn, lo: float, hi: float, s: float, p: float,
-                  n_cells_list, growth_limit: float = 10.0) -> dict:
-    """G_{s,p} under grid refinement: max-node growth > growth_limit flags divergence."""
-    maxima = []
-    fields = []
-    for n_cells in n_cells_list:
-        f = GridField.from_function(fn, 1, lo, hi, n_cells)
-        g = gsp_field(f, s, p)
-        fields.append(g)
-        maxima.append(float(g.values.max()))
-    growth = maxima[-1] / maxima[0] if maxima[0] > 0 else math.inf
-    return {
-        "n_cells": list(n_cells_list),
-        "max_values": maxima,
-        "growth": growth,
-        "unstable": bool(growth > growth_limit),
-        "fields": fields,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Pointwise estimates
 # ---------------------------------------------------------------------------
@@ -520,37 +548,35 @@ def pointwise_check(
         keep = ia != ib
         xs, ys = coords[ia[keep]], coords[ib[keep]]
 
-    k0 = 0.0
-    used = skipped = violations = 0
-    for xv, yv in zip(xs, ys):
-        num = abs(_grid_value(f, xv) - _grid_value(f, yv))
-        dist = float(np.linalg.norm(xv - yv))
-        if dist == 0.0:
-            continue
-        R = 2.0 * dist
-        mx = maximal_at(measure, xv, R)
-        my = maximal_at(measure, yv, R)
-        den = dist**gamma * (mx + my)
-        if den == 0.0:
-            if num == 0.0:
-                skipped += 1
-            else:
-                violations += 1
-            continue
-        used += 1
-        k0 = max(k0, num / den)
-    if used == 0:
+    # pairs at distance 0 are dropped without being counted
+    diff = xs - ys
+    # np.linalg.norm of one vector is sqrt(v.dot(v)); vecdot takes that dot per row
+    dist = np.sqrt(np.vecdot(diff, diff))
+    keep = dist > 0.0
+    xs, ys, dist = xs[keep], ys[keep], dist[keep]
+    num = np.abs(_grid_value(f, xs) - _grid_value(f, ys))
+    R = 2.0 * dist
+    mx = maximal_at(measure, xs, R)
+    my = maximal_at(measure, ys, R)
+    # Python float pow: numpy's power may take a different libm path
+    den = np.array([v**gamma for v in dist.tolist()]) * (mx + my)
+    zero = den == 0.0
+    used = ~zero
+    if not np.any(used):
         raise InsufficientDataError("all sampled pairs were degenerate")
     return PointwiseReport(
-        k0=k0, n_pairs=len(xs), n_used=used, n_skipped=skipped,
-        violations=violations, gamma=gamma,
+        k0=float(np.max(num[used] / den[used])), n_pairs=len(keep),
+        n_used=int(np.count_nonzero(used)),
+        n_skipped=int(np.count_nonzero(zero & (num == 0.0))),
+        violations=int(np.count_nonzero(zero & (num != 0.0))), gamma=gamma,
     )
 
 
-def _grid_value(f: GridField, x: np.ndarray) -> float:
-    idx = np.round((np.atleast_1d(x) - f.lo) / f.spacing).astype(int)
+def _grid_value(f: GridField, xs: np.ndarray) -> np.ndarray:
+    """Values of f at the nodes nearest to each row of xs (P, d), shape (P,)."""
+    idx = np.round((xs - f.lo) / f.spacing).astype(int)
     idx = np.clip(idx, 0, f.n_nodes_per_axis - 1)
-    return float(f.values[tuple(idx)])
+    return f.values[tuple(idx.T)]
 
 
 def mollified_ball_gradient(

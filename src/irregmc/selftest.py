@@ -144,7 +144,7 @@ def check_weak_type(scale: float = 1.0, seed: int = 555) -> CheckResult:
         probes = np.concatenate(
             [rng.uniform(-6, 6, size=200), nu.atoms[:, 0] + 1e-3, nu.atoms[:, 0] - 1e-3]
         )
-        vals = [mx.maximal_at(nu, [p]) for p in probes]
+        vals = mx.maximal_at(nu, probes[:, None])
         lams = mx.percentile_lambda_grid(vals, 10)
         rep = mx.weak_type_check(nu, lams)
         violations += rep.violations

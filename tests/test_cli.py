@@ -70,6 +70,34 @@ def test_bad_block_params_exit_2(tmp_path, capsys, block, name, params):
     assert f"{block} block" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("model", 5),
+    ("payoff", "tent"),
+    ("params", [1]),
+])
+def test_blocks_that_are_not_objects_exit_2(tmp_path, capsys, key, value):
+    doc = {
+        "kind": "mlmc",
+        "model": {"name": "constant"},
+        "payoff": {"name": "clamp_ramp"},
+        "params": {"epsilon": 0.05},
+        key: value,
+    }
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        parse_config(json.dumps(doc))
+    cfg_path = tmp_path / "not_object.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["mlmc", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_block_name_must_be_a_string():
+    doc = json.loads(json.dumps(RATE_CONFIG))
+    doc["model"]["name"] = ["sincos"]
+    with pytest.raises(ConfigError, match="string name"):
+        parse_config(json.dumps(doc))
+
+
 def test_delta_range_rejected():
     doc = json.loads(json.dumps(RATE_CONFIG))
     doc["params"]["delta"] = 1.5

@@ -7,8 +7,8 @@ from irregmc.errors import InsufficientDataError, InvalidArgumentError
 from irregmc.maximal import (
     GridField,
     GridMeasure,
+    ball_volume,
     gsp_field,
-    gsp_stability,
     maximal_at,
     maximal_field,
     measure_from_atoms,
@@ -16,6 +16,9 @@ from irregmc.maximal import (
     mollified_ball_gradient,
     percentile_lambda_grid,
     pointwise_check,
+    random_atomic_measure,
+    random_density_1d,
+    random_density_2d,
     superlevel_measure_atomic,
     weak_type_check,
 )
@@ -87,10 +90,10 @@ def test_single_atom_superlevel_closed_form(lam):
 
 def test_two_atom_superlevel_against_scan():
     nu = measure_from_atoms([[-1.0], [2.0]], [1.0, 0.5])
+    xs = np.linspace(-12, 14, 200_001)
+    vals = maximal_at(nu, xs[:, None])
     for lam in (0.2, 0.5, 1.5):
         exact = superlevel_measure_atomic(nu, lam)
-        xs = np.linspace(-12, 14, 200_001)
-        vals = np.array([maximal_at(nu, [x]) for x in xs])
         scan = float(np.count_nonzero(vals > lam)) * (xs[1] - xs[0])
         assert exact == pytest.approx(scan, abs=3 * (xs[1] - xs[0]))
 
@@ -138,6 +141,123 @@ def test_maximal_field_matches_pointwise(slab):
         fld = maximal_field(slab, R)
         point = [maximal_at(slab, [x], R) for x in slab.density.axis_nodes()]
         assert fld.values.tolist() == point
+
+
+# The scalar maximal_at as it was before points were batched: one point, one
+# radius, and a 2D kernel that bins every node of the grid. The batched kernels
+# must reproduce it bit for bit.
+
+
+def _ref_disk_cummass_2d(density, x, k_max):
+    h = density.spacing
+    dist = np.linalg.norm(density.node_coords() - x, axis=1)
+    bins = np.ceil(dist / h - 1e-12).astype(int)
+    np.clip(bins, 0, k_max + 1, out=bins)
+    w = density.values.ravel() * h**density.d
+    counts = np.bincount(bins, weights=w, minlength=k_max + 2)
+    return np.cumsum(counts)[: k_max + 1]
+
+
+def _ref_maximal_at(measure, x, R=math.inf):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if measure.total_mass == 0.0:
+        return 0.0
+    if measure.is_atomic:
+        dist = np.linalg.norm(measure.atoms - x, axis=1)
+        if np.any(dist == 0.0):
+            return math.inf
+        if not np.any(dist <= R):
+            return 0.0
+        order = np.argsort(dist)
+        dist_sorted = dist[order]
+        cum = np.cumsum(measure.masses[order])
+        keep = dist_sorted <= R
+        return float(np.max(cum[keep] / ball_volume(measure.d, dist_sorted[keep])))
+    density = measure.density
+    h = density.spacing
+    if density.d == 1:
+        bounds = density.lo - 0.5 * h + h * np.arange(density.n_nodes_per_axis + 1)
+        prefix = np.concatenate([[0.0], np.cumsum(density.values * h)])
+        s = np.minimum(np.abs(x[0] - bounds), R)
+        mass = np.interp(x[0] + s, bounds, prefix) - np.interp(x[0] - s, bounds, prefix)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.max(np.where(s > 0, mass / (2.0 * s), 0.0)))
+    diam = (density.hi - density.lo) * math.sqrt(2.0) + float(np.max(np.abs(x)))
+    k_cap = math.ceil(diam / h) + 1
+    k_max = k_cap if math.isinf(R) else int(min(math.floor(R / h + 1e-12), k_cap))
+    if k_max < 1:
+        return 0.0
+    cum = _ref_disk_cummass_2d(density, x, k_max)
+    ks = np.arange(1, k_max + 1)
+    return float(np.max(cum[1:] / ball_volume(2, (ks + 0.5) * h)))
+
+
+def _probe_points(nu, rng):
+    """Nodes, off-node points and far points for a density; random points and
+    the atoms themselves for an atomic measure."""
+    if nu.is_atomic:
+        return np.concatenate([rng.uniform(-6.0, 6.0, (40, 1)), nu.atoms])
+    nodes = nu.density.node_coords()
+    return np.concatenate([nodes[rng.integers(0, len(nodes), 30)],
+                           rng.uniform(-2.5, 2.5, (30, nu.d)),
+                           np.full((2, nu.d), 9.0)])
+
+
+@pytest.mark.parametrize("maker", [random_atomic_measure, random_density_1d,
+                                   random_density_2d])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_maximal_at_equals_scalar_reference(maker, seed):
+    rng = np.random.default_rng(seed)
+    nu = maker(rng)
+    xs = _probe_points(nu, rng)
+    spacing = math.inf if nu.is_atomic else nu.density.spacing
+    radii = [np.full(len(xs), math.inf), np.full(len(xs), 0.5),
+             rng.uniform(0.01, 3.0, len(xs))]
+    if not nu.is_atomic:
+        radii.append(np.full(len(xs), 0.5 * spacing))
+    for R in radii:
+        ref = np.array([_ref_maximal_at(nu, x, r) for x, r in zip(xs, R)])
+        assert np.array_equal(maximal_at(nu, xs, R), ref)
+        assert [maximal_at(nu, x, r) for x, r in zip(xs, R)] == ref.tolist()
+        if np.all(R == R[0]):
+            assert np.array_equal(maximal_at(nu, xs, float(R[0])), ref)
+    if nu.is_atomic:  # the probes end with the atoms themselves
+        assert np.all(maximal_at(nu, xs[-nu.atoms.shape[0]:]) == math.inf)
+    elif nu.d == 2:  # no ladder radius fits below one spacing
+        assert np.all(maximal_at(nu, xs, 0.5 * spacing) == 0.0)
+
+
+def test_maximal_at_shapes():
+    nu = random_density_2d(np.random.default_rng(3))
+    assert isinstance(maximal_at(nu, [0.1, 0.2]), float)
+    assert maximal_at(nu, [[0.1, 0.2]]).shape == (1,)
+    assert maximal_at(nu, np.zeros((0, 2)), np.ones(0)).shape == (0,)
+    with pytest.raises(InvalidArgumentError):
+        maximal_at(nu, [0.1, 0.2, 0.3])
+    with pytest.raises(InvalidArgumentError):
+        maximal_at(nu, np.zeros((3, 2)), np.ones(2))
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, -math.inf, math.nan])
+@pytest.mark.parametrize("maker", [random_density_1d, random_density_2d])
+def test_nonpositive_radius_rejected(maker, R):
+    nu = maker(np.random.default_rng(4))
+    x = np.zeros(nu.d)
+    with pytest.raises(InvalidArgumentError):
+        maximal_field(nu, R)
+    with pytest.raises(InvalidArgumentError):
+        maximal_at(nu, x, R)
+    with pytest.raises(InvalidArgumentError):
+        maximal_at(nu, np.zeros((3, nu.d)), np.array([1.0, R, 1.0]))
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, -math.inf, math.nan])
+def test_nonpositive_radius_rejected_atomic(R):
+    nu = random_atomic_measure(np.random.default_rng(5))
+    with pytest.raises(InvalidArgumentError):
+        maximal_at(nu, [0.5], R)
+    with pytest.raises(InvalidArgumentError):
+        maximal_at(nu, np.zeros((2, 1)), np.array([R, 1.0]))
 
 
 def test_grid_field_validation():
@@ -227,12 +347,20 @@ def test_gsp_tent_refinement_stable():
     assert abs(vals[1] - vals[0]) / vals[0] < 0.10
 
 
+def _gsp_stability(fn, lo, hi, s, p, n_cells_list, growth_limit=10.0):
+    """G_{s,p} under grid refinement: max-node growth > growth_limit flags divergence."""
+    maxima = [float(gsp_field(GridField.from_function(fn, 1, lo, hi, n), s, p).values.max())
+              for n in n_cells_list]
+    growth = maxima[-1] / maxima[0] if maxima[0] > 0 else math.inf
+    return {"max_values": maxima, "growth": growth, "unstable": bool(growth > growth_limit)}
+
+
 def test_gsp_indicator_divergence_flag():
     # sp = 1.5 > 1: the seminorm diverges for a jump; refinement blows up
     ind = lambda x: ((x[..., 0] > 0) & (x[..., 0] < 1)).astype(float)
-    res = gsp_stability(ind, -1.0, 2.0, 0.75, 2.0, [24, 48, 96, 192, 384, 768])
+    res = _gsp_stability(ind, -1.0, 2.0, 0.75, 2.0, [24, 48, 96, 192, 384, 768])
     assert res["unstable"]
-    smooth = gsp_stability(
+    smooth = _gsp_stability(
         lambda x: np.maximum(0.0, 1.0 - np.abs(x[..., 0])), -2.0, 2.0, 0.5, 2.0,
         [24, 48, 96, 192, 384, 768],
     )
@@ -348,8 +476,7 @@ def test_weak_type_random_suite_small():
         k = int(rng.integers(1, 20))
         nu = measure_from_atoms(rng.uniform(-5, 5, (k, 1)), rng.uniform(0.1, 2, k))
         probes = rng.uniform(-6, 6, 100)
-        vals = [maximal_at(nu, [p]) for p in probes]
-        lams = percentile_lambda_grid(vals, 8)
+        lams = percentile_lambda_grid(maximal_at(nu, probes[:, None]), 8)
         assert weak_type_check(nu, lams).violations == 0
 
 

@@ -1,4 +1,5 @@
-"""Property tests for the increment engine and the batched EM scheme.
+"""Property tests for the increment engine, the batched EM scheme and the
+batched maximal operators.
 
 Hypothesis runs derandomized with a bounded number of examples, so the suite
 stays deterministic: the same examples are drawn on every run.
@@ -10,6 +11,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irregmc.maximal import (
+    maximal_at,
+    random_atomic_measure,
+    random_density_1d,
+    random_density_2d,
+)
 from irregmc.randomkit import BLOCK_PATHS, StreamTag, increment_batch, stream
 from irregmc.sde import block_sums, coupled_terminal_batch, em_terminal_batch, make_model
 from irregmc.stats import Welford
@@ -132,3 +139,26 @@ def test_welford_folds_do_not_depend_on_block_aligned_windows(seed, first, n, da
     for lo, hi in zip([0, *cuts], [*cuts, n]):
         parts.update(values[lo:hi], first + lo)
     assert (parts.count, parts.mean, parts.variance) == (whole.count, whole.mean, whole.variance)
+
+
+MEASURE_MAKERS = [random_atomic_measure, random_density_1d, random_density_2d]
+
+
+@PROPS
+@given(seed=seeds, kind=st.integers(0, 2), n=st.integers(1, 24), finite=st.booleans(),
+       data=st.data())
+def test_maximal_rows_do_not_depend_on_the_batch(seed, kind, n, finite, data):
+    rng = np.random.default_rng(seed)
+    nu = MEASURE_MAKERS[kind](rng)
+    xs = rng.uniform(-3.0, 3.0, (n, nu.d))
+    if nu.is_atomic:  # some points on atoms, where the value is inf
+        hits = rng.integers(0, 2, n).astype(bool)
+        xs[hits] = nu.atoms[rng.integers(0, nu.atoms.shape[0], n)][hits]
+    R = rng.uniform(0.01, 3.0, n) if finite else np.full(n, np.inf)
+    whole = maximal_at(nu, xs, R)
+    assert whole.tolist() == [maximal_at(nu, x, r) for x, r in zip(xs, R)]
+    order = np.asarray(data.draw(st.permutations(range(n))))
+    assert np.array_equal(maximal_at(nu, xs[order], R[order]), whole[order])
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=3)))
+    parts = [maximal_at(nu, xs[lo:hi], R[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, n])]
+    assert np.array_equal(np.concatenate(parts), whole)

@@ -1,0 +1,213 @@
+"""SHA-256 digests of fixed irregmc outputs, to show that a change keeps them.
+
+Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
+
+- ``maximal_at`` (one point per call, and batches of points), ``maximal_field``
+  and ``gsp_field`` on the seeded random measures, in 1D and 2D;
+- ``pointwise_check`` reports;
+- Euler-Maruyama terminals and M=4 coupled terminals of every registry model;
+- the ``maximal``, ``inequality``, ``rate``, ``mlmc``, ``complexity`` and
+  ``density`` CLI artifacts on small configs (``summary.json`` holds wall
+  times and is left out).
+
+Usage, from the repository root:
+
+    python tools/digests.py                  # digests of this tree
+    python tools/digests.py --against HEAD~  # compare with a revision
+
+``--against`` checks the revision out in a temporary ``git worktree``, runs
+this same script on its ``src/`` and lists the digests that differ; the exit
+code is 1 if any does. Floating-point results such as ``np.sin`` may differ
+between CPUs, so compare two trees on one machine rather than pinning digests.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CLI_CONFIGS = {
+    "maximal": {"kind": "maximal",
+                "params": {"n_atomic": 30, "n_grid_1d": 6, "n_grid_2d": 4, "seed": 17}},
+    "inequality": {"kind": "inequality", "payoff": {"name": "interval_indicator"},
+                   "params": {"family": "gaussian_shift", "rule": "bv", "p": 1, "q": 1,
+                              "scale_grid": [0.2, 0.1], "N": 5000, "seed": 5}},
+    "rate": {"kind": "rate", "model": {"name": "sincos"},
+             "payoff": {"name": "clamp_ramp"},
+             "params": {"q": 2, "n_list": [8, 16, 32], "N": 4000, "n_ref": 256, "seed": 1}},
+    "mlmc": {"kind": "mlmc", "model": {"name": "sincos"},
+             "payoff": {"name": "interval_indicator"},
+             "params": {"epsilon": 0.05, "M": 4, "seed": 3}},
+    "complexity": {"kind": "complexity", "model": {"name": "constant"},
+                   "payoff": {"name": "clamp_ramp"},
+                   "params": {"epsilon_list": [0.08, 0.04, 0.02], "M": 2, "seed": 7,
+                              "compare_single_level": True}},
+    "density": {"kind": "density", "model": {"name": "sincos"},
+                "params": {"n_list": [8, 16], "N": 20000, "bins": 40, "seed": 6,
+                           "value_range": [-4, 4]}},
+}
+
+
+def _sha(payload) -> str:
+    if isinstance(payload, np.ndarray):
+        payload = repr(payload.shape).encode() + np.ascontiguousarray(payload).tobytes()
+    elif not isinstance(payload, bytes):
+        payload = repr(payload).encode()
+    return hashlib.sha256(payload).hexdigest()
+
+
+def _batch(mx, nu, xs, R):
+    """maximal_at over a (P, d) batch; point by point where the tree has no
+    batched form, so the values can still be compared."""
+    try:
+        return mx.maximal_at(nu, xs, R)
+    except (TypeError, ValueError):
+        warnings.warn("maximal_at takes no batch in this tree; batched digests "
+                      "are computed point by point", stacklevel=1)
+        return np.array([mx.maximal_at(nu, x, r) for x, r in zip(xs, R)])
+
+
+def maximal_digests():
+    from irregmc import maximal as mx
+
+    makers = {"atomic": mx.random_atomic_measure, "1d": mx.random_density_1d,
+              "2d": mx.random_density_2d}
+    for kind, maker in makers.items():
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            nu = maker(rng)
+            if nu.is_atomic:
+                xs = np.concatenate([rng.uniform(-6.0, 6.0, (60, 1)), nu.atoms])
+            else:
+                nodes = nu.density.node_coords()
+                xs = np.concatenate([nodes[rng.integers(0, len(nodes), 40)],
+                                     rng.uniform(-2.5, 2.5, (40, nu.d))])
+            radii = {"inf": np.full(len(xs), math.inf), "0.5": np.full(len(xs), 0.5),
+                     "mixed": rng.uniform(0.01, 3.0, len(xs))}
+            for label, R in radii.items():
+                tag = f"{kind}/seed{seed}/R={label}"
+                one = np.array([mx.maximal_at(nu, x, r) for x, r in zip(xs, R)])
+                yield f"maximal_at/point/{tag}", _sha(one)
+                yield f"maximal_at/batch/{tag}", _sha(_batch(mx, nu, xs, R))
+            if not nu.is_atomic:
+                for R in (math.inf, 0.3):
+                    yield (f"maximal_field/{kind}/seed{seed}/R={R}",
+                           _sha(mx.maximal_field(nu, R).values))
+                yield (f"gsp_field/{kind}/seed{seed}",
+                       _sha(mx.gsp_field(nu.density, 0.5, 2.0).values))
+    tent = lambda x: np.maximum(0.0, 1.0 - np.abs(x[..., 0]))  # noqa: E731
+    for cells in (32, 257):
+        f = mx.GridField.from_function(tent, 1, -2.0, 2.0, cells)
+        yield f"gsp_field/tent/{cells}", _sha(mx.gsp_field(f, 0.5, 2.0).values)
+        rep = mx.pointwise_check(f, mx.gsp_field(f, 0.5, 2.0), 400, mode="fractional",
+                                 s=0.5, seed=cells)
+        yield f"pointwise_check/tent/{cells}", _sha(dataclasses.astuple(rep))
+    for cells in (48, 100, 256):
+        f, grad = mx.mollified_ball_gradient(1.0, -2.0, 2.0, cells)
+        if cells <= 100:  # the 2D G_{s,p} loop is quadratic in the node count
+            yield f"gsp_field/ball/{cells}", _sha(mx.gsp_field(f, 0.5, 2.0).values)
+        rep = mx.pointwise_check(f, grad, 200, mode="bv", seed=cells)
+        yield f"pointwise_check/ball/{cells}", _sha(dataclasses.astuple(rep))
+
+    def cross(rng, count):
+        return -rng.uniform(0.01, 3.0, (count, 1)), rng.uniform(0.01, 3.0, (count, 1))
+
+    heavi = mx.GridField.from_function(lambda x: (x[..., 0] >= 0).astype(float),
+                                       1, -3.0, 3.0, 300)
+    rep = mx.pointwise_check(heavi, mx.measure_from_atoms([[0.0]], [1.0]), 1000,
+                             mode="bv", seed=3, pair_sampler=cross)
+    yield "pointwise_check/heaviside", _sha(dataclasses.astuple(rep))
+
+
+def em_digests():
+    from irregmc import sde
+    from irregmc.randomkit import increment_batch
+
+    for name in sorted(sde.MODEL_REGISTRY):
+        model = sde.make_model(name)
+        inc = increment_batch(11, model.d, model.T, 64, 0, 2048)
+        yield f"em/{name}", _sha(sde.em_terminal_batch(model, inc))
+        fine, coarse = sde.coupled_terminal_batch(model, inc, 4)
+        yield f"em_coupled_M4/{name}/fine", _sha(fine)
+        yield f"em_coupled_M4/{name}/coarse", _sha(coarse)
+
+
+def cli_digests():
+    from irregmc import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, doc in CLI_CONFIGS.items():
+            out = os.path.join(tmp, label)
+            summary = cli.run_experiment(cli.parse_config(json.dumps(doc)), out_dir=out)
+            for path in sorted(summary.artifacts):
+                if os.path.basename(path) != "summary.json":
+                    yield f"cli/{label}/{os.path.basename(path)}", _sha(Path(path).read_bytes())
+
+
+def emit() -> None:
+    for group in (maximal_digests, em_digests, cli_digests):
+        for name, digest in group():
+            print(f"{digest}  {name}", flush=True)
+
+
+def _run(src: Path) -> dict[str, str]:
+    """Digests of the tree whose package sources are in src, by name."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, __file__, "--emit"], env=env, check=True,
+                         capture_output=True, text=True)
+    sys.stderr.write(out.stderr)
+    return {name: digest for digest, name in
+            (line.split("  ", 1) for line in out.stdout.splitlines())}
+
+
+def against(rev: str) -> int:
+    here = _run(ROOT / "src")
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(tree), rev], check=True)
+        try:
+            there = _run(tree / "src")
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                            str(tree)], check=True)
+    differ = sorted(n for n in here.keys() & there.keys() if here[n] != there[n])
+    only = sorted(here.keys() ^ there.keys())
+    print(f"{len(here.keys() & there.keys())} digests compared against {rev}: "
+          f"{len(differ)} differ")
+    for name in differ:
+        print(f"differs: {name}")
+    for name in only:
+        print(f"only in {'this tree' if name in here else rev}: {name}")
+    return 1 if differ else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="compare with this git revision instead of printing")
+    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.against:
+        return against(args.against)
+    if not args.emit:
+        sys.path.insert(0, str(ROOT / "src"))
+    emit()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
