@@ -16,7 +16,9 @@ from numpy.random import Generator
 
 from .errors import DegenerateCurveError, InvalidArgumentError
 from .payoff import Payoff
-from .randomkit import StreamTag, derive_seed, increment_batch, stream
+from .randomkit import (
+    StreamTag, block_streams, derive_seed, increment_batch, stream, time_chunks,
+)
 from .sde import SdeModel, StepCounter, block_sums, em_terminal_batch
 from .stats import Welford, loglog_fit
 
@@ -81,9 +83,13 @@ def qerror_curves(
     """Error curves for several (payoff, q) targets from one coupled sweep.
 
     All targets share the same reference terminals, so indicator curves for
-    different q are bit-identical by construction. Each window's values are
-    folded in block by block, so the curves are bit-identical whatever the
-    window size.
+    different q are bit-identical by construction. Each window is drawn and
+    stepped in time chunks (``randomkit.time_chunks``) whose length is a
+    multiple of every coarsening factor n_ref // n, so no block sum straddles
+    two chunks; a chunk holds at most ``randomkit.CHUNK_NORMALS`` normals
+    unless the lcm of the factors times the window's paths is more. Each
+    window's values are folded in block by block, so the curves are
+    bit-identical whatever the window size or chunk length.
     """
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) == 0:
@@ -95,17 +101,25 @@ def qerror_curves(
         raise InvalidArgumentError("N must be >= 1000")
     accs = {(i, n): Welford() for i in range(len(targets)) for n in n_list}
     done = 0
+    lcm = math.lcm(*(n_ref // n for n in n_list))
     while done < N:
         b = min(DEFAULT_BATCH, N - done)
-        inc = increment_batch(seed, model.d, model.T, n_ref, done, b)
-        ref = em_terminal_batch(model, inc, counter)
+        streams = block_streams(seed, done, b)
+        ref, coarse = None, dict.fromkeys(n_list)
+        for k0, k in time_chunks(n_ref, b * model.d, lcm):
+            inc = increment_batch(seed, model.d, model.T, n_ref, done, b,
+                                  streams=streams, n_steps=k)
+            ref = em_terminal_batch(model, inc, counter, ref, k0, n_ref)
+            for n in n_list:
+                M = n_ref // n
+                coarse[n] = em_terminal_batch(model, block_sums(inc, M), counter,
+                                              coarse[n], k0 // M, n)
+            del inc  # free this chunk before the next one is drawn
         f_ref = [pay(ref) for pay, _ in targets]
         for n in n_list:
-            xn = em_terminal_batch(model, block_sums(inc, n_ref // n), counter)
             for i, (pay, q) in enumerate(targets):
-                diff = np.abs(f_ref[i] - pay(xn)) ** q
+                diff = np.abs(f_ref[i] - pay(coarse[n])) ** q
                 accs[(i, n)].update(diff, done)
-        del inc  # free this batch before the next one is drawn
         done += b
     curves = []
     for i, (pay, q) in enumerate(targets):

@@ -46,6 +46,11 @@ _PARAM_KEYS = {
 _NEEDS_MODEL = {"rate", "mlmc", "complexity", "density"}
 _NEEDS_PAYOFF = {"rate", "inequality", "mlmc", "complexity"}
 
+# defaults shared by the range checks and the runners
+_RATE_N_LIST = [8, 16, 32, 64, 128, 256, 512]
+_RATE_N_REF = 4096
+_DENSITY_N_LIST = [16, 64, 256]
+
 
 @dataclass
 class ExperimentConfig:
@@ -182,10 +187,23 @@ def _validate_ranges(kind: str, params: dict) -> None:
         raise ConfigError(f"M must be 2 or 4, got {params['M']}")
     if "s" in params and params["s"] is not None and not 0.0 < params["s"] < 1.0:
         raise ConfigError(f"s must lie in (0,1), got {params['s']}")
+    if "n_pilot" in params and not (_is_int(params["n_pilot"]) and params["n_pilot"] >= 2):
+        raise ConfigError(f"n_pilot must be an integer >= 2, got {params['n_pilot']!r}")
+    if kind in ("rate", "density"):
+        n_list = params.get("n_list", _RATE_N_LIST if kind == "rate" else _DENSITY_N_LIST)
+        if not isinstance(n_list, list) or not all(_is_int(n) and n >= 1 for n in n_list):
+            raise ConfigError(f"n_list must be a list of integers >= 1, got {n_list!r}")
+    if kind == "rate":
+        n_ref = params.get("n_ref", _RATE_N_REF)
+        if not (_is_int(n_ref) and n_ref >= 1):
+            raise ConfigError(f"n_ref must be an integer >= 1, got {n_ref!r}")
+        for n in n_list:
+            if n_ref % n:
+                raise ConfigError(f"each n in n_list must divide n_ref={n_ref}, got n={n}")
 
 
-def config_to_json(config: ExperimentConfig) -> str:
-    return json.dumps(config.to_dict(), indent=2, sort_keys=True)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +226,9 @@ def _run_rate(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
     model, pay = config.model, config.payoff
     p = config.params
     q = float(p.get("q", 2.0))
-    n_list = p.get("n_list", [8, 16, 32, 64, 128, 256, 512])
+    n_list = p.get("n_list", _RATE_N_LIST)
     N = int(p.get("N", 100_000))
-    n_ref = int(p.get("n_ref", 4096))
+    n_ref = int(p.get("n_ref", _RATE_N_REF))
     seed = int(p.get("seed", 0))
     delta = float(p.get("delta", 0.7))
     counter = sde.StepCounter()
@@ -411,7 +429,7 @@ def _run_complexity(config: ExperimentConfig, out: str, summary: RunSummary) -> 
 def _run_density(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
     model = config.model
     p = config.params
-    n_list = p.get("n_list", [16, 64, 256])
+    n_list = p.get("n_list", _DENSITY_N_LIST)
     N = int(p.get("N", 100_000))
     bins = int(p.get("bins", 60))
     seed = int(p.get("seed", 0))

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import FitFailureError, InvalidArgumentError
-from .randomkit import increment_batch, path_windows
+from .randomkit import block_streams, increment_batch, path_windows, time_chunks
 from .sde import SdeModel, em_terminal_batch
 
 MIN_BIN_COUNT = 5
@@ -74,15 +74,25 @@ def terminal_histogram(
     model: SdeModel, n: int, N: int, bins: int, seed: int,
     value_range: tuple[float, float] | None = None,
 ) -> Histogram:
-    """Histogram of the first coordinate of X^(n)(T) over N paths."""
+    """Histogram of the first coordinate of X^(n)(T) over N paths.
+
+    Paths are drawn and stepped in time chunks of at most
+    ``randomkit.CHUNK_NORMALS`` normals, so memory does not grow with n.
+    """
     if N < 10_000:
         raise InvalidArgumentError("N must be >= 10^4")
     if bins < 20:
         raise InvalidArgumentError("need at least 20 bins")
     samples = np.empty(N)
     for first, b in path_windows(0, N, n * model.d):
-        samples[first : first + b] = em_terminal_batch(
-            model, increment_batch(seed, model.d, model.T, n, first, b))[:, 0]
+        streams = block_streams(seed, first, b)
+        x = None
+        for k0, k in time_chunks(n, b * model.d):
+            inc = increment_batch(seed, model.d, model.T, n, first, b,
+                                  streams=streams, n_steps=k)
+            x = em_terminal_batch(model, inc, None, x, k0, n)
+            del inc  # free this chunk before the next one is drawn
+        samples[first : first + b] = x[:, 0]
     if value_range is None:
         lo, hi = float(samples.min()), float(samples.max())
         if lo == hi:

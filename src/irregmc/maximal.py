@@ -86,28 +86,6 @@ class GridField:
         tmp.values = np.asarray(vals, dtype=float)
         return tmp
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("dim,lo,hi,spacing\n")
-            fh.write(f"{self.d},{float(self.lo)!r},{float(self.hi)!r},{float(self.spacing)!r}\n")
-            fh.write("value\n")
-            for v in self.values.ravel():
-                fh.write(f"{float(v)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "GridField":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            if header != ["dim", "lo", "hi", "spacing"]:
-                raise InvalidArgumentError(f"unexpected grid CSV header {header}")
-            d_s, lo_s, hi_s, sp_s = fh.readline().strip().split(",")
-            fh.readline()  # value header
-            vals = np.array([float(line) for line in fh if line.strip()])
-        d = int(d_s)
-        n = int(round(len(vals) ** (1.0 / d)))
-        return cls(d=d, lo=float(lo_s), hi=float(hi_s), spacing=float(sp_s),
-                   values=vals.reshape((n,) * d))
-
 
 @dataclass
 class GridMeasure:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateCurveError, InvalidArgumentError, NonconvergenceError
 from .payoff import Payoff
-from .randomkit import derive_seed, increment_batch, path_windows
+from .randomkit import block_streams, derive_seed, increment_batch, path_windows, time_chunks
 from .sde import SdeModel, StepCounter, coupled_terminal_batch, em_terminal_batch
 from .stats import LineFit, Welford, loglog_fit
 
@@ -92,6 +92,27 @@ class _LevelAccumulator:
         )
 
 
+def _terminals(model: SdeModel, seed: int, n_fine: int, M: int, first: int, b: int,
+               counter: StepCounter):
+    """States at T of paths first..first+b-1 on the n_fine-step grid.
+
+    The window is drawn and stepped in time chunks whose length is a multiple
+    of M (``randomkit.time_chunks``). M = 1 gives the (B, d) terminals; M >= 2
+    gives the (fine, coarse) pair of ``coupled_terminal_batch``.
+    """
+    streams = block_streams(seed, first, b)
+    x = None
+    for k0, k in time_chunks(n_fine, b * model.d, M):
+        inc = increment_batch(seed, model.d, model.T, n_fine, first, b,
+                              streams=streams, n_steps=k)
+        if M == 1:
+            x = em_terminal_batch(model, inc, counter, x, k0, n_fine)
+        else:
+            x = coupled_terminal_batch(model, inc, M, counter, x, k0, n_fine)
+        del inc  # free this chunk before the next one is drawn
+    return x
+
+
 def _sample_level(
     model: SdeModel,
     payoff: Payoff,
@@ -101,14 +122,12 @@ def _sample_level(
 ) -> None:
     """Add n_new paths to the level, folded into its statistics block by block."""
     for first, b in path_windows(state.count, n_new, state.n_fine * model.d, DEFAULT_BATCH):
-        inc = increment_batch(state.seed, model.d, model.T, state.n_fine, first, b)
         if state.level == 0:
-            x = em_terminal_batch(model, inc, counter)
-            vals = payoff(x)
+            vals = payoff(_terminals(model, state.seed, 1, 1, first, b, counter))
         else:
-            fine, coarse = coupled_terminal_batch(model, inc, state.M, counter)
+            fine, coarse = _terminals(model, state.seed, state.n_fine, state.M, first, b,
+                                      counter)
             vals = payoff(fine) - payoff(coarse)
-        del inc  # free this batch before the next one is drawn
         state.acc.update(vals, first)
 
 
@@ -304,17 +323,17 @@ def single_level_run(
     # pilot the payoff variance at the chosen resolution, then size N
     pilot_seed = derive_seed(seed, 0x51E6)
     pilot = Welford()
-    inc = increment_batch(pilot_seed, model.d, model.T, n_steps, 0, n_pilot)
-    pilot.update(payoff(em_terminal_batch(model, inc, calib)), 0)
+    for first, b in path_windows(0, n_pilot, n_steps * model.d, DEFAULT_BATCH):
+        pilot.update(payoff(_terminals(model, pilot_seed, n_steps, 1, first, b, calib)),
+                     first)
     N = max(2, int(math.ceil(2.0 * pilot.variance / epsilon**2)))
 
     counter = StepCounter()
     acc = Welford()
     run_seed = derive_seed(seed, 0xF1A7)
     for first, b in path_windows(0, N, n_steps * model.d, DEFAULT_BATCH):
-        inc = increment_batch(run_seed, model.d, model.T, n_steps, first, b)
-        acc.update(payoff(em_terminal_batch(model, inc, counter)), first)
-        del inc  # free this batch before the next one is drawn
+        acc.update(payoff(_terminals(model, run_seed, n_steps, 1, first, b, counter)),
+                   first)
     return SingleLevelResult(
         estimate=acc.mean, n_steps=n_steps, N=N,
         cost=float(counter.steps), calibration_cost=float(calib.steps),

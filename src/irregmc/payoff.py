@@ -319,17 +319,6 @@ def total_variation(payoff: Payoff) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RatePrediction:
-    strong_exponent: float
-    mlmc_cost_exponent_weak1: float
-    mlmc_cost_exponent_weakdelta: float
-    q: float
-    delta: float
-    p: float | None = None
-    s: float | None = None
-
-
 def _check_delta(delta: float) -> None:
     if not 0.0 < delta < 1.0:
         raise InvalidArgumentError(f"delta must lie in (0,1), got {delta}")
@@ -401,21 +390,4 @@ def predicted_mlmc_exponent(
         return 2.0 + (p * (1.0 - s) + 2.0) / (delta * (p + 2.0))
     raise InvalidArgumentError(
         f"class {space!r} has no weak-rate-delta/2 table entry"
-    )
-
-
-def rate_prediction(payoff: Payoff, q: float, delta: float = 0.9) -> RatePrediction:
-    space = payoff.space
-    kw = dict(p=payoff.p, s=payoff.s)
-    strong = predicted_strong_exponent(space, q, delta, **kw)
-    weak1 = predicted_mlmc_exponent(space, "weak1", delta, **kw)
-    if space == "lipschitz":
-        weakdelta = float("nan")
-    else:
-        weakdelta = predicted_mlmc_exponent(space, "weakdelta", delta, **kw)
-    return RatePrediction(
-        strong_exponent=strong,
-        mlmc_cost_exponent_weak1=weak1,
-        mlmc_cost_exponent_weakdelta=weakdelta,
-        q=q, delta=delta, p=payoff.p, s=payoff.s,
     )

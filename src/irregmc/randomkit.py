@@ -6,6 +6,10 @@ Philox stream (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11). A block's stream is read time-major: every path's step k comes before
 any path's step k+1. Windows of paths are cut out of whole blocks, so a path's
 increments are bit-identical whatever batch size or order produced them.
+Sequential draws from one stream do not depend on how they are chunked, so a
+window can be drawn in time chunks from block streams keyed once and carried
+from call to call; ziggurat rejection makes the words per normal vary, so a
+stream cannot skip ahead and each block is drawn forward from step 0.
 Coarse increments are always obtained by summing fine ones, never by bridge
 refinement, so the coarse/fine coupling is a structural identity.
 """
@@ -26,10 +30,10 @@ _MASK64 = (1 << 64) - 1
 BLOCK_PATHS = 1024
 # Normals per draw into the reusable block buffer; sequential draws are
 # chunk-invariant, so this bounds memory without touching the streams.
-_CHUNK_NORMALS = 1 << 16
-# path_windows keeps windows at least one whole block wide up to this many
-# normals (128 MB, the size of the strong-rate driver's 4096 x 4096 batch).
-_WHOLE_BLOCK_NORMALS = 1 << 24
+_DRAW_NORMALS = 1 << 16
+# Normals in one time chunk of a window (16 MB), read at call time by
+# time_chunks; the drivers hold one chunk of increments at a time.
+CHUNK_NORMALS = 1 << 21
 
 
 class StreamTag(enum.IntEnum):
@@ -64,6 +68,22 @@ def derive_seed(master_seed: int, *words: int) -> int:
     return z
 
 
+def _blocks(first_path: int, n_paths: int) -> range:
+    if n_paths == 0:
+        return range(0)
+    return range(first_path // BLOCK_PATHS, -(-(first_path + n_paths) // BLOCK_PATHS))
+
+
+def block_streams(master_seed: int, first_path: int, n_paths: int,
+                  stream_tag: StreamTag = StreamTag.PATH) -> list[Generator]:
+    """One generator per block that paths first_path..first_path+n_paths-1 touch.
+
+    Passed to ``increment_batch``, they carry a window's streams from one time
+    chunk to the next; each block is keyed once here.
+    """
+    return [stream(master_seed, block, stream_tag) for block in _blocks(first_path, n_paths)]
+
+
 def increment_batch(
     master_seed: int,
     d: int,
@@ -72,15 +92,23 @@ def increment_batch(
     first_path: int,
     n_paths: int,
     stream_tag: StreamTag = StreamTag.PATH,
+    streams: list[Generator] | None = None,
+    n_steps: int | None = None,
 ) -> np.ndarray:
-    """Increments for paths first_path..first_path+n_paths-1, shape (B, n_fine, d).
+    """Increments for paths first_path..first_path+n_paths-1, shape (B, n_steps, d).
 
     Path p belongs to block p // BLOCK_PATHS, whose stream fills an
     (n_fine, BLOCK_PATHS, d) array of standard normals in C order; row i of
     the result is the column of path first_path+i, scaled by sqrt(T/n_fine).
     Blocks the window only partly covers are drawn whole and sliced, so row i
-    does not depend on the window. The result is the (B, n_fine, d) transpose
-    of a C-contiguous (n_fine, B, d) array: ``result[:, k, :]`` is contiguous.
+    does not depend on the window. The result is the (B, n_steps, d) transpose
+    of a C-contiguous (n_steps, B, d) array: ``result[:, k, :]`` is contiguous.
+
+    Without ``streams`` the call keys the window's blocks and returns all
+    n_fine steps (``n_steps`` defaults to n_fine). With ``streams`` from
+    ``block_streams`` for the same window, it draws the next ``n_steps``
+    steps of each block and the generators advance in place: successive
+    calls return successive time chunks of the whole result, bit for bit.
     """
     if d < 1:
         raise InvalidArgumentError(f"d must be >= 1, got {d}")
@@ -92,40 +120,56 @@ def increment_batch(
         raise InvalidArgumentError(f"first_path must be nonnegative, got {first_path}")
     if n_paths < 0:
         raise InvalidArgumentError("n_paths must be nonnegative")
+    n_steps = n_fine if n_steps is None else n_steps
+    if not 1 <= n_steps <= n_fine:
+        raise InvalidArgumentError(f"n_steps must lie in [1, n_fine={n_fine}], got {n_steps}")
     end = first_path + n_paths
     _check_key(master_seed, end // BLOCK_PATHS)
-    out = np.empty((n_fine, n_paths, d))
-    if n_paths == 0:
-        return out.transpose(1, 0, 2)
+    blocks = _blocks(first_path, n_paths)
+    if streams is None:
+        streams = block_streams(master_seed, first_path, n_paths, stream_tag)
+    if len(streams) != len(blocks):
+        raise InvalidArgumentError(
+            f"{len(streams)} streams given for a window over {len(blocks)} blocks")
+    out = np.empty((n_steps, n_paths, d))
     scale = np.sqrt(T / n_fine)
-    rows = max(1, _CHUNK_NORMALS // (BLOCK_PATHS * d))
-    buf = np.empty((min(rows, n_fine), BLOCK_PATHS, d))
-    for block in range(first_path // BLOCK_PATHS, -(-end // BLOCK_PATHS)):
+    rows = max(1, _DRAW_NORMALS // (BLOCK_PATHS * d))
+    buf = np.empty((min(rows, n_steps), BLOCK_PATHS, d))
+    for block, gen in zip(blocks, streams):
         start = block * BLOCK_PATHS
         lo, hi = max(first_path, start), min(end, start + BLOCK_PATHS)
         src = slice(lo - start, hi - start)
         dst = slice(lo - first_path, hi - first_path)
-        gen = stream(master_seed, block, stream_tag)
-        for k in range(0, n_fine, rows):
-            chunk = buf[: min(rows, n_fine - k)]
+        for k in range(0, n_steps, rows):
+            chunk = buf[: min(rows, n_steps - k)]
             gen.standard_normal(out=chunk)
             np.multiply(chunk[:, src], scale, out=out[k : k + len(chunk), dst])
     return out.transpose(1, 0, 2)
+
+
+def time_chunks(n_fine: int, width: int, multiple: int = 1) -> list[tuple[int, int]]:
+    """(k0, k) chunks covering steps 0..n_fine-1 of a window of ``width`` normals per step.
+
+    Each k is a multiple of ``multiple`` (the last one may be shorter if
+    ``multiple`` does not divide n_fine) and a chunk holds at most
+    ``CHUNK_NORMALS`` normals, unless ``multiple`` steps alone hold more:
+    then each chunk is ``multiple`` steps, over the budget.
+    """
+    step = max(multiple, CHUNK_NORMALS // width // multiple * multiple)
+    return [(k0, min(step, n_fine - k0)) for k0 in range(0, n_fine, step)]
 
 
 def path_windows(first_path: int, n_paths: int, normals_per_path: int,
                  budget: int = 1 << 16):
     """Yield (start, count) windows covering first_path..first_path+n_paths-1.
 
-    A window that splits a block still draws all of it, so a window holds
-    about ``budget`` normals but at least one block of paths: each block is
-    drawn once. Only past 2**24 normals per block (16384 per path) do
-    windows narrow to 2**24 normals, and each then redraws its block.
-    Sizes are powers of two and windows are aligned to multiples of their
-    size, so they split no block they need not.
+    A window holds about ``budget`` normals but at least one whole block, at
+    any depth: drivers draw a window in time chunks (``time_chunks``), so its
+    width does not bound memory. Sizes are powers of two and windows are
+    aligned to multiples of their size, so no block is split, and none drawn
+    twice, except where the range itself starts or ends inside a block.
     """
-    size = max(1, budget // normals_per_path,
-               min(BLOCK_PATHS, _WHOLE_BLOCK_NORMALS // normals_per_path))
+    size = max(BLOCK_PATHS, budget // normals_per_path)
     size = 1 << (size.bit_length() - 1)
     pos, end = first_path, first_path + n_paths
     while pos < end:

@@ -72,30 +72,41 @@ def em_terminal_batch(
     model: SdeModel,
     increments: np.ndarray,
     counter: StepCounter | None = None,
+    x: np.ndarray | None = None,
+    k0: int = 0,
+    n: int | None = None,
 ) -> np.ndarray:
-    """Terminal values for a batch of paths; increments has shape (B, n, d).
+    """States after a batch of paths takes the steps in increments, shape (B, k, d).
 
-    Iterates X_{k+1} = X_k + b(t_k, X_k) dt + sigma(t_k, X_k) * dB_k (the
-    product taken coordinatewise) from x0 and returns X_n, shape (B, d). Any memory layout gives the same values;
-    time-major increments (as ``increment_batch`` returns them) make each
-    step read contiguous memory.
+    Iterates X_{j+1} = X_j + b(t_j, X_j) dt + sigma(t_j, X_j) * dB_j (the
+    product taken coordinatewise) on the n-step grid dt = T/n, t_j = j*dt,
+    over steps j = k0..k0+k-1, from ``x`` (from x0 when None) and returns
+    the new states, shape (B, d); ``x`` itself is not changed. By default
+    k0 = 0 and n = k, so the call returns the terminals X_n. A run cut into
+    time chunks, each continuing from the last, is bit-identical to one call.
+    Any memory layout gives the same values; time-major increments (as
+    ``increment_batch`` returns them) make each step read contiguous memory.
     """
     if increments.ndim != 3 or increments.shape[2] != model.d:
         raise InvalidArgumentError(
             f"increments must have shape (B, n, {model.d}), got {increments.shape}"
         )
-    n_paths, n, _ = increments.shape
+    n_paths, k, _ = increments.shape
+    n = k0 + k if n is None else n
+    if k0 < 0 or k0 + k > n:
+        raise InvalidArgumentError(f"steps {k0}..{k0 + k - 1} do not lie on a {n}-step grid")
     dt = model.T / n
-    x = np.array(np.broadcast_to(model.x0, (n_paths, model.d)), dtype=float)
-    for k in range(n):
-        t = k * dt
+    start = model.x0 if x is None else x
+    x = np.array(np.broadcast_to(start, (n_paths, model.d)), dtype=float)
+    for j in range(k0, k0 + k):
+        t = j * dt
         drift = model.drift(t, x) * dt
-        noise = model.sigma(t, x) * increments[:, k, :]
+        noise = model.sigma(t, x) * increments[:, j - k0, :]
         x += drift
         x += noise
-        _check_finite(x, k)
+        _check_finite(x, j)
     if counter is not None:
-        counter.add(n_paths * n)
+        counter.add(n_paths * k)
     return x
 
 
@@ -120,17 +131,27 @@ def coupled_terminal_batch(
     increments: np.ndarray,
     M: int,
     counter: StepCounter | None = None,
+    state: tuple[np.ndarray, np.ndarray] | None = None,
+    k0: int = 0,
+    n: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fine and coarse terminals, each (B, d), driven by the same increments.
+    """Fine and coarse states, each (B, d), driven by the same increments.
 
-    The coarse path takes n // M steps driven by ``block_sums(increments, M)``.
+    The coarse path takes k // M steps driven by ``block_sums(increments, M)``.
+    ``state`` (a previous (fine, coarse) result), ``k0`` and ``n`` continue
+    both paths as in ``em_terminal_batch``; the coarse one continues at step
+    k0 // M of its n // M-step grid, so k0 and n must be multiples of M.
     """
+    fine_x, coarse_x = (None, None) if state is None else state
+    n = k0 + increments.shape[1] if n is None else n
     if M == 1:
-        fine = em_terminal_batch(model, increments, counter)
+        fine = em_terminal_batch(model, increments, counter, fine_x, k0, n)
         return fine, fine.copy()
+    if k0 % M or n % M:
+        raise InvalidArgumentError(f"refinement {M} does not divide k0={k0} and n={n}")
     coarse_inc = block_sums(increments, M)
-    fine = em_terminal_batch(model, increments, counter)
-    return fine, em_terminal_batch(model, coarse_inc, counter)
+    fine = em_terminal_batch(model, increments, counter, fine_x, k0, n)
+    return fine, em_terminal_batch(model, coarse_inc, counter, coarse_x, k0 // M, n // M)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from irregmc import avikainen as av
+from irregmc import randomkit
 from irregmc.avikainen import (
     ErrorCurve,
     exponent_rule,
@@ -16,7 +18,8 @@ from irregmc.avikainen import (
 from irregmc.errors import DegenerateCurveError, InvalidArgumentError
 from irregmc.payoff import make_payoff
 from irregmc.randomkit import increment_batch
-from irregmc.sde import make_model
+from irregmc.sde import StepCounter, block_sums, em_terminal_batch, make_model
+from irregmc.stats import Welford
 
 
 def _curve(values, stderr=None, n=None):
@@ -97,9 +100,9 @@ def test_curves_do_not_depend_on_the_window_size(monkeypatch):
         monkeypatch.setattr(av, "DEFAULT_BATCH", size)
         cut = []
 
-        def recording(*args, cut=cut):
-            cut.append(args[-1])  # paths in the window
-            return increment_batch(*args)
+        def recording(*args, cut=cut, **kwargs):
+            cut.append(args[5])  # paths in the window
+            return increment_batch(*args, **kwargs)
 
         monkeypatch.setattr(av, "increment_batch", recording)
         curves.append(qerror_curve(model, pay, 2.0, [8, 32], N=8192, n_ref=64, seed=5))
@@ -107,6 +110,95 @@ def test_curves_do_not_depend_on_the_window_size(monkeypatch):
     assert windows == [[1024] * 8, [4096] * 2]
     assert curves[0].value.tolist() == curves[1].value.tolist()
     assert curves[0].stderr.tolist() == curves[1].stderr.tolist()
+
+
+def _whole_window_curves(model, targets, n_list, N, n_ref, seed):
+    """(values, stderrs) per target from the whole-window sweep that preceded
+    time chunking: each window's (B, n_ref, d) increments drawn in one call."""
+    n_list = sorted(n_list)
+    accs = {(i, n): Welford() for i in range(len(targets)) for n in n_list}
+    done = 0
+    while done < N:
+        b = min(av.DEFAULT_BATCH, N - done)
+        inc = increment_batch(seed, model.d, model.T, n_ref, done, b)
+        ref = em_terminal_batch(model, inc)
+        f_ref = [pay(ref) for pay, _ in targets]
+        for n in n_list:
+            xn = em_terminal_batch(model, block_sums(inc, n_ref // n))
+            for i, (pay, q) in enumerate(targets):
+                accs[(i, n)].update(np.abs(f_ref[i] - pay(xn)) ** q, done)
+        done += b
+    return [([accs[(i, n)].mean for n in n_list], [accs[(i, n)].stderr for n in n_list])
+            for i in range(len(targets))]
+
+
+# chunk lengths of the first window: lcm of the factors 256 // n, an
+# intermediate length that does not divide n_ref, and n_ref itself
+@pytest.mark.parametrize("chunk", [32, 96, 256])
+def test_chunked_curves_equal_whole_window_curves(monkeypatch, chunk):
+    model = make_model("sincos")
+    targets = [(make_payoff("clamp_ramp"), 2.0), (make_payoff("interval_indicator"), 1.0)]
+    monkeypatch.setattr(av, "DEFAULT_BATCH", 2048)  # windows of 2048 and 952 paths
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", chunk * 2048)
+    lengths = []
+
+    def recording(*args, **kwargs):
+        inc = increment_batch(*args, **kwargs)
+        lengths.append(inc.shape[1])
+        return inc
+
+    monkeypatch.setattr(av, "increment_batch", recording)
+    curves = qerror_curves(model, targets, [8, 32, 64], 3000, 256, seed=4)
+    assert lengths[0] == chunk
+    for curve, (values, stderrs) in zip(
+            curves, _whole_window_curves(model, targets, [8, 32, 64], 3000, 256, 4)):
+        assert curve.value.tolist() == values
+        assert curve.stderr.tolist() == stderrs
+
+
+def test_sweep_draws_and_steps_what_it_reports(monkeypatch):
+    # the names the benchmark tracer rebinds: every normal drawn and every
+    # EM path-step must pass through them, whatever the chunking
+    drawn, steps = [], []
+
+    def counting_draw(*args, **kwargs):
+        inc = increment_batch(*args, **kwargs)
+        drawn.append(inc.size)
+        return inc
+
+    def counting_em(model, increments, *args, **kwargs):
+        steps.append(increments.shape[0] * increments.shape[1])
+        return em_terminal_batch(model, increments, *args, **kwargs)
+
+    budget = 1 << 18
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
+    monkeypatch.setattr(av, "increment_batch", counting_draw)
+    monkeypatch.setattr(av, "em_terminal_batch", counting_em)
+    N, n_ref, n_list = 5000, 1024, [32, 128, 256]
+    counter = StepCounter()
+    qerror_curves(make_model("sincos"), [(make_payoff("clamp_ramp"), 2.0)], n_list, N,
+                  n_ref, seed=1, counter=counter)
+    assert len(drawn) > 2  # two windows, several chunks each
+    assert sum(drawn) == N * n_ref
+    assert sum(steps) == counter.steps == N * (n_ref + sum(n_list))
+    assert max(drawn) <= budget
+
+
+def test_sweep_memory_does_not_grow_with_n_ref():
+    # a whole-window sweep held (N, n_ref) increments: 32 MB at n_ref = 4096
+    # and 128 MB at 16384; chunks hold at most CHUNK_NORMALS normals
+    model, pay = make_model("sincos"), make_payoff("interval_indicator")
+    peaks = {}
+    for n_ref in (4096, 16384):
+        tracemalloc.start()
+        try:
+            qerror_curves(model, [(pay, 2.0)], [8, 16], 1024, n_ref, seed=2)
+            peaks[n_ref] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    budget_bytes = 8 * randomkit.CHUNK_NORMALS
+    assert peaks[16384] < budget_bytes + (4 << 20)
+    assert peaks[16384] < 1.5 * peaks[4096]
 
 
 def test_power_trick_bit_identity():

@@ -4,7 +4,6 @@ import os
 import pytest
 
 from irregmc.cli import (
-    config_to_json,
     main,
     parse_config,
     run_experiment,
@@ -21,7 +20,7 @@ RATE_CONFIG = {
 
 def test_parse_roundtrip():
     cfg = parse_config(json.dumps(RATE_CONFIG))
-    again = parse_config(config_to_json(cfg))
+    again = parse_config(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
     assert cfg == again
 
 
@@ -96,6 +95,28 @@ def test_block_name_must_be_a_string():
     doc["model"]["name"] = ["sincos"]
     with pytest.raises(ConfigError, match="string name"):
         parse_config(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("rate", {"n_list": [3, 8], "n_ref": 64}, "divide n_ref"),
+    ("rate", {"n_ref": 100}, "divide n_ref"),  # the default n_list
+    ("rate", {"n_list": [0, 8]}, "n_list"),
+    ("density", {"n_list": [16, "many"]}, "n_list"),
+    ("mlmc", {"n_pilot": "many"}, "n_pilot"),
+    ("mlmc", {"n_pilot": 1}, "n_pilot"),
+])
+def test_runtime_param_errors_exit_2(tmp_path, capsys, kind, params, message):
+    # each of these used to reach the library and end in a traceback
+    doc = {"kind": kind, "model": {"name": "sincos"}, "params": params}
+    if kind != "density":
+        doc["payoff"] = {"name": "interval_indicator"}
+    with pytest.raises(ConfigError, match=message):
+        parse_config(json.dumps(doc))
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_delta_range_rejected():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from irregmc import diagnostics as dg
+from irregmc import randomkit
 from irregmc.diagnostics import (
     Histogram,
     fit_gaussian_envelope,
@@ -91,3 +93,32 @@ def test_envelope_uniform_in_n_light():
                                   value_range=(-4, 5))
         cs.append(fit_gaussian_envelope(hist, 0.0, 1.0).C_plus)
     assert max(cs) / min(cs) < 2.0
+
+
+def test_histogram_draws_and_steps_in_bounded_chunks(monkeypatch):
+    # the names the benchmark tracer rebinds see every normal and path-step,
+    # and a chunked sweep bins the same terminals as a one-chunk sweep
+    model = make_model("sincos")
+    whole = terminal_histogram(model, 512, 10_000, 40, seed=4)
+    drawn, steps = [], []
+    draw, em = dg.increment_batch, dg.em_terminal_batch
+
+    def counting_draw(*args, **kwargs):
+        inc = draw(*args, **kwargs)
+        drawn.append(inc.size)
+        return inc
+
+    def counting_em(model, increments, *args, **kwargs):
+        steps.append(increments.shape[0] * increments.shape[1])
+        return em(model, increments, *args, **kwargs)
+
+    budget = 1 << 18
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
+    monkeypatch.setattr(dg, "increment_batch", counting_draw)
+    monkeypatch.setattr(dg, "em_terminal_batch", counting_em)
+    chunked = terminal_histogram(model, 512, 10_000, 40, seed=4)
+    assert len(drawn) > 10  # ten windows, two chunks each
+    assert sum(drawn) == sum(steps) == 10_000 * 512
+    assert max(drawn) <= budget
+    assert np.array_equal(chunked.edges, whole.edges)
+    assert np.array_equal(chunked.counts, whole.counts)

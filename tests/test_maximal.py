@@ -478,19 +478,3 @@ def test_weak_type_random_suite_small():
         probes = rng.uniform(-6, 6, 100)
         lams = percentile_lambda_grid(maximal_at(nu, probes[:, None]), 8)
         assert weak_type_check(nu, lams).violations == 0
-
-
-def test_grid_csv_roundtrip(tmp_path):
-    f = GridField.from_function(lambda x: np.sin(x[..., 0]), 1, -1.0, 1.0, 16)
-    path = tmp_path / "field.csv"
-    f.to_csv(path)
-    g = GridField.from_csv(path)
-    assert g.d == f.d and g.spacing == f.spacing
-    assert np.array_equal(g.values, f.values)
-
-    f2 = GridField.from_function(lambda x: np.cos(x[..., 0] + x[..., 1]), 2, -1.0, 1.0, 8)
-    path2 = tmp_path / "field2.csv"
-    f2.to_csv(path2)
-    g2 = GridField.from_csv(path2)
-    assert g2.values.shape == f2.values.shape
-    assert np.array_equal(g2.values, f2.values)

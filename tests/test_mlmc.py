@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from irregmc import mlmc
+from irregmc import mlmc, randomkit, sde
 from irregmc.errors import (
     DegenerateCurveError,
     InvalidArgumentError,
@@ -19,8 +19,9 @@ from irregmc.mlmc import (
     single_level_run,
 )
 from irregmc.payoff import make_payoff
-from irregmc.randomkit import derive_seed, increment_batch
-from irregmc.sde import StepCounter, em_terminal_batch, make_model
+from irregmc.randomkit import derive_seed, increment_batch, path_windows
+from irregmc.sde import StepCounter, block_sums, em_terminal_batch, make_model
+from irregmc.stats import Welford
 
 
 def test_level_statistics_do_not_depend_on_the_window_budget(monkeypatch):
@@ -33,9 +34,9 @@ def test_level_statistics_do_not_depend_on_the_window_budget(monkeypatch):
         monkeypatch.setattr(mlmc, "DEFAULT_BATCH", budget)
         cut = []
 
-        def recording(*args, cut=cut):
-            cut.append(args[-1])  # paths in the window
-            return increment_batch(*args)
+        def recording(*args, cut=cut, **kwargs):
+            cut.append(args[5])  # paths in the window
+            return increment_batch(*args, **kwargs)
 
         monkeypatch.setattr(mlmc, "increment_batch", recording)
         stats.append(level_sample(model, pay, 2, 4, 8192, seed=7))
@@ -217,20 +218,105 @@ def test_cost_accounting_instrumented():
 
 
 def test_deep_level_keys_each_block_once(monkeypatch):
-    # at 1024 normals per path a level's windows must still be whole blocks,
-    # or every window would redraw its block
-    import irregmc.randomkit as rk
-
+    # at 1024 and 65536 normals per path a level's windows must still be whole
+    # blocks, or every window would redraw its block (past 16384 normals per
+    # path, windows once narrowed and keyed each block 4 times at level 8)
     keyed = []
-    original = rk.stream
+    original = randomkit.stream
 
-    def counting(master_seed, index, stream_tag=rk.StreamTag.PATH):
+    def counting(master_seed, index, stream_tag=randomkit.StreamTag.PATH):
         keyed.append(index)
         return original(master_seed, index, stream_tag)
 
-    monkeypatch.setattr(rk, "stream", counting)
+    monkeypatch.setattr(randomkit, "stream", counting)
     level_sample(make_model("constant"), make_payoff("clamp_ramp"), 5, 4, 2048, seed=2)
     assert sorted(keyed) == [0, 1]
+    keyed.clear()
+    level_sample(make_model("constant"), make_payoff("clamp_ramp"), 8, 4, 2048, seed=2)
+    assert sorted(keyed) == [0, 1]
+
+
+def _whole_window_coupled(model, increments, M):
+    """Fine and coarse terminals as coupled_terminal_batch gave them before
+    time chunking: both paths stepped over the whole window in one call."""
+    if M == 1:
+        fine = em_terminal_batch(model, increments)
+        return fine, fine.copy()
+    coarse_inc = block_sums(increments, M)
+    return em_terminal_batch(model, increments), em_terminal_batch(model, coarse_inc)
+
+
+# chunk lengths of the level-3 grid (64 steps) at M = 4: M, an intermediate
+# length and the whole grid
+@pytest.mark.parametrize("chunk", [4, 16, 64])
+def test_chunked_level_equals_whole_window_level(monkeypatch, chunk):
+    model = make_model("sincos")
+    pay = make_payoff("interval_indicator", a=-1.5, b=1.5)
+    level, M, N, seed = 3, 4, 3000, 5
+    terminals = []
+
+    def recording(x):
+        terminals.append(x.copy())
+        return pay(x)
+
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", chunk * 1024)
+    stats = level_sample(model, recording, level, M, N, seed)
+
+    acc, expected = Welford(), []
+    for first, b in path_windows(0, N, M**level, mlmc.DEFAULT_BATCH):
+        inc = increment_batch(derive_seed(seed, level), 1, 1.0, M**level, first, b)
+        fine, coarse = _whole_window_coupled(model, inc, M)
+        expected += [fine, coarse]
+        acc.update(pay(fine) - pay(coarse), first)
+    assert len(terminals) == len(expected) == 6
+    assert all(np.array_equal(a, b) for a, b in zip(terminals, expected))
+    assert (stats.mean, stats.variance) == (acc.mean, acc.variance)
+
+
+def _counting_engine(monkeypatch):
+    """Counting wrappers on the names the benchmark tracer rebinds; returns
+    the lists of normals per draw and path-steps per EM call."""
+    drawn, steps = [], []
+    draw, em = mlmc.increment_batch, sde.em_terminal_batch
+
+    def counting_draw(*args, **kwargs):
+        inc = draw(*args, **kwargs)
+        drawn.append(inc.size)
+        return inc
+
+    def counting_em(model, increments, *args, **kwargs):
+        steps.append(increments.shape[0] * increments.shape[1])
+        return em(model, increments, *args, **kwargs)
+
+    monkeypatch.setattr(mlmc, "increment_batch", counting_draw)
+    monkeypatch.setattr(mlmc, "em_terminal_batch", counting_em)
+    # coupled_terminal_batch looks em_terminal_batch up in sde itself
+    monkeypatch.setattr(sde, "em_terminal_batch", counting_em)
+    return drawn, steps
+
+
+def test_level_draws_and_steps_what_it_reports(monkeypatch):
+    budget = 1 << 18
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
+    drawn, steps = _counting_engine(monkeypatch)
+    N, level, M = 1500, 5, 4
+    stats = level_sample(make_model("sincos"), make_payoff("clamp_ramp"), level, M, N, 3)
+    assert len(drawn) == 6  # 1024 paths in four 256-step chunks, 476 in two
+    assert sum(drawn) == N * M**level
+    assert sum(steps) == stats.cost == N * (M**level + M ** (level - 1))
+    assert max(drawn) <= budget
+
+
+def test_mlmc_run_draws_and_steps_what_it_reports(monkeypatch):
+    # what the benchmark checks on an adaptive run: normals sum N_l M^l and
+    # path-steps sum to the reported cost, here with most levels chunked
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", 1 << 12)
+    drawn, steps = _counting_engine(monkeypatch)
+    res = run_mlmc(make_model("sincos"), make_payoff("interval_indicator"), 0.05, M=4,
+                   seed=3)
+    assert sum(drawn) == sum(lv.N * 4**lv.level for lv in res.levels)
+    assert sum(steps) == res.total_cost == sum(lv.cost for lv in res.levels)
+    assert max(drawn) <= 1 << 12
 
 
 def test_single_level_run_basics():

@@ -9,7 +9,6 @@ from irregmc.payoff import (
     orlicz_bound_minimize,
     predicted_mlmc_exponent,
     predicted_strong_exponent,
-    rate_prediction,
     total_variation,
     young_complement,
     young_inverse,
@@ -123,10 +122,14 @@ def test_mlmc_exponents_weakdelta():
         predicted_mlmc_exponent("bv", "nope", 0.5)
 
 
-def test_rate_prediction_bundles():
-    pred = rate_prediction(make_payoff("tent_power", s=0.5, p=2.0), q=2.0, delta=0.9)
-    assert pred.strong_exponent == pytest.approx(0.25)
-    assert pred.mlmc_cost_exponent_weak1 == pytest.approx(2.75)
+def test_predicted_exponents_from_payoff_fields():
+    # the CLI reads a payoff's class and (p, s) into the exponent tables
+    pay = make_payoff("tent_power", s=0.5, p=2.0)
+    assert pay.space == "fractional"
+    strong = predicted_strong_exponent(pay.space, 2.0, 0.9, p=pay.p, s=pay.s)
+    weak1 = predicted_mlmc_exponent(pay.space, "weak1", 0.9, p=pay.p, s=pay.s)
+    assert strong == pytest.approx(0.25)
+    assert weak1 == pytest.approx(2.75)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from irregmc.maximal import (
     random_density_1d,
     random_density_2d,
 )
-from irregmc.randomkit import BLOCK_PATHS, StreamTag, increment_batch, stream
+from irregmc.randomkit import BLOCK_PATHS, StreamTag, block_streams, increment_batch, stream
 from irregmc.sde import block_sums, coupled_terminal_batch, em_terminal_batch, make_model
 from irregmc.stats import Welford
 
@@ -45,6 +45,20 @@ def test_windows_equal_slices_of_one_call(seed, d, n_fine, first, n_paths, data)
     for lo, hi in reversed(parts):
         window = increment_batch(seed, d, 1.0, n_fine, first + lo, hi - lo)
         assert np.array_equal(window, whole[lo:hi])
+
+
+@PROPS
+@given(seed=seeds, d=st.integers(1, 2), n_fine=st.integers(1, 80), first=firsts,
+       n_paths=st.integers(1, BLOCK_PATHS + 10), data=st.data())
+def test_time_chunks_equal_slices_of_one_call(seed, d, n_fine, first, n_paths, data):
+    whole = increment_batch(seed, d, 1.0, n_fine, first, n_paths)
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, n_fine - 1), max_size=4))
+                      if n_fine > 1 else []))
+    streams = block_streams(seed, first, n_paths)
+    for lo, hi in zip([0, *cuts], [*cuts, n_fine]):
+        chunk = increment_batch(seed, d, 1.0, n_fine, first, n_paths,
+                                streams=streams, n_steps=hi - lo)
+        assert np.array_equal(chunk, whole[:, lo:hi])
 
 
 @PROPS

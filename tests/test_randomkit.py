@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from irregmc import avikainen as av
+from irregmc import randomkit
 from irregmc.errors import InvalidArgumentError
 from irregmc.payoff import make_payoff
 from irregmc.randomkit import (
     BLOCK_PATHS,
     StreamTag,
+    block_streams,
     derive_seed,
     increment_batch,
     path_windows,
     stream,
+    time_chunks,
 )
 from irregmc.sde import block_sums
 
@@ -159,15 +162,54 @@ def test_path_windows_cover_and_align():
         assert all(s + c == t for (s, c), t in zip(wins, starts[1:]))
         size = max(c for _, c in wins)
         assert all((s + c) % size == 0 for s, c in wins[:-1])
-    # windows split no block (so none is drawn twice) while a block holds at
-    # most 2**24 normals; past that they narrow to 2**24 normals
-    for per_path in (256, 4096, 1 << 14):
+    # windows split no block (so none is drawn twice) at any depth: drivers
+    # draw a window in time chunks, so its width need not shrink
+    for per_path in (256, 4096, 1 << 14, 1 << 15, 1 << 20):
         wins = list(path_windows(100, 5000, per_path))
         blocks = [b for s, c in wins
                   for b in range(s // BLOCK_PATHS, -(-(s + c) // BLOCK_PATHS))]
         assert len(blocks) == len(set(blocks))
-    assert max(c for _, c in path_windows(0, 5000, 1 << 15)) == BLOCK_PATHS // 2
+        aligned = list(path_windows(0, 5000, per_path))
+        assert all(s % BLOCK_PATHS == 0 and c % BLOCK_PATHS == 0 for s, c in aligned[:-1])
     assert list(path_windows(3, 0, 16)) == []
+
+
+def test_block_streams_continue_across_calls():
+    # 100 steps at d = 2 span several buffer draws per chunk; the window
+    # crosses a block edge
+    first, n_paths, n_fine, d = BLOCK_PATHS - 3, 5, 100, 2
+    whole = increment_batch(99, d, 1.5, n_fine, first, n_paths)
+    streams = block_streams(99, first, n_paths)
+    assert len(streams) == 2
+    parts = [increment_batch(99, d, 1.5, n_fine, first, n_paths, streams=streams, n_steps=k)
+             for k in (1, 40, 59)]
+    assert all(part.shape == (n_paths, k, d) for part, k in zip(parts, (1, 40, 59)))
+    assert np.array_equal(np.concatenate(parts, axis=1), whole)
+    aux = block_streams(99, first, n_paths, StreamTag.AUXILIARY)
+    assert np.array_equal(increment_batch(99, d, 1.5, n_fine, first, n_paths, streams=aux),
+                          increment_batch(99, d, 1.5, n_fine, first, n_paths,
+                                          StreamTag.AUXILIARY))
+    assert block_streams(99, 7, 0) == []
+
+
+def test_stream_arguments_are_checked():
+    streams = block_streams(1, 0, 4)
+    with pytest.raises(InvalidArgumentError):
+        increment_batch(1, 1, 1.0, 8, 0, 2000, streams=streams)  # 2 blocks, 1 stream
+    for bad in (0, 9):
+        with pytest.raises(InvalidArgumentError):
+            increment_batch(1, 1, 1.0, 8, 0, 4, streams=streams, n_steps=bad)
+
+
+def test_time_chunks(monkeypatch):
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", 1000)
+    assert time_chunks(64, 10, 8) == [(0, 64)]  # 100 steps fit the budget
+    assert time_chunks(64, 100, 4) == [(k, 8) for k in range(0, 64, 8)]
+    # a multiple that does not divide n_fine leaves a shorter last chunk
+    assert time_chunks(60, 100, 8) == [(k, 8) for k in range(0, 56, 8)] + [(56, 4)]
+    # a multiple over the budget is one chunk anyway
+    assert time_chunks(64, 100, 16) == [(k, 16) for k in range(0, 64, 16)]
+    assert time_chunks(1, 10**6) == [(0, 1)]
 
 
 def test_derive_seed_is_stable_and_spreads():

@@ -72,6 +72,46 @@ def test_nonfinite_state_names_step():
         em_terminal_batch(bad, inc)
 
 
+@pytest.mark.parametrize("cuts", [[8], [4, 12], [8, 12, 20]])
+def test_chunked_stepping_equals_one_call(cuts):
+    # continuing from the last state at the global step k0 reproduces one call
+    # bit for bit, for the fine path and the coarse one on block sums; the
+    # coefficients depend on t, so a chunk must step at the global times
+    model = diagonal_model("moving", 2, 1.0, 0.0,
+                           drift=lambda t, x: np.sin(x + 5.0 * t),
+                           sigma=lambda t, x: 1.0 + 0.5 * np.cos(x - 3.0 * t),
+                           sup_b=2**0.5, a_lower=0.25, a_upper=2.25)
+    inc = increment_batch(6, 2, 1.0, 24, 1000, 40)
+    fine, coarse = coupled_terminal_batch(model, inc, 4)
+    x, state = None, None
+    for k0, k1 in zip([0, *cuts], [*cuts, 24]):
+        x = em_terminal_batch(model, inc[:, k0:k1], None, x, k0, 24)
+        state = coupled_terminal_batch(model, inc[:, k0:k1], 4, None, state, k0, 24)
+    assert np.array_equal(x, fine)
+    assert np.array_equal(state[0], fine) and np.array_equal(state[1], coarse)
+
+
+def test_continuation_checks_its_grid():
+    model = make_model("sincos")
+    inc = increment_batch(1, 1, 1.0, 8, 0, 2)
+    with pytest.raises(InvalidArgumentError):
+        em_terminal_batch(model, inc, None, None, 4, 10)  # steps 4..11 of 10
+    with pytest.raises(InvalidArgumentError):
+        coupled_terminal_batch(model, inc, 4, None, None, 2, 16)  # k0 not a multiple of M
+
+
+def test_nonfinite_state_names_the_global_step():
+    blowup = diagonal_model("blowup", 1, 1.0, 0.0,
+                            drift=lambda t, x: np.where(t >= 0.5, np.inf, 0.0) + x,
+                            sigma=lambda t, x: np.zeros_like(x),
+                            sup_b=0.0, a_lower=0.0, a_upper=0.0)
+    inc = increment_batch(1, 1, 1.0, 8, 0, 2)
+    x = em_terminal_batch(blowup, inc[:, :2], None, None, 0, 8)
+    # the chunk's third step is step 4, the first with t = 4/8 >= 0.5
+    with pytest.raises(NumericFailureError, match="step 4"):
+        em_terminal_batch(blowup, inc[:, 2:], None, x, 2, 8)
+
+
 @pytest.mark.parametrize("M", [1, 2, 8])
 def test_coupling_exact_for_constant_coefficients(M):
     model = make_model("constant", mu=0.3, sigma=0.5)

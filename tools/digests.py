@@ -6,6 +6,9 @@ Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
   and ``gsp_field`` on the seeded random measures, in 1D and 2D;
 - ``pointwise_check`` reports;
 - Euler-Maruyama terminals and M=4 coupled terminals of every registry model;
+- an error curve, a level's statistics and a histogram drawn in small time
+  chunks (a tree without ``randomkit.CHUNK_NORMALS`` draws whole windows, so
+  comparing with it checks that chunking changes no number);
 - the ``maximal``, ``inequality``, ``rate``, ``mlmc``, ``complexity`` and
   ``density`` CLI artifacts on small configs (``summary.json`` holds wall
   times and is left out).
@@ -15,9 +18,9 @@ Usage, from the repository root:
     python tools/digests.py                  # digests of this tree
     python tools/digests.py --against HEAD~  # compare with a revision
 
-``--against`` checks the revision out in a temporary ``git worktree``, runs
-this same script on its ``src/`` and lists the digests that differ; the exit
-code is 1 if any does. Floating-point results such as ``np.sin`` may differ
+``--against`` extracts the revision's ``src/`` with ``git archive`` into a
+temporary directory, runs this same script on it and lists the digests that
+differ; the exit code is 1 if any does. Floating-point results such as ``np.sin`` may differ
 between CPUs, so compare two trees on one machine rather than pinning digests.
 """
 
@@ -145,6 +148,26 @@ def em_digests():
         yield f"em_coupled_M4/{name}/coarse", _sha(coarse)
 
 
+def chunked_digests():
+    from irregmc import avikainen, diagnostics, mlmc, randomkit, sde
+    from irregmc.payoff import make_payoff
+
+    budget = getattr(randomkit, "CHUNK_NORMALS", None)
+    randomkit.CHUNK_NORMALS = 1 << 16  # 4 to 16 chunks per window below
+    try:
+        model = sde.make_model("sincos")
+        curve = avikainen.qerror_curve(model, make_payoff("clamp_ramp"), 2.0, [8, 32, 64],
+                                       N=3000, n_ref=256, seed=4)
+        yield "chunked/qerror_curve", _sha((curve.value.tobytes(), curve.stderr.tobytes()))
+        stats = mlmc.level_sample(model, make_payoff("interval_indicator"), 5, 4, 1500,
+                                  seed=9)
+        yield "chunked/level_sample", _sha((stats.mean, stats.variance, stats.cost))
+        hist = diagnostics.terminal_histogram(model, 256, 10_000, 40, seed=3)
+        yield "chunked/terminal_histogram", _sha((hist.edges.tobytes(), hist.counts.tobytes()))
+    finally:
+        randomkit.CHUNK_NORMALS = budget
+
+
 def cli_digests():
     from irregmc import cli
 
@@ -158,7 +181,7 @@ def cli_digests():
 
 
 def emit() -> None:
-    for group in (maximal_digests, em_digests, cli_digests):
+    for group in (maximal_digests, em_digests, chunked_digests, cli_digests):
         for name, digest in group():
             print(f"{digest}  {name}", flush=True)
 
@@ -176,14 +199,10 @@ def _run(src: Path) -> dict[str, str]:
 def against(rev: str) -> int:
     here = _run(ROOT / "src")
     with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "tree"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(tree), rev], check=True)
-        try:
-            there = _run(tree / "src")
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(tree)], check=True)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        there = _run(Path(tmp) / "src")
     differ = sorted(n for n in here.keys() & there.keys() if here[n] != there[n])
     only = sorted(here.keys() ^ there.keys())
     print(f"{len(here.keys() & there.keys())} digests compared against {rev}: "
