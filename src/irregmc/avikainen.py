@@ -25,6 +25,7 @@ from .stats import Welford, loglog_fit
 # Paths per window, read at call time; a multiple of BLOCK_PATHS, so windows
 # split no block and the curves do not depend on it.
 DEFAULT_BATCH = 4096
+MIN_PATHS = 1000  # fewest paths qerror_curves takes
 NOISE_FLOOR_FACTOR = 10.0
 
 
@@ -97,8 +98,8 @@ def qerror_curves(
     for n in n_list:
         if n < 1 or n_ref % n != 0:
             raise InvalidArgumentError(f"each n must divide n_ref; got n={n}, n_ref={n_ref}")
-    if N < 1000:
-        raise InvalidArgumentError("N must be >= 1000")
+    if N < MIN_PATHS:
+        raise InvalidArgumentError(f"N must be >= {MIN_PATHS}")
     accs = {(i, n): Welford() for i in range(len(targets)) for n in n_list}
     done = 0
     lcm = math.lcm(*(n_ref // n for n in n_list))

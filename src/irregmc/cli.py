@@ -50,6 +50,7 @@ _NEEDS_PAYOFF = {"rate", "inequality", "mlmc", "complexity"}
 _RATE_N_LIST = [8, 16, 32, 64, 128, 256, 512]
 _RATE_N_REF = 4096
 _DENSITY_N_LIST = [16, 64, 256]
+_PATHS_N = 100_000  # N of rate and density runs
 
 
 @dataclass
@@ -193,6 +194,10 @@ def _validate_ranges(kind: str, params: dict) -> None:
         n_list = params.get("n_list", _RATE_N_LIST if kind == "rate" else _DENSITY_N_LIST)
         if not isinstance(n_list, list) or not all(_is_int(n) and n >= 1 for n in n_list):
             raise ConfigError(f"n_list must be a list of integers >= 1, got {n_list!r}")
+        min_paths = av.MIN_PATHS if kind == "rate" else dg.MIN_PATHS
+        N = params.get("N", _PATHS_N)
+        if not (_is_int(N) and N >= min_paths):
+            raise ConfigError(f"N must be an integer >= {min_paths}, got {N!r}")
     if kind == "rate":
         n_ref = params.get("n_ref", _RATE_N_REF)
         if not (_is_int(n_ref) and n_ref >= 1):
@@ -227,7 +232,7 @@ def _run_rate(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
     p = config.params
     q = float(p.get("q", 2.0))
     n_list = p.get("n_list", _RATE_N_LIST)
-    N = int(p.get("N", 100_000))
+    N = int(p.get("N", _PATHS_N))
     n_ref = int(p.get("n_ref", _RATE_N_REF))
     seed = int(p.get("seed", 0))
     delta = float(p.get("delta", 0.7))
@@ -430,7 +435,7 @@ def _run_density(config: ExperimentConfig, out: str, summary: RunSummary) -> Non
     model = config.model
     p = config.params
     n_list = p.get("n_list", _DENSITY_N_LIST)
-    N = int(p.get("N", 100_000))
+    N = int(p.get("N", _PATHS_N))
     bins = int(p.get("bins", 60))
     seed = int(p.get("seed", 0))
     value_range = p.get("value_range")

@@ -17,6 +17,7 @@ from .randomkit import block_streams, increment_batch, path_windows, time_chunks
 from .sde import SdeModel, em_terminal_batch
 
 MIN_BIN_COUNT = 5
+MIN_PATHS = 10_000  # fewest paths terminal_histogram takes
 
 
 @dataclass
@@ -79,8 +80,8 @@ def terminal_histogram(
     Paths are drawn and stepped in time chunks of at most
     ``randomkit.CHUNK_NORMALS`` normals, so memory does not grow with n.
     """
-    if N < 10_000:
-        raise InvalidArgumentError("N must be >= 10^4")
+    if N < MIN_PATHS:
+        raise InvalidArgumentError(f"N must be >= {MIN_PATHS}")
     if bins < 20:
         raise InvalidArgumentError("need at least 20 bins")
     samples = np.empty(N)

@@ -5,17 +5,21 @@ radii is attained at an atom distance) or a grid density, never both. 1D
 densities are exact too (the sup is attained at a cell-boundary radius); 2D
 densities restrict radii to multiples of the grid spacing, a documented
 lower-bound bias. The weak-type bound is checked against A_1 = 5^d.
+
+The 1D, atomic and G_{s,p} kernels work in blocks of at most KERNEL_ELEMENTS
+pairs, so their memory does not grow with the number of points or nodes. A 2D
+maximal_field reuses one transform of the cell masses for every radius.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sp_fft
 from scipy.ndimage import gaussian_filter
-from scipy.signal import fftconvolve
 
 from .errors import (
     InsufficientDataError,
@@ -23,7 +27,7 @@ from .errors import (
 )
 
 WEAK_TYPE_A1_BASE = 5.0  # A_1 = 5^d
-KERNEL_ELEMENTS = 1 << 15  # (point, candidate) pairs per block of the 1D and atomic kernels
+KERNEL_ELEMENTS = 1 << 15  # pairs per block of the 1D, atomic and G_{s,p} kernels
 
 
 def ball_volume(d: int, s: float) -> float:
@@ -175,12 +179,12 @@ def random_density_2d(rng) -> GridMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _positive_radius(R) -> np.ndarray:
-    """R as a float array; every entry must be > 0 (written so NaN fails too)."""
-    R = np.asarray(R, dtype=float)
-    if not (R > 0).all():
-        raise InvalidArgumentError(f"radius bound must be positive, got {R}")
-    return R
+def _positive(values, what: str) -> np.ndarray:
+    """values as a float array; every entry must be > 0 (written so NaN fails too)."""
+    values = np.asarray(values, dtype=float)
+    if not (values > 0).all():
+        raise InvalidArgumentError(f"{what} must be positive, got {values}")
+    return values
 
 
 def _atomic_maximal(measure: GridMeasure, xs: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -284,7 +288,7 @@ def maximal_at(measure: GridMeasure, x, R=math.inf):
     densities restrict radii to spacing multiples and cover the included cell
     material with the ball of radius (k + 1/2) h, a conservative lower bound.
     """
-    R = _positive_radius(R)
+    R = _positive(R, "radius bound")
     x = np.asarray(x, dtype=float)
     xs = np.atleast_2d(x)
     if xs.ndim != 2 or xs.shape[1] != measure.d:
@@ -307,11 +311,12 @@ def maximal_at(measure: GridMeasure, x, R=math.inf):
 def maximal_field(measure: GridMeasure, R: float = math.inf) -> GridField:
     """Restricted maximal values at every grid node of the density's grid.
 
-    1D fields run the exact kernel of maximal_at over all nodes at once; 2D
-    fields run one disk convolution per ladder radius with the (k + 1/2) h
-    covering volume.
+    1D fields run the exact kernel of maximal_at over all nodes at once. 2D
+    fields take one rfft2 of the cell masses, at a shape that holds the
+    largest disk without wrap-around, then per ladder radius k one transform
+    of the disk kernel and one inverse, with the (k + 1/2) h covering volume.
     """
-    R = float(_positive_radius(R))
+    R = float(_positive(R, "radius bound"))
     if measure.density is None:
         raise InvalidArgumentError("maximal_field requires a density grid")
     density = measure.density
@@ -320,17 +325,22 @@ def maximal_field(measure: GridMeasure, R: float = math.inf) -> GridField:
         values = _density_maximal_1d(density, density.axis_nodes(), R)
         return GridField(d=1, lo=density.lo, hi=density.hi, spacing=h, values=values)
     cell_mass = density.values * h**2
-    out = np.zeros_like(cell_mass)
+    n = cell_mass.shape[0]
     diam_cells = int(math.ceil((density.hi - density.lo) / h * math.sqrt(2.0))) + 1
     k_max = int(min(math.floor(R / h + 1e-12), diam_cells)) if math.isfinite(R) else diam_cells
-    offs = np.arange(-k_max, k_max + 1)
-    oi, oj = np.meshgrid(offs, offs, indexing="ij")
-    rad2 = oi**2 + oj**2
+    # offsets beyond n - 1 reach no node; L >= n + reach keeps the circular
+    # convolution free of wrap-around on the n x n output
+    reach = min(k_max, n - 1)
+    L = sp_fft.next_fast_len(n + reach, real=True)
+    mass_hat = sp_fft.rfft2(cell_mass, s=(L, L))
+    idx = np.arange(L)
+    off = np.where(idx <= reach, idx, idx - L).astype(float)
+    off[reach + 1 : L - reach] = math.inf  # outside the largest box
+    rad2 = off[:, None] ** 2 + off[None, :] ** 2
+    out = np.zeros_like(cell_mass)
     for k in range(1, k_max + 1):
-        sel = rad2 <= k * k
-        # restrict kernel support to the k-box to keep FFTs small
-        kern = sel[k_max - k : k_max + k + 1, k_max - k : k_max + k + 1]
-        mass = fftconvolve(cell_mass, kern.astype(float), mode="same")
+        kern_hat = sp_fft.rfft2(rad2 <= k * k)
+        mass = sp_fft.irfft2(mass_hat * kern_hat, s=(L, L))[:n, :n]
         np.maximum(out, np.maximum(mass, 0.0) / ball_volume(2, (k + 0.5) * h), out=out)
     return GridField(d=2, lo=density.lo, hi=density.hi, spacing=h, values=out)
 
@@ -358,8 +368,7 @@ def superlevel_measure_atomic(measure: GridMeasure, lam: float) -> float:
     """
     if measure.d != 1 or not measure.is_atomic:
         raise InvalidArgumentError("exact superlevel needs a 1D atomic measure")
-    if lam <= 0:
-        raise InvalidArgumentError("lambda must be positive")
+    lam = float(_positive(lam, "lambda"))
     if measure.masses.size == 0:
         return 0.0
     pos = measure.atoms[:, 0]
@@ -390,9 +399,7 @@ def superlevel_measure_atomic(measure: GridMeasure, lam: float) -> float:
 
 def weak_type_check(measure: GridMeasure, lambda_grid) -> MaximalReport:
     """Compare Leb{M nu > lam} against 5^d |nu|(R^d) / lam for each lambda."""
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if np.any(lambda_grid <= 0):
-        raise InvalidArgumentError("lambda grid must be positive")
+    lambda_grid = _positive(lambda_grid, "lambda grid")
     d = measure.d
     bound = WEAK_TYPE_A1_BASE**d * measure.total_mass / lambda_grid
     if measure.is_atomic and d == 1:
@@ -440,32 +447,52 @@ def gsp_field(f: GridField, s: float, p: float) -> GridField:
     """Node-wise (integral over the box of |f(x)-f(y)|^p / |x-y|^{d+sp} dy)^{1/p}.
 
     The singular cell |x-y| < spacing/2 is excluded; for grid nodes that is
-    exactly the diagonal term.
+    exactly the diagonal term. The values are viewed as (rows, n), one row in
+    1D; for each leading-axis offset o1 >= 0 every last-axis pair (j, j') of
+    rows r and r - o1 is one block of |v[r, j] - v[r - o1, j']|^p weights,
+    with the weight of the offset (o1, j - j'). At o1 = 0 only j > j' has
+    weight, so each unordered pair counts once; a block's row sums go to its
+    x nodes and its column sums to its y nodes. Blocks hold at most
+    KERNEL_ELEMENTS pairs.
     """
     if not 0.0 < s < 1.0:
         raise InvalidArgumentError("s must lie in (0,1)")
-    if p < 1.0:
-        raise InvalidArgumentError("p must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise InvalidArgumentError(f"p must lie in [1, inf), got {p}")
     h, d = f.spacing, f.d
-    vals = f.values
-    n = vals.shape[0]
+    vals = f.values.reshape(-1, f.values.shape[-1])
+    rows, n = vals.shape
     acc = np.zeros_like(vals)
-    cell = math.prod([h] * d)  # h**d as a product: pow may round h*h differently
-    # per-axis slices of the nodes x and y = x - o for an offset o
-    at_x = {k: slice(k, n) if k >= 0 else slice(0, n + k) for k in range(1 - n, n)}
-    at_y = {k: slice(0, n - k) if k >= 0 else slice(-k, n) for k in range(1 - n, n)}
-    zero = (0,) * d
-    # each unordered node pair once: offsets lexicographically above zero
-    for o in itertools.product(range(1 - n, n), repeat=d):
-        if o <= zero:
-            continue
-        w = cell / (h * math.hypot(*o)) ** (d + s * p)
-        x = tuple(at_x[k] for k in o)
-        y = tuple(at_y[k] for k in o)
-        diff = np.abs(vals[x] - vals[y]) ** p * w
-        acc[x] += diff
-        acc[y] += diff
-    return GridField(d=d, lo=f.lo, hi=f.hi, spacing=h, values=acc ** (1.0 / p))
+    # weights[o1, o2 + n - 1] for the offset (o1, o2); none at o1 = 0, o2 <= 0
+    lead, last = np.ogrid[:rows, 1 - n : n]
+    with np.errstate(divide="ignore"):
+        weights = h**d / (h * np.hypot(lead, last)) ** (d + s * p)
+    weights[0, :n] = 0.0
+    # toeplitz[o1][j, j'] is the weight of o2 = j - j' (a strided view)
+    toeplitz = sliding_window_view(weights[:, ::-1], n, axis=1)[:, ::-1]
+    cols = min(n, max(1, KERNEL_ELEMENTS // n))
+    block_rows = max(1, KERNEL_ELEMENTS // (cols * n))
+    buf = np.empty(block_rows * cols * n)
+    ones = np.ones(n)
+    for o1 in range(rows):
+        for j0 in range(0, n, cols):
+            j1 = min(n, j0 + cols)
+            width = j1 if o1 == 0 else n  # at o1 = 0 no y column j' >= j1 weighs
+            w = np.ascontiguousarray(toeplitz[o1, j0:j1, :width])
+            for r0 in range(o1, rows, block_rows):
+                r1 = min(rows, r0 + block_rows)
+                pair = buf[: (r1 - r0) * (j1 - j0) * width].reshape(r1 - r0, j1 - j0, width)
+                np.subtract(vals[r0:r1, j0:j1, None], vals[r0 - o1 : r1 - o1, None, :width],
+                            out=pair)
+                np.abs(pair, out=pair)
+                pair **= p  # in place, and a square at p = 2
+                pair *= w
+                # the terms are nonnegative, so any summation order is accurate;
+                # products with ones are the fastest row and column sums
+                acc[r0:r1, j0:j1] += pair @ ones[:width]
+                acc[r0 - o1 : r1 - o1, :width] += ones[: j1 - j0] @ pair
+    return GridField(d=d, lo=f.lo, hi=f.hi, spacing=h,
+                     values=(acc ** (1.0 / p)).reshape(f.values.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,8 @@ def test_block_name_must_be_a_string():
     ("density", {"n_list": [16, "many"]}, "n_list"),
     ("mlmc", {"n_pilot": "many"}, "n_pilot"),
     ("mlmc", {"n_pilot": 1}, "n_pilot"),
+    ("rate", {"N": 10}, "N must be an integer >= 1000"),
+    ("density", {"N": 100}, "N must be an integer >= 10000"),
 ])
 def test_runtime_param_errors_exit_2(tmp_path, capsys, kind, params, message):
     # each of these used to reach the library and end in a traceback
@@ -116,7 +118,9 @@ def test_runtime_param_errors_exit_2(tmp_path, capsys, kind, params, message):
     cfg_path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main([kind, "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_delta_range_rejected():

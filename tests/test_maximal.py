@@ -1,7 +1,10 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from irregmc.errors import InsufficientDataError, InvalidArgumentError
 from irregmc.maximal import (
@@ -96,6 +99,18 @@ def test_two_atom_superlevel_against_scan():
         exact = superlevel_measure_atomic(nu, lam)
         scan = float(np.count_nonzero(vals > lam)) * (xs[1] - xs[0])
         assert exact == pytest.approx(scan, abs=3 * (xs[1] - xs[0]))
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, -math.inf, math.nan])
+@pytest.mark.parametrize("maker", [random_atomic_measure, random_density_1d,
+                                   random_density_2d])
+def test_nonpositive_lambda_rejected(maker, lam):
+    nu = maker(np.random.default_rng(6))
+    with pytest.raises(InvalidArgumentError, match="lambda"):
+        weak_type_check(nu, [lam, 1.0])
+    if nu.is_atomic:
+        with pytest.raises(InvalidArgumentError, match="lambda"):
+            superlevel_measure_atomic(nu, lam)
 
 
 def test_weak_type_slab(slab):
@@ -302,6 +317,9 @@ def test_percentile_lambda_grid():
 def test_gsp_zero_function():
     f = GridField(d=1, lo=-1.0, hi=1.0, spacing=0.125, values=np.zeros(17))
     assert np.all(gsp_field(f, 0.5, 2.0).values == 0.0)
+    const = GridField(d=2, lo=-1.0, hi=1.0, spacing=0.25, values=np.full((9, 9), 3.7))
+    for s, p in ((0.5, 2.0), (0.3, 1.5)):
+        assert np.all(gsp_field(const, s, p).values == 0.0)
 
 
 def test_gsp_brute_force_1d():
@@ -373,6 +391,85 @@ def test_gsp_argument_validation():
         gsp_field(f, 1.5, 2.0)
     with pytest.raises(InvalidArgumentError):
         gsp_field(f, 0.5, 0.5)
+    for p in (math.nan, math.inf):
+        with pytest.raises(InvalidArgumentError, match="p must"):
+            gsp_field(f, 0.5, p)
+
+
+# Reference forms of two kernels: the G_{s,p} loop over every offset and the
+# 2D maximal ladder of one fftconvolve per radius. The library kernels sum in
+# another order, so they must agree to rounding, not bit for bit.
+
+
+def _ref_gsp_field(f, s, p):
+    h, d = f.spacing, f.d
+    vals = f.values
+    n = vals.shape[0]
+    acc = np.zeros_like(vals)
+    cell = math.prod([h] * d)
+    at_x = {k: slice(k, n) if k >= 0 else slice(0, n + k) for k in range(1 - n, n)}
+    at_y = {k: slice(0, n - k) if k >= 0 else slice(-k, n) for k in range(1 - n, n)}
+    zero = (0,) * d
+    for o in itertools.product(range(1 - n, n), repeat=d):
+        if o <= zero:
+            continue
+        w = cell / (h * math.hypot(*o)) ** (d + s * p)
+        x = tuple(at_x[k] for k in o)
+        y = tuple(at_y[k] for k in o)
+        diff = np.abs(vals[x] - vals[y]) ** p * w
+        acc[x] += diff
+        acc[y] += diff
+    return acc ** (1.0 / p)
+
+
+def _ref_maximal_field_2d(density, R):
+    h = density.spacing
+    cell_mass = density.values * h**2
+    out = np.zeros_like(cell_mass)
+    diam_cells = int(math.ceil((density.hi - density.lo) / h * math.sqrt(2.0))) + 1
+    k_max = int(min(math.floor(R / h + 1e-12), diam_cells)) if math.isfinite(R) else diam_cells
+    offs = np.arange(-k_max, k_max + 1)
+    oi, oj = np.meshgrid(offs, offs, indexing="ij")
+    rad2 = oi**2 + oj**2
+    for k in range(1, k_max + 1):
+        kern = (rad2 <= k * k)[k_max - k : k_max + k + 1, k_max - k : k_max + k + 1]
+        mass = fftconvolve(cell_mass, kern.astype(float), mode="same")
+        np.maximum(out, np.maximum(mass, 0.0) / ball_volume(2, (k + 0.5) * h), out=out)
+    return out
+
+
+def _assert_close(new, ref):
+    """rel 1e-12, or 1e-15 of the largest value for nodes near zero."""
+    np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-15 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("s, p", [(0.5, 2.0), (0.3, 1.5), (0.8, 1.0)])
+@pytest.mark.parametrize("maker", [random_density_1d, random_density_2d])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gsp_field_matches_offset_loop(maker, seed, s, p):
+    f = maker(np.random.default_rng(seed)).density
+    _assert_close(gsp_field(f, s, p).values, _ref_gsp_field(f, s, p))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_maximal_field_2d_matches_fftconvolve_ladder(seed):
+    nu = random_density_2d(np.random.default_rng(seed))
+    for R in (math.inf, 0.3, 0.5 * nu.density.spacing):
+        _assert_close(maximal_field(nu, R).values, _ref_maximal_field_2d(nu.density, R))
+
+
+def test_gsp_field_never_builds_the_pair_matrix():
+    tent = lambda x: np.maximum(0.0, 1.0 - np.abs(x[..., 0]))
+    f = GridField.from_function(tent, 1, -2.0, 2.0, 1024)
+    n = f.n_nodes_per_axis
+    tracemalloc.start()
+    try:
+        gsp_field(f, 0.5, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the n x n float pair matrix alone is 8.4 MB; blocks hold 2**15 pairs
+    assert peak < n * n * 8 // 4
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
 
 - ``maximal_at`` (one point per call, and batches of points), ``maximal_field``
-  and ``gsp_field`` on the seeded random measures, in 1D and 2D;
+  and ``gsp_field`` on the seeded random measures, in 1D and 2D; ``gsp_field``
+  at (s, p) = (0.5, 2), where the power is a square, and at (0.3, 1.5);
 - ``pointwise_check`` reports;
 - Euler-Maruyama terminals and M=4 coupled terminals of every registry model;
 - an error curve, a level's statistics and a histogram drawn in small time
@@ -111,6 +112,8 @@ def maximal_digests():
                            _sha(mx.maximal_field(nu, R).values))
                 yield (f"gsp_field/{kind}/seed{seed}",
                        _sha(mx.gsp_field(nu.density, 0.5, 2.0).values))
+                yield (f"gsp_field/{kind}/seed{seed}/s=0.3,p=1.5",
+                       _sha(mx.gsp_field(nu.density, 0.3, 1.5).values))
     tent = lambda x: np.maximum(0.0, 1.0 - np.abs(x[..., 0]))  # noqa: E731
     for cells in (32, 257):
         f = mx.GridField.from_function(tent, 1, -2.0, 2.0, cells)
