@@ -51,6 +51,8 @@ _RATE_N_LIST = [8, 16, 32, 64, 128, 256, 512]
 _RATE_N_REF = 4096
 _DENSITY_N_LIST = [16, 64, 256]
 _PATHS_N = 100_000  # N of rate and density runs
+_MAXIMAL_COUNTS = {"n_atomic": 100, "n_grid_1d": 50, "n_grid_2d": 50}  # measures per kind
+_N_LAMBDAS = 10
 
 
 @dataclass
@@ -198,6 +200,16 @@ def _validate_ranges(kind: str, params: dict) -> None:
         N = params.get("N", _PATHS_N)
         if not (_is_int(N) and N >= min_paths):
             raise ConfigError(f"N must be an integer >= {min_paths}, got {N!r}")
+    if kind == "maximal":
+        counts = {key: params.get(key, default) for key, default in _MAXIMAL_COUNTS.items()}
+        for key, count in counts.items():
+            if not (_is_int(count) and count >= 0):
+                raise ConfigError(f"{key} must be an integer >= 0, got {count!r}")
+        if not any(counts.values()):
+            raise ConfigError(f"at least one of {sorted(counts)} must be positive")
+        n_lambdas = params.get("n_lambdas", _N_LAMBDAS)
+        if not (_is_int(n_lambdas) and n_lambdas >= 1):
+            raise ConfigError(f"n_lambdas must be an integer >= 1, got {n_lambdas!r}")
     if kind == "rate":
         n_ref = params.get("n_ref", _RATE_N_REF)
         if not (_is_int(n_ref) and n_ref >= 1):
@@ -302,18 +314,18 @@ def _run_inequality(config: ExperimentConfig, out: str, summary: RunSummary) -> 
 def _run_maximal(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
     p = config.params
     seed = int(p.get("seed", 0))
-    n_lambdas = int(p.get("n_lambdas", 10))
+    n_lambdas = p.get("n_lambdas", _N_LAMBDAS)
     rng = np.random.default_rng(seed)
     rows = ["measure_id,kind,lambda,superlevel,bound"]
     total_violations = 0
     mid = 0
     plans = (
-        ("atomic", int(p.get("n_atomic", 100)), mx.random_atomic_measure),
-        ("grid1d", int(p.get("n_grid_1d", 50)), mx.random_density_1d),
-        ("grid2d", int(p.get("n_grid_2d", 50)), mx.random_density_2d),
+        ("atomic", "n_atomic", mx.random_atomic_measure),
+        ("grid1d", "n_grid_1d", mx.random_density_1d),
+        ("grid2d", "n_grid_2d", mx.random_density_2d),
     )
-    for kind, count, maker in plans:
-        for _ in range(count):
+    for kind, key, maker in plans:
+        for _ in range(p.get(key, _MAXIMAL_COUNTS[key])):
             nu = maker(rng)
             if nu.is_atomic:
                 probes = np.concatenate(

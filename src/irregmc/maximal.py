@@ -8,7 +8,9 @@ lower-bound bias. The weak-type bound is checked against A_1 = 5^d.
 
 The 1D, atomic and G_{s,p} kernels work in blocks of at most KERNEL_ELEMENTS
 pairs, so their memory does not grow with the number of points or nodes. A 2D
-maximal_field reuses one transform of the cell masses for every radius.
+maximal_field reuses one transform of the cell masses for every radius, and a
+2D maximal_at call looks up the radius bins of all its points that sit on
+nodes of a dyadic grid in one table over integer node offsets.
 """
 
 from __future__ import annotations
@@ -239,33 +241,86 @@ def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np
     """M_R of a 2D density on the radius ladder k h at each row of xs, shape (P,).
 
     Cell masses are binned by ceil(|node - x| / h) into disk masses for
-    k = 0..k_max, with one overflow bin. Only the rows and columns within
-    (k_max + 1) h of x are binned: every node outside that window falls in
-    the overflow bin, and the window keeps the row-major order of its nodes,
-    so each bin sums the same weights in the same order as a whole-grid pass.
+    k = 0..k_max. Only the rows and columns within (k_max + 1) h of x are
+    binned: every node outside that window lies beyond radius k_max h, and
+    the window keeps the row-major order of its nodes, so each disk sums the
+    same weights in the same order as a whole-grid pass. Bins above k_max
+    only lengthen the counts.
+
+    A point is on the node grid when its node offsets ax - x[0] and
+    ax - x[1] equal h * a for integers a bit for bit (as on the nodes of a
+    grid with dyadic spacing).
+    Its bins depend only on those integers, so all such points of a call
+    slice one table of bins, built once for the largest window; other points
+    compute their bins from their offsets. Both give the same bins.
     """
     h = density.spacing
     ax = density.axis_nodes()
+    n = ax.size
     weights = density.values * h**density.d
+    steps = h * np.arange(1 - n, n)  # h * a for every node offset a
+    k_tops = [_ladder_top(density, x, r) for x, r in zip(xs, R)]
+    nodes = [(_node_index(ax - x[0], steps), _node_index(ax - x[1], steps))
+             for x in xs]
+    half = max((k + 1 for k, node in zip(k_tops, nodes) if k >= 1 and None not in node),
+               default=0)
+    c = min(half, n - 1)
+    table = _bin_table(h, c) if half else None
     out = np.zeros(len(xs))
-    for p, (x, r) in enumerate(zip(xs, R)):
-        diam = (density.hi - density.lo) * math.sqrt(2.0) + float(np.max(np.abs(x)))
-        k_cap = math.ceil(diam / h) + 1
-        k_max = k_cap if math.isinf(r) else int(min(math.floor(r / h + 1e-12), k_cap))
+    for p, (x, k_max, (i, j)) in enumerate(zip(xs, k_tops, nodes)):
         if k_max < 1:
             continue
         reach = (k_max + 1) * h
         dx, rows = _window(ax - x[0], reach)
         dy, cols = _window(ax - x[1], reach)
-        dist = np.sqrt(dx[:, None] ** 2 + dy[None, :] ** 2)
-        bins = np.ceil(dist / h - 1e-12).astype(int)
-        np.clip(bins, 0, k_max + 1, out=bins)
+        if i is None or j is None:
+            dist = np.sqrt(dx[:, None] ** 2 + dy[None, :] ** 2)
+            bins = np.ceil(dist / h - 1e-12).astype(int)
+        else:  # the window's offsets are a run of h * a with |a| <= k_max + 1
+            bins = table[rows.start - i + c : rows.stop - i + c,
+                         cols.start - j + c : cols.stop - j + c]
         counts = np.bincount(bins.ravel(), weights=weights[rows, cols].ravel(),
-                             minlength=k_max + 2)
-        cum = np.cumsum(counts)[: k_max + 1]
+                             minlength=k_max + 1)
+        cum = np.cumsum(counts[: k_max + 1])
         ks = np.arange(1, k_max + 1)
         out[p] = np.max(cum[1:] / ball_volume(2, (ks + 0.5) * h))
     return out
+
+
+def _ladder_top(density: GridField, x: np.ndarray, r: float) -> int:
+    """The largest ladder index k with k h <= r, capped beyond the grid's reach."""
+    h = density.spacing
+    diam = (density.hi - density.lo) * math.sqrt(2.0) + float(np.max(np.abs(x)))
+    k_cap = math.ceil(diam / h) + 1
+    return k_cap if math.isinf(r) else int(min(math.floor(r / h + 1e-12), k_cap))
+
+
+def _node_index(offsets: np.ndarray, steps: np.ndarray) -> int | None:
+    """The node i at which offsets (n of them) equal steps[n - 1 - i : 2n - 1 - i]
+    exactly, that is h * (j - i) for every node j; None if there is none."""
+    n = offsets.size
+    i = int(np.argmin(np.abs(offsets)))
+    return i if np.array_equal(offsets, steps[n - 1 - i : 2 * n - 1 - i]) else None
+
+
+def _bin_table(h: float, c: int) -> np.ndarray:
+    """ceil(|(h a, h b)| / h - 1e-12) at [a + c, b + c] for |a|, |b| <= c, as
+    the per-point code computes it from the offsets h a and h b.
+
+    Only the quadrant a, b >= 0 is computed; it is mirrored into the other
+    three, which is exact because h * -a == -(h * a).
+    """
+    table = np.empty((2 * c + 1, 2 * c + 1), dtype=np.intp)
+    d = h * np.arange(c + 1)
+    quad = d[:, None] ** 2 + d[None, :] ** 2
+    np.sqrt(quad, out=quad)
+    quad /= h
+    quad -= 1e-12
+    np.ceil(quad, out=quad)
+    table[c:, c:] = quad
+    table[c:, :c] = quad[:, :0:-1]
+    table[:c] = table[:c:-1]
+    return table
 
 
 def _window(offsets: np.ndarray, reach: float) -> tuple[np.ndarray, slice]:
@@ -286,7 +341,9 @@ def maximal_at(measure: GridMeasure, x, R=math.inf):
     Exact for purely atomic measures and for 1D densities (piecewise-constant
     cell integration; the sup is attained at a cell-boundary radius). 2D
     densities restrict radii to spacing multiples and cover the included cell
-    material with the ball of radius (k + 1/2) h, a conservative lower bound.
+    material with the ball of radius (k + 1/2) h, a conservative lower bound;
+    a call builds one bin table for all its points on the node grid (see
+    _density_maximal_2d), and the values do not depend on it.
     """
     R = _positive(R, "radius bound")
     x = np.asarray(x, dtype=float)
@@ -400,6 +457,8 @@ def superlevel_measure_atomic(measure: GridMeasure, lam: float) -> float:
 def weak_type_check(measure: GridMeasure, lambda_grid) -> MaximalReport:
     """Compare Leb{M nu > lam} against 5^d |nu|(R^d) / lam for each lambda."""
     lambda_grid = _positive(lambda_grid, "lambda grid")
+    if lambda_grid.size == 0:
+        raise InvalidArgumentError("lambda grid must not be empty")
     d = measure.d
     bound = WEAK_TYPE_A1_BASE**d * measure.total_mass / lambda_grid
     if measure.is_atomic and d == 1:
@@ -427,6 +486,8 @@ def weak_type_check(measure: GridMeasure, lambda_grid) -> MaximalReport:
 def percentile_lambda_grid(values, count: int = 10,
                            lo_pct: float = 10.0, hi_pct: float = 99.0) -> np.ndarray:
     """Lambda grid spanning the [lo_pct, hi_pct] percentiles of maximal values."""
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise InvalidArgumentError(f"count must be an integer >= 1, got {count!r}")
     values = np.asarray(values, dtype=float)
     values = values[np.isfinite(values) & (values > 0)]
     if values.size == 0:

@@ -123,6 +123,26 @@ def test_runtime_param_errors_exit_2(tmp_path, capsys, kind, params, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"n_lambdas": "x"}, "n_lambdas must be an integer >= 1"),
+    ({"n_lambdas": 0}, "n_lambdas must be an integer >= 1"),
+    ({"n_lambdas": 2.0}, "n_lambdas must be an integer >= 1"),
+    ({"n_atomic": -1}, "n_atomic must be an integer >= 0"),
+    ({"n_atomic": 1.5}, "n_atomic must be an integer >= 0"),
+    ({"n_grid_2d": True}, "n_grid_2d must be an integer >= 0"),
+    ({"n_atomic": 0, "n_grid_1d": 0, "n_grid_2d": 0}, "must be positive"),
+])
+def test_maximal_counts_exit_2(tmp_path, capsys, params, message):
+    # each of these used to end in a traceback or pass over zero measures
+    doc = {"kind": "maximal", "params": params}
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["maximal", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_delta_range_rejected():
     doc = json.loads(json.dumps(RATE_CONFIG))
     doc["params"]["delta"] = 1.5

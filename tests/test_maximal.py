@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
+from irregmc import maximal as mx
 from irregmc.errors import InsufficientDataError, InvalidArgumentError
 from irregmc.maximal import (
     GridField,
@@ -207,6 +208,12 @@ def _ref_maximal_at(measure, x, R=math.inf):
     return float(np.max(cum[1:] / ball_volume(2, (ks + 0.5) * h)))
 
 
+def dyadic_ball_2d(rng):
+    """|Df| of the mollified unit ball on a 64-cell grid over [-2, 2]^2: the
+    spacing 1/16 is dyadic, so the node offsets are exact multiples of it."""
+    return mollified_ball_gradient(1.0, -2.0, 2.0, 64)[1]
+
+
 def _probe_points(nu, rng):
     """Nodes, off-node points and far points for a density; random points and
     the atoms themselves for an atomic measure."""
@@ -219,7 +226,7 @@ def _probe_points(nu, rng):
 
 
 @pytest.mark.parametrize("maker", [random_atomic_measure, random_density_1d,
-                                   random_density_2d])
+                                   random_density_2d, dyadic_ball_2d])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batched_maximal_at_equals_scalar_reference(maker, seed):
     rng = np.random.default_rng(seed)
@@ -240,6 +247,56 @@ def test_batched_maximal_at_equals_scalar_reference(maker, seed):
         assert np.all(maximal_at(nu, xs[-nu.atoms.shape[0]:]) == math.inf)
     elif nu.d == 2:  # no ladder radius fits below one spacing
         assert np.all(maximal_at(nu, xs, 0.5 * spacing) == 0.0)
+
+
+def _count_table_builds(monkeypatch):
+    """Wrap the 2D kernel's bin-table builder; returns the list of built tables."""
+    built = []
+    build = mx._bin_table
+
+    def counting(h, c):
+        built.append(build(h, c))
+        return built[-1]
+
+    monkeypatch.setattr(mx, "_bin_table", counting)
+    return built
+
+
+def test_bin_table_built_once_per_call_for_node_points(monkeypatch):
+    built = _count_table_builds(monkeypatch)
+    rng = np.random.default_rng(7)
+    dyadic = dyadic_ball_2d(rng)
+    nodes = dyadic.density.node_coords()
+    on_grid = nodes[rng.integers(0, len(nodes), 20)]
+    off_grid = rng.uniform(-2.5, 2.5, (20, 2))
+    for R in (math.inf, 0.5):
+        maximal_at(dyadic, np.concatenate([on_grid, off_grid]), R)
+        maximal_at(dyadic, on_grid[0], R)
+    assert len(built) == 4
+    # the table spans the largest window: all nodes at R = inf, 0.5 / h + 1 at R = 0.5
+    assert [t.shape[0] for t in built] == [129, 129, 19, 19]
+    maximal_at(dyadic, off_grid)
+    maximal_at(dyadic, on_grid, 0.5 * dyadic.density.spacing)  # no ladder radius
+    coarse = random_density_2d(rng)  # spacing 1/12: no node offset is exact
+    maximal_at(coarse, coarse.density.node_coords()[::7])
+    assert len(built) == 4
+
+
+def test_bin_table_memory_is_the_table(monkeypatch):
+    built = _count_table_builds(monkeypatch)
+    _, grad = mollified_ball_gradient(1.0, -2.0, 2.0, 512)
+    n = grad.density.n_nodes_per_axis
+    x = grad.density.node_coords()[n * 200 + 300]
+    tracemalloc.start()
+    try:
+        value = maximal_at(grad, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [t.shape for t in built] == [(2 * n - 1, 2 * n - 1)]
+    assert value == _ref_maximal_at(grad, x)
+    # a (2n - 1)^2 float temporary next to the table would take 2x its bytes
+    assert peak <= 1.6 * built[0].nbytes
 
 
 def test_maximal_at_shapes():
@@ -307,6 +364,17 @@ def test_percentile_lambda_grid():
     assert np.all(np.diff(lams) > 0)
     with pytest.raises(InsufficientDataError):
         percentile_lambda_grid(np.zeros(10), 5)
+    for count in (0, -3, 2.5):
+        with pytest.raises(InvalidArgumentError, match="count"):
+            percentile_lambda_grid(np.geomspace(0.1, 10, 100), count)
+
+
+@pytest.mark.parametrize("maker", [random_atomic_measure, random_density_1d,
+                                   random_density_2d])
+def test_empty_lambda_grid_rejected(maker):
+    nu = maker(np.random.default_rng(6))
+    with pytest.raises(InvalidArgumentError, match="empty"):
+        weak_type_check(nu, [])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
 
 - ``maximal_at`` (one point per call, and batches of points), ``maximal_field``
-  and ``gsp_field`` on the seeded random measures, in 1D and 2D; ``gsp_field``
+  and ``gsp_field`` on the seeded random measures, in 1D and 2D, and
+  ``maximal_at`` on nodes and off-grid points of a 64-cell ball grid, whose
+  dyadic spacing puts its nodes on the 2D kernel's bin table; ``gsp_field``
   at (s, p) = (0.5, 2), where the power is a square, and at (0.3, 1.5);
 - ``pointwise_check`` reports;
 - Euler-Maruyama terminals and M=4 coupled terminals of every registry model;
@@ -114,6 +116,18 @@ def maximal_digests():
                        _sha(mx.gsp_field(nu.density, 0.5, 2.0).values))
                 yield (f"gsp_field/{kind}/seed{seed}/s=0.3,p=1.5",
                        _sha(mx.gsp_field(nu.density, 0.3, 1.5).values))
+    # the 64-cell ball grid has a dyadic spacing, so its nodes share one bin table
+    rng = np.random.default_rng(64)
+    _, nu = mx.mollified_ball_gradient(1.0, -2.0, 2.0, 64)
+    nodes = nu.density.node_coords()
+    xs = np.concatenate([nodes[rng.integers(0, len(nodes), 40)],
+                         rng.uniform(-2.5, 2.5, (40, 2))])
+    radii = {"inf": np.full(len(xs), math.inf), "0.5": np.full(len(xs), 0.5),
+             "mixed": rng.uniform(0.01, 3.0, len(xs))}
+    for label, R in radii.items():
+        one = np.array([mx.maximal_at(nu, x, r) for x, r in zip(xs, R)])
+        yield f"maximal_at/point/ball64/R={label}", _sha(one)
+        yield f"maximal_at/batch/ball64/R={label}", _sha(_batch(mx, nu, xs, R))
     tent = lambda x: np.maximum(0.0, 1.0 - np.abs(x[..., 0]))  # noqa: E731
     for cells in (32, 257):
         f = mx.GridField.from_function(tent, 1, -2.0, 2.0, cells)
