@@ -136,13 +136,6 @@ def qerror_curves(
     return curves
 
 
-def qerror_curve(
-    model: SdeModel, payoff: Payoff, q: float, n_list, N: int, n_ref: int,
-    seed: int,
-) -> ErrorCurve:
-    return qerror_curves(model, [(payoff, q)], n_list, N, n_ref, seed)[0]
-
-
 def fit_rate(curve: ErrorCurve) -> RateFit:
     """OLS slope of log value vs log n, excluding points below the noise floor.
 

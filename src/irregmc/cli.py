@@ -21,12 +21,10 @@ import numpy as np
 
 from . import avikainen as av
 from . import diagnostics as dg
-from . import maximal as mx
 from . import mlmc
 from . import payoff as po
 from . import sde
-from . import selftest
-from .errors import ConfigError, DegenerateCurveError, NonconvergenceError
+from .errors import ConfigError, DegenerateCurveError, InvalidArgumentError, NonconvergenceError
 
 OUT_ENV_VAR = "IRREGMC_OUT"
 
@@ -53,6 +51,10 @@ _DENSITY_N_LIST = [16, 64, 256]
 _PATHS_N = 100_000  # N of rate and density runs
 _MAXIMAL_COUNTS = {"n_atomic": 100, "n_grid_1d": 50, "n_grid_2d": 50}  # measures per kind
 _N_LAMBDAS = 10
+_INEQUALITY = {"family": "gaussian_shift", "rule": "bv", "p": 1.0, "q": 1.0, "r": math.inf}
+_INEQUALITY_N = 200_000
+_EPSILON_LIST = [0.02, 0.01, 0.005]
+_BINS = 60
 
 
 @dataclass
@@ -180,12 +182,21 @@ def _validate_ranges(kind: str, params: dict) -> None:
         raise ConfigError(f"delta must lie in (0,1), got {params['delta']}")
     if "epsilon" in params and not 0.0 < params["epsilon"] < 1.0:
         raise ConfigError(f"epsilon must lie in (0,1), got {params['epsilon']}")
-    if "epsilon_list" in params:
-        for eps in params["epsilon_list"]:
+    if kind == "complexity":
+        eps_list = params.get("epsilon_list", _EPSILON_LIST)
+        if not isinstance(eps_list, list) or not all(_is_number(e) for e in eps_list):
+            raise ConfigError(f"epsilon_list must be a list of numbers, got {eps_list!r}")
+        for eps in eps_list:
             if not 0.0 < eps < 1.0:
                 raise ConfigError(f"epsilon must lie in (0,1), got {eps}")
-    if "q" in params and params["q"] < 1:
-        raise ConfigError(f"q must be >= 1, got {params['q']}")
+        if len(eps_list) < mlmc.MIN_EPSILONS:
+            raise ConfigError(f"epsilon_list needs at least {mlmc.MIN_EPSILONS} epsilons, "
+                              f"got {len(eps_list)}")
+        if max(eps_list) < mlmc.MIN_EPSILON_SPAN * min(eps_list):
+            raise ConfigError(f"epsilon_list must span at least a "
+                              f"{mlmc.MIN_EPSILON_SPAN:g}x range, got {eps_list!r}")
+    if "q" in params and not (_is_number(params["q"]) and params["q"] >= 1):
+        raise ConfigError(f"q must be a number >= 1, got {params['q']!r}")
     if "M" in params and params["M"] not in (2, 4):
         raise ConfigError(f"M must be 2 or 4, got {params['M']}")
     if "s" in params and params["s"] is not None and not 0.0 < params["s"] < 1.0:
@@ -200,6 +211,25 @@ def _validate_ranges(kind: str, params: dict) -> None:
         N = params.get("N", _PATHS_N)
         if not (_is_int(N) and N >= min_paths):
             raise ConfigError(f"N must be an integer >= {min_paths}, got {N!r}")
+    if kind == "density":
+        bins = params.get("bins", _BINS)
+        if not (_is_int(bins) and bins >= dg.MIN_BINS):
+            raise ConfigError(f"bins must be an integer >= {dg.MIN_BINS}, got {bins!r}")
+    if kind == "inequality":
+        ip = {key: params.get(key, default) for key, default in _INEQUALITY.items()}
+        if ip["family"] not in av.PAIR_FAMILIES:
+            raise ConfigError(f"family must be one of {sorted(av.PAIR_FAMILIES)}, "
+                              f"got {ip['family']!r}")
+        N = params.get("N", _INEQUALITY_N)
+        if not (_is_int(N) and N >= 1):
+            raise ConfigError(f"N must be an integer >= 1, got {N!r}")
+        if not all(_is_number(ip[key]) for key in ("p", "q", "r")):
+            raise ConfigError(f"p, q and r must be numbers, got "
+                              f"{[ip['p'], ip['q'], ip['r']]!r}")
+        try:  # the rule's name, q < r, and s under rule fractional
+            av.exponent_rule(ip["rule"], ip["p"], ip["q"], ip["r"], params.get("s"))
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"bad inequality params: {exc}") from exc
     if kind == "maximal":
         counts = {key: params.get(key, default) for key, default in _MAXIMAL_COUNTS.items()}
         for key, count in counts.items():
@@ -221,6 +251,10 @@ def _validate_ranges(kind: str, params: dict) -> None:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +319,12 @@ def _run_rate(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
 def _run_inequality(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
     pay = config.payoff
     p = config.params
+    ip = {key: p.get(key, default) for key, default in _INEQUALITY.items()}
     rep = av.inequality_check(
-        p.get("family", "gaussian_shift"), pay,
-        p=float(p.get("p", 1.0)), q=float(p.get("q", 1.0)),
-        rule=p.get("rule", "bv"),
+        ip["family"], pay, p=float(ip["p"]), q=float(ip["q"]), rule=ip["rule"],
         scale_grid=p.get("scale_grid", [0.2, 0.1, 0.05, 0.025]),
-        N=int(p.get("N", 200_000)), seed=int(p.get("seed", 0)),
-        r=float(p.get("r", math.inf)), s=p.get("s"),
+        N=int(p.get("N", _INEQUALITY_N)), seed=int(p.get("seed", 0)),
+        r=float(ip["r"]), s=p.get("s"),
     )
     csv_path = os.path.join(out, "inequality.csv")
     _write_rows(csv_path, rep.csv_rows())
@@ -312,6 +345,8 @@ def _run_inequality(config: ExperimentConfig, out: str, summary: RunSummary) -> 
 
 
 def _run_maximal(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
+    from . import maximal as mx  # scipy.fft and scipy.ndimage; only this kind needs them
+
     p = config.params
     seed = int(p.get("seed", 0))
     n_lambdas = p.get("n_lambdas", _N_LAMBDAS)
@@ -402,7 +437,7 @@ def _run_mlmc(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
 def _run_complexity(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
     model, pay = config.model, config.payoff
     p = config.params
-    eps_list = p.get("epsilon_list", [0.02, 0.01, 0.005])
+    eps_list = p.get("epsilon_list", _EPSILON_LIST)
     M = int(p.get("M", 2))
     seed = int(p.get("seed", 0))
     delta = 0.9
@@ -448,7 +483,7 @@ def _run_density(config: ExperimentConfig, out: str, summary: RunSummary) -> Non
     p = config.params
     n_list = p.get("n_list", _DENSITY_N_LIST)
     N = int(p.get("N", _PATHS_N))
-    bins = int(p.get("bins", 60))
+    bins = int(p.get("bins", _BINS))
     seed = int(p.get("seed", 0))
     value_range = p.get("value_range")
     if value_range is not None:
@@ -531,6 +566,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "selftest":
+        from . import selftest  # imports every module and scipy.stats
+
         results = selftest.run_all(scale=args.scale)
         if args.out:
             os.makedirs(args.out, exist_ok=True)

@@ -18,6 +18,7 @@ from .sde import SdeModel, em_terminal_batch
 
 MIN_BIN_COUNT = 5
 MIN_PATHS = 10_000  # fewest paths terminal_histogram takes
+MIN_BINS = 20  # fewest bins terminal_histogram takes
 
 
 @dataclass
@@ -82,8 +83,8 @@ def terminal_histogram(
     """
     if N < MIN_PATHS:
         raise InvalidArgumentError(f"N must be >= {MIN_PATHS}")
-    if bins < 20:
-        raise InvalidArgumentError("need at least 20 bins")
+    if bins < MIN_BINS:
+        raise InvalidArgumentError(f"need at least {MIN_BINS} bins")
     samples = np.empty(N)
     for first, b in path_windows(0, N, n * model.d):
         streams = block_streams(seed, first, b)

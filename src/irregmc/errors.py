@@ -9,10 +9,6 @@ class NumericFailureError(ArithmeticError):
     """A numeric procedure produced non-finite values or failed to converge."""
 
 
-class UnsupportedOperationError(RuntimeError):
-    """The operation is not defined for this input (e.g. no closed form)."""
-
-
 class DegenerateCurveError(RuntimeError):
     """An error curve has no usable points (all zero or below noise floor)."""
 

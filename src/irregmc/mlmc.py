@@ -25,6 +25,8 @@ DEFAULT_PILOT = 1000
 DEFAULT_MAX_LEVEL = 12
 DEFAULT_MAX_ROUNDS = 5
 DEFAULT_BATCH = 65536  # window budget in normals, read at call time
+MIN_EPSILONS = 3  # fewest epsilons complexity_sweep takes
+MIN_EPSILON_SPAN = 4.0  # least max/min ratio of those epsilons
 
 
 @dataclass
@@ -378,10 +380,10 @@ def complexity_sweep(
     flagged rather than aborting the sweep.
     """
     epsilon_list = sorted(float(e) for e in epsilon_list)
-    if len(epsilon_list) < 3:
-        raise InvalidArgumentError("need >= 3 epsilons")
-    if max(epsilon_list) < 4.0 * min(epsilon_list):
-        raise InvalidArgumentError("epsilons must span at least a 4x range")
+    if len(epsilon_list) < MIN_EPSILONS:
+        raise InvalidArgumentError(f"need >= {MIN_EPSILONS} epsilons")
+    if max(epsilon_list) < MIN_EPSILON_SPAN * min(epsilon_list):
+        raise InvalidArgumentError(f"epsilons must span at least a {MIN_EPSILON_SPAN:g}x range")
     results, costs, ests, eps_ok, failed = [], [], [], [], []
     for i, eps in enumerate(epsilon_list):
         try:

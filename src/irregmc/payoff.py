@@ -12,13 +12,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .errors import (
-    InvalidArgumentError,
-    NumericFailureError,
-    UnsupportedOperationError,
-)
+from .errors import InvalidArgumentError, NumericFailureError
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +68,7 @@ def young_complement(young: YoungFunction, x: float) -> float:
         p = young.p
         p_star = p / (p - 1.0)
         return x**p_star / p_star
+    from scipy.optimize import minimize_scalar  # kept off the import of irregmc
 
     def neg_obj(y):
         return -(x * y - float(young.phi(y)))
@@ -124,6 +120,7 @@ def orlicz_bound_minimize(
     expo = 1.0 if math.isinf(r) else 1.0 - q / r
     if expo <= 0:
         raise InvalidArgumentError("need q < r")
+    from scipy.optimize import minimize_scalar  # kept off the import of irregmc
 
     def objective(lam):
         return lam ** (-expo) + young_inverse(young, lam) ** q * E
@@ -153,16 +150,13 @@ def orlicz_bound_minimize(
 class Payoff:
     """Evaluatable functional with function-space classification and metadata.
 
-    ``fn`` maps arrays of shape (..., d) to shape (...). ``structure`` is a
-    tuple describing the shape the closed-form total variation is computed
-    from; None when no closed form exists.
+    ``fn`` maps arrays of shape (..., d) to shape (...).
     """
 
     name: str
     fn: Callable
     space: str
     sup_norm: float
-    structure: tuple | None = None
     p: float | None = None
     s: float | None = None
 
@@ -183,8 +177,7 @@ def make_interval_indicator(a: float = 0.0, b: float = 1.0) -> Payoff:
         return ((x1 > a) & (x1 < b)).astype(float)
 
     return Payoff(
-        name=f"interval_indicator({a:g},{b:g})", fn=fn, space="bv",
-        sup_norm=1.0, structure=("interval", a, b),
+        name=f"interval_indicator({a:g},{b:g})", fn=fn, space="bv", sup_norm=1.0,
     )
 
 
@@ -197,8 +190,7 @@ def make_ball_indicator(d: int = 2, radius: float = 1.0, center: float = 0.0) ->
         return (np.linalg.norm(x - c, axis=-1) < radius).astype(float)
 
     return Payoff(
-        name=f"ball_indicator(d={d},R={radius:g})", fn=fn, space="bv",
-        sup_norm=1.0, structure=("ball", d, radius),
+        name=f"ball_indicator(d={d},R={radius:g})", fn=fn, space="bv", sup_norm=1.0,
     )
 
 
@@ -222,8 +214,7 @@ def make_tent(s: float = 0.5, p: float = 2.0) -> Payoff:
         return np.maximum(0.0, 1.0 - np.abs(_x1(x)))
 
     return Payoff(
-        name="tent", fn=fn, space="fractional", sup_norm=1.0,
-        structure=("pl1d", (-1.0, 0.0, 1.0), (0.0, 1.0, 0.0)), p=p, s=s,
+        name="tent", fn=fn, space="fractional", sup_norm=1.0, p=p, s=s,
     )
 
 
@@ -237,7 +228,7 @@ def make_tent_power(s: float = 0.5, p: float = 2.0) -> Payoff:
 
     return Payoff(
         name=f"tent_power(s={s:g})", fn=fn, space="fractional", sup_norm=1.0,
-        structure=("bump1d", 1.0), p=p, s=s,
+        p=p, s=s,
     )
 
 
@@ -249,8 +240,7 @@ def make_capped_hat(p: float = 2.0) -> Payoff:
         return np.minimum(1.0, np.maximum(0.0, 1.0 - np.abs(x1)) * (2.0 + x1))
 
     return Payoff(
-        name="capped_hat", fn=fn, space="sobolev", sup_norm=1.0,
-        structure=("bump1d", 1.0), p=p,
+        name="capped_hat", fn=fn, space="sobolev", sup_norm=1.0, p=p,
     )
 
 
@@ -264,8 +254,7 @@ def make_inverse_quarter(cap: float = 10.0) -> Payoff:
         return np.minimum(v, cap)
 
     return Payoff(
-        name=f"inverse_quarter(cap={cap:g})", fn=fn, space="bv",
-        sup_norm=float(cap), structure=("bump1d", float(cap)),
+        name=f"inverse_quarter(cap={cap:g})", fn=fn, space="bv", sup_norm=float(cap),
     )
 
 
@@ -286,32 +275,6 @@ def make_payoff(name: str, **params) -> Payoff:
             f"unknown payoff {name!r}; registry has {sorted(PAYOFF_REGISTRY)}"
         )
     return PAYOFF_REGISTRY[name](**params)
-
-
-def total_variation(payoff: Payoff) -> float:
-    """Closed-form total variation |Df|(R^d) for structured built-ins.
-
-    Interval indicator: 2. Ball indicator: surface area
-    2 pi^{d/2} R^{d-1} / Gamma(d/2). 1D piecewise-linear / unimodal bump:
-    sum of monotone rises and falls.
-    """
-    if payoff.structure is None:
-        raise UnsupportedOperationError(
-            f"payoff {payoff.name!r} has no closed-form total variation"
-        )
-    kind = payoff.structure[0]
-    if kind == "interval":
-        return 2.0
-    if kind == "ball":
-        _, d, radius = payoff.structure
-        return 2.0 * math.pi ** (d / 2.0) * radius ** (d - 1) / math.gamma(d / 2.0)
-    if kind == "pl1d":
-        _, _, ys = payoff.structure
-        return float(np.sum(np.abs(np.diff(np.array([0.0, *ys, 0.0])))))
-    if kind == "bump1d":
-        _, peak = payoff.structure
-        return 2.0 * float(peak)
-    raise UnsupportedOperationError(f"unknown payoff structure {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,19 @@ class StepCounter:
         self.steps += int(n)
 
 
-def _check_finite(x: np.ndarray, step: int) -> None:
-    if not np.isfinite(x).all():
-        raise NumericFailureError(f"non-finite state at Euler-Maruyama step {step}")
+def _em_steps(model: SdeModel, increments: np.ndarray, start, k0: int, dt: float,
+              check_each: bool = False) -> np.ndarray:
+    """States after the steps k0.. of increments from ``start``, which is copied."""
+    x = np.array(np.broadcast_to(start, (increments.shape[0], model.d)), dtype=float)
+    for j in range(k0, k0 + increments.shape[1]):
+        t = j * dt
+        drift = model.drift(t, x) * dt
+        noise = model.sigma(t, x) * increments[:, j - k0, :]
+        x += drift
+        x += noise
+        if check_each and not np.isfinite(x).all():
+            raise NumericFailureError(f"non-finite state at Euler-Maruyama step {j}")
+    return x
 
 
 def em_terminal_batch(
@@ -97,17 +107,15 @@ def em_terminal_batch(
         raise InvalidArgumentError(f"steps {k0}..{k0 + k - 1} do not lie on a {n}-step grid")
     dt = model.T / n
     start = model.x0 if x is None else x
-    x = np.array(np.broadcast_to(start, (n_paths, model.d)), dtype=float)
-    for j in range(k0, k0 + k):
-        t = j * dt
-        drift = model.drift(t, x) * dt
-        noise = model.sigma(t, x) * increments[:, j - k0, :]
-        x += drift
-        x += noise
-        _check_finite(x, j)
+    out = _em_steps(model, increments, start, k0, dt)
+    if k and not np.isfinite(out).all():
+        # a non-finite state stays non-finite under x += drift; x += noise, so
+        # one check per call catches it; the replay names the first bad step
+        _em_steps(model, increments, start, k0, dt, check_each=True)
+        raise NumericFailureError(f"non-finite state at Euler-Maruyama step {k0 + k - 1}")
     if counter is not None:
         counter.add(n_paths * k)
-    return x
+    return out
 
 
 def block_sums(increments: np.ndarray, M: int) -> np.ndarray:
@@ -219,32 +227,3 @@ def make_model(name: str, **params) -> SdeModel:
             f"unknown model {name!r}; registry has {sorted(MODEL_REGISTRY)}"
         )
     return MODEL_REGISTRY[name](**params)
-
-
-def verify_model(model: SdeModel, seed: int = 0, n_probe: int = 256) -> None:
-    """Numerically spot-check the declared coefficient bounds.
-
-    Samples (t, x, xi) and verifies drift boundedness and two-sided
-    ellipticity of a = diag(sigma)^2, <a xi, xi> = sum_i (sigma_i xi_i)^2,
-    against the metadata; raises InvalidArgumentError on a violation.
-    """
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(0.0, model.T, n_probe)
-    xs = rng.normal(scale=3.0, size=(n_probe, model.d))
-    tol = 1e-9
-    for t, x in zip(ts, xs):
-        xb = x[None, :]
-        b = float(np.linalg.norm(model.drift(float(t), xb)[0]))
-        if b > model.meta.sup_b + tol:
-            raise InvalidArgumentError(
-                f"drift bound violated: |b|={b:.6g} > sup_b={model.meta.sup_b}"
-            )
-        xi = rng.normal(size=model.d)
-        xi /= np.linalg.norm(xi)
-        quad = float(np.sum((model.sigma(float(t), xb)[0] * xi) ** 2))
-        if model.meta.a_upper > 0:
-            if quad < model.meta.a_lower - tol or quad > model.meta.a_upper + tol:
-                raise InvalidArgumentError(
-                    f"ellipticity bounds violated: <a xi, xi>={quad:.6g} outside "
-                    f"[{model.meta.a_lower}, {model.meta.a_upper}]"
-                )

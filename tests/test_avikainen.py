@@ -12,7 +12,6 @@ from irregmc.avikainen import (
     exponent_rule,
     fit_rate,
     inequality_check,
-    qerror_curve,
     qerror_curves,
 )
 from irregmc.errors import DegenerateCurveError, InvalidArgumentError
@@ -72,13 +71,13 @@ def test_qerror_constant_model_is_zero():
     # zero; smooth payoffs only see coupling roundoff (different summation
     # order between the fine and coarse paths)
     model = make_model("constant", mu=0.1, sigma=0.2)
-    curve = qerror_curve(model, make_payoff("interval_indicator"), 2.0,
-                         [8, 16, 32], 1000, 256, seed=3)
+    curve = qerror_curves(model, [(make_payoff("interval_indicator"), 2.0)],
+                          [8, 16, 32], 1000, 256, seed=3)[0]
     assert np.all(curve.value == 0.0)
     with pytest.raises(DegenerateCurveError):
         fit_rate(curve)
-    ramp_curve = qerror_curve(model, make_payoff("clamp_ramp"), 2.0,
-                              [8, 16, 32], 1000, 256, seed=3)
+    ramp_curve = qerror_curves(model, [(make_payoff("clamp_ramp"), 2.0)],
+                               [8, 16, 32], 1000, 256, seed=3)[0]
     assert np.all(ramp_curve.value <= 1e-28)
 
 
@@ -86,9 +85,9 @@ def test_qerror_preconditions():
     model = make_model("sincos")
     pay = make_payoff("clamp_ramp")
     with pytest.raises(InvalidArgumentError):
-        qerror_curve(model, pay, 2.0, [7], 1000, 256, seed=0)  # 7 does not divide 256
+        qerror_curves(model, [(pay, 2.0)], [7], 1000, 256, seed=0)[0]  # 7 does not divide 256
     with pytest.raises(InvalidArgumentError):
-        qerror_curve(model, pay, 2.0, [8], 100, 256, seed=0)  # N too small
+        qerror_curves(model, [(pay, 2.0)], [8], 100, 256, seed=0)[0]  # N too small
 
 
 def test_curves_do_not_depend_on_the_window_size(monkeypatch):
@@ -105,7 +104,7 @@ def test_curves_do_not_depend_on_the_window_size(monkeypatch):
             return increment_batch(*args, **kwargs)
 
         monkeypatch.setattr(av, "increment_batch", recording)
-        curves.append(qerror_curve(model, pay, 2.0, [8, 32], N=8192, n_ref=64, seed=5))
+        curves.append(qerror_curves(model, [(pay, 2.0)], [8, 32], N=8192, n_ref=64, seed=5)[0])
         windows.append(cut)
     assert windows == [[1024] * 8, [4096] * 2]
     assert curves[0].value.tolist() == curves[1].value.tolist()
@@ -213,18 +212,18 @@ def test_power_trick_bit_identity():
 def test_estimator_consistency_doubling_N():
     model = make_model("sincos")
     pay = make_payoff("clamp_ramp")
-    c1 = qerror_curve(model, pay, 2.0, [8, 32], 4000, 256, seed=9)
-    c2 = qerror_curve(model, pay, 2.0, [8, 32], 8000, 256, seed=9)
+    c1 = qerror_curves(model, [(pay, 2.0)], [8, 32], 4000, 256, seed=9)[0]
+    c2 = qerror_curves(model, [(pay, 2.0)], [8, 32], 8000, 256, seed=9)[0]
     for v1, s1, v2, s2 in zip(c1.value, c1.stderr, c2.value, c2.stderr):
         assert abs(v1 - v2) < 4 * math.hypot(s1, s2)
 
 
-def _refinement_fits(curve=qerror_curve):
+def _refinement_fits(curves=qerror_curves):
     model = make_model("sincos")
-    pay = make_payoff("clamp_ramp")
+    targets = [(make_payoff("clamp_ramp"), 2.0)]
     n_list = [8, 16, 32, 64]
-    f1 = fit_rate(curve(model, pay, 2.0, n_list, 20_000, 512, seed=11))
-    f2 = fit_rate(curve(model, pay, 2.0, n_list, 20_000, 1024, seed=11))
+    f1 = fit_rate(curves(model, targets, n_list, 20_000, 512, seed=11)[0])
+    f2 = fit_rate(curves(model, targets, n_list, 20_000, 1024, seed=11)[0])
     return f1, f2
 
 
@@ -242,10 +241,10 @@ def test_monotone_refinement_of_truth_proxy():
 def test_refinement_gate_fails_on_steeper_refined_curve():
     # tilt the n_ref=1024 curve by n^-0.2: the gate must catch the steepening
     def tilted(*args, **kwargs):
-        curve = qerror_curve(*args, **kwargs)
+        curve = qerror_curves(*args, **kwargs)[0]
         if curve.n_ref == 1024:
             curve.value = curve.value * (curve.n / curve.n[0]) ** -0.2
-        return curve
+        return [curve]
 
     f1, f2 = _refinement_fits(tilted)
     assert f2.slope < f1.slope
@@ -255,7 +254,7 @@ def test_refinement_gate_fails_on_steeper_refined_curve():
 def test_qerror_2d_model_with_ball_indicator():
     model = make_model("sincos2d")
     ball = make_payoff("ball_indicator", d=2, radius=1.0)
-    curve = qerror_curve(model, ball, 2.0, [8, 16, 32, 64], 20_000, 512, seed=21)
+    curve = qerror_curves(model, [(ball, 2.0)], [8, 16, 32, 64], 20_000, 512, seed=21)[0]
     assert np.all(np.diff(curve.value) < 0)
     fit = fit_rate(curve)
     assert -1.1 <= fit.slope <= -0.25

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import irregmc
 from irregmc.cli import (
     main,
     parse_config,
@@ -106,6 +109,13 @@ def test_block_name_must_be_a_string():
     ("mlmc", {"n_pilot": 1}, "n_pilot"),
     ("rate", {"N": 10}, "N must be an integer >= 1000"),
     ("density", {"N": 100}, "N must be an integer >= 10000"),
+    ("inequality", {"rule": "sobolev", "q": 2.0, "r": 2.0}, "need q < r"),
+    ("inequality", {"family": "cauchy_shift"}, "family must be one of"),
+    ("inequality", {"rule": "holder"}, "unknown exponent rule 'holder'"),
+    ("inequality", {"N": "many"}, "N must be an integer >= 1"),
+    ("density", {"bins": 5}, "bins must be an integer >= 20"),
+    ("complexity", {"epsilon_list": [0.02, 0.005]}, "at least 3 epsilons"),
+    ("complexity", {"epsilon_list": [0.02, 0.01, 0.008]}, "span at least a 4x range"),
 ])
 def test_runtime_param_errors_exit_2(tmp_path, capsys, kind, params, message):
     # each of these used to reach the library and end in a traceback
@@ -293,3 +303,56 @@ def test_summary_lists_every_artifact(tmp_path):
     listed = {os.path.basename(p) for p in summary.artifacts}
     produced = {p for p in os.listdir(tmp_path)}
     assert produced == listed
+
+
+# Runs each config through main in a fresh interpreter and prints the scipy
+# modules that are loaded at the end.
+_IMPORT_PROBE = """
+import json, os, sys
+from irregmc import cli
+out = sys.argv[1]
+for i, doc in enumerate(json.loads(sys.argv[2])):
+    path = os.path.join(out, f"{i}.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    rc = cli.main([doc["kind"], "--config", path, "--out", os.path.join(out, str(i))])
+    assert rc == 0, (doc["kind"], rc)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def test_simulation_kinds_never_import_scipy(tmp_path):
+    # scipy is needed only by the maximal kind, selftest and the Orlicz
+    # helpers; importing it costs about a second of each run's start-up
+    constant = {"name": "constant", "params": {"mu": 0.1, "sigma": 0.2}}
+    docs = [
+        RATE_CONFIG,
+        {"kind": "mlmc", "model": constant, "payoff": {"name": "clamp_ramp"},
+         "params": {"epsilon": 0.05, "seed": 3}},
+        {"kind": "inequality", "payoff": {"name": "interval_indicator"},
+         "params": {"scale_grid": [0.2, 0.1], "N": 2000, "seed": 5}},
+        {"kind": "complexity", "model": constant, "payoff": {"name": "clamp_ramp"},
+         "params": {"epsilon_list": [0.08, 0.04, 0.02], "seed": 7}},
+        {"kind": "density", "model": {"name": "constant", "params": {"sigma": 1.0}},
+         "params": {"n_list": [8], "N": 10000, "bins": 20, "seed": 6,
+                    "value_range": [-4, 4]}},
+    ]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(irregmc.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path), json.dumps(docs)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_selftest_command_writes_results(tmp_path, monkeypatch, capsys):
+    # main imports selftest only for this command; run_all is stubbed
+    from irregmc import selftest
+
+    fake = [selftest.CheckResult("1", "one", True), selftest.CheckResult("2", "two", False)]
+    monkeypatch.setattr(selftest, "run_all", lambda scale: fake)
+    assert main(["selftest", "--scale", "0.01", "--out", str(tmp_path)]) == 1
+    assert "1/2 checks passed" in capsys.readouterr().out
+    results = json.loads((tmp_path / "selftest.json").read_text())
+    assert results["1"]["passed"] is True and results["2"]["passed"] is False

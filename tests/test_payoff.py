@@ -3,46 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from irregmc.errors import InvalidArgumentError, UnsupportedOperationError
+from irregmc.errors import InvalidArgumentError
 from irregmc.payoff import (
     make_payoff,
     orlicz_bound_minimize,
     predicted_mlmc_exponent,
     predicted_strong_exponent,
-    total_variation,
     young_complement,
     young_inverse,
     young_plog,
     young_power,
 )
-
-
-# ---------------------------------------------------------------------------
-# Total variation
-# ---------------------------------------------------------------------------
-
-
-def test_total_variation_interval():
-    # Df of an interval indicator is two unit point masses
-    assert total_variation(make_payoff("interval_indicator")) == 2.0
-
-
-def test_total_variation_ball():
-    # d=2: perimeter of the unit circle; d=3: area of the unit sphere
-    assert total_variation(make_payoff("ball_indicator", d=2, radius=1.0)) == pytest.approx(2 * math.pi)
-    assert total_variation(make_payoff("ball_indicator", d=3, radius=1.0)) == pytest.approx(4 * math.pi)
-    assert total_variation(make_payoff("ball_indicator", d=2, radius=2.0)) == pytest.approx(4 * math.pi)
-
-
-def test_total_variation_piecewise():
-    assert total_variation(make_payoff("tent")) == 2.0
-    assert total_variation(make_payoff("tent_power", s=0.5)) == 2.0
-    assert total_variation(make_payoff("inverse_quarter", cap=10.0)) == 20.0
-
-
-def test_total_variation_unsupported():
-    with pytest.raises(UnsupportedOperationError):
-        total_variation(make_payoff("clamp_ramp"))
 
 
 def test_registry_unknown():

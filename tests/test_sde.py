@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from irregmc.sde import (
     diagonal_model,
     em_terminal_batch,
     make_model,
-    verify_model,
 )
 from irregmc.stats import loglog_fit
 
@@ -110,6 +110,16 @@ def test_nonfinite_state_names_the_global_step():
     # the chunk's third step is step 4, the first with t = 4/8 >= 0.5
     with pytest.raises(NumericFailureError, match="step 4"):
         em_terminal_batch(blowup, inc[:, 2:], None, x, 2, 8)
+
+
+def test_passing_call_emits_no_warning():
+    # finiteness is checked once per call, after the last step
+    model = make_model("sincos")
+    inc = increment_batch(3, 1, 1.0, 64, 0, 256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = em_terminal_batch(model, inc[:, :40], None, None, 0, 64)
+        em_terminal_batch(model, inc[:, 40:], None, x, 40, 64)
 
 
 @pytest.mark.parametrize("M", [1, 2, 8])
@@ -215,6 +225,35 @@ def test_coupled_fine_matches_euler():
     fine, coarse = coupled_terminal_batch(model, inc, 4)
     assert np.array_equal(fine, em_terminal_batch(model, inc))
     assert np.array_equal(coarse, em_terminal_batch(model, block_sums(inc, 4)))
+
+
+def verify_model(model, seed=0, n_probe=256):
+    """Numerically spot-check the declared coefficient bounds.
+
+    Samples (t, x, xi) and verifies drift boundedness and two-sided
+    ellipticity of a = diag(sigma)^2, <a xi, xi> = sum_i (sigma_i xi_i)^2,
+    against the metadata; raises InvalidArgumentError on a violation.
+    """
+    rng = np.random.default_rng(seed)
+    ts = rng.uniform(0.0, model.T, n_probe)
+    xs = rng.normal(scale=3.0, size=(n_probe, model.d))
+    tol = 1e-9
+    for t, x in zip(ts, xs):
+        xb = x[None, :]
+        b = float(np.linalg.norm(model.drift(float(t), xb)[0]))
+        if b > model.meta.sup_b + tol:
+            raise InvalidArgumentError(
+                f"drift bound violated: |b|={b:.6g} > sup_b={model.meta.sup_b}"
+            )
+        xi = rng.normal(size=model.d)
+        xi /= np.linalg.norm(xi)
+        quad = float(np.sum((model.sigma(float(t), xb)[0] * xi) ** 2))
+        if model.meta.a_upper > 0:
+            if quad < model.meta.a_lower - tol or quad > model.meta.a_upper + tol:
+                raise InvalidArgumentError(
+                    f"ellipticity bounds violated: <a xi, xi>={quad:.6g} outside "
+                    f"[{model.meta.a_lower}, {model.meta.a_upper}]"
+                )
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))

@@ -173,8 +173,8 @@ def chunked_digests():
     randomkit.CHUNK_NORMALS = 1 << 16  # 4 to 16 chunks per window below
     try:
         model = sde.make_model("sincos")
-        curve = avikainen.qerror_curve(model, make_payoff("clamp_ramp"), 2.0, [8, 32, 64],
-                                       N=3000, n_ref=256, seed=4)
+        curve = avikainen.qerror_curves(model, [(make_payoff("clamp_ramp"), 2.0)], [8, 32, 64],
+                                        N=3000, n_ref=256, seed=4)[0]
         yield "chunked/qerror_curve", _sha((curve.value.tobytes(), curve.stderr.tobytes()))
         stats = mlmc.level_sample(model, make_payoff("interval_indicator"), 5, 4, 1500,
                                   seed=9)
