@@ -16,9 +16,7 @@ from numpy.random import Generator
 
 from .errors import DegenerateCurveError, InvalidArgumentError
 from .payoff import Payoff
-from .randomkit import (
-    StreamTag, block_streams, derive_seed, increment_batch, stream, time_chunks,
-)
+from .randomkit import StreamTag, derive_seed, increment_batch, stream, sweep
 from .sde import SdeModel, StepCounter, block_sums, em_terminal_batch
 from .stats import Welford, loglog_fit
 
@@ -85,12 +83,17 @@ def qerror_curves(
 
     All targets share the same reference terminals, so indicator curves for
     different q are bit-identical by construction. Each window is drawn and
-    stepped in time chunks (``randomkit.time_chunks``) whose length is a
-    multiple of every coarsening factor n_ref // n, so no block sum straddles
-    two chunks; a chunk holds at most ``randomkit.CHUNK_NORMALS`` normals
-    unless the lcm of the factors times the window's paths is more. Each
-    window's values are folded in block by block, so the curves are
-    bit-identical whatever the window size or chunk length.
+    stepped in time chunks (``randomkit.sweep``) whose length is a multiple
+    of every coarsening factor n_ref // n, so no block sum straddles two
+    chunks. When a window needs more than one chunk, the next chunk is drawn
+    on a background thread while this one is stepped, and the two hold at
+    most ``randomkit.CHUNK_NORMALS`` normals together: windows narrow from
+    4096 paths (to 2048 at n_ref = 4096 with factors up to 512) until the
+    lcm of the factors fits half. Where the lcm times one block exceeds half
+    the budget, chunks are drawn inline, each of at most ``CHUNK_NORMALS``
+    normals or the lcm of steps. Each window's values are folded in block by
+    block, so the curves are bit-identical whatever the window size, chunk
+    length or overlap.
     """
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) == 0:
@@ -101,27 +104,26 @@ def qerror_curves(
     if N < MIN_PATHS:
         raise InvalidArgumentError(f"N must be >= {MIN_PATHS}")
     accs = {(i, n): Welford() for i in range(len(targets)) for n in n_list}
-    done = 0
     lcm = math.lcm(*(n_ref // n for n in n_list))
-    while done < N:
-        b = min(DEFAULT_BATCH, N - done)
-        streams = block_streams(seed, done, b)
-        ref, coarse = None, dict.fromkeys(n_list)
-        for k0, k in time_chunks(n_ref, b * model.d, lcm):
-            inc = increment_batch(seed, model.d, model.T, n_ref, done, b,
-                                  streams=streams, n_steps=k)
-            ref = em_terminal_batch(model, inc, counter, ref, k0, n_ref)
-            for n in n_list:
-                M = n_ref // n
-                coarse[n] = em_terminal_batch(model, block_sums(inc, M), counter,
-                                              coarse[n], k0 // M, n)
-            del inc  # free this chunk before the next one is drawn
+    windows = [(first, min(DEFAULT_BATCH, N - first)) for first in range(0, N, DEFAULT_BATCH)]
+    ref = coarse = None
+    for first, b, k0, k, inc in sweep(increment_batch, seed, model.d, model.T, n_ref,
+                                      windows, lcm):
+        if k0 == 0:
+            ref, coarse = None, dict.fromkeys(n_list)
+        ref = em_terminal_batch(model, inc, counter, ref, k0, n_ref)
+        for n in n_list:
+            M = n_ref // n
+            coarse[n] = em_terminal_batch(model, block_sums(inc, M), counter,
+                                          coarse[n], k0 // M, n)
+        del inc  # free this chunk before the next one is drawn
+        if k0 + k < n_ref:
+            continue
         f_ref = [pay(ref) for pay, _ in targets]
         for n in n_list:
             for i, (pay, q) in enumerate(targets):
                 diff = np.abs(f_ref[i] - pay(coarse[n])) ** q
-                accs[(i, n)].update(diff, done)
-        done += b
+                accs[(i, n)].update(diff, first)
     curves = []
     for i, (pay, q) in enumerate(targets):
         vals = np.array([accs[(i, n)].mean for n in n_list])

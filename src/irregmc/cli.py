@@ -53,6 +53,7 @@ _MAXIMAL_COUNTS = {"n_atomic": 100, "n_grid_1d": 50, "n_grid_2d": 50}  # measure
 _N_LAMBDAS = 10
 _INEQUALITY = {"family": "gaussian_shift", "rule": "bv", "p": 1.0, "q": 1.0, "r": math.inf}
 _INEQUALITY_N = 200_000
+_SCALE_GRID = [0.2, 0.1, 0.05, 0.025]
 _EPSILON_LIST = [0.02, 0.01, 0.005]
 _BINS = 60
 
@@ -178,13 +179,15 @@ def _build_block(doc: dict, key: str, registry: dict, make):
 
 
 def _validate_ranges(kind: str, params: dict) -> None:
-    if "delta" in params and not 0.0 < params["delta"] < 1.0:
-        raise ConfigError(f"delta must lie in (0,1), got {params['delta']}")
-    if "epsilon" in params and not 0.0 < params["epsilon"] < 1.0:
-        raise ConfigError(f"epsilon must lie in (0,1), got {params['epsilon']}")
+    for key in ("delta", "epsilon"):
+        if key in params and not (_is_number(params[key]) and 0.0 < params[key] < 1.0):
+            raise ConfigError(f"{key} must lie in (0,1), got {params[key]!r}")
+    seed = params.get("seed", 0)
+    if not (_is_int(seed) and 0 <= seed < 2**64):
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if kind == "complexity":
         eps_list = params.get("epsilon_list", _EPSILON_LIST)
-        if not isinstance(eps_list, list) or not all(_is_number(e) for e in eps_list):
+        if not _numbers(eps_list):
             raise ConfigError(f"epsilon_list must be a list of numbers, got {eps_list!r}")
         for eps in eps_list:
             if not 0.0 < eps < 1.0:
@@ -199,8 +202,9 @@ def _validate_ranges(kind: str, params: dict) -> None:
         raise ConfigError(f"q must be a number >= 1, got {params['q']!r}")
     if "M" in params and params["M"] not in (2, 4):
         raise ConfigError(f"M must be 2 or 4, got {params['M']}")
-    if "s" in params and params["s"] is not None and not 0.0 < params["s"] < 1.0:
-        raise ConfigError(f"s must lie in (0,1), got {params['s']}")
+    s = params.get("s")
+    if s is not None and not (_is_number(s) and 0.0 < s < 1.0):
+        raise ConfigError(f"s must lie in (0,1), got {s!r}")
     if "n_pilot" in params and not (_is_int(params["n_pilot"]) and params["n_pilot"] >= 2):
         raise ConfigError(f"n_pilot must be an integer >= 2, got {params['n_pilot']!r}")
     if kind in ("rate", "density"):
@@ -215,6 +219,12 @@ def _validate_ranges(kind: str, params: dict) -> None:
         bins = params.get("bins", _BINS)
         if not (_is_int(bins) and bins >= dg.MIN_BINS):
             raise ConfigError(f"bins must be an integer >= {dg.MIN_BINS}, got {bins!r}")
+        value_range = params.get("value_range")
+        if value_range is not None and not (
+                _numbers(value_range) and len(value_range) == 2
+                and all(map(math.isfinite, value_range)) and value_range[0] < value_range[1]):
+            raise ConfigError(f"value_range must be a list [lo, hi] of finite numbers with "
+                              f"lo < hi, got {value_range!r}")
     if kind == "inequality":
         ip = {key: params.get(key, default) for key, default in _INEQUALITY.items()}
         if ip["family"] not in av.PAIR_FAMILIES:
@@ -223,6 +233,9 @@ def _validate_ranges(kind: str, params: dict) -> None:
         N = params.get("N", _INEQUALITY_N)
         if not (_is_int(N) and N >= 1):
             raise ConfigError(f"N must be an integer >= 1, got {N!r}")
+        grid = params.get("scale_grid", _SCALE_GRID)
+        if not (_numbers(grid) and grid):
+            raise ConfigError(f"scale_grid must be a nonempty list of numbers, got {grid!r}")
         if not all(_is_number(ip[key]) for key in ("p", "q", "r")):
             raise ConfigError(f"p, q and r must be numbers, got "
                               f"{[ip['p'], ip['q'], ip['r']]!r}")
@@ -255,6 +268,10 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value) -> bool:
+    return isinstance(value, list) and all(_is_number(v) for v in value)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +339,7 @@ def _run_inequality(config: ExperimentConfig, out: str, summary: RunSummary) -> 
     ip = {key: p.get(key, default) for key, default in _INEQUALITY.items()}
     rep = av.inequality_check(
         ip["family"], pay, p=float(ip["p"]), q=float(ip["q"]), rule=ip["rule"],
-        scale_grid=p.get("scale_grid", [0.2, 0.1, 0.05, 0.025]),
+        scale_grid=p.get("scale_grid", _SCALE_GRID),
         N=int(p.get("N", _INEQUALITY_N)), seed=int(p.get("seed", 0)),
         r=float(ip["r"]), s=p.get("s"),
     )
@@ -585,6 +602,9 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = parse_config(fh.read())
+        if args.seed is not None:
+            config.params["seed"] = args.seed
+            _validate_ranges(config.kind, config.params)
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -592,8 +612,6 @@ def main(argv=None) -> int:
         print(f"config kind {config.kind!r} does not match subcommand "
               f"{args.command!r}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        config.params["seed"] = args.seed
     summary = run_experiment(config, out_dir=args.out)
     for check in summary.checks:
         print(f"[{check['status'].upper()}] {check['name']}: {check['detail']}")

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import FitFailureError, InvalidArgumentError
-from .randomkit import block_streams, increment_batch, path_windows, time_chunks
+from .randomkit import increment_batch, path_windows, sweep
 from .sde import SdeModel, em_terminal_batch
 
 MIN_BIN_COUNT = 5
@@ -78,23 +78,24 @@ def terminal_histogram(
 ) -> Histogram:
     """Histogram of the first coordinate of X^(n)(T) over N paths.
 
-    Paths are drawn and stepped in time chunks of at most
-    ``randomkit.CHUNK_NORMALS`` normals, so memory does not grow with n.
+    Paths are drawn and stepped in time chunks (``randomkit.sweep``), so
+    memory does not grow with n: when a window needs more than one chunk, the
+    next chunk is drawn on a background thread while this one is stepped, and
+    the two hold at most ``randomkit.CHUNK_NORMALS`` normals together;
+    otherwise each chunk is drawn inline and holds at most that many.
     """
     if N < MIN_PATHS:
         raise InvalidArgumentError(f"N must be >= {MIN_PATHS}")
     if bins < MIN_BINS:
         raise InvalidArgumentError(f"need at least {MIN_BINS} bins")
     samples = np.empty(N)
-    for first, b in path_windows(0, N, n * model.d):
-        streams = block_streams(seed, first, b)
-        x = None
-        for k0, k in time_chunks(n, b * model.d):
-            inc = increment_batch(seed, model.d, model.T, n, first, b,
-                                  streams=streams, n_steps=k)
-            x = em_terminal_batch(model, inc, None, x, k0, n)
-            del inc  # free this chunk before the next one is drawn
-        samples[first : first + b] = x[:, 0]
+    x = None
+    for first, b, k0, k, inc in sweep(increment_batch, seed, model.d, model.T, n,
+                                      path_windows(0, N, n * model.d)):
+        x = em_terminal_batch(model, inc, None, x if k0 else None, k0, n)
+        del inc  # free this chunk before the next one is drawn
+        if k0 + k == n:
+            samples[first : first + b] = x[:, 0]
     if value_range is None:
         lo, hi = float(samples.min()), float(samples.max())
         if lo == hi:

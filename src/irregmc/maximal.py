@@ -241,11 +241,13 @@ def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np
     """M_R of a 2D density on the radius ladder k h at each row of xs, shape (P,).
 
     Cell masses are binned by ceil(|node - x| / h) into disk masses for
-    k = 0..k_max. Only the rows and columns within (k_max + 1) h of x are
-    binned: every node outside that window lies beyond radius k_max h, and
-    the window keeps the row-major order of its nodes, so each disk sums the
-    same weights in the same order as a whole-grid pass. Bins above k_max
-    only lengthen the counts.
+    k = 0..k_max. Only the rows and columns within (k_max + 1) h of x, and
+    between the first and last row and column that hold mass, are binned:
+    every node outside the first range lies beyond radius k_max h, every
+    cell outside the second is zero (masses are >= 0, so a disk's sum never
+    changes by adding one), and the window keeps the row-major order of its
+    nodes, so each disk sums the same nonzero weights in the same order as a
+    whole-grid pass. Bins above k_max only lengthen the counts.
 
     A point is on the node grid when its node offsets ax - x[0] and
     ax - x[1] equal h * a for integers a bit for bit (as on the nodes of a
@@ -258,6 +260,9 @@ def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np
     ax = density.axis_nodes()
     n = ax.size
     weights = density.values * h**density.d
+    # the rows and the columns from the first to the last that hold mass
+    held = (_span(np.flatnonzero(weights.any(axis=1))),
+            _span(np.flatnonzero(weights.any(axis=0))))
     steps = h * np.arange(1 - n, n)  # h * a for every node offset a
     k_tops = [_ladder_top(density, x, r) for x, r in zip(xs, R)]
     nodes = [(_node_index(ax - x[0], steps), _node_index(ax - x[1], steps))
@@ -271,8 +276,8 @@ def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np
         if k_max < 1:
             continue
         reach = (k_max + 1) * h
-        dx, rows = _window(ax - x[0], reach)
-        dy, cols = _window(ax - x[1], reach)
+        dx, rows = _window(ax - x[0], reach, held[0])
+        dy, cols = _window(ax - x[1], reach, held[1])
         if i is None or j is None:
             dist = np.sqrt(dx[:, None] ** 2 + dy[None, :] ** 2)
             bins = np.ceil(dist / h - 1e-12).astype(int)
@@ -323,11 +328,15 @@ def _bin_table(h: float, c: int) -> np.ndarray:
     return table
 
 
-def _window(offsets: np.ndarray, reach: float) -> tuple[np.ndarray, slice]:
-    """The offsets with |offset| <= reach (a contiguous run of sorted offsets)
-    and the slice that selects them."""
-    inside = np.flatnonzero(np.abs(offsets) <= reach)
-    run = slice(inside[0], inside[-1] + 1) if inside.size else slice(0, 0)
+def _span(indices: np.ndarray) -> slice:
+    """The slice from the first to the last of sorted indices (empty if none)."""
+    return slice(indices[0], indices[-1] + 1) if indices.size else slice(0, 0)
+
+
+def _window(offsets: np.ndarray, reach: float, held: slice) -> tuple[np.ndarray, slice]:
+    """The offsets in ``held`` with |offset| <= reach (a contiguous run of sorted
+    offsets) and the slice that selects them."""
+    run = _span(np.flatnonzero(np.abs(offsets[held]) <= reach) + held.start)
     return offsets[run], run
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateCurveError, InvalidArgumentError, NonconvergenceError
 from .payoff import Payoff
-from .randomkit import block_streams, derive_seed, increment_batch, path_windows, time_chunks
+from .randomkit import derive_seed, increment_batch, path_windows, sweep
 from .sde import SdeModel, StepCounter, coupled_terminal_batch, em_terminal_batch
 from .stats import LineFit, Welford, loglog_fit
 
@@ -94,25 +94,27 @@ class _LevelAccumulator:
         )
 
 
-def _terminals(model: SdeModel, seed: int, n_fine: int, M: int, first: int, b: int,
+def _terminals(model: SdeModel, seed: int, n_fine: int, M: int, first: int, n: int,
                counter: StepCounter):
-    """States at T of paths first..first+b-1 on the n_fine-step grid.
+    """Yield (window's first path, states at T) for the windows of paths first..first+n-1.
 
-    The window is drawn and stepped in time chunks whose length is a multiple
-    of M (``randomkit.time_chunks``). M = 1 gives the (B, d) terminals; M >= 2
-    gives the (fine, coarse) pair of ``coupled_terminal_batch``.
+    Each window is drawn and stepped in time chunks whose length is a
+    multiple of M (``randomkit.sweep``, which may draw the next chunk while
+    this one is stepped). M = 1 gives the (b, d) terminals; M >= 2 gives the
+    (fine, coarse) pair of ``coupled_terminal_batch``.
     """
-    streams = block_streams(seed, first, b)
+    windows = path_windows(first, n, n_fine * model.d, DEFAULT_BATCH)
     x = None
-    for k0, k in time_chunks(n_fine, b * model.d, M):
-        inc = increment_batch(seed, model.d, model.T, n_fine, first, b,
-                              streams=streams, n_steps=k)
+    for w, _, k0, k, inc in sweep(increment_batch, seed, model.d, model.T, n_fine,
+                                  windows, M):
+        x = x if k0 else None
         if M == 1:
             x = em_terminal_batch(model, inc, counter, x, k0, n_fine)
         else:
             x = coupled_terminal_batch(model, inc, M, counter, x, k0, n_fine)
         del inc  # free this chunk before the next one is drawn
-    return x
+        if k0 + k == n_fine:
+            yield w, x
 
 
 def _sample_level(
@@ -123,14 +125,10 @@ def _sample_level(
     counter: StepCounter,
 ) -> None:
     """Add n_new paths to the level, folded into its statistics block by block."""
-    for first, b in path_windows(state.count, n_new, state.n_fine * model.d, DEFAULT_BATCH):
-        if state.level == 0:
-            vals = payoff(_terminals(model, state.seed, 1, 1, first, b, counter))
-        else:
-            fine, coarse = _terminals(model, state.seed, state.n_fine, state.M, first, b,
-                                      counter)
-            vals = payoff(fine) - payoff(coarse)
-        state.acc.update(vals, first)
+    M = state.M if state.level else 1
+    for first, x in _terminals(model, state.seed, state.n_fine, M, state.count, n_new,
+                                  counter):
+        state.acc.update(payoff(x[0]) - payoff(x[1]) if state.level else payoff(x), first)
 
 
 def level_sample(
@@ -325,17 +323,15 @@ def single_level_run(
     # pilot the payoff variance at the chosen resolution, then size N
     pilot_seed = derive_seed(seed, 0x51E6)
     pilot = Welford()
-    for first, b in path_windows(0, n_pilot, n_steps * model.d, DEFAULT_BATCH):
-        pilot.update(payoff(_terminals(model, pilot_seed, n_steps, 1, first, b, calib)),
-                     first)
+    for first, x in _terminals(model, pilot_seed, n_steps, 1, 0, n_pilot, calib):
+        pilot.update(payoff(x), first)
     N = max(2, int(math.ceil(2.0 * pilot.variance / epsilon**2)))
 
     counter = StepCounter()
     acc = Welford()
     run_seed = derive_seed(seed, 0xF1A7)
-    for first, b in path_windows(0, N, n_steps * model.d, DEFAULT_BATCH):
-        acc.update(payoff(_terminals(model, run_seed, n_steps, 1, first, b, counter)),
-                   first)
+    for first, x in _terminals(model, run_seed, n_steps, 1, 0, N, counter):
+        acc.update(payoff(x), first)
     return SingleLevelResult(
         estimate=acc.mean, n_steps=n_steps, N=N,
         cost=float(counter.steps), calibration_cost=float(calib.steps),

@@ -12,11 +12,23 @@ from call to call; ziggurat rejection makes the words per normal vary, so a
 stream cannot skip ahead and each block is drawn forward from step 0.
 Coarse increments are always obtained by summing fine ones, never by bridge
 refinement, so the coarse/fine coupling is a structural identity.
+
+``sweep`` draws a driver's windows chunk by chunk. When some window needs
+more than one time chunk, it draws the next chunk on one background thread
+while the caller steps the current one (numpy's ``standard_normal(out=...)``
+releases the GIL for the whole fill); each block's stream is still advanced
+by one thread at a time, in the same order, so every increment is
+bit-identical. The chunk being stepped and the chunk being drawn then hold at
+most ``CHUNK_NORMALS`` normals together: each gets half, and windows narrow
+(never below one block) until ``multiple`` steps fit. A sweep whose
+``multiple`` steps of one block exceed half the budget, or whose windows fit
+in one chunk each, draws inline with one chunk in memory.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import partial
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -31,8 +43,8 @@ BLOCK_PATHS = 1024
 # Normals per draw into the reusable block buffer; sequential draws are
 # chunk-invariant, so this bounds memory without touching the streams.
 _DRAW_NORMALS = 1 << 16
-# Normals in one time chunk of a window (16 MB), read at call time by
-# time_chunks; the drivers hold one chunk of increments at a time.
+# Normals of increments a sweep holds at a time (16 MB), read at call time by
+# time_chunks and sweep: one chunk, or two half chunks while draws overlap.
 CHUNK_NORMALS = 1 << 21
 
 
@@ -147,15 +159,17 @@ def increment_batch(
     return out.transpose(1, 0, 2)
 
 
-def time_chunks(n_fine: int, width: int, multiple: int = 1) -> list[tuple[int, int]]:
+def time_chunks(n_fine: int, width: int, multiple: int = 1,
+                budget: int | None = None) -> list[tuple[int, int]]:
     """(k0, k) chunks covering steps 0..n_fine-1 of a window of ``width`` normals per step.
 
     Each k is a multiple of ``multiple`` (the last one may be shorter if
-    ``multiple`` does not divide n_fine) and a chunk holds at most
-    ``CHUNK_NORMALS`` normals, unless ``multiple`` steps alone hold more:
-    then each chunk is ``multiple`` steps, over the budget.
+    ``multiple`` does not divide n_fine) and a chunk holds at most ``budget``
+    normals (``CHUNK_NORMALS`` by default), unless ``multiple`` steps alone
+    hold more: then each chunk is ``multiple`` steps, over the budget.
     """
-    step = max(multiple, CHUNK_NORMALS // width // multiple * multiple)
+    budget = CHUNK_NORMALS if budget is None else budget
+    step = max(multiple, budget // width // multiple * multiple)
     return [(k0, min(step, n_fine - k0)) for k0 in range(0, n_fine, step)]
 
 
@@ -176,3 +190,51 @@ def path_windows(first_path: int, n_paths: int, normals_per_path: int,
         stop = min(end, (pos // size + 1) * size)
         yield pos, stop - pos
         pos = stop
+
+
+def sweep(draw, master_seed: int, d: int, T: float, n_fine: int, windows,
+          multiple: int = 1):
+    """Yield (first, b, k0, k, increments) for each time chunk of each window, in order.
+
+    ``draw`` is ``increment_batch`` as the caller looks it up; each chunk is
+    ``draw(master_seed, d, T, n_fine, first, b, streams=..., n_steps=k)``
+    with the window's blocks keyed once, and chunk lengths are multiples of
+    ``multiple`` (``time_chunks``). The increments are the same whatever the
+    windows; the windows yielded are those given, or narrower ones cut at
+    multiples of a power-of-two size when the sweep overlaps its draws (see
+    the module docstring). The next chunk is drawn while the caller holds
+    this one, so the caller should drop it before asking for the next. A
+    draw's exception reaches the caller; no thread outlives the generator.
+    """
+    windows = list(windows)
+    widest = max((b for _, b in windows), default=0)
+    budget = CHUNK_NORMALS
+    overlap = (widest > 0 and len(time_chunks(n_fine, widest * d, multiple)) > 1
+               and multiple * BLOCK_PATHS * d <= budget // 2)
+    if overlap:
+        budget //= 2
+        windows = [w for first, b in windows
+                   for w in path_windows(first, b, multiple * d, budget)]
+
+    def calls():
+        for first, b in windows:
+            streams = block_streams(master_seed, first, b)
+            for k0, k in time_chunks(n_fine, b * d, multiple, budget):
+                yield (first, b, k0, k), partial(draw, master_seed, d, T, n_fine, first, b,
+                                                 streams=streams, n_steps=k)
+
+    if not overlap:
+        for where, call in calls():
+            yield *where, call()
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only sweeps that overlap
+
+    with ThreadPoolExecutor(max_workers=1) as pool:  # joined on exit, even on error
+        ahead = None  # (where, future) of the draw in flight
+        for where, call in calls():
+            ready = ahead and (*ahead[0], ahead[1].result())
+            ahead = where, pool.submit(call)  # starts once the previous draw is done
+            if ready:
+                yield ready
+        if ahead:
+            yield *ahead[0], ahead[1].result()

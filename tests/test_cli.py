@@ -116,6 +116,16 @@ def test_block_name_must_be_a_string():
     ("density", {"bins": 5}, "bins must be an integer >= 20"),
     ("complexity", {"epsilon_list": [0.02, 0.005]}, "at least 3 epsilons"),
     ("complexity", {"epsilon_list": [0.02, 0.01, 0.008]}, "span at least a 4x range"),
+    ("mlmc", {"epsilon": "small"}, "epsilon must lie in"),
+    ("rate", {"delta": "0.7"}, "delta must lie in"),
+    ("inequality", {"rule": "fractional", "s": "half"}, "s must lie in"),
+    ("rate", {"seed": "7"}, "seed must be an integer"),
+    ("mlmc", {"seed": 1.5}, "seed must be an integer"),
+    ("density", {"seed": -1}, "seed must be an integer"),
+    ("inequality", {"scale_grid": "0.1"}, "scale_grid must be a nonempty list of numbers"),
+    ("inequality", {"scale_grid": [0.1, "x"]}, "scale_grid must be a nonempty list"),
+    ("density", {"value_range": "wide"}, "value_range must be a list"),
+    ("density", {"value_range": [1.0, -1.0]}, "value_range must be a list"),
 ])
 def test_runtime_param_errors_exit_2(tmp_path, capsys, kind, params, message):
     # each of these used to reach the library and end in a traceback
@@ -286,6 +296,8 @@ def test_main_exit_codes(tmp_path):
     bad.write_text("{")
     rc = main(["rate", "--config", str(bad)])
     assert rc == 2
+    rc = main(["rate", "--config", str(cfg_path), "--seed", "-1"])
+    assert rc == 2  # the override is checked like the config's seed
 
 
 def test_out_env_var(tmp_path, monkeypatch):

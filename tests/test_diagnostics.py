@@ -119,6 +119,6 @@ def test_histogram_draws_and_steps_in_bounded_chunks(monkeypatch):
     chunked = terminal_histogram(model, 512, 10_000, 40, seed=4)
     assert len(drawn) > 10  # ten windows, two chunks each
     assert sum(drawn) == sum(steps) == 10_000 * 512
-    assert max(drawn) <= budget
+    assert max(drawn) <= budget // 2  # overlapped: two chunks in flight
     assert np.array_equal(chunked.edges, whole.edges)
     assert np.array_equal(chunked.counts, whole.counts)

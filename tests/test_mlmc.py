@@ -296,7 +296,7 @@ def _counting_engine(monkeypatch):
 
 
 def test_level_draws_and_steps_what_it_reports(monkeypatch):
-    budget = 1 << 18
+    budget = 1 << 19  # the sweep overlaps its draws: each chunk gets half
     monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
     drawn, steps = _counting_engine(monkeypatch)
     N, level, M = 1500, 5, 4
@@ -304,7 +304,7 @@ def test_level_draws_and_steps_what_it_reports(monkeypatch):
     assert len(drawn) == 6  # 1024 paths in four 256-step chunks, 476 in two
     assert sum(drawn) == N * M**level
     assert sum(steps) == stats.cost == N * (M**level + M ** (level - 1))
-    assert max(drawn) <= budget
+    assert max(drawn) <= budget // 2
 
 
 def test_mlmc_run_draws_and_steps_what_it_reports(monkeypatch):

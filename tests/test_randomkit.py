@@ -1,3 +1,6 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from irregmc.randomkit import (
     increment_batch,
     path_windows,
     stream,
+    sweep,
     time_chunks,
 )
 from irregmc.sde import block_sums
@@ -210,6 +214,57 @@ def test_time_chunks(monkeypatch):
     # a multiple over the budget is one chunk anyway
     assert time_chunks(64, 100, 16) == [(k, 16) for k in range(0, 64, 16)]
     assert time_chunks(1, 10**6) == [(0, 1)]
+
+
+def _sweep_by_window(windows, n_fine, multiple, d=2):
+    """{(first, b): chunks} of one sweep, checking its chunk order and threads."""
+    before = threading.active_count()
+    out = {}
+    for first, b, k0, k, inc in sweep(increment_batch, 11, d, 1.5, n_fine, windows, multiple):
+        assert threading.active_count() <= before + 1
+        chunks = out.setdefault((first, b), [])
+        assert k0 == sum(c.shape[1] for c in chunks)
+        assert inc.shape == (b, k, d)
+        chunks.append(inc)
+    assert threading.active_count() == before
+    return out
+
+
+def test_sweep_chunks_are_slices_of_each_window(monkeypatch):
+    budget = 1 << 14
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
+    given = [(0, 4096), (4096, 1500)]  # the last block partly covered
+    # four steps of one block fit in half the budget: the sweep overlaps its
+    # draws and its windows narrow to one block
+    out = _sweep_by_window(given, 40, 4)
+    assert list(out) == [(0, 1024), (1024, 1024), (2048, 1024), (3072, 1024),
+                         (4096, 1024), (5120, 476)]
+    assert max(c.size for chunks in out.values() for c in chunks) <= budget // 2
+    for (first, b), chunks in out.items():
+        assert all(c.shape[1] % 4 == 0 for c in chunks)
+        whole = increment_batch(11, 2, 1.5, 40, first, b)
+        assert np.array_equal(np.concatenate(chunks, axis=1), whole)
+    # eight steps of one block do not: inline over the windows given, each
+    # chunk the multiple, over the budget
+    out = _sweep_by_window(given, 40, 8)
+    assert list(out) == given
+    assert [c.shape[1] for c in out[(0, 4096)]] == [8] * 5
+    assert list(sweep(increment_batch, 11, 2, 1.5, 40, [])) == []
+
+
+def test_sweep_holds_two_half_chunks(monkeypatch):
+    # chunk being stepped + chunk being drawn + the draw's buffer; a third
+    # chunk held anywhere would add 1 MB
+    budget = 1 << 18
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
+    tracemalloc.start()
+    try:
+        for *_, inc in sweep(increment_batch, 3, 1, 1.0, 256, [(0, 4096), (4096, 4096)]):
+            del inc
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * budget + 8 * randomkit._DRAW_NORMALS + (1 << 16)
 
 
 def test_derive_seed_is_stable_and_spreads():

@@ -1,0 +1,157 @@
+"""The drivers' path sweeps with the next time chunk drawn in the background.
+
+Each driver runs several windows of several chunks each, the last window
+covering part of a block, with ``CHUNK_NORMALS`` small enough that the sweep
+overlaps its draws. Its outputs must be bit-identical to the same sweep drawn
+inline and to a sweep of one chunk per window, and no thread may outlive the
+call, whether it returns or raises.
+"""
+
+import concurrent.futures
+import threading
+from concurrent.futures import Future
+
+import pytest
+
+from irregmc import avikainen as av
+from irregmc import diagnostics as dg
+from irregmc import mlmc, randomkit, sde
+from irregmc.errors import InvalidArgumentError, NumericFailureError
+from irregmc.payoff import make_payoff
+from irregmc.sde import make_model
+
+# budgets that cut every window into several chunks, with half of each for
+# the chunk being stepped and half for the chunk being drawn
+OVERLAP_BUDGET = {"curves": 1 << 16, "level": 1 << 14, "histogram": 1 << 14}
+
+
+def _curves():
+    # lcm 32: 1024-path windows (0, 1024, 2048 with 952 paths) of 32-step chunks
+    targets = [(make_payoff("clamp_ramp"), 2.0), (make_payoff("interval_indicator"), 1.0)]
+    curves = av.qerror_curves(make_model("sincos"), targets, [8, 32, 64], 3000, 256, seed=4)
+    return [(c.value.tolist(), c.stderr.tolist()) for c in curves]
+
+
+def _level():
+    # level 3 at M = 4: 64 steps in 8-step chunks, windows of 1024, 1024 and 952
+    pay = make_payoff("interval_indicator", a=-1.5, b=1.5)
+    stats = mlmc.level_sample(make_model("sincos"), pay, 3, 4, 3000, seed=5)
+    return stats.mean, stats.variance
+
+
+def _histogram():
+    # ten windows of 64 steps in 8-step chunks, the last of 784 paths
+    hist = dg.terminal_histogram(make_model("sincos"), 64, 10_000, 40, seed=4)
+    return hist.edges.tolist(), hist.counts.tolist()
+
+
+DRIVERS = {"curves": (_curves, av), "level": (_level, mlmc), "histogram": (_histogram, dg)}
+
+
+class _InlineExecutor:
+    """Stand-in for ThreadPoolExecutor that draws on the caller's thread."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def submit(self, call):
+        future = Future()
+        future.set_result(call())
+        return future
+
+
+def _record_draw_threads(monkeypatch, module):
+    threads = []
+    draw = module.increment_batch
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread() is threading.main_thread())
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(module, "increment_batch", recording)
+    return threads
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_overlapped_sweep_equals_inline_and_one_chunk_sweeps(monkeypatch, driver):
+    run, module = DRIVERS[driver]
+    whole = run()  # one chunk per window, drawn inline
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", OVERLAP_BUDGET[driver])
+    on_main = _record_draw_threads(monkeypatch, module)
+    before = threading.active_count()
+    overlapped = run()
+    assert threading.active_count() == before
+    # every draw runs on the background thread
+    assert len(on_main) > 8 and not any(on_main)
+    with monkeypatch.context() as m:
+        m.setattr(concurrent.futures, "ThreadPoolExecutor", _InlineExecutor)
+        inline = run()
+    assert overlapped == inline == whole
+
+
+def _fail_on_call(monkeypatch, module, name, call, exc):
+    original = getattr(module, name)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise exc
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing)
+    return failing
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+@pytest.mark.parametrize("where", ["draw", "em"])
+def test_no_thread_outlives_a_failed_sweep(monkeypatch, driver, where):
+    run, module = DRIVERS[driver]
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", OVERLAP_BUDGET[driver])
+    if where == "draw":
+        exc = InvalidArgumentError("draw failed")
+        _fail_on_call(monkeypatch, module, "increment_batch", 3, exc)
+    else:
+        exc = NumericFailureError("step failed")
+        failing = _fail_on_call(monkeypatch, module, "em_terminal_batch", 5, exc)
+        # coupled_terminal_batch looks em_terminal_batch up in sde itself
+        monkeypatch.setattr(sde, "em_terminal_batch", failing)
+    before = threading.active_count()
+    with pytest.raises(type(exc), match="failed"):
+        run()
+    assert threading.active_count() == before
+
+
+def test_one_chunk_windows_draw_on_the_callers_thread(monkeypatch):
+    # an MLMC-sized level: every window fits in one chunk, so nothing overlaps
+    on_main = _record_draw_threads(monkeypatch, mlmc)
+    pay = make_payoff("interval_indicator", a=-1.5, b=1.5)
+    mlmc.level_sample(make_model("sincos"), pay, 4, 4, 5000, seed=1)
+    assert len(on_main) > 1 and all(on_main)
+
+
+def test_overlapped_draws_hold_half_the_budget(monkeypatch):
+    # rate-sized sweep scaled down: lcm 512 steps fit in half the budget once
+    # 4096-path windows narrow to 2048
+    budget = 1 << 21
+    drawn = []
+    draw = av.increment_batch
+
+    def recording(*args, **kwargs):
+        inc = draw(*args, **kwargs)
+        drawn.append((args[5], inc.size))
+        return inc
+
+    monkeypatch.setattr(av, "increment_batch", recording)
+    assert randomkit.CHUNK_NORMALS == budget
+    pay = make_payoff("interval_indicator", a=0.0, b=1.0)
+    av.qerror_curves(make_model("sincos"), [(pay, 2.0)], [8, 512], 5000, 4096, seed=3)
+    assert {paths for paths, _ in drawn} == {2048, 904}
+    assert max(size for _, size in drawn) == budget // 2
+    assert sum(size for _, size in drawn) == 5000 * 4096
