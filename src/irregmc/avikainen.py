@@ -17,7 +17,7 @@ from numpy.random import Generator
 from .errors import DegenerateCurveError, InvalidArgumentError
 from .payoff import Payoff
 from .randomkit import StreamTag, derive_seed, increment_batch, stream, sweep
-from .sde import SdeModel, StepCounter, block_sums, em_terminal_batch
+from .sde import SdeModel, StepCounter, em_terminal_batch
 from .stats import Welford, loglog_fit
 
 # Paths per window, read at call time; a multiple of BLOCK_PATHS, so windows
@@ -85,15 +85,18 @@ def qerror_curves(
     different q are bit-identical by construction. Each window is drawn and
     stepped in time chunks (``randomkit.sweep``) whose length is a multiple
     of every coarsening factor n_ref // n, so no block sum straddles two
-    chunks. When a window needs more than one chunk, the next chunk is drawn
-    on a background thread while this one is stepped, and the two hold at
-    most ``randomkit.CHUNK_NORMALS`` normals together: windows narrow from
+    chunks; the sweep hands out each chunk's block sums for those factors.
+    When a window needs more than one chunk, a background thread sums this
+    chunk while its reference path is stepped, then draws the next chunk
+    while the coarse paths are stepped. At most two chunks and one chunk's
+    sums are then alive: the two chunks hold at most
+    ``randomkit.CHUNK_NORMALS`` normals together, and windows narrow from
     4096 paths (to 2048 at n_ref = 4096 with factors up to 512) until the
     lcm of the factors fits half. Where the lcm times one block exceeds half
-    the budget, chunks are drawn inline, each of at most ``CHUNK_NORMALS``
-    normals or the lcm of steps. Each window's values are folded in block by
-    block, so the curves are bit-identical whatever the window size, chunk
-    length or overlap.
+    the budget, chunks are drawn and summed inline, each of at most
+    ``CHUNK_NORMALS`` normals or the lcm of steps. Each window's values are
+    folded in block by block, so the curves are bit-identical whatever the
+    window size, chunk length or overlap.
     """
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) == 0:
@@ -104,19 +107,17 @@ def qerror_curves(
     if N < MIN_PATHS:
         raise InvalidArgumentError(f"N must be >= {MIN_PATHS}")
     accs = {(i, n): Welford() for i in range(len(targets)) for n in n_list}
-    lcm = math.lcm(*(n_ref // n for n in n_list))
+    factors = [n_ref // n for n in n_list]
     windows = [(first, min(DEFAULT_BATCH, N - first)) for first in range(0, N, DEFAULT_BATCH)]
     ref = coarse = None
-    for first, b, k0, k, inc in sweep(increment_batch, seed, model.d, model.T, n_ref,
-                                      windows, lcm):
+    for first, b, k0, k, inc, sums in sweep(increment_batch, seed, model.d, model.T, n_ref,
+                                            windows, math.lcm(*factors), factors):
         if k0 == 0:
             ref, coarse = None, dict.fromkeys(n_list)
         ref = em_terminal_batch(model, inc, counter, ref, k0, n_ref)
-        for n in n_list:
-            M = n_ref // n
-            coarse[n] = em_terminal_batch(model, block_sums(inc, M), counter,
-                                          coarse[n], k0 // M, n)
-        del inc  # free this chunk before the next one is drawn
+        for n, M, summed in zip(n_list, factors, sums()):
+            coarse[n] = em_terminal_batch(model, summed, counter, coarse[n], k0 // M, n)
+        del inc, sums, summed  # free this chunk and its sums before the next is summed
         if k0 + k < n_ref:
             continue
         f_ref = [pay(ref) for pay, _ in targets]

@@ -509,7 +509,8 @@ def _run_density(config: ExperimentConfig, out: str, summary: RunSummary) -> Non
     cs = []
     env_payload = {}
     for n in n_list:
-        hist = dg.terminal_histogram(model, int(n), N, bins, seed + int(n),
+        # wrapped, so a seed near 2**64 keys a valid stream for every n
+        hist = dg.terminal_histogram(model, int(n), N, bins, (seed + int(n)) % 2**64,
                                      value_range=value_range)
         csv_path = os.path.join(out, f"histogram_n{int(n)}.csv")
         _write_rows(csv_path, hist.csv_rows())

@@ -90,8 +90,8 @@ def terminal_histogram(
         raise InvalidArgumentError(f"need at least {MIN_BINS} bins")
     samples = np.empty(N)
     x = None
-    for first, b, k0, k, inc in sweep(increment_batch, seed, model.d, model.T, n,
-                                      path_windows(0, N, n * model.d)):
+    for first, b, k0, k, inc, _ in sweep(increment_batch, seed, model.d, model.T, n,
+                                         path_windows(0, N, n * model.d)):
         x = em_terminal_batch(model, inc, None, x if k0 else None, k0, n)
         del inc  # free this chunk before the next one is drawn
         if k0 + k == n:

@@ -105,8 +105,8 @@ def _terminals(model: SdeModel, seed: int, n_fine: int, M: int, first: int, n: i
     """
     windows = path_windows(first, n, n_fine * model.d, DEFAULT_BATCH)
     x = None
-    for w, _, k0, k, inc in sweep(increment_batch, seed, model.d, model.T, n_fine,
-                                  windows, M):
+    for w, _, k0, k, inc, _ in sweep(increment_batch, seed, model.d, model.T, n_fine,
+                                     windows, M):
         x = x if k0 else None
         if M == 1:
             x = em_terminal_batch(model, inc, counter, x, k0, n_fine)

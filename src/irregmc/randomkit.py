@@ -13,16 +13,19 @@ stream cannot skip ahead and each block is drawn forward from step 0.
 Coarse increments are always obtained by summing fine ones, never by bridge
 refinement, so the coarse/fine coupling is a structural identity.
 
-``sweep`` draws a driver's windows chunk by chunk. When some window needs
-more than one time chunk, it draws the next chunk on one background thread
-while the caller steps the current one (numpy's ``standard_normal(out=...)``
-releases the GIL for the whole fill); each block's stream is still advanced
-by one thread at a time, in the same order, so every increment is
-bit-identical. The chunk being stepped and the chunk being drawn then hold at
-most ``CHUNK_NORMALS`` normals together: each gets half, and windows narrow
-(never below one block) until ``multiple`` steps fit. A sweep whose
-``multiple`` steps of one block exceed half the budget, or whose windows fit
-in one chunk each, draws inline with one chunk in memory.
+``sweep`` draws a driver's windows chunk by chunk and hands out each chunk's
+``block_sums`` for the coarsening factors the driver names. When some window
+needs more than one time chunk, a background thread sums chunk j while the
+caller steps it, and only then draws chunk j+1 (numpy's
+``standard_normal(out=...)`` releases the GIL for the whole fill); each
+block's stream is still advanced by one thread at a time, in the same order,
+so every increment is bit-identical. At most chunk j, its sums and chunk j+1
+are then alive: the two chunks hold at most ``CHUNK_NORMALS`` normals
+together (each gets half, and windows narrow, never below one block, until
+``multiple`` steps fit) and the sums 1/M of a chunk per factor M. A sweep
+whose ``multiple`` steps of one block exceed half the budget, or whose
+windows fit in one chunk each, draws and sums inline with one chunk in
+memory.
 """
 
 from __future__ import annotations
@@ -192,19 +195,53 @@ def path_windows(first_path: int, n_paths: int, normals_per_path: int,
         pos = stop
 
 
+def block_sums(increments: np.ndarray, M: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Coarse increments (B, n // M, d): sums of M consecutive fine steps.
+
+    Each sum is added step by step in time order, so a path's coarse
+    increments do not depend on the batch it was drawn in or on the layout.
+    The sums go to ``out``, a C-contiguous (n // M, B, d) array, when given;
+    the result is its transpose.
+    """
+    n = increments.shape[1]
+    if M < 1 or n % M != 0:
+        raise InvalidArgumentError(f"refinement {M} does not divide n_fine={n}")
+    steps = increments.transpose(1, 0, 2)  # (n, B, d); a view, never a copy
+    shape = (n // M, *steps.shape[1:])
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise InvalidArgumentError(f"out must have shape {shape}, got {out.shape}")
+    if steps[0].size < 2:
+        # numpy would reduce a lone number per step pairwise, not in time order
+        np.copyto(out, steps[0::M])
+        for j in range(1, M):
+            out += steps[j::M]
+    else:
+        # over a C-contiguous time-major array numpy adds the M steps of a
+        # block one after another into the (B, d) sums: the same left fold
+        blocks = np.ascontiguousarray(steps).reshape(n // M, M, *shape[1:])
+        np.add.reduce(blocks, axis=1, out=out)
+    return out.transpose(1, 0, 2)
+
+
 def sweep(draw, master_seed: int, d: int, T: float, n_fine: int, windows,
-          multiple: int = 1):
-    """Yield (first, b, k0, k, increments) for each time chunk of each window, in order.
+          multiple: int = 1, factors=()):
+    """Yield (first, b, k0, k, increments, sums) for each time chunk of each window, in order.
 
     ``draw`` is ``increment_batch`` as the caller looks it up; each chunk is
     ``draw(master_seed, d, T, n_fine, first, b, streams=..., n_steps=k)``
     with the window's blocks keyed once, and chunk lengths are multiples of
-    ``multiple`` (``time_chunks``). The increments are the same whatever the
-    windows; the windows yielded are those given, or narrower ones cut at
-    multiples of a power-of-two size when the sweep overlaps its draws (see
-    the module docstring). The next chunk is drawn while the caller holds
-    this one, so the caller should drop it before asking for the next. A
-    draw's exception reaches the caller; no thread outlives the generator.
+    ``multiple`` (``time_chunks``), which every factor should divide.
+    ``sums()`` returns ``[block_sums(increments, M) for M in factors]``,
+    waiting for the background thread when the sweep overlaps its draws. The
+    increments are the same whatever the windows; the windows yielded are
+    those given, or narrower ones cut at multiples of a power-of-two size
+    when the sweep overlaps (see the module docstring). Chunk j is summed
+    and chunk j+1 drawn while the caller holds chunk j, so the caller should
+    drop the increments and ``sums`` before asking for the next. An
+    exception in a draw or a sum reaches the caller; no thread outlives the
+    generator.
     """
     windows = list(windows)
     widest = max((b for _, b in windows), default=0)
@@ -223,18 +260,36 @@ def sweep(draw, master_seed: int, d: int, T: float, n_fine: int, windows,
                 yield (first, b, k0, k), partial(draw, master_seed, d, T, n_fine, first, b,
                                                  streams=streams, n_steps=k)
 
+    def empty_sums(inc):
+        return [np.empty((inc.shape[1] // M, inc.shape[0], d)) for M in factors]
+
+    def summed(inc, outs):
+        return [block_sums(inc, M, out) for M, out in zip(factors, outs)]
+
     if not overlap:
         for where, call in calls():
-            yield *where, call()
+            inc = call()
+            yield *where, inc, lambda sums=summed(inc, empty_sums(inc)): sums
+            del inc  # before the next chunk is drawn
         return
     from concurrent.futures import ThreadPoolExecutor  # only sweeps that overlap
 
     with ThreadPoolExecutor(max_workers=1) as pool:  # joined on exit, even on error
+
+        def summing(where, drawn):
+            inc = drawn.result()
+            # The pool thread fills the sums but this thread allocates them, so
+            # glibc keeps them out of the pool thread's arena. There, sums
+            # carved out of a freed chunk's space would push the next chunk
+            # past the top: 8 MB more peak RSS at n_ref = 4096.
+            return *where, inc, pool.submit(summed, inc, empty_sums(inc)).result
+
         ahead = None  # (where, future) of the draw in flight
         for where, call in calls():
-            ready = ahead and (*ahead[0], ahead[1].result())
-            ahead = where, pool.submit(call)  # starts once the previous draw is done
+            ready = ahead and summing(*ahead)
+            ahead = where, pool.submit(call)  # drawn once those sums are done
             if ready:
                 yield ready
+                del ready  # chunk j goes before chunk j+1 is summed
         if ahead:
-            yield *ahead[0], ahead[1].result()
+            yield summing(*ahead)

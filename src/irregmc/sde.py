@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError
+from .randomkit import block_sums
 
 
 @dataclass(frozen=True)
@@ -116,22 +117,6 @@ def em_terminal_batch(
     if counter is not None:
         counter.add(n_paths * k)
     return out
-
-
-def block_sums(increments: np.ndarray, M: int) -> np.ndarray:
-    """Coarse increments (B, n // M, d): sums of M consecutive fine steps.
-
-    Each sum is added step by step in time order, so a path's coarse
-    increments do not depend on the batch it was drawn in or on the layout.
-    """
-    n = increments.shape[1]
-    if M < 1 or n % M != 0:
-        raise InvalidArgumentError(f"refinement {M} does not divide n_fine={n}")
-    steps = increments.transpose(1, 0, 2)  # (n, B, d); a view, never a copy
-    coarse = steps[0::M].copy()
-    for j in range(1, M):
-        coarse += steps[j::M]
-    return coarse.transpose(1, 0, 2)
 
 
 def coupled_terminal_batch(

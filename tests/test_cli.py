@@ -269,6 +269,20 @@ def test_density_experiment(tmp_path):
     assert set(env) == {"8", "16"}
 
 
+def test_density_with_the_largest_seed_exits_0(tmp_path):
+    # histogram n is keyed with seed + n, wrapped into [0, 2**64)
+    doc = {
+        "kind": "density",
+        "model": {"name": "constant", "params": {"mu": 0.0, "sigma": 1.0}},
+        "params": {"n_list": [16], "N": 20000, "bins": 40, "seed": 2**64 - 1,
+                   "value_range": [-4, 4]},
+    }
+    cfg_path = tmp_path / "density.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["density", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "histogram_n16.csv").exists()
+
+
 def test_complexity_experiment_headers(tmp_path):
     doc = {
         "kind": "complexity",

@@ -12,6 +12,7 @@ from irregmc.randomkit import (
     BLOCK_PATHS,
     StreamTag,
     block_streams,
+    block_sums,
     derive_seed,
     increment_batch,
     path_windows,
@@ -19,7 +20,6 @@ from irregmc.randomkit import (
     sweep,
     time_chunks,
 )
-from irregmc.sde import block_sums
 
 
 def test_same_seed_is_bitwise_identical():
@@ -85,6 +85,8 @@ def test_coarsen_identity_and_definition():
         block_sums(inc, 3)
     with pytest.raises(InvalidArgumentError):
         block_sums(inc, 0)
+    with pytest.raises(InvalidArgumentError):
+        block_sums(inc, 2, np.empty((2, 4, 1)))  # sums of 3 paths do not fit 4
 
 
 def test_coarsen_telescoping():
@@ -101,6 +103,33 @@ def test_coarse_marginals_are_brownian():
     coarse = block_sums(inc, M).ravel()
     target = M / n_fine
     assert abs(coarse.var() - target) < 4 * target * np.sqrt(2.0 / coarse.size)
+
+
+def _left_fold(inc, M):
+    """Sums of M consecutive steps, each added one step at a time in time order."""
+    B, n, d = inc.shape
+    out = np.empty((B, n // M, d))
+    for c in range(n // M):
+        acc = inc[:, c * M].copy()
+        for j in range(1, M):
+            acc += inc[:, c * M + j]
+        out[:, c] = acc
+    return out
+
+
+@pytest.mark.parametrize("B, d", [(1, 1), (1, 2), (2, 1), (2048, 1)])
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 8, 512])
+def test_block_sums_are_a_time_order_left_fold(B, d, M):
+    # at B * d = 1 a numpy reduce would sum each block pairwise
+    inc = increment_batch(31, d, 1.0, 2 * M, 0, B)
+    layouts = {"time-major": inc, "path-major": np.ascontiguousarray(inc),
+               "every other path": inc[::2], "reversed time": inc[:, ::-1]}
+    for name, layout in layouts.items():
+        expected = _left_fold(layout, M)
+        assert np.array_equal(block_sums(layout, M), expected), name
+        out = np.empty((2, len(layout), d))
+        assert block_sums(layout, M, out).base is out
+        assert np.array_equal(out.transpose(1, 0, 2), expected), name
 
 
 def test_batch_matches_per_path():
@@ -220,7 +249,8 @@ def _sweep_by_window(windows, n_fine, multiple, d=2):
     """{(first, b): chunks} of one sweep, checking its chunk order and threads."""
     before = threading.active_count()
     out = {}
-    for first, b, k0, k, inc in sweep(increment_batch, 11, d, 1.5, n_fine, windows, multiple):
+    for first, b, k0, k, inc, _ in sweep(increment_batch, 11, d, 1.5, n_fine, windows,
+                                         multiple):
         assert threading.active_count() <= before + 1
         chunks = out.setdefault((first, b), [])
         assert k0 == sum(c.shape[1] for c in chunks)
@@ -259,12 +289,67 @@ def test_sweep_holds_two_half_chunks(monkeypatch):
     monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
     tracemalloc.start()
     try:
-        for *_, inc in sweep(increment_batch, 3, 1, 1.0, 256, [(0, 4096), (4096, 4096)]):
-            del inc
+        for *_, inc, sums in sweep(increment_batch, 3, 1, 1.0, 256, [(0, 4096), (4096, 4096)]):
+            del inc, sums
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * budget + 8 * randomkit._DRAW_NORMALS + (1 << 16)
+
+
+@pytest.mark.parametrize("overlap", [True, False])
+def test_sweep_sums_are_block_sums_of_its_increments(monkeypatch, overlap):
+    # four steps of one block fit in half of 2**14 normals, so that sweep
+    # overlaps; at 2**13 they do not, and it draws and sums inline
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", 1 << 14 if overlap else 1 << 13)
+    factors = (1, 2, 4)
+    events = []
+
+    def drawing(*args, **kwargs):
+        events.append("draw")
+        return increment_batch(*args, **kwargs)
+
+    def summing(inc, M, out):
+        events.append(("sum", threading.current_thread() is threading.main_thread()))
+        return block_sums(inc, M, out)
+
+    monkeypatch.setattr(randomkit, "block_sums", summing)
+    chunks = 0
+    for *_, inc, sums in sweep(drawing, 11, 2, 1.5, 40, [(0, 4096), (4096, 1500)], 4,
+                               factors):
+        got = sums()
+        assert len(got) == len(factors)
+        for M, summed in zip(factors, got):
+            assert np.array_equal(summed, block_sums(inc, M))
+        chunks += 1
+        del inc, sums
+    assert chunks > 10
+    # chunk j is summed before chunk j+1 is drawn, off the caller's thread
+    # when the sweep overlaps
+    assert events == ["draw", *[("sum", not overlap)] * len(factors)] * chunks
+
+
+def test_sweep_holds_two_chunks_and_one_chunks_sums(monkeypatch):
+    # rate-shaped: factors 1, 2, 4 and 8 sum to 15/8 of a chunk; chunk j+1
+    # summed before chunk j and its sums are dropped would add that much
+    budget = 1 << 18
+    factors = (1, 2, 4, 8)
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
+    chunks = 0
+    tracemalloc.start()
+    try:
+        for *_, inc, sums in sweep(increment_batch, 3, 1, 1.0, 256,
+                                   [(0, 4096), (4096, 4096)], 8, factors):
+            sums()
+            chunks += 1
+            del inc, sums
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunks == 16  # the sweep overlaps: 32-step chunks of half the budget
+    half = 8 * budget // 2
+    sums_bytes = sum(half // M for M in factors)
+    assert peak <= 2 * half + sums_bytes + 8 * randomkit._DRAW_NORMALS + (1 << 16)
 
 
 def test_derive_seed_is_stable_and_spreads():

@@ -60,9 +60,9 @@ class _InlineExecutor:
     def __exit__(self, *exc):
         pass
 
-    def submit(self, call):
+    def submit(self, fn, *args):
         future = Future()
-        future.set_result(call())
+        future.set_result(fn(*args))
         return future
 
 

@@ -9,6 +9,7 @@ Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
   at (s, p) = (0.5, 2), where the power is a square, and at (0.3, 1.5);
 - ``pointwise_check`` reports;
 - Euler-Maruyama terminals and M=4 coupled terminals of every registry model;
+- block sums at 1, 2 and 2048 numbers per step for several M;
 - an error curve, a level's statistics and a histogram drawn in small time
   chunks (a tree without ``randomkit.CHUNK_NORMALS`` draws whole windows, so
   comparing with it checks that chunking changes no number);
@@ -165,6 +166,17 @@ def em_digests():
         yield f"em_coupled_M4/{name}/coarse", _sha(coarse)
 
 
+def block_sums_digests():
+    from irregmc import sde
+    from irregmc.randomkit import increment_batch
+
+    # (B, d) with B * d = 1, 2 and 2048; 192 steps take every M below
+    for B, d in ((1, 1), (1, 2), (2048, 1)):
+        inc = increment_batch(13, d, 1.0, 192, 0, B)
+        for M in (1, 2, 3, 8, 64, 192):
+            yield f"block_sums/B={B},d={d}/M={M}", _sha(sde.block_sums(inc, M))
+
+
 def chunked_digests():
     from irregmc import avikainen, diagnostics, mlmc, randomkit, sde
     from irregmc.payoff import make_payoff
@@ -198,7 +210,8 @@ def cli_digests():
 
 
 def emit() -> None:
-    for group in (maximal_digests, em_digests, chunked_digests, cli_digests):
+    for group in (maximal_digests, em_digests, block_sums_digests, chunked_digests,
+                  cli_digests):
         for name, digest in group():
             print(f"{digest}  {name}", flush=True)
 
