@@ -16,8 +16,9 @@ from numpy.random import Generator
 
 from .errors import DegenerateCurveError, InvalidArgumentError
 from .payoff import Payoff
-from .randomkit import StreamTag, derive_seed, increment_batch, stream, sweep
-from .sde import SdeModel, StepCounter, em_terminal_batch
+from .randomkit import StreamTag, derive_seed, increment_batch, stream
+from .sde import SdeModel, StepCounter, path_terminals
+from .sde import em_terminal_batch  # benchmarks/tracing.py rebinds it here
 from .stats import Welford, loglog_fit
 
 # Paths per window, read at call time; a multiple of BLOCK_PATHS, so windows
@@ -82,19 +83,10 @@ def qerror_curves(
     """Error curves for several (payoff, q) targets from one coupled sweep.
 
     All targets share the same reference terminals, so indicator curves for
-    different q are bit-identical by construction. Each window is drawn and
-    stepped in time chunks (``randomkit.sweep``) whose length is a multiple
-    of every coarsening factor n_ref // n, so no block sum straddles two
-    chunks; the sweep hands out each chunk's block sums for those factors.
-    When a window needs more than one chunk, a background thread sums this
-    chunk while its reference path is stepped, then draws the next chunk
-    while the coarse paths are stepped. At most two chunks and one chunk's
-    sums are then alive: the two chunks hold at most
-    ``randomkit.CHUNK_NORMALS`` normals together, and windows narrow from
-    4096 paths (to 2048 at n_ref = 4096 with factors up to 512) until the
-    lcm of the factors fits half. Where the lcm times one block exceeds half
-    the budget, chunks are drawn and summed inline, each of at most
-    ``CHUNK_NORMALS`` normals or the lcm of steps. Each window's values are
+    different q are bit-identical by construction. The reference path and
+    the coarse path of each n are stepped by ``sde.path_terminals`` with the
+    coarsening factors n_ref // n, over windows of ``DEFAULT_BATCH`` paths
+    (narrower when the sweep overlaps its draws). Each window's values are
     folded in block by block, so the curves are bit-identical whatever the
     window size, chunk length or overlap.
     """
@@ -109,21 +101,12 @@ def qerror_curves(
     accs = {(i, n): Welford() for i in range(len(targets)) for n in n_list}
     factors = [n_ref // n for n in n_list]
     windows = [(first, min(DEFAULT_BATCH, N - first)) for first in range(0, N, DEFAULT_BATCH)]
-    ref = coarse = None
-    for first, b, k0, k, inc, sums in sweep(increment_batch, seed, model.d, model.T, n_ref,
-                                            windows, math.lcm(*factors), factors):
-        if k0 == 0:
-            ref, coarse = None, dict.fromkeys(n_list)
-        ref = em_terminal_batch(model, inc, counter, ref, k0, n_ref)
-        for n, M, summed in zip(n_list, factors, sums()):
-            coarse[n] = em_terminal_batch(model, summed, counter, coarse[n], k0 // M, n)
-        del inc, sums, summed  # free this chunk and its sums before the next is summed
-        if k0 + k < n_ref:
-            continue
+    for first, _, ref, coarse in path_terminals(model, increment_batch, seed, n_ref, windows,
+                                                factors, counter):
         f_ref = [pay(ref) for pay, _ in targets]
-        for n in n_list:
+        for n, xn in zip(n_list, coarse):
             for i, (pay, q) in enumerate(targets):
-                diff = np.abs(f_ref[i] - pay(coarse[n])) ** q
+                diff = np.abs(f_ref[i] - pay(xn)) ** q
                 accs[(i, n)].update(diff, first)
     curves = []
     for i, (pay, q) in enumerate(targets):

@@ -205,12 +205,19 @@ def _validate_ranges(kind: str, params: dict) -> None:
     s = params.get("s")
     if s is not None and not (_is_number(s) and 0.0 < s < 1.0):
         raise ConfigError(f"s must lie in (0,1), got {s!r}")
+    alpha_hint = params.get("alpha_hint")
+    if alpha_hint is not None and not (_is_number(alpha_hint) and 0 < alpha_hint < math.inf):
+        raise ConfigError(f"alpha_hint must be a positive number or null, got {alpha_hint!r}")
+    if not isinstance(params.get("compare_single_level", False), bool):
+        raise ConfigError(f"compare_single_level must be true or false, "
+                          f"got {params['compare_single_level']!r}")
     if "n_pilot" in params and not (_is_int(params["n_pilot"]) and params["n_pilot"] >= 2):
         raise ConfigError(f"n_pilot must be an integer >= 2, got {params['n_pilot']!r}")
     if kind in ("rate", "density"):
         n_list = params.get("n_list", _RATE_N_LIST if kind == "rate" else _DENSITY_N_LIST)
-        if not isinstance(n_list, list) or not all(_is_int(n) and n >= 1 for n in n_list):
-            raise ConfigError(f"n_list must be a list of integers >= 1, got {n_list!r}")
+        if not (isinstance(n_list, list) and n_list
+                and all(_is_int(n) and n >= 1 for n in n_list)):
+            raise ConfigError(f"n_list must be a nonempty list of integers >= 1, got {n_list!r}")
         min_paths = av.MIN_PATHS if kind == "rate" else dg.MIN_PATHS
         N = params.get("N", _PATHS_N)
         if not (_is_int(N) and N >= min_paths):
@@ -462,7 +469,7 @@ def _run_complexity(config: ExperimentConfig, out: str, summary: RunSummary) -> 
     sw = mlmc.complexity_sweep(
         model, pay, eps_list, M=M, seed=seed,
         alpha_hint=p.get("alpha_hint", 1.0), predicted_exponent=predicted,
-        compare_single_level=bool(p.get("compare_single_level", False)),
+        compare_single_level=p.get("compare_single_level", False),
     )
     csv_path = os.path.join(out, "complexity.csv")
     _write_rows(csv_path, sw.csv_rows())

@@ -13,8 +13,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import FitFailureError, InvalidArgumentError
-from .randomkit import increment_batch, path_windows, sweep
-from .sde import SdeModel, em_terminal_batch
+from .randomkit import increment_batch, path_windows
+from .sde import SdeModel, path_terminals
+from .sde import em_terminal_batch  # benchmarks/tracing.py rebinds it here
 
 MIN_BIN_COUNT = 5
 MIN_PATHS = 10_000  # fewest paths terminal_histogram takes
@@ -78,24 +79,17 @@ def terminal_histogram(
 ) -> Histogram:
     """Histogram of the first coordinate of X^(n)(T) over N paths.
 
-    Paths are drawn and stepped in time chunks (``randomkit.sweep``), so
-    memory does not grow with n: when a window needs more than one chunk, the
-    next chunk is drawn on a background thread while this one is stepped, and
-    the two hold at most ``randomkit.CHUNK_NORMALS`` normals together;
-    otherwise each chunk is drawn inline and holds at most that many.
+    The paths are stepped by ``sde.path_terminals`` in time chunks, so memory
+    does not grow with n.
     """
     if N < MIN_PATHS:
         raise InvalidArgumentError(f"N must be >= {MIN_PATHS}")
     if bins < MIN_BINS:
         raise InvalidArgumentError(f"need at least {MIN_BINS} bins")
     samples = np.empty(N)
-    x = None
-    for first, b, k0, k, inc, _ in sweep(increment_batch, seed, model.d, model.T, n,
+    for first, b, x, _ in path_terminals(model, increment_batch, seed, n,
                                          path_windows(0, N, n * model.d)):
-        x = em_terminal_batch(model, inc, None, x if k0 else None, k0, n)
-        del inc  # free this chunk before the next one is drawn
-        if k0 + k == n:
-            samples[first : first + b] = x[:, 0]
+        samples[first : first + b] = x[:, 0]
     if value_range is None:
         lo, hi = float(samples.min()), float(samples.max())
         if lo == hi:

@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import DegenerateCurveError, InvalidArgumentError, NonconvergenceError
 from .payoff import Payoff
-from .randomkit import derive_seed, increment_batch, path_windows, sweep
-from .sde import SdeModel, StepCounter, coupled_terminal_batch, em_terminal_batch
+from .randomkit import derive_seed, increment_batch, path_windows
+from .sde import SdeModel, StepCounter, path_terminals
+from .sde import coupled_terminal_batch, em_terminal_batch  # benchmarks/tracing.py rebinds these
 from .stats import LineFit, Welford, loglog_fit
 
 DEFAULT_PILOT = 1000
@@ -94,41 +95,22 @@ class _LevelAccumulator:
         )
 
 
-def _terminals(model: SdeModel, seed: int, n_fine: int, M: int, first: int, n: int,
-               counter: StepCounter):
-    """Yield (window's first path, states at T) for the windows of paths first..first+n-1.
-
-    Each window is drawn and stepped in time chunks whose length is a
-    multiple of M (``randomkit.sweep``, which may draw the next chunk while
-    this one is stepped). M = 1 gives the (b, d) terminals; M >= 2 gives the
-    (fine, coarse) pair of ``coupled_terminal_batch``.
-    """
-    windows = path_windows(first, n, n_fine * model.d, DEFAULT_BATCH)
-    x = None
-    for w, _, k0, k, inc, _ in sweep(increment_batch, seed, model.d, model.T, n_fine,
-                                     windows, M):
-        x = x if k0 else None
-        if M == 1:
-            x = em_terminal_batch(model, inc, counter, x, k0, n_fine)
-        else:
-            x = coupled_terminal_batch(model, inc, M, counter, x, k0, n_fine)
-        del inc  # free this chunk before the next one is drawn
-        if k0 + k == n_fine:
-            yield w, x
+def _fold(model: SdeModel, payoff: Payoff, acc: Welford, seed: int, n_fine: int, factors,
+          n_new: int, counter: StepCounter) -> Welford:
+    """Fold payoff(fine) - payoff(coarse), or payoff(fine) when no factor is
+    named, of the next n_new paths into acc, block by block."""
+    windows = path_windows(acc.count, n_new, n_fine * model.d, DEFAULT_BATCH)
+    for first, _, fine, coarse in path_terminals(model, increment_batch, seed, n_fine,
+                                                 windows, factors, counter):
+        acc.update(payoff(fine) - payoff(coarse[0]) if coarse else payoff(fine), first)
+    return acc
 
 
-def _sample_level(
-    model: SdeModel,
-    payoff: Payoff,
-    state: _LevelAccumulator,
-    n_new: int,
-    counter: StepCounter,
-) -> None:
+def _sample_level(model: SdeModel, payoff: Payoff, state: _LevelAccumulator, n_new: int,
+                  counter: StepCounter) -> None:
     """Add n_new paths to the level, folded into its statistics block by block."""
-    M = state.M if state.level else 1
-    for first, x in _terminals(model, state.seed, state.n_fine, M, state.count, n_new,
-                                  counter):
-        state.acc.update(payoff(x[0]) - payoff(x[1]) if state.level else payoff(x), first)
+    _fold(model, payoff, state.acc, state.seed, state.n_fine,
+          (state.M,) if state.level else (), n_new, counter)
 
 
 def level_sample(
@@ -193,6 +175,11 @@ def _bias_estimate(states: list[_LevelAccumulator], M: int, alpha: float) -> flo
     return max(terms) / factor
 
 
+def _check_alpha_hint(alpha_hint: float | None) -> None:
+    if alpha_hint is not None and not alpha_hint > 0:
+        raise InvalidArgumentError(f"alpha_hint must be positive or None, got {alpha_hint}")
+
+
 def run_mlmc(
     model: SdeModel,
     payoff: Payoff,
@@ -215,6 +202,7 @@ def run_mlmc(
         raise InvalidArgumentError("epsilon must lie in (0, 1)")
     if M not in (2, 4):
         raise InvalidArgumentError("refinement M must be 2 or 4")
+    _check_alpha_hint(alpha_hint)
     counter = StepCounter()
     states = [_LevelAccumulator(l, M, model.T, seed) for l in range(min_levels + 1)]
     for st in states:
@@ -302,6 +290,7 @@ def single_level_run(
     """Plain Monte Carlo at the coarsest n = M^L passing the same bias test."""
     if not 0.0 < epsilon < 1.0:
         raise InvalidArgumentError("epsilon must lie in (0, 1)")
+    _check_alpha_hint(alpha_hint)
     calib = StepCounter()
     states = [_LevelAccumulator(l, M, model.T, derive_seed(seed, 0xB1A5))
               for l in range(3)]
@@ -321,17 +310,12 @@ def single_level_run(
     n_steps = states[-1].n_fine
 
     # pilot the payoff variance at the chosen resolution, then size N
-    pilot_seed = derive_seed(seed, 0x51E6)
-    pilot = Welford()
-    for first, x in _terminals(model, pilot_seed, n_steps, 1, 0, n_pilot, calib):
-        pilot.update(payoff(x), first)
+    pilot = _fold(model, payoff, Welford(), derive_seed(seed, 0x51E6), n_steps, (), n_pilot,
+                  calib)
     N = max(2, int(math.ceil(2.0 * pilot.variance / epsilon**2)))
 
     counter = StepCounter()
-    acc = Welford()
-    run_seed = derive_seed(seed, 0xF1A7)
-    for first, x in _terminals(model, run_seed, n_steps, 1, 0, N, counter):
-        acc.update(payoff(x), first)
+    acc = _fold(model, payoff, Welford(), derive_seed(seed, 0xF1A7), n_steps, (), N, counter)
     return SingleLevelResult(
         estimate=acc.mean, n_steps=n_steps, N=N,
         cost=float(counter.steps), calibration_cost=float(calib.steps),

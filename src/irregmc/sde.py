@@ -3,7 +3,8 @@
 The scheme freezes coefficients at the left grid point t_k = k*T/n; grid times
 are produced by index arithmetic, never by flooring s*n/T. Coarse paths are
 driven by block sums of the same fine increments, so for constant coefficients
-fine and coarse terminals agree to rounding.
+fine and coarse terminals agree to rounding. ``path_terminals`` is the path
+engine of every driver: fine and coupled coarse paths, window by window.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericFailureError
-from .randomkit import block_sums
+from .randomkit import block_sums, sweep
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,30 @@ def coupled_terminal_batch(
     coarse_inc = block_sums(increments, M)
     fine = em_terminal_batch(model, increments, counter, fine_x, k0, n)
     return fine, em_terminal_batch(model, coarse_inc, counter, coarse_x, k0 // M, n // M)
+
+
+def path_terminals(model: SdeModel, draw, seed: int, n_fine: int, windows, factors=(),
+                   counter: StepCounter | None = None):
+    """Yield (first, b, fine, coarse) at the end of each window of paths, in order.
+
+    ``fine`` holds the (b, d) states X^(n_fine)(T) of paths first..first+b-1
+    and ``coarse`` one (b, d) state per factor M, of the n_fine // M-step
+    path on ``block_sums`` of the same increments: ``em_terminal_batch`` on
+    the whole window's increments and on their sums, though
+    ``randomkit.sweep(draw, ...)`` hands the window out in time chunks (and
+    narrower windows when it overlaps its draws).
+    """
+    for first, b, k0, k, inc, sums in sweep(draw, seed, model.d, model.T, n_fine, windows,
+                                            math.lcm(*factors), factors):
+        if k0 == 0:
+            fine, coarse = None, [None] * len(factors)
+        # the fine path first: an overlapped sweep sums this chunk meanwhile
+        fine = em_terminal_batch(model, inc, counter, fine, k0, n_fine)
+        coarse = [em_terminal_batch(model, summed, counter, x, k0 // M, n_fine // M)
+                  for M, summed, x in zip(factors, sums(), coarse)]
+        del inc, sums  # free this chunk and its sums before the next is drawn
+        if k0 + k == n_fine:
+            yield first, b, fine, coarse
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import norm
 
 from irregmc import avikainen as av
-from irregmc import randomkit
+from irregmc import randomkit, sde
 from irregmc.avikainen import (
     ErrorCurve,
     exponent_rule,
@@ -173,7 +173,7 @@ def test_sweep_draws_and_steps_what_it_reports(monkeypatch):
     budget = 1 << 18
     monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
     monkeypatch.setattr(av, "increment_batch", counting_draw)
-    monkeypatch.setattr(av, "em_terminal_batch", counting_em)
+    monkeypatch.setattr(sde, "em_terminal_batch", counting_em)
     N, n_ref, n_list = 5000, 1024, [32, 128, 256]
     counter = StepCounter()
     qerror_curves(make_model("sincos"), [(make_payoff("clamp_ramp"), 2.0)], n_list, N,

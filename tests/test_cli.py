@@ -126,6 +126,13 @@ def test_block_name_must_be_a_string():
     ("inequality", {"scale_grid": [0.1, "x"]}, "scale_grid must be a nonempty list"),
     ("density", {"value_range": "wide"}, "value_range must be a list"),
     ("density", {"value_range": [1.0, -1.0]}, "value_range must be a list"),
+    ("mlmc", {"alpha_hint": "x"}, "alpha_hint must be a positive number or null"),
+    ("mlmc", {"alpha_hint": 0}, "alpha_hint must be a positive number or null"),
+    ("mlmc", {"alpha_hint": -1}, "alpha_hint must be a positive number or null"),
+    ("complexity", {"alpha_hint": -1}, "alpha_hint must be a positive number or null"),
+    ("complexity", {"compare_single_level": "no"}, "compare_single_level must be true or false"),
+    ("rate", {"n_list": []}, "n_list must be a nonempty list"),
+    ("density", {"n_list": []}, "n_list must be a nonempty list"),
 ])
 def test_runtime_param_errors_exit_2(tmp_path, capsys, kind, params, message):
     # each of these used to reach the library and end in a traceback

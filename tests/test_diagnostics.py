@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from irregmc import diagnostics as dg
-from irregmc import randomkit
+from irregmc import randomkit, sde
 from irregmc.diagnostics import (
     Histogram,
     fit_gaussian_envelope,
@@ -101,7 +101,7 @@ def test_histogram_draws_and_steps_in_bounded_chunks(monkeypatch):
     model = make_model("sincos")
     whole = terminal_histogram(model, 512, 10_000, 40, seed=4)
     drawn, steps = [], []
-    draw, em = dg.increment_batch, dg.em_terminal_batch
+    draw, em = dg.increment_batch, sde.em_terminal_batch
 
     def counting_draw(*args, **kwargs):
         inc = draw(*args, **kwargs)
@@ -115,7 +115,7 @@ def test_histogram_draws_and_steps_in_bounded_chunks(monkeypatch):
     budget = 1 << 18
     monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
     monkeypatch.setattr(dg, "increment_batch", counting_draw)
-    monkeypatch.setattr(dg, "em_terminal_batch", counting_em)
+    monkeypatch.setattr(sde, "em_terminal_batch", counting_em)
     chunked = terminal_histogram(model, 512, 10_000, 40, seed=4)
     assert len(drawn) > 10  # ten windows, two chunks each
     assert sum(drawn) == sum(steps) == 10_000 * 512

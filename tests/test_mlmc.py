@@ -171,6 +171,18 @@ def test_run_mlmc_validation():
         run_mlmc(model, pay, 0.01, M=3)
 
 
+@pytest.mark.parametrize("alpha_hint", [0, -1.0, math.nan])
+def test_alpha_hint_must_be_positive(alpha_hint):
+    # a hint <= 0 divided by zero in the bias test or made every bias negative
+    model, pay = make_model("constant"), make_payoff("clamp_ramp")
+    with pytest.raises(InvalidArgumentError, match="alpha_hint"):
+        run_mlmc(model, pay, 0.01, alpha_hint=alpha_hint)
+    with pytest.raises(InvalidArgumentError, match="alpha_hint"):
+        single_level_run(model, pay, 0.01, alpha_hint=alpha_hint)
+    with pytest.raises(InvalidArgumentError, match="alpha_hint"):
+        complexity_sweep(model, pay, [0.04, 0.02, 0.01], alpha_hint=alpha_hint)
+
+
 def test_run_mlmc_nonconvergence_diagnostics():
     model = make_model("sincos")
     indicator = make_payoff("interval_indicator")
@@ -289,8 +301,6 @@ def _counting_engine(monkeypatch):
         return em(model, increments, *args, **kwargs)
 
     monkeypatch.setattr(mlmc, "increment_batch", counting_draw)
-    monkeypatch.setattr(mlmc, "em_terminal_batch", counting_em)
-    # coupled_terminal_batch looks em_terminal_batch up in sde itself
     monkeypatch.setattr(sde, "em_terminal_batch", counting_em)
     return drawn, steps
 

@@ -5,9 +5,12 @@ Hypothesis runs derandomized with a bounded number of examples, so the suite
 stays deterministic: the same examples are drawn on every run.
 """
 
+import math
+import threading
 from functools import reduce
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +20,16 @@ from irregmc.maximal import (
     random_density_1d,
     random_density_2d,
 )
+from irregmc import randomkit
 from irregmc.randomkit import BLOCK_PATHS, StreamTag, block_streams, increment_batch, stream
-from irregmc.sde import block_sums, coupled_terminal_batch, em_terminal_batch, make_model
+from irregmc.sde import (
+    StepCounter,
+    block_sums,
+    coupled_terminal_batch,
+    em_terminal_batch,
+    make_model,
+    path_terminals,
+)
 from irregmc.stats import Welford
 
 PROPS = settings(derandomize=True, max_examples=25, deadline=None, database=None)
@@ -96,6 +107,55 @@ def test_coarse_terminals_are_em_on_block_sums(seed, model, M, n_coarse, first, 
     assert np.array_equal(block_sums(inc, M), summed)
     assert np.array_equal(fine, em_terminal_batch(model, inc))
     assert np.array_equal(coarse, em_terminal_batch(model, summed))
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+@PROPS
+@given(seed=seeds, model=models, factors=st.sets(st.sampled_from([1, 2, 3, 4, 8]), max_size=3),
+       r=st.integers(2, 5), first=firsts, data=st.data())
+def test_path_terminals_are_em_on_each_window_and_its_block_sums(overlap, seed, model, factors,
+                                                                 r, first, data):
+    model = _model(model)
+    factors = sorted(factors)
+    multiple = math.lcm(*factors)
+    n_fine = multiple * r
+    # half of the overlapping budget holds `multiple` steps of one block, so a
+    # window wider than one block needs several chunks; the inline budgets
+    # give several chunks or one per window
+    widths = data.draw(st.lists(st.integers(1, 2 * BLOCK_PATHS), min_size=1, max_size=3))
+    if overlap:
+        widths[0] = max(widths[0], BLOCK_PATHS + 1)
+        budget = 2 * multiple * BLOCK_PATHS * model.d
+    else:
+        budget = data.draw(st.sampled_from([multiple * BLOCK_PATHS * model.d,
+                                            randomkit.CHUNK_NORMALS]))
+    starts = np.cumsum([first, *widths]).tolist()
+    windows = list(zip(starts, widths))
+    on_main = []
+
+    def draw(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return increment_batch(*args, **kwargs)
+
+    counter = StepCounter()
+    saved, randomkit.CHUNK_NORMALS = randomkit.CHUNK_NORMALS, budget
+    try:
+        yielded = list(path_terminals(model, draw, seed, n_fine, windows, factors, counter))
+    finally:
+        randomkit.CHUNK_NORMALS = saved
+    assert set(on_main) == {not overlap}
+    # the windows given, or narrower ones when overlapped, in order
+    edges = [first] + [w + b for w, b, _, _ in yielded]
+    assert [w for w, _, _, _ in yielded] == edges[:-1] and edges[-1] == starts[-1]
+    if not overlap:
+        assert [(w, b) for w, b, _, _ in yielded] == windows
+    for w, b, fine, coarse in yielded:
+        inc = increment_batch(seed, model.d, model.T, n_fine, w, b)
+        assert np.array_equal(fine, em_terminal_batch(model, inc))
+        assert len(coarse) == len(factors)
+        for M, x in zip(factors, coarse):
+            assert np.array_equal(x, em_terminal_batch(model, block_sums(inc, M)))
+    assert counter.steps == sum(widths) * (n_fine + sum(n_fine // M for M in factors))
 
 
 @PROPS

@@ -119,9 +119,7 @@ def test_no_thread_outlives_a_failed_sweep(monkeypatch, driver, where):
         _fail_on_call(monkeypatch, module, "increment_batch", 3, exc)
     else:
         exc = NumericFailureError("step failed")
-        failing = _fail_on_call(monkeypatch, module, "em_terminal_batch", 5, exc)
-        # coupled_terminal_batch looks em_terminal_batch up in sde itself
-        monkeypatch.setattr(sde, "em_terminal_batch", failing)
+        _fail_on_call(monkeypatch, sde, "em_terminal_batch", 5, exc)
     before = threading.active_count()
     with pytest.raises(type(exc), match="failed"):
         run()
@@ -155,3 +153,27 @@ def test_overlapped_draws_hold_half_the_budget(monkeypatch):
     assert {paths for paths, _ in drawn} == {2048, 904}
     assert max(size for _, size in drawn) == budget // 2
     assert sum(size for _, size in drawn) == 5000 * 4096
+
+
+def test_path_terminals_steps_the_fine_path_before_it_asks_for_the_sums(monkeypatch):
+    # an overlapped sweep sums chunk j on its thread while the caller steps
+    # chunk j's fine path; asking for the sums first would serialize the two
+    events = []
+    sweep, em = sde.sweep, sde.em_terminal_batch
+
+    def recording_sweep(*args, **kwargs):
+        for *where, inc, sums in sweep(*args, **kwargs):
+            events.append("chunk")
+            yield *where, inc, lambda sums=sums: events.append("sums") or sums()
+
+    def recording_em(*args, **kwargs):
+        events.append("em")
+        return em(*args, **kwargs)
+
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", 1 << 12)
+    monkeypatch.setattr(sde, "sweep", recording_sweep)
+    monkeypatch.setattr(sde, "em_terminal_batch", recording_em)
+    list(sde.path_terminals(make_model("sincos"), randomkit.increment_batch, 4, 64,
+                            [(0, 100), (100, 50)], [4, 8]))
+    assert events.count("chunk") > 2
+    assert events == ["chunk", "em", "sums", "em", "em"] * events.count("chunk")
