@@ -1,10 +1,11 @@
 """Experiment runner: JSON config in, CSV/JSON artifacts out.
 
 Subcommands mirror the experiment kinds (rate, inequality, maximal, mlmc,
-complexity, density) plus selftest. Configs are validated strictly: unknown
-keys are rejected, since silent misconfiguration is the dominant failure mode
-of numeric experiment runners. All artifacts are deterministic given the seed;
-wall-clock timings live only in the run summary.
+complexity, density) plus selftest. Configs are validated strictly against
+one param table per kind: unknown keys are rejected, since silent
+misconfiguration is the dominant failure mode of numeric experiment runners,
+and the defaults are filled in. All artifacts are deterministic given the
+seed; wall-clock timings live only in the run summary.
 """
 
 from __future__ import annotations
@@ -24,38 +25,134 @@ from . import diagnostics as dg
 from . import mlmc
 from . import payoff as po
 from . import sde
-from .errors import ConfigError, DegenerateCurveError, InvalidArgumentError, NonconvergenceError
+from .errors import (ConfigError, DegenerateCurveError, InvalidArgumentError, IrregmcError,
+                     NonconvergenceError)
 
 OUT_ENV_VAR = "IRREGMC_OUT"
 
-EXPERIMENT_KINDS = ("rate", "inequality", "maximal", "mlmc", "complexity", "density")
-
 _COMMON_KEYS = {"kind", "model", "payoff", "params", "out"}
 
-_PARAM_KEYS = {
-    "rate": {"q", "n_list", "N", "n_ref", "seed", "delta"},
-    "inequality": {"family", "rule", "p", "q", "r", "s", "scale_grid", "N", "seed"},
-    "maximal": {"n_atomic", "n_grid_1d", "n_grid_2d", "n_lambdas", "seed"},
-    "mlmc": {"epsilon", "M", "alpha_hint", "seed", "n_pilot"},
-    "complexity": {"epsilon_list", "M", "alpha_hint", "seed", "compare_single_level"},
-    "density": {"n_list", "N", "bins", "seed", "value_range"},
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value) -> bool:
+    return isinstance(value, list) and all(_is_number(v) for v in value)
+
+
+def _int_from(low: int) -> tuple:
+    return (lambda v: _is_int(v) and v >= low), f"be an integer >= {low}"
+
+
+# A param is (default, check, requirement): the check is a predicate on the
+# JSON value, and a value that fails it exits 2 with "<key> must <requirement>".
+_MOMENT = (lambda v: _is_number(v) and 1 <= v < math.inf), "be a finite number >= 1"
+_FRACTION = (lambda v: _is_number(v) and 0 < v < 1), "lie in (0,1)"
+_N_LIST = (lambda v: isinstance(v, list) and v != [] and all(_is_int(n) and n >= 1 for n in v),
+           "be a nonempty list of integers >= 1")
+_SEED = (0, lambda v: _is_int(v) and 0 <= v < 2**64, "be an integer in [0, 2**64)")
+_M = (2, lambda v: _is_int(v) and v in mlmc.REFINEMENTS,
+      f"be one of the integers {list(mlmc.REFINEMENTS)}")
+_ALPHA_HINT = (1.0, lambda v: v is None or _is_number(v) and 0 < v < math.inf,
+               "be a positive number or null")
+
+
+def _rate_rules(p: dict) -> None:
+    for n in p["n_list"]:
+        if p["n_ref"] % n:
+            raise ConfigError(f"each n in n_list must divide n_ref={p['n_ref']}, got n={n}")
+
+
+def _maximal_rules(p: dict) -> None:
+    counts = ["n_atomic", "n_grid_1d", "n_grid_2d"]
+    if not any(p[key] for key in counts):
+        raise ConfigError(f"at least one of {counts} must be positive")
+
+
+def _complexity_rules(p: dict) -> None:
+    eps_list = p["epsilon_list"]
+    if len(eps_list) < mlmc.MIN_EPSILONS:
+        raise ConfigError(f"epsilon_list needs at least {mlmc.MIN_EPSILONS} epsilons, "
+                          f"got {len(eps_list)}")
+    if max(eps_list) < mlmc.MIN_EPSILON_SPAN * min(eps_list):
+        raise ConfigError(f"epsilon_list must span at least a "
+                          f"{mlmc.MIN_EPSILON_SPAN:g}x range, got {eps_list!r}")
+    mlmc.check_alpha_hint(p["alpha_hint"], p["M"])
+
+
+# kind -> (the config blocks a run needs, its params, the checks on more than
+# one param, which may raise InvalidArgumentError from a library check)
+_KINDS = {
+    "rate": (("model", "payoff"), {
+        "q": (2.0, *_MOMENT),
+        "n_list": ([8, 16, 32, 64, 128, 256, 512], *_N_LIST),
+        "N": (100_000, *_int_from(av.MIN_PATHS)),
+        "n_ref": (4096, *_int_from(1)),
+        "seed": _SEED,
+        "delta": (0.7, *_FRACTION),
+    }, _rate_rules),
+    "inequality": (("payoff",), {
+        "family": ("gaussian_shift", lambda v: isinstance(v, str) and v in av.PAIR_FAMILIES,
+                   f"be one of {sorted(av.PAIR_FAMILIES)}"),
+        "rule": ("bv", lambda v: isinstance(v, str), "be a rule name"),
+        "p": (1.0, *_MOMENT),
+        "q": (1.0, *_MOMENT),
+        "r": (math.inf, lambda v: _is_number(v) and v > 1, "be a number > 1 or Infinity"),
+        "s": (None, lambda v: v is None or _FRACTION[0](v), "lie in (0,1) or be null"),
+        "scale_grid": ([0.2, 0.1, 0.05, 0.025],
+                       lambda v: _numbers(v) and v != [] and all(0 < t < math.inf for t in v),
+                       "be a nonempty list of numbers, each finite and > 0"),
+        "N": (200_000, *_int_from(1)),
+        "seed": _SEED,
+    }, lambda p: av.exponent_rule(p["rule"], p["p"], p["q"], p["r"], p["s"])),
+    "maximal": ((), {
+        "n_atomic": (100, *_int_from(0)),
+        "n_grid_1d": (50, *_int_from(0)),
+        "n_grid_2d": (50, *_int_from(0)),
+        "n_lambdas": (10, *_int_from(1)),
+        "seed": _SEED,
+    }, _maximal_rules),
+    "mlmc": (("model", "payoff"), {
+        "epsilon": (0.01, lambda v: _is_number(v) and mlmc.MIN_EPSILON <= v < 1,
+                    f"lie in [{mlmc.MIN_EPSILON:g}, 1)"),
+        "M": _M,
+        "alpha_hint": _ALPHA_HINT,
+        "seed": _SEED,
+        "n_pilot": (mlmc.DEFAULT_PILOT, *_int_from(2)),
+    }, lambda p: mlmc.check_alpha_hint(p["alpha_hint"], p["M"])),
+    "complexity": (("model", "payoff"), {
+        "epsilon_list": ([0.02, 0.01, 0.005],
+                         lambda v: _numbers(v) and all(mlmc.MIN_EPSILON <= e < 1 for e in v),
+                         f"be a list of numbers in [{mlmc.MIN_EPSILON:g}, 1)"),
+        "M": _M,
+        "alpha_hint": _ALPHA_HINT,
+        "seed": _SEED,
+        "compare_single_level": (False, lambda v: isinstance(v, bool), "be true or false"),
+    }, _complexity_rules),
+    "density": (("model",), {
+        "n_list": ([16, 64, 256], *_N_LIST),
+        "N": (100_000, *_int_from(dg.MIN_PATHS)),
+        "bins": (60, *_int_from(dg.MIN_BINS)),
+        "seed": _SEED,
+        "value_range": (None, lambda v: v is None or (
+                            _numbers(v) and len(v) == 2 and all(map(math.isfinite, v))
+                            and v[0] < v[1]),
+                        "be a list [lo, hi] of finite numbers with lo < hi, or null"),
+    }, lambda p: None),
 }
 
-_NEEDS_MODEL = {"rate", "mlmc", "complexity", "density"}
-_NEEDS_PAYOFF = {"rate", "inequality", "mlmc", "complexity"}
+EXPERIMENT_KINDS = tuple(_KINDS)
 
-# defaults shared by the range checks and the runners
-_RATE_N_LIST = [8, 16, 32, 64, 128, 256, 512]
-_RATE_N_REF = 4096
-_DENSITY_N_LIST = [16, 64, 256]
-_PATHS_N = 100_000  # N of rate and density runs
-_MAXIMAL_COUNTS = {"n_atomic": 100, "n_grid_1d": 50, "n_grid_2d": 50}  # measures per kind
-_N_LAMBDAS = 10
-_INEQUALITY = {"family": "gaussian_shift", "rule": "bv", "p": 1.0, "q": 1.0, "r": math.inf}
-_INEQUALITY_N = 200_000
-_SCALE_GRID = [0.2, 0.1, 0.05, 0.025]
-_EPSILON_LIST = [0.02, 0.01, 0.005]
-_BINS = 60
+
+def _check(key: str, param: tuple, value) -> None:
+    _, ok, requirement = param
+    if not ok(value):
+        raise ConfigError(f"{key} must {requirement}, got {value!r}")
 
 
 @dataclass
@@ -89,6 +186,7 @@ class RunSummary:
     artifacts: list = field(default_factory=list)
     wall_seconds: float = 0.0
     em_steps: float = 0.0
+    error: dict | None = None  # type, message and diagnostics of an error that ends the run
 
     def add_check(self, name: str, status: str, detail) -> None:
         if status not in ("pass", "fail", "informational"):
@@ -105,6 +203,7 @@ class RunSummary:
             "checks": self.checks,
             "artifacts": self.artifacts,
             "costs": {"wall_seconds": self.wall_seconds, "em_steps": self.em_steps},
+            "error": self.error,
         }
 
 
@@ -135,18 +234,24 @@ def parse_config(text: str) -> ExperimentConfig:
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"kind must be one of {EXPERIMENT_KINDS}, got {kind!r}")
 
-    if "model" not in doc and kind in _NEEDS_MODEL:
-        raise ConfigError(f"experiment kind {kind!r} requires a model block")
-    if "payoff" not in doc and kind in _NEEDS_PAYOFF:
-        raise ConfigError(f"experiment kind {kind!r} requires a payoff block")
+    blocks, table, rules = _KINDS[kind]
+    for block in blocks:
+        if block not in doc:
+            raise ConfigError(f"experiment kind {kind!r} requires a {block} block")
     model_name, model_params, model = _build_block(
         doc, "model", sde.MODEL_REGISTRY, sde.make_model)
     payoff_name, payoff_params, pay = _build_block(
         doc, "payoff", po.PAYOFF_REGISTRY, po.make_payoff)
 
-    params = dict(_json_object(doc.get("params", {}), "params"))
-    _reject_unknown(params, _PARAM_KEYS[kind], f"params for kind {kind!r}")
-    _validate_ranges(kind, params)
+    given = _json_object(doc.get("params", {}), "params")
+    _reject_unknown(given, set(table), f"params for kind {kind!r}")
+    params = {key: given.get(key, default) for key, (default, _, _) in table.items()}
+    for key, value in params.items():
+        _check(key, table[key], value)
+    try:
+        rules(params)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"bad {kind} params: {exc}") from exc
     return ExperimentConfig(
         kind=kind, model_name=model_name, model_params=model_params,
         payoff_name=payoff_name, payoff_params=payoff_params,
@@ -178,109 +283,6 @@ def _build_block(doc: dict, key: str, registry: dict, make):
         raise ConfigError(f"bad params in {key} block for {name!r}: {exc}") from exc
 
 
-def _validate_ranges(kind: str, params: dict) -> None:
-    for key in ("delta", "epsilon"):
-        if key in params and not (_is_number(params[key]) and 0.0 < params[key] < 1.0):
-            raise ConfigError(f"{key} must lie in (0,1), got {params[key]!r}")
-    seed = params.get("seed", 0)
-    if not (_is_int(seed) and 0 <= seed < 2**64):
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    if kind == "complexity":
-        eps_list = params.get("epsilon_list", _EPSILON_LIST)
-        if not _numbers(eps_list):
-            raise ConfigError(f"epsilon_list must be a list of numbers, got {eps_list!r}")
-        for eps in eps_list:
-            if not 0.0 < eps < 1.0:
-                raise ConfigError(f"epsilon must lie in (0,1), got {eps}")
-        if len(eps_list) < mlmc.MIN_EPSILONS:
-            raise ConfigError(f"epsilon_list needs at least {mlmc.MIN_EPSILONS} epsilons, "
-                              f"got {len(eps_list)}")
-        if max(eps_list) < mlmc.MIN_EPSILON_SPAN * min(eps_list):
-            raise ConfigError(f"epsilon_list must span at least a "
-                              f"{mlmc.MIN_EPSILON_SPAN:g}x range, got {eps_list!r}")
-    if "q" in params and not (_is_number(params["q"]) and params["q"] >= 1):
-        raise ConfigError(f"q must be a number >= 1, got {params['q']!r}")
-    if "M" in params and params["M"] not in (2, 4):
-        raise ConfigError(f"M must be 2 or 4, got {params['M']}")
-    s = params.get("s")
-    if s is not None and not (_is_number(s) and 0.0 < s < 1.0):
-        raise ConfigError(f"s must lie in (0,1), got {s!r}")
-    alpha_hint = params.get("alpha_hint")
-    if alpha_hint is not None and not (_is_number(alpha_hint) and 0 < alpha_hint < math.inf):
-        raise ConfigError(f"alpha_hint must be a positive number or null, got {alpha_hint!r}")
-    if not isinstance(params.get("compare_single_level", False), bool):
-        raise ConfigError(f"compare_single_level must be true or false, "
-                          f"got {params['compare_single_level']!r}")
-    if "n_pilot" in params and not (_is_int(params["n_pilot"]) and params["n_pilot"] >= 2):
-        raise ConfigError(f"n_pilot must be an integer >= 2, got {params['n_pilot']!r}")
-    if kind in ("rate", "density"):
-        n_list = params.get("n_list", _RATE_N_LIST if kind == "rate" else _DENSITY_N_LIST)
-        if not (isinstance(n_list, list) and n_list
-                and all(_is_int(n) and n >= 1 for n in n_list)):
-            raise ConfigError(f"n_list must be a nonempty list of integers >= 1, got {n_list!r}")
-        min_paths = av.MIN_PATHS if kind == "rate" else dg.MIN_PATHS
-        N = params.get("N", _PATHS_N)
-        if not (_is_int(N) and N >= min_paths):
-            raise ConfigError(f"N must be an integer >= {min_paths}, got {N!r}")
-    if kind == "density":
-        bins = params.get("bins", _BINS)
-        if not (_is_int(bins) and bins >= dg.MIN_BINS):
-            raise ConfigError(f"bins must be an integer >= {dg.MIN_BINS}, got {bins!r}")
-        value_range = params.get("value_range")
-        if value_range is not None and not (
-                _numbers(value_range) and len(value_range) == 2
-                and all(map(math.isfinite, value_range)) and value_range[0] < value_range[1]):
-            raise ConfigError(f"value_range must be a list [lo, hi] of finite numbers with "
-                              f"lo < hi, got {value_range!r}")
-    if kind == "inequality":
-        ip = {key: params.get(key, default) for key, default in _INEQUALITY.items()}
-        if ip["family"] not in av.PAIR_FAMILIES:
-            raise ConfigError(f"family must be one of {sorted(av.PAIR_FAMILIES)}, "
-                              f"got {ip['family']!r}")
-        N = params.get("N", _INEQUALITY_N)
-        if not (_is_int(N) and N >= 1):
-            raise ConfigError(f"N must be an integer >= 1, got {N!r}")
-        grid = params.get("scale_grid", _SCALE_GRID)
-        if not (_numbers(grid) and grid):
-            raise ConfigError(f"scale_grid must be a nonempty list of numbers, got {grid!r}")
-        if not all(_is_number(ip[key]) for key in ("p", "q", "r")):
-            raise ConfigError(f"p, q and r must be numbers, got "
-                              f"{[ip['p'], ip['q'], ip['r']]!r}")
-        try:  # the rule's name, q < r, and s under rule fractional
-            av.exponent_rule(ip["rule"], ip["p"], ip["q"], ip["r"], params.get("s"))
-        except InvalidArgumentError as exc:
-            raise ConfigError(f"bad inequality params: {exc}") from exc
-    if kind == "maximal":
-        counts = {key: params.get(key, default) for key, default in _MAXIMAL_COUNTS.items()}
-        for key, count in counts.items():
-            if not (_is_int(count) and count >= 0):
-                raise ConfigError(f"{key} must be an integer >= 0, got {count!r}")
-        if not any(counts.values()):
-            raise ConfigError(f"at least one of {sorted(counts)} must be positive")
-        n_lambdas = params.get("n_lambdas", _N_LAMBDAS)
-        if not (_is_int(n_lambdas) and n_lambdas >= 1):
-            raise ConfigError(f"n_lambdas must be an integer >= 1, got {n_lambdas!r}")
-    if kind == "rate":
-        n_ref = params.get("n_ref", _RATE_N_REF)
-        if not (_is_int(n_ref) and n_ref >= 1):
-            raise ConfigError(f"n_ref must be an integer >= 1, got {n_ref!r}")
-        for n in n_list:
-            if n_ref % n:
-                raise ConfigError(f"each n in n_list must divide n_ref={n_ref}, got n={n}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _numbers(value) -> bool:
-    return isinstance(value, list) and all(_is_number(v) for v in value)
-
-
 # ---------------------------------------------------------------------------
 # Experiment execution
 # ---------------------------------------------------------------------------
@@ -300,14 +302,9 @@ def _write_json(path: str, payload: dict) -> None:
 def _run_rate(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
     model, pay = config.model, config.payoff
     p = config.params
-    q = float(p.get("q", 2.0))
-    n_list = p.get("n_list", _RATE_N_LIST)
-    N = int(p.get("N", _PATHS_N))
-    n_ref = int(p.get("n_ref", _RATE_N_REF))
-    seed = int(p.get("seed", 0))
-    delta = float(p.get("delta", 0.7))
+    q, delta = float(p["q"]), float(p["delta"])
     counter = sde.StepCounter()
-    curve = av.qerror_curves(model, [(pay, q)], n_list, N, n_ref, seed,
+    curve = av.qerror_curves(model, [(pay, q)], p["n_list"], p["N"], p["n_ref"], p["seed"],
                              counter=counter)[0]
     curve_path = os.path.join(out, "rate_curve.csv")
     _write_rows(curve_path, curve.csv_rows())
@@ -343,12 +340,9 @@ def _run_rate(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
 def _run_inequality(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
     pay = config.payoff
     p = config.params
-    ip = {key: p.get(key, default) for key, default in _INEQUALITY.items()}
     rep = av.inequality_check(
-        ip["family"], pay, p=float(ip["p"]), q=float(ip["q"]), rule=ip["rule"],
-        scale_grid=p.get("scale_grid", _SCALE_GRID),
-        N=int(p.get("N", _INEQUALITY_N)), seed=int(p.get("seed", 0)),
-        r=float(ip["r"]), s=p.get("s"),
+        p["family"], pay, p=float(p["p"]), q=float(p["q"]), rule=p["rule"],
+        scale_grid=p["scale_grid"], N=p["N"], seed=p["seed"], r=float(p["r"]), s=p["s"],
     )
     csv_path = os.path.join(out, "inequality.csv")
     _write_rows(csv_path, rep.csv_rows())
@@ -372,9 +366,7 @@ def _run_maximal(config: ExperimentConfig, out: str, summary: RunSummary) -> Non
     from . import maximal as mx  # scipy.fft and scipy.ndimage; only this kind needs them
 
     p = config.params
-    seed = int(p.get("seed", 0))
-    n_lambdas = p.get("n_lambdas", _N_LAMBDAS)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(p["seed"])
     rows = ["measure_id,kind,lambda,superlevel,bound"]
     total_violations = 0
     mid = 0
@@ -384,7 +376,7 @@ def _run_maximal(config: ExperimentConfig, out: str, summary: RunSummary) -> Non
         ("grid2d", "n_grid_2d", mx.random_density_2d),
     )
     for kind, key, maker in plans:
-        for _ in range(p.get(key, _MAXIMAL_COUNTS[key])):
+        for _ in range(p[key]):
             nu = maker(rng)
             if nu.is_atomic:
                 probes = np.concatenate(
@@ -393,7 +385,7 @@ def _run_maximal(config: ExperimentConfig, out: str, summary: RunSummary) -> Non
                 vals = mx.maximal_at(nu, probes[:, None])
             else:
                 vals = mx.maximal_field(nu).values.ravel()
-            lams = mx.percentile_lambda_grid(vals, n_lambdas)
+            lams = mx.percentile_lambda_grid(vals, p["n_lambdas"])
             rep = mx.weak_type_check(nu, lams)
             total_violations += rep.violations
             for lam, sl, bd in zip(rep.lambda_grid, rep.superlevel_measures,
@@ -415,15 +407,10 @@ def _run_maximal(config: ExperimentConfig, out: str, summary: RunSummary) -> Non
 def _run_mlmc(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
     model, pay = config.model, config.payoff
     p = config.params
-    eps = float(p.get("epsilon", 0.01))
-    M = int(p.get("M", 2))
-    seed = int(p.get("seed", 0))
-    kwargs = {}
-    if "n_pilot" in p:
-        kwargs["n_pilot"] = int(p["n_pilot"])
+    eps = float(p["epsilon"])
     try:
-        res = mlmc.run_mlmc(model, pay, eps, M=M,
-                            alpha_hint=p.get("alpha_hint", 1.0), seed=seed, **kwargs)
+        res = mlmc.run_mlmc(model, pay, eps, M=p["M"], alpha_hint=p["alpha_hint"],
+                            seed=p["seed"], n_pilot=p["n_pilot"])
     except NonconvergenceError as exc:
         summary.add_check("mlmc-run", "fail", f"nonconvergent: {exc.diagnostics}")
         return
@@ -436,10 +423,8 @@ def _run_mlmc(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
     summary.artifacts.append(json_path)
     summary.em_steps += res.total_cost
     if config.model_name == "constant" and config.payoff_name == "clamp_ramp":
-        mu = float(config.model_params.get("mu", 0.1))
-        sig = float(config.model_params.get("sigma", 0.2))
-        x0 = float(config.model_params.get("x0", 0.0))
-        T = float(config.model_params.get("T", 1.0))
+        x0, T = float(model.x0[0]), model.T
+        mu, sig = float(model.drift(0.0, model.x0)[0]), float(model.sigma(0.0, model.x0)[0])
         gh_x, gh_w = np.polynomial.hermite_e.hermegauss(120)
         truth = float(
             np.sum(gh_w * np.clip(x0 + mu * T + sig * math.sqrt(T) * gh_x, 0.0, 1.0))
@@ -461,15 +446,12 @@ def _run_mlmc(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
 def _run_complexity(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
     model, pay = config.model, config.payoff
     p = config.params
-    eps_list = p.get("epsilon_list", _EPSILON_LIST)
-    M = int(p.get("M", 2))
-    seed = int(p.get("seed", 0))
     delta = 0.9
     predicted = po.predicted_mlmc_exponent(pay.space, "weak1", delta, p=pay.p, s=pay.s)
     sw = mlmc.complexity_sweep(
-        model, pay, eps_list, M=M, seed=seed,
-        alpha_hint=p.get("alpha_hint", 1.0), predicted_exponent=predicted,
-        compare_single_level=p.get("compare_single_level", False),
+        model, pay, p["epsilon_list"], M=p["M"], seed=p["seed"],
+        alpha_hint=p["alpha_hint"], predicted_exponent=predicted,
+        compare_single_level=p["compare_single_level"],
     )
     csv_path = os.path.join(out, "complexity.csv")
     _write_rows(csv_path, sw.csv_rows())
@@ -505,11 +487,8 @@ def _run_complexity(config: ExperimentConfig, out: str, summary: RunSummary) -> 
 def _run_density(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
     model = config.model
     p = config.params
-    n_list = p.get("n_list", _DENSITY_N_LIST)
-    N = int(p.get("N", _PATHS_N))
-    bins = int(p.get("bins", _BINS))
-    seed = int(p.get("seed", 0))
-    value_range = p.get("value_range")
+    n_list, seed = p["n_list"], p["seed"]
+    value_range = p["value_range"]
     if value_range is not None:
         value_range = tuple(float(v) for v in value_range)
     x0 = float(model.x0[0])
@@ -517,7 +496,7 @@ def _run_density(config: ExperimentConfig, out: str, summary: RunSummary) -> Non
     env_payload = {}
     for n in n_list:
         # wrapped, so a seed near 2**64 keys a valid stream for every n
-        hist = dg.terminal_histogram(model, int(n), N, bins, (seed + int(n)) % 2**64,
+        hist = dg.terminal_histogram(model, int(n), p["N"], p["bins"], (seed + int(n)) % 2**64,
                                      value_range=value_range)
         csv_path = os.path.join(out, f"histogram_n{int(n)}.csv")
         _write_rows(csv_path, hist.csv_rows())
@@ -552,16 +531,26 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> RunSummary:
-    """Dispatch a validated config to its module and write artifacts."""
+    """Dispatch a validated config to its module and write artifacts.
+
+    ``summary.json`` is written however the run ends; an error is recorded in
+    it and then raised again.
+    """
     out = out_dir or config.out_dir or os.environ.get(OUT_ENV_VAR) or "."
     os.makedirs(out, exist_ok=True)
     summary = RunSummary(config=config.to_dict())
     t0 = time.time()
-    _RUNNERS[config.kind](config, out, summary)
-    summary.wall_seconds = time.time() - t0
-    summary_path = os.path.join(out, "summary.json")
-    _write_json(summary_path, summary.to_dict())
-    summary.artifacts.append(summary_path)
+    try:
+        _RUNNERS[config.kind](config, out, summary)
+    except BaseException as exc:
+        summary.error = {"type": type(exc).__name__, "message": str(exc),
+                         "diagnostics": getattr(exc, "diagnostics", {})}
+        raise
+    finally:
+        summary.wall_seconds = time.time() - t0
+        summary_path = os.path.join(out, "summary.json")
+        _write_json(summary_path, summary.to_dict())
+        summary.artifacts.append(summary_path)
     return summary
 
 
@@ -611,8 +600,8 @@ def main(argv=None) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = parse_config(fh.read())
         if args.seed is not None:
+            _check("seed", _SEED, args.seed)
             config.params["seed"] = args.seed
-            _validate_ranges(config.kind, config.params)
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -620,7 +609,11 @@ def main(argv=None) -> int:
         print(f"config kind {config.kind!r} does not match subcommand "
               f"{args.command!r}", file=sys.stderr)
         return 2
-    summary = run_experiment(config, out_dir=args.out)
+    try:
+        summary = run_experiment(config, out_dir=args.out)
+    except IrregmcError as exc:
+        print(f"run error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     for check in summary.checks:
         print(f"[{check['status'].upper()}] {check['name']}: {check['detail']}")
     for path in summary.artifacts:

@@ -11,6 +11,7 @@ with the Richardson-style factor (M^alpha - 1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -26,6 +27,8 @@ DEFAULT_PILOT = 1000
 DEFAULT_MAX_LEVEL = 12
 DEFAULT_MAX_ROUNDS = 5
 DEFAULT_BATCH = 65536  # window budget in normals, read at call time
+REFINEMENTS = (2, 4)  # the refinement factors M the drivers take
+MIN_EPSILON = 1e-6  # smallest RMS target; keeps the eps**-2 sample counts far inside int64
 MIN_EPSILONS = 3  # fewest epsilons complexity_sweep takes
 MIN_EPSILON_SPAN = 4.0  # least max/min ratio of those epsilons
 
@@ -175,9 +178,22 @@ def _bias_estimate(states: list[_LevelAccumulator], M: int, alpha: float) -> flo
     return max(terms) / factor
 
 
-def _check_alpha_hint(alpha_hint: float | None) -> None:
-    if alpha_hint is not None and not alpha_hint > 0:
-        raise InvalidArgumentError(f"alpha_hint must be positive or None, got {alpha_hint}")
+def check_alpha_hint(alpha_hint: float | None, M: int) -> None:
+    """Raise InvalidArgumentError unless alpha_hint is None or makes the bias
+    test's divisor M**alpha_hint - 1 a positive finite float."""
+    if alpha_hint is not None and not (
+            0 < alpha_hint * math.log2(M) < sys.float_info.max_exp - 1
+            and M**alpha_hint > 1.0):
+        raise InvalidArgumentError(f"alpha_hint must make M**alpha_hint - 1 a positive "
+                                   f"finite float, or be None; got {alpha_hint} at M={M}")
+
+
+def _check_target(epsilon: float, M: int, alpha_hint: float | None) -> None:
+    if not MIN_EPSILON <= epsilon < 1.0:
+        raise InvalidArgumentError(f"epsilon must lie in [{MIN_EPSILON:g}, 1), got {epsilon}")
+    if M not in REFINEMENTS:
+        raise InvalidArgumentError(f"refinement M must be one of {REFINEMENTS}, got {M}")
+    check_alpha_hint(alpha_hint, M)
 
 
 def run_mlmc(
@@ -198,11 +214,7 @@ def run_mlmc(
     variance update (at most max_rounds top-up rounds per level set); raises
     NonconvergenceError with diagnostics when L exceeds max_level.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidArgumentError("epsilon must lie in (0, 1)")
-    if M not in (2, 4):
-        raise InvalidArgumentError("refinement M must be 2 or 4")
-    _check_alpha_hint(alpha_hint)
+    _check_target(epsilon, M, alpha_hint)
     counter = StepCounter()
     states = [_LevelAccumulator(l, M, model.T, seed) for l in range(min_levels + 1)]
     for st in states:
@@ -288,9 +300,7 @@ def single_level_run(
     max_level: int = DEFAULT_MAX_LEVEL,
 ) -> SingleLevelResult:
     """Plain Monte Carlo at the coarsest n = M^L passing the same bias test."""
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidArgumentError("epsilon must lie in (0, 1)")
-    _check_alpha_hint(alpha_hint)
+    _check_target(epsilon, M, alpha_hint)
     calib = StepCounter()
     states = [_LevelAccumulator(l, M, model.T, derive_seed(seed, 0xB1A5))
               for l in range(3)]

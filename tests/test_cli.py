@@ -1,17 +1,25 @@
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import irregmc
+from irregmc import mlmc
 from irregmc.cli import (
     main,
     parse_config,
     run_experiment,
 )
-from irregmc.errors import ConfigError
+from irregmc.errors import ConfigError, InvalidArgumentError, NonconvergenceError
 
 RATE_CONFIG = {
     "kind": "rate",
@@ -100,6 +108,13 @@ def test_block_name_must_be_a_string():
         parse_config(json.dumps(doc))
 
 
+def _doc(kind, params):
+    doc = {"kind": kind, "model": {"name": "sincos"}, "params": params}
+    if kind != "density":
+        doc["payoff"] = {"name": "interval_indicator"}
+    return doc
+
+
 @pytest.mark.parametrize("kind, params, message", [
     ("rate", {"n_list": [3, 8], "n_ref": 64}, "divide n_ref"),
     ("rate", {"n_ref": 100}, "divide n_ref"),  # the default n_list
@@ -133,12 +148,23 @@ def test_block_name_must_be_a_string():
     ("complexity", {"compare_single_level": "no"}, "compare_single_level must be true or false"),
     ("rate", {"n_list": []}, "n_list must be a nonempty list"),
     ("density", {"n_list": []}, "n_list must be a nonempty list"),
+    ("mlmc", {"epsilon": 0.1, "M": 4, "alpha_hint": 1000.5}, "positive finite float"),
+    ("complexity", {"epsilon_list": [0.2, 0.1, 0.05], "M": 4, "alpha_hint": 1000.5},
+     "positive finite float"),
+    ("mlmc", {"epsilon": 1e-300, "M": 4}, "epsilon must lie in"),
+    ("inequality", {"p": -1}, "p must be a finite number >= 1"),
+    ("inequality", {"p": 0}, "p must be a finite number >= 1"),
+    ("inequality", {"p": math.nan}, "p must be a finite number >= 1"),
+    ("inequality", {"scale_grid": [0.0]}, "scale_grid must be a nonempty list of numbers"),
+    ("inequality", {"scale_grid": [math.nan]}, "scale_grid must be a nonempty list of numbers"),
+    ("inequality", {"scale_grid": [0.1, -0.1]}, "scale_grid must be a nonempty list of numbers"),
+    ("rate", {"q": math.inf}, "q must be a finite number >= 1"),
+    ("mlmc", {"M": 2.0}, "M must be one of the integers"),
 ])
 def test_runtime_param_errors_exit_2(tmp_path, capsys, kind, params, message):
-    # each of these used to reach the library and end in a traceback
-    doc = {"kind": kind, "model": {"name": "sincos"}, "params": params}
-    if kind != "density":
-        doc["payoff"] = {"name": "interval_indicator"}
+    # each of these used to reach the library and end in a traceback, or to
+    # run on a value the paper's estimates do not cover
+    doc = _doc(kind, params)
     with pytest.raises(ConfigError, match=message):
         parse_config(json.dumps(doc))
     cfg_path = tmp_path / "bad.json"
@@ -168,6 +194,85 @@ def test_maximal_counts_exit_2(tmp_path, capsys, params, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+# One small valid config per kind that sets every param the kind takes, and
+# values that each param rejects, except where noted in the test
+_VALID_PARAMS = {
+    "rate": {"q": 2, "n_list": [8, 16], "N": 1000, "n_ref": 64, "seed": 1, "delta": 0.7},
+    "inequality": {"family": "gaussian_shift", "rule": "fractional", "p": 1, "q": 1,
+                   "r": 4.0, "s": 0.5, "scale_grid": [0.2, 0.1], "N": 100, "seed": 5},
+    "maximal": {"n_atomic": 1, "n_grid_1d": 0, "n_grid_2d": 0, "n_lambdas": 2, "seed": 4},
+    "mlmc": {"epsilon": 0.1, "M": 2, "alpha_hint": 1.0, "seed": 3, "n_pilot": 10},
+    "complexity": {"epsilon_list": [0.2, 0.1, 0.05], "M": 4, "alpha_hint": 1.0, "seed": 7,
+                   "compare_single_level": False},
+    "density": {"n_list": [8], "N": 10000, "bins": 20, "seed": 6, "value_range": [-4, 4]},
+}
+_BAD_VALUES = ["x", {"a": 1}, math.nan, -1, True, None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot=st.sampled_from([(kind, key) for kind in _VALID_PARAMS
+                             for key in _VALID_PARAMS[kind]]),
+       bad=st.sampled_from(_BAD_VALUES))
+def test_one_bad_param_exits_2_and_names_it(slot, bad):
+    kind, key = slot
+    assume(not (bad is True and key == "compare_single_level"))
+    assume(not (bad is None and key in ("alpha_hint", "s", "value_range")))
+    parse_config(json.dumps(_doc(kind, _VALID_PARAMS[kind])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.json")
+        with open(path, "w") as fh:
+            json.dump(_doc(kind, {**_VALID_PARAMS[kind], key: bad}), fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([kind, "--config", path, "--out", os.path.join(tmp, "out")])
+    assert rc == 2
+    assert re.search(rf"\b{key}\b", err.getvalue()), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_library_error_exits_3_and_writes_the_summary(tmp_path, capsys):
+    # an empty histogram range used to end in a traceback and leave no summary
+    doc = _doc("density", {"n_list": [1], "N": 10000, "value_range": [0, 1e-300]})
+    cfg_path = tmp_path / "density.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["density", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "empty histogram range" in err and "Traceback" not in err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"] == {"type": "InvalidArgumentError",
+                                "message": "empty histogram range", "diagnostics": {}}
+    # a library caller sees the error itself
+    (out / "summary.json").unlink()
+    with pytest.raises(InvalidArgumentError, match="empty histogram range"):
+        run_experiment(parse_config(json.dumps(doc)), out_dir=str(out))
+    assert json.loads((out / "summary.json").read_text())["error"] == summary["error"]
+
+
+def test_summary_records_the_diagnostics_of_an_error(tmp_path, monkeypatch):
+    def nonconvergent(*args, **kwargs):
+        raise NonconvergenceError("too few convergent runs for a cost fit",
+                                  diagnostics={"failed_epsilons": [0.05, 0.1]})
+
+    monkeypatch.setattr(mlmc, "complexity_sweep", nonconvergent)
+    cfg_path = tmp_path / "complexity.json"
+    cfg_path.write_text(json.dumps(_doc("complexity", {"epsilon_list": [0.4, 0.2, 0.1]})))
+    out = tmp_path / "out"
+    assert main(["complexity", "--config", str(cfg_path), "--out", str(out)]) == 3
+    error = json.loads((out / "summary.json").read_text())["error"]
+    assert error["type"] == "NonconvergenceError"
+    assert error["diagnostics"] == {"failed_epsilons": [0.05, 0.1]}
+
+
+def test_summary_echoes_every_param_the_run_used(tmp_path):
+    doc = _doc("mlmc", {"epsilon": 0.2})
+    summary = run_experiment(parse_config(json.dumps(doc)), out_dir=str(tmp_path))
+    echoed = json.loads((tmp_path / "summary.json").read_text())
+    assert echoed["config"]["params"] == {"epsilon": 0.2, "M": 2, "alpha_hint": 1.0,
+                                          "seed": 0, "n_pilot": mlmc.DEFAULT_PILOT}
+    assert echoed["error"] is None and summary.error is None
 
 
 def test_delta_range_rejected():

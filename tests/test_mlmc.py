@@ -329,6 +329,25 @@ def test_mlmc_run_draws_and_steps_what_it_reports(monkeypatch):
     assert max(drawn) <= 1 << 12
 
 
+@pytest.mark.parametrize("epsilon, M, alpha_hint, message", [
+    (0.1, 4, 1000.5, "alpha_hint"),  # 4**1000.5 overflowed in the bias test
+    (0.1, 2, 1e-17, "alpha_hint"),  # 2**1e-17 - 1 == 0 divided the bias by zero
+    (1e-300, 4, 1.0, "epsilon"),  # epsilon**-2 overflowed in allocate_samples
+])
+def test_unusable_targets_are_rejected_before_any_draw(monkeypatch, epsilon, M, alpha_hint,
+                                                       message):
+    drawn, steps = _counting_engine(monkeypatch)
+    model, pay = make_model("constant"), make_payoff("clamp_ramp")
+    with pytest.raises(InvalidArgumentError, match=message):
+        run_mlmc(model, pay, epsilon, M=M, alpha_hint=alpha_hint)
+    with pytest.raises(InvalidArgumentError, match=message):
+        single_level_run(model, pay, epsilon, M=M, alpha_hint=alpha_hint)
+    with pytest.raises(InvalidArgumentError, match=message):
+        complexity_sweep(model, pay, [epsilon, 4 * epsilon, 16 * epsilon], M=M,
+                         alpha_hint=alpha_hint)
+    assert drawn == [] and steps == []
+
+
 def test_single_level_run_basics():
     model = make_model("constant", mu=0.1, sigma=0.2)
     pay = make_payoff("clamp_ramp")

@@ -14,8 +14,9 @@ Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
   chunks (a tree without ``randomkit.CHUNK_NORMALS`` draws whole windows, so
   comparing with it checks that chunking changes no number);
 - the ``maximal``, ``inequality``, ``rate``, ``mlmc``, ``complexity`` and
-  ``density`` CLI artifacts on small configs (``summary.json`` holds wall
-  times and is left out).
+  ``density`` CLI artifacts on small configs, and again on configs that set
+  only what keeps them small, so the param defaults are compared too
+  (``summary.json`` holds wall times and is left out).
 
 Usage, from the repository root:
 
@@ -65,6 +66,21 @@ CLI_CONFIGS = {
     "density": {"kind": "density", "model": {"name": "sincos"},
                 "params": {"n_list": [8, 16], "N": 20000, "bins": 40, "seed": 6,
                            "value_range": [-4, 4]}},
+    # each sets only what keeps the run small, so every other default is compared
+    "maximal-defaults": {"kind": "maximal",
+                         "params": {"n_atomic": 5, "n_grid_1d": 2, "n_grid_2d": 1}},
+    "inequality-defaults": {"kind": "inequality", "payoff": {"name": "interval_indicator"},
+                            "params": {"N": 5000}},
+    "rate-defaults": {"kind": "rate", "model": {"name": "sincos"},
+                      "payoff": {"name": "clamp_ramp"},
+                      "params": {"N": 4000, "n_ref": 1024}},  # n < n_ref, so the fit runs
+    "mlmc-defaults": {"kind": "mlmc", "model": {"name": "sincos"},
+                      "payoff": {"name": "clamp_ramp"}, "params": {"epsilon": 0.05}},
+    "complexity-defaults": {"kind": "complexity", "model": {"name": "constant"},
+                            "payoff": {"name": "clamp_ramp"},
+                            "params": {"epsilon_list": [0.08, 0.04, 0.02]}},
+    "density-defaults": {"kind": "density", "model": {"name": "sincos"},
+                         "params": {"N": 10000}},
 }
 
 
