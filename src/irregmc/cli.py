@@ -63,9 +63,18 @@ _ALPHA_HINT = (1.0, lambda v: v is None or _is_number(v) and 0 < v < math.inf,
 
 
 def _rate_rules(p: dict) -> None:
+    # n = n_ref is the reference itself: its error reads 0 and no fit is possible
     for n in p["n_list"]:
-        if p["n_ref"] % n:
-            raise ConfigError(f"each n in n_list must divide n_ref={p['n_ref']}, got n={n}")
+        if p["n_ref"] % n or n == p["n_ref"]:
+            raise ConfigError(f"each n in n_list must divide n_ref={p['n_ref']} "
+                              f"and be smaller than it, got n={n}")
+
+
+def _inequality_rules(p: dict) -> None:
+    # strict JSON has no Infinity, so an unbounded r is held, and echoed, as null
+    if p["r"] == math.inf:
+        p["r"] = None
+    av.exponent_rule(p["rule"], p["p"], p["q"], p["r"] or math.inf, p["s"])
 
 
 def _maximal_rules(p: dict) -> None:
@@ -102,14 +111,15 @@ _KINDS = {
         "rule": ("bv", lambda v: isinstance(v, str), "be a rule name"),
         "p": (1.0, *_MOMENT),
         "q": (1.0, *_MOMENT),
-        "r": (math.inf, lambda v: _is_number(v) and v > 1, "be a number > 1 or Infinity"),
+        "r": (None, lambda v: v is None or _is_number(v) and v > 1,
+              "be a number > 1, Infinity or null"),
         "s": (None, lambda v: v is None or _FRACTION[0](v), "lie in (0,1) or be null"),
         "scale_grid": ([0.2, 0.1, 0.05, 0.025],
                        lambda v: _numbers(v) and v != [] and all(0 < t < math.inf for t in v),
                        "be a nonempty list of numbers, each finite and > 0"),
         "N": (200_000, *_int_from(1)),
         "seed": _SEED,
-    }, lambda p: av.exponent_rule(p["rule"], p["p"], p["q"], p["r"], p["s"])),
+    }, _inequality_rules),
     "maximal": ((), {
         "n_atomic": (100, *_int_from(0)),
         "n_grid_1d": (50, *_int_from(0)),
@@ -304,12 +314,14 @@ def _run_rate(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
     p = config.params
     q, delta = float(p["q"]), float(p["delta"])
     counter = sde.StepCounter()
-    curve = av.qerror_curves(model, [(pay, q)], p["n_list"], p["N"], p["n_ref"], p["seed"],
-                             counter=counter)[0]
+    try:
+        curve = av.qerror_curves(model, [(pay, q)], p["n_list"], p["N"], p["n_ref"],
+                                 p["seed"], counter=counter)[0]
+    finally:  # a run that fails has still stepped paths
+        summary.em_steps += counter.steps
     curve_path = os.path.join(out, "rate_curve.csv")
     _write_rows(curve_path, curve.csv_rows())
     summary.artifacts.append(curve_path)
-    summary.em_steps += counter.steps
     predicted = po.predicted_strong_exponent(pay.space, q, delta, p=pay.p, s=pay.s)
     try:
         fit = av.fit_rate(curve)
@@ -342,7 +354,8 @@ def _run_inequality(config: ExperimentConfig, out: str, summary: RunSummary) -> 
     p = config.params
     rep = av.inequality_check(
         p["family"], pay, p=float(p["p"]), q=float(p["q"]), rule=p["rule"],
-        scale_grid=p["scale_grid"], N=p["N"], seed=p["seed"], r=float(p["r"]), s=p["s"],
+        scale_grid=p["scale_grid"], N=p["N"], seed=p["seed"], r=float(p["r"] or math.inf),
+        s=p["s"],
     )
     csv_path = os.path.join(out, "inequality.csv")
     _write_rows(csv_path, rep.csv_rows())
@@ -494,19 +507,23 @@ def _run_density(config: ExperimentConfig, out: str, summary: RunSummary) -> Non
     x0 = float(model.x0[0])
     cs = []
     env_payload = {}
-    for n in n_list:
-        # wrapped, so a seed near 2**64 keys a valid stream for every n
-        hist = dg.terminal_histogram(model, int(n), p["N"], p["bins"], (seed + int(n)) % 2**64,
-                                     value_range=value_range)
-        csv_path = os.path.join(out, f"histogram_n{int(n)}.csv")
-        _write_rows(csv_path, hist.csv_rows())
-        summary.artifacts.append(csv_path)
-        env = dg.fit_gaussian_envelope(hist, x0, model.T)
-        cs.append(env.C_plus)
-        env_payload[str(int(n))] = env.to_dict()
-        env_payload[str(int(n))]["lower_bound_positive"] = dg.lower_bound_positive(
-            hist, x0, model.T
-        )
+    counter = sde.StepCounter()
+    try:
+        for n in n_list:
+            # wrapped, so a seed near 2**64 keys a valid stream for every n
+            hist = dg.terminal_histogram(model, int(n), p["N"], p["bins"],
+                                         (seed + int(n)) % 2**64, value_range, counter)
+            csv_path = os.path.join(out, f"histogram_n{int(n)}.csv")
+            _write_rows(csv_path, hist.csv_rows())
+            summary.artifacts.append(csv_path)
+            env = dg.fit_gaussian_envelope(hist, x0, model.T)
+            cs.append(env.C_plus)
+            env_payload[str(int(n))] = env.to_dict()
+            env_payload[str(int(n))]["lower_bound_positive"] = dg.lower_bound_positive(
+                hist, x0, model.T
+            )
+    finally:  # a run that fails has still stepped paths
+        summary.em_steps += counter.steps
     json_path = os.path.join(out, "envelope.json")
     _write_json(json_path, env_payload)
     summary.artifacts.append(json_path)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import FitFailureError, InvalidArgumentError
 from .randomkit import increment_batch, path_windows
-from .sde import SdeModel, path_terminals
+from .sde import SdeModel, StepCounter, path_terminals
 from .sde import em_terminal_batch  # benchmarks/tracing.py rebinds it here
 
 MIN_BIN_COUNT = 5
@@ -76,11 +76,12 @@ def gaussian_kernel(c: float, T: float, x0: float, y) -> np.ndarray:
 def terminal_histogram(
     model: SdeModel, n: int, N: int, bins: int, seed: int,
     value_range: tuple[float, float] | None = None,
+    counter: StepCounter | None = None,
 ) -> Histogram:
     """Histogram of the first coordinate of X^(n)(T) over N paths.
 
     The paths are stepped by ``sde.path_terminals`` in time chunks, so memory
-    does not grow with n.
+    does not grow with n; ``counter`` counts their steps.
     """
     if N < MIN_PATHS:
         raise InvalidArgumentError(f"N must be >= {MIN_PATHS}")
@@ -88,7 +89,7 @@ def terminal_histogram(
         raise InvalidArgumentError(f"need at least {MIN_BINS} bins")
     samples = np.empty(N)
     for first, b, x, _ in path_terminals(model, increment_batch, seed, n,
-                                         path_windows(0, N, n * model.d)):
+                                         path_windows(0, N, n * model.d), counter=counter):
         samples[first : first + b] = x[:, 0]
     if value_range is None:
         lo, hi = float(samples.min()), float(samples.max())

@@ -1,17 +1,19 @@
-"""Seedable Brownian increments from block-keyed, time-major Philox streams.
+"""Seedable Brownian increments from block-keyed, time-major SFC64 streams.
 
 Path indices are grouped into fixed blocks of ``BLOCK_PATHS`` consecutive
-paths, and each (master_seed, block, stream_tag) triple keys one counter-based
-Philox stream (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11). A block's stream is read time-major: every path's step k comes before
-any path's step k+1. Windows of paths are cut out of whole blocks, so a path's
-increments are bit-identical whatever batch size or order produced them.
-Sequential draws from one stream do not depend on how they are chunked, so a
-window can be drawn in time chunks from block streams keyed once and carried
-from call to call; ziggurat rejection makes the words per normal vary, so a
-stream cannot skip ahead and each block is drawn forward from step 0.
-Coarse increments are always obtained by summing fine ones, never by bridge
-refinement, so the coarse/fine coupling is a structural identity.
+paths, and each (master_seed, block, stream_tag) triple keys one SFC64 stream
+(Doty-Humphrey's Small Fast Chaotic generator) through numpy's
+``SeedSequence``, whose hashing keeps the streams of distinct keys independent
+(numpy's "Parallel random number generation" guide). Streams are keyed, not
+skipped: ziggurat rejection makes the words per normal vary, so no stream can
+skip ahead, and each block is drawn forward from step 0. A block's stream is
+read time-major: every path's step k comes before any path's step k+1.
+Windows of paths are cut out of whole blocks, so a path's increments are
+bit-identical whatever batch size or order produced them. Sequential draws
+from one stream do not depend on how they are chunked, so a window can be
+drawn in time chunks from block streams keyed once and carried from call to
+call. Coarse increments are always obtained by summing fine ones, never by
+bridge refinement, so the coarse/fine coupling is a structural identity.
 
 ``sweep`` draws a driver's windows chunk by chunk and hands out each chunk's
 ``block_sums`` for the coarsening factors the driver names. When some window
@@ -34,13 +36,13 @@ import enum
 from functools import partial
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .errors import InvalidArgumentError
 
 _MASK64 = (1 << 64) - 1
 
-# Paths per Philox key. Part of the stream definition: changing it changes
+# Paths per stream key. Part of the stream definition: changing it changes
 # every increment drawn.
 BLOCK_PATHS = 1024
 # Normals per draw into the reusable block buffer; sequential draws are
@@ -66,10 +68,10 @@ def _check_key(master_seed: int, index: int) -> None:
 def stream(master_seed: int, index: int, stream_tag: StreamTag = StreamTag.PATH) -> Generator:
     """Generator for the substream keyed [master_seed, (index << 1) | tag]."""
     _check_key(master_seed, index)
-    # word 0 identifies the experiment, word 1 the substream; an explicit
-    # uint64 array keeps seeds >= 2**63 exact (a list would go through float64)
-    key = np.array([master_seed, (index << 1) | int(stream_tag)], dtype=np.uint64)
-    return Generator(Philox(key=key))
+    # word 0 identifies the experiment, word 1 the substream; SeedSequence
+    # takes exact Python ints, so seeds >= 2**63 stay exact
+    key = SeedSequence([master_seed, (index << 1) | int(stream_tag)])
+    return Generator(SFC64(key))
 
 
 def derive_seed(master_seed: int, *words: int) -> int:

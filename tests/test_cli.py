@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import irregmc
+from irregmc import avikainen as av
 from irregmc import mlmc
 from irregmc.cli import (
     main,
@@ -160,6 +161,7 @@ def _doc(kind, params):
     ("inequality", {"scale_grid": [0.1, -0.1]}, "scale_grid must be a nonempty list of numbers"),
     ("rate", {"q": math.inf}, "q must be a finite number >= 1"),
     ("mlmc", {"M": 2.0}, "M must be one of the integers"),
+    ("rate", {"n_list": [8, 64], "n_ref": 64}, "n_list must divide n_ref=64 and be smaller"),
 ])
 def test_runtime_param_errors_exit_2(tmp_path, capsys, kind, params, message):
     # each of these used to reach the library and end in a traceback, or to
@@ -218,7 +220,7 @@ _BAD_VALUES = ["x", {"a": 1}, math.nan, -1, True, None]
 def test_one_bad_param_exits_2_and_names_it(slot, bad):
     kind, key = slot
     assume(not (bad is True and key == "compare_single_level"))
-    assume(not (bad is None and key in ("alpha_hint", "s", "value_range")))
+    assume(not (bad is None and key in ("alpha_hint", "r", "s", "value_range")))
     parse_config(json.dumps(_doc(kind, _VALID_PARAMS[kind])))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "bad.json")
@@ -244,11 +246,25 @@ def test_library_error_exits_3_and_writes_the_summary(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["error"] == {"type": "InvalidArgumentError",
                                 "message": "empty histogram range", "diagnostics": {}}
+    # the histogram stepped its N = 10000 one-step paths before the range was found empty
+    assert summary["costs"]["em_steps"] == 10000
     # a library caller sees the error itself
     (out / "summary.json").unlink()
     with pytest.raises(InvalidArgumentError, match="empty histogram range"):
         run_experiment(parse_config(json.dumps(doc)), out_dir=str(out))
     assert json.loads((out / "summary.json").read_text())["error"] == summary["error"]
+
+
+def test_a_rate_run_that_fails_counts_the_steps_it_took(tmp_path, monkeypatch):
+    def stepped_then_failed(*args, counter, **kwargs):
+        counter.add(1234)
+        raise InvalidArgumentError("failed after stepping")
+
+    monkeypatch.setattr(av, "qerror_curves", stepped_then_failed)
+    doc = _doc("rate", {"n_list": [8], "N": 1000, "n_ref": 64})
+    with pytest.raises(InvalidArgumentError):
+        run_experiment(parse_config(json.dumps(doc)), out_dir=str(tmp_path))
+    assert json.loads((tmp_path / "summary.json").read_text())["costs"]["em_steps"] == 1234
 
 
 def test_summary_records_the_diagnostics_of_an_error(tmp_path, monkeypatch):
@@ -264,6 +280,26 @@ def test_summary_records_the_diagnostics_of_an_error(tmp_path, monkeypatch):
     error = json.loads((out / "summary.json").read_text())["error"]
     assert error["type"] == "NonconvergenceError"
     assert error["diagnostics"] == {"failed_epsilons": [0.05, 0.1]}
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("kind", list(_VALID_PARAMS))
+def test_summary_is_strict_json(tmp_path, kind):
+    # an infinite r, the default, is echoed as null, and null reads back as it
+    params = dict(_VALID_PARAMS[kind])
+    if kind == "inequality":
+        params.update(rule="bv", r=math.inf)
+    config = parse_config(json.dumps(_doc(kind, params)))
+    run_experiment(config, out_dir=str(tmp_path))
+    echoed = json.loads((tmp_path / "summary.json").read_text(), parse_constant=_no_constant)
+    assert parse_config(json.dumps(echoed["config"])) == config
+    if kind == "inequality":
+        assert echoed["config"]["params"]["r"] is None
+        del params["r"]
+        assert parse_config(json.dumps(_doc(kind, params))) == config
 
 
 def test_summary_echoes_every_param_the_run_used(tmp_path):

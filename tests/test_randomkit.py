@@ -170,11 +170,27 @@ def test_auxiliary_stream_key_is_pinned(monkeypatch):
                               p=1.0, q=1.0, rule="bv", scale_grid=[0.2, 0.1],
                               N=5000, seed=113)
     assert derive_seed(113, 0) >= 2**63
-    assert drawn[0] == [2.6292954581206547, -1.0641639569917798]
-    assert rep.lhs.tolist() == [0.1312, 0.0628]
+    assert drawn[0] == [0.29579104924603705, -0.6029189488049875]
+    assert rep.lhs.tolist() == [0.1436, 0.064]
     for i, first_two in enumerate(drawn):
         gen = stream(derive_seed(113, i), 0, StreamTag.AUXILIARY)
         assert gen.standard_normal(2).tolist() == first_two
+
+
+def test_stream_is_sfc64_keyed_by_seed_sequence():
+    # the stream definition: one SFC64 generator per key, seeded through
+    # SeedSequence from the exact words [master_seed, (index << 1) | tag]
+    firsts = []
+    for seed in (0, 2**63 + 1, 2**64 - 1):
+        for tag in StreamTag:
+            for index in (0, 5):
+                key = np.random.SeedSequence([seed, (index << 1) | tag])
+                want = np.random.Generator(np.random.SFC64(key)).standard_normal(8)
+                got = stream(seed, index, tag).standard_normal(8)
+                assert np.array_equal(got, want)
+                firsts.append(got[0])
+    # neighbouring seeds, tags and block indices key different streams
+    assert len(set(firsts)) == len(firsts)
 
 
 def test_seeds_above_2_63_stay_exact():
