@@ -45,6 +45,17 @@ def _numbers(value) -> bool:
     return isinstance(value, list) and all(_is_number(v) for v in value)
 
 
+def _finite(value) -> bool:
+    """False if value holds NaN or an infinity, which strict JSON cannot echo."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    return True
+
+
 def _int_from(low: int) -> tuple:
     return (lambda v: _is_int(v) and v >= low), f"be an integer >= {low}"
 
@@ -287,6 +298,10 @@ def _build_block(doc: dict, key: str, registry: dict, make):
     if name not in registry:
         raise ConfigError(f"unknown {key} {name!r}; {key} registry has {sorted(registry)}")
     params = dict(_json_object(block.get("params", {}), f"params in {key} block"))
+    for param, value in params.items():  # the block is echoed into summary.json
+        if not _finite(value):
+            raise ConfigError(f"bad params in {key} block for {name!r}: {param} must be "
+                              f"finite, got {value!r}")
     try:
         return name, params, make(name, **params)
     except (TypeError, ValueError) as exc:
@@ -376,7 +391,7 @@ def _run_inequality(config: ExperimentConfig, out: str, summary: RunSummary) -> 
 
 
 def _run_maximal(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
-    from . import maximal as mx  # scipy.fft and scipy.ndimage; only this kind needs them
+    from . import maximal as mx  # only this kind loads it, at 10-20 ms of start-up
 
     p = config.params
     rng = np.random.default_rng(p["seed"])
@@ -425,6 +440,7 @@ def _run_mlmc(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
         res = mlmc.run_mlmc(model, pay, eps, M=p["M"], alpha_hint=p["alpha_hint"],
                             seed=p["seed"], n_pilot=p["n_pilot"])
     except NonconvergenceError as exc:
+        summary.em_steps += exc.diagnostics["total_cost"]  # the levels it stepped
         summary.add_check("mlmc-run", "fail", f"nonconvergent: {exc.diagnostics}")
         return
     rows = [mlmc.LEVEL_CSV_HEADER] + [ls.csv_row() for ls in res.levels]
@@ -461,15 +477,19 @@ def _run_complexity(config: ExperimentConfig, out: str, summary: RunSummary) -> 
     p = config.params
     delta = 0.9
     predicted = po.predicted_mlmc_exponent(pay.space, "weak1", delta, p=pay.p, s=pay.s)
-    sw = mlmc.complexity_sweep(
-        model, pay, p["epsilon_list"], M=p["M"], seed=p["seed"],
-        alpha_hint=p["alpha_hint"], predicted_exponent=predicted,
-        compare_single_level=p["compare_single_level"],
-    )
+    try:
+        sw = mlmc.complexity_sweep(
+            model, pay, p["epsilon_list"], M=p["M"], seed=p["seed"],
+            alpha_hint=p["alpha_hint"], predicted_exponent=predicted,
+            compare_single_level=p["compare_single_level"],
+        )
+    except NonconvergenceError as exc:  # a sweep that fails has still stepped paths
+        summary.em_steps += exc.diagnostics.get("total_cost", 0.0)
+        raise
     csv_path = os.path.join(out, "complexity.csv")
     _write_rows(csv_path, sw.csv_rows())
     summary.artifacts.append(csv_path)
-    summary.em_steps += float(np.sum(sw.costs))
+    summary.em_steps += float(np.sum(sw.costs)) + sum(sw.failed_costs)
     payload = {
         "fitted_cost_exponent": sw.fitted_cost_exponent,
         "fit_r_squared": sw.fit.r_squared,

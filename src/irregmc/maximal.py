@@ -11,6 +11,13 @@ pairs, so their memory does not grow with the number of points or nodes. A 2D
 maximal_field reuses one transform of the cell masses for every radius, and a
 2D maximal_at call looks up the radius bins of all its points that sit on
 nodes of a dyadic grid in one table over integer node offsets.
+
+The layer needs numpy only. 2D maximal_field runs on numpy's pocketfft: the
+inverse transforms are unscaled (norm="forward") and the kept block is then
+multiplied by 1 / L^2, which is the normalisation, and the rounding, of
+scipy.fft.irfft2. The mollifier of mollified_ball_gradient is scipy.ndimage's
+Gaussian filter with zero padding, written out with the same weights and the
+same summation order, so both give scipy's values bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sp_fft
-from scipy.ndimage import gaussian_filter
 
 from .errors import (
     InsufficientDataError,
@@ -397,18 +402,40 @@ def maximal_field(measure: GridMeasure, R: float = math.inf) -> GridField:
     # offsets beyond n - 1 reach no node; L >= n + reach keeps the circular
     # convolution free of wrap-around on the n x n output
     reach = min(k_max, n - 1)
-    L = sp_fft.next_fast_len(n + reach, real=True)
-    mass_hat = sp_fft.rfft2(cell_mass, s=(L, L))
+    L = _next_fast_len(n + reach)
+    mass_hat = np.fft.rfft2(cell_mass, s=(L, L))
     idx = np.arange(L)
     off = np.where(idx <= reach, idx, idx - L).astype(float)
     off[reach + 1 : L - reach] = math.inf  # outside the largest box
-    rad2 = off[:, None] ** 2 + off[None, :] ** 2
+    # rows 0..L/2 only: off[L - i] = -off[i], so a disk's row L - i is its row i
+    rad2 = off[: L // 2 + 1, None] ** 2 + off[None, :] ** 2
     out = np.zeros_like(cell_mass)
+    scale = 1.0 / (L * L)
     for k in range(1, k_max + 1):
-        kern_hat = sp_fft.rfft2(rad2 <= k * k)
-        mass = sp_fft.irfft2(mass_hat * kern_hat, s=(L, L))[:n, :n]
+        # rfft2 of the disk: one row transform serves rows i and L - i
+        top = np.fft.rfft(rad2 <= k * k, axis=1)
+        kern_hat = np.fft.fft(np.concatenate([top, top[(L - 1) // 2 : 0 : -1]]), axis=0)
+        # the inverse of the n rows the output keeps, scaled as scipy.fft.irfft2
+        # scales; the product keeps its operand order, since numpy may fuse a
+        # complex product's multiply-adds and round b * a unlike a * b
+        rows = np.fft.ifft(mass_hat * kern_hat, axis=0, norm="forward")[:n]
+        mass = np.fft.irfft(rows, n=L, axis=1, norm="forward")[:, :n] * scale
         np.maximum(out, np.maximum(mass, 0.0) / ball_volume(2, (k + 0.5) * h), out=out)
     return GridField(d=2, lo=density.lo, hi=density.hi, spacing=h, values=out)
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest 5-smooth length (2^a 3^b 5^c) >= target, the real-input
+    fast length of pocketfft."""
+    n = target
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 # ---------------------------------------------------------------------------
@@ -663,13 +690,40 @@ def mollified_ball_gradient(
     representation; the Gaussian-mollified gradient converges to it in total
     mass (the perimeter).
     """
+    width_cells = float(_positive(width_cells, "width_cells"))
     h = (hi - lo) / n_cells
     ax = lo + h * np.arange(n_cells + 1)
     xx, yy = np.meshgrid(ax, ax, indexing="ij")
     ind = (np.hypot(xx, yy) < radius).astype(float)
-    smooth = gaussian_filter(ind, sigma=width_cells, mode="constant")
+    smooth = _gaussian_filter(_gaussian_filter(ind, width_cells, 0), width_cells, 1)
     gx, gy = np.gradient(smooth, h)
     grad_mag = np.hypot(gx, gy)
     f = GridField(d=2, lo=lo, hi=hi, spacing=h, values=smooth)
     grad = GridField(d=2, lo=lo, hi=hi, spacing=h, values=grad_mag)
     return f, measure_from_density(grad)
+
+
+def _gaussian_filter(values: np.ndarray, sigma: float, axis: int) -> np.ndarray:
+    """Gaussian smoothing of values along one axis with zero padding.
+
+    scipy.ndimage.gaussian_filter1d(mode="constant") written out: taps out to
+    int(4 sigma + 0.5) cells, weights exp(-x^2 / (2 sigma^2)) over their sum,
+    and its summation order for a symmetric kernel, the centre tap first and
+    then (left + right) * w from the outermost pair inward.
+    """
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x**2)
+    w = w / w.sum()
+    n = values.shape[axis]
+    widths = [(0, 0)] * values.ndim
+    widths[axis] = (r, r)
+    padded = np.pad(values, widths)
+
+    def tap(k):  # the value k cells further along the axis, zero beyond the grid
+        return padded[(slice(None),) * axis + (slice(r + k, r + k + n),)]
+
+    out = tap(0) * w[r]
+    for k in range(r, 0, -1):
+        out += (tap(-k) + tap(k)) * w[r - k]
+    return out

@@ -212,7 +212,8 @@ def run_mlmc(
 
     Grows L until the bias test passes, re-allocating samples after each
     variance update (at most max_rounds top-up rounds per level set); raises
-    NonconvergenceError with diagnostics when L exceeds max_level.
+    NonconvergenceError with diagnostics, among them the EM steps taken
+    (``total_cost``), when L exceeds max_level.
     """
     _check_target(epsilon, M, alpha_hint)
     counter = StepCounter()
@@ -249,10 +250,12 @@ def run_mlmc(
                 f"bias test unmet at level cap {max_level}",
                 diagnostics={
                     "levels": [st.level for st in states],
+                    "samples": [st.count for st in states],
                     "means": [st.acc.mean for st in states],
                     "variances": [st.acc.variance for st in states],
                     "bias_estimate": bias,
                     "epsilon": epsilon,
+                    "total_cost": float(counter.steps),
                 },
             )
         new_state = _LevelAccumulator(states[-1].level + 1, M, model.T, seed)
@@ -311,7 +314,8 @@ def single_level_run(
         if states[-1].level >= max_level:
             raise NonconvergenceError(
                 "single-level bias test unmet at level cap",
-                diagnostics={"levels": [st.level for st in states]},
+                diagnostics={"levels": [st.level for st in states],
+                             "total_cost": float(calib.steps)},
             )
         st = _LevelAccumulator(states[-1].level + 1, M, model.T,
                                derive_seed(seed, 0xB1A5))
@@ -343,6 +347,7 @@ class ComplexitySweep:
     standard_mc_exponent: float
     results: list[MlmcResult] = field(default_factory=list)
     failed_epsilons: list[float] = field(default_factory=list)
+    failed_costs: list[float] = field(default_factory=list)  # EM steps of each failed run
     single_level: SingleLevelResult | None = None
 
     def csv_rows(self) -> list[str]:
@@ -367,43 +372,52 @@ def complexity_sweep(
 
     The fitted exponent is compared against the class prediction and against
     the standard-MC exponent 2 + 1/alpha. Nonconvergent runs are dropped and
-    flagged rather than aborting the sweep.
+    flagged rather than aborting the sweep, and their EM steps are kept. A
+    NonconvergenceError raised here carries every step the sweep took as
+    ``total_cost``.
     """
     epsilon_list = sorted(float(e) for e in epsilon_list)
     if len(epsilon_list) < MIN_EPSILONS:
         raise InvalidArgumentError(f"need >= {MIN_EPSILONS} epsilons")
     if max(epsilon_list) < MIN_EPSILON_SPAN * min(epsilon_list):
         raise InvalidArgumentError(f"epsilons must span at least a {MIN_EPSILON_SPAN:g}x range")
-    results, costs, ests, eps_ok, failed = [], [], [], [], []
+    results, costs, ests, eps_ok, failed, failed_costs = [], [], [], [], [], []
     for i, eps in enumerate(epsilon_list):
         try:
             res = run_mlmc(model, payoff, eps, M=M, alpha_hint=alpha_hint,
                            seed=derive_seed(seed, i), **mlmc_kwargs)
-        except NonconvergenceError:
+        except NonconvergenceError as exc:
             failed.append(eps)
+            failed_costs.append(exc.diagnostics["total_cost"])
             continue
         results.append(res)
         costs.append(res.total_cost)
         ests.append(res.estimate)
         eps_ok.append(eps)
+    spent = sum(costs) + sum(failed_costs)
     if len(eps_ok) < 2:
         raise NonconvergenceError(
             "too few convergent runs for a cost fit",
-            diagnostics={"failed_epsilons": failed},
+            diagnostics={"failed_epsilons": failed, "total_cost": spent},
         )
     fit = loglog_fit(np.array(eps_ok), np.array(costs))
     alpha = alpha_hint if alpha_hint is not None else 1.0
     single = None
     if compare_single_level:
-        single = single_level_run(
-            model, payoff, min(eps_ok), M=M, alpha_hint=alpha_hint,
-            seed=derive_seed(seed, 0xCAFE),
-        )
+        try:
+            single = single_level_run(
+                model, payoff, min(eps_ok), M=M, alpha_hint=alpha_hint,
+                seed=derive_seed(seed, 0xCAFE),
+            )
+        except NonconvergenceError as exc:
+            exc.diagnostics["total_cost"] += spent
+            raise
     return ComplexitySweep(
         epsilons=np.array(eps_ok), costs=np.array(costs),
         estimates=np.array(ests),
         fitted_cost_exponent=-fit.slope, fit=fit,
         predicted_exponent=predicted_exponent,
         standard_mc_exponent=2.0 + 1.0 / alpha,
-        results=results, failed_epsilons=failed, single_level=single,
+        results=results, failed_epsilons=failed, failed_costs=failed_costs,
+        single_level=single,
     )

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 import irregmc
 from irregmc import avikainen as av
 from irregmc import mlmc
+from irregmc import payoff as po
+from irregmc import sde
 from irregmc.cli import (
     main,
     parse_config,
@@ -267,6 +270,51 @@ def test_a_rate_run_that_fails_counts_the_steps_it_took(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "summary.json").read_text())["costs"]["em_steps"] == 1234
 
 
+def test_an_mlmc_run_that_hits_the_level_cap_counts_the_steps_it_took(tmp_path, monkeypatch):
+    capped = functools.partial(mlmc.run_mlmc, max_level=1)
+    monkeypatch.setattr(mlmc, "run_mlmc", capped)
+    doc = _doc("mlmc", {"epsilon": 0.02, "M": 4, "seed": 3})
+    run_experiment(parse_config(json.dumps(doc)), out_dir=str(tmp_path))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [(c["name"], c["status"]) for c in summary["checks"]] == [("mlmc-run", "fail")]
+    with pytest.raises(NonconvergenceError) as err:
+        capped(sde.make_model("sincos"), po.make_payoff("interval_indicator"), 0.02, M=4,
+               seed=3)
+    # N_0 one-step paths, and N_1 pairs of a 4-step fine and a 1-step coarse path
+    n0, n1 = err.value.diagnostics["samples"]
+    assert summary["costs"]["em_steps"] == n0 + n1 * (4 + 1) > 0
+
+
+@pytest.mark.parametrize("epsilon_list", [[0.2, 0.1, 0.02], [0.04, 0.02, 0.01]])
+def test_a_complexity_run_counts_the_steps_of_its_failed_epsilons(tmp_path, monkeypatch,
+                                                                    epsilon_list):
+    # capped at level 1, 0.02 and 0.01 fail the bias test and so does 0.04;
+    # the second sweep fails for want of convergent runs
+    real, spent = mlmc.run_mlmc, []
+
+    def capped_below(model, payoff, eps, **kwargs):
+        try:
+            res = real(model, payoff, eps, max_level=1 if eps < 0.05 else 12, **kwargs)
+        except NonconvergenceError as exc:
+            n0, n1 = exc.diagnostics["samples"]
+            spent.append(n0 + n1 * (kwargs["M"] + 1))
+            raise
+        spent.append(sum(ls.cost for ls in res.levels))
+        return res
+
+    monkeypatch.setattr(mlmc, "run_mlmc", capped_below)
+    doc = _doc("complexity", {"epsilon_list": epsilon_list, "M": 2, "seed": 3})
+    config = parse_config(json.dumps(doc))
+    if max(epsilon_list) > 0.05:
+        run_experiment(config, out_dir=str(tmp_path))
+    else:
+        with pytest.raises(NonconvergenceError, match="too few convergent runs"):
+            run_experiment(config, out_dir=str(tmp_path))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert len(spent) == 3
+    assert summary["costs"]["em_steps"] == sum(spent) > 0
+
+
 def test_summary_records_the_diagnostics_of_an_error(tmp_path, monkeypatch):
     def nonconvergent(*args, **kwargs):
         raise NonconvergenceError("too few convergent runs for a cost fit",
@@ -300,6 +348,27 @@ def test_summary_is_strict_json(tmp_path, kind):
         assert echoed["config"]["params"]["r"] is None
         del params["r"]
         assert parse_config(json.dumps(_doc(kind, params))) == config
+
+
+@pytest.mark.parametrize("block, name, params, bad", [
+    ("payoff", "interval_indicator", {"a": -math.inf, "b": 0.0}, "a"),
+    ("payoff", "clamp_ramp", {"lo": 0.0, "hi": math.nan}, "hi"),
+    ("model", "constant", {"mu": [0.1, math.inf], "d": 2}, "mu"),
+    ("model", "sincos", {"x0": -math.inf}, "x0"),
+])
+def test_non_finite_block_params_exit_2_and_name_the_param(tmp_path, capsys, block, name,
+                                                            params, bad):
+    # the blocks are echoed into summary.json, and strict JSON has no NaN or Infinity
+    doc = json.loads(json.dumps(RATE_CONFIG))
+    doc[block] = {"name": name, "params": params}
+    message = f"{block} block for {name!r}: {bad} must be finite"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(json.dumps(doc))
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["rate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_summary_echoes_every_param_the_run_used(tmp_path):
@@ -496,8 +565,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 
 
 def test_simulation_kinds_never_import_scipy(tmp_path):
-    # scipy is needed only by the maximal kind, selftest and the Orlicz
-    # helpers; importing it costs about a second of each run's start-up
+    # scipy is needed only by selftest and the Orlicz helpers; importing it
+    # costs about half a second of each run's start-up
     constant = {"name": "constant", "params": {"mu": 0.1, "sigma": 0.2}}
     docs = [
         RATE_CONFIG,
@@ -510,12 +579,24 @@ def test_simulation_kinds_never_import_scipy(tmp_path):
         {"kind": "density", "model": {"name": "constant", "params": {"sigma": 1.0}},
          "params": {"n_list": [8], "N": 10000, "bins": 20, "seed": 6,
                     "value_range": [-4, 4]}},
+        {"kind": "maximal", "params": {"n_atomic": 2, "n_grid_1d": 1, "n_grid_2d": 1,
+                                       "seed": 4}},
     ]
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(irregmc.__file__))}
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path), json.dumps(docs)],
         capture_output=True, text=True, env=env, timeout=300,
     )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_the_maximal_layer_never_imports_scipy():
+    probe = ("import json, sys; import irregmc.maximal; "
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(irregmc.__file__))}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 

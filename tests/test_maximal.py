@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
+from scipy.ndimage import gaussian_filter
 from scipy.signal import fftconvolve
 
 from irregmc import maximal as mx
@@ -524,6 +526,72 @@ def test_maximal_field_2d_matches_fftconvolve_ladder(seed):
     nu = random_density_2d(np.random.default_rng(seed))
     for R in (math.inf, 0.3, 0.5 * nu.density.spacing):
         _assert_close(maximal_field(nu, R).values, _ref_maximal_field_2d(nu.density, R))
+
+
+# scipy oracles: the layer runs on numpy alone, and must give what these scipy
+# calls give bit for bit
+
+
+def _scipy_maximal_field_2d(density, R):
+    """maximal_field's 2D ladder on scipy.fft, at scipy's fast length."""
+    h = density.spacing
+    cell_mass = density.values * h**2
+    n = cell_mass.shape[0]
+    diam_cells = int(math.ceil((density.hi - density.lo) / h * math.sqrt(2.0))) + 1
+    k_max = int(min(math.floor(R / h + 1e-12), diam_cells)) if math.isfinite(R) else diam_cells
+    reach = min(k_max, n - 1)
+    L = sp_fft.next_fast_len(n + reach, real=True)
+    mass_hat = sp_fft.rfft2(cell_mass, s=(L, L))
+    idx = np.arange(L)
+    off = np.where(idx <= reach, idx, idx - L).astype(float)
+    off[reach + 1 : L - reach] = math.inf
+    rad2 = off[:, None] ** 2 + off[None, :] ** 2
+    out = np.zeros_like(cell_mass)
+    for k in range(1, k_max + 1):
+        # named, so the product keeps its operand order: numpy may fuse a
+        # complex product's multiply-adds, and then a * b and b * a can differ
+        kern_hat = sp_fft.rfft2(rad2 <= k * k)
+        mass = sp_fft.irfft2(mass_hat * kern_hat, s=(L, L))[:n, :n]
+        np.maximum(out, np.maximum(mass, 0.0) / ball_volume(2, (k + 0.5) * h), out=out)
+    return out, L
+
+
+@pytest.mark.parametrize("nu", [random_density_2d(np.random.default_rng(3)),
+                                mollified_ball_gradient(1.0, -2.0, 2.0, 96)[1]],
+                         ids=["random48", "ball96"])
+def test_maximal_field_2d_equals_scipy_fft(nu):
+    for R in (math.inf, 0.3):  # L = 100 and 54 at 48 cells, 200 and 108 at 96
+        ref, L = _scipy_maximal_field_2d(nu.density, R)
+        assert L & (L - 1)  # not a power of two
+        assert np.array_equal(maximal_field(nu, R).values, ref)
+
+
+def test_fast_length_equals_scipy():
+    assert [mx._next_fast_len(t) for t in range(1, 5000)] == [
+        sp_fft.next_fast_len(t, real=True) for t in range(1, 5000)]
+
+
+@pytest.mark.parametrize("cells", [64, 96, 256])
+@pytest.mark.parametrize("sigma", [1.0, 2.0, 2.5, 3.0])
+def test_mollifier_equals_scipy_gaussian_filter(cells, sigma):
+    f, _ = mollified_ball_gradient(1.0, -2.0, 2.0, cells, sigma)
+    ax = -2.0 + (4.0 / cells) * np.arange(cells + 1)
+    xx, yy = np.meshgrid(ax, ax, indexing="ij")
+    ind = (np.hypot(xx, yy) < 1.0).astype(float)
+    assert np.array_equal(f.values, gaussian_filter(ind, sigma=sigma, mode="constant"))
+    # an input with no symmetry, one axis at a time
+    values = np.random.default_rng(cells).uniform(-1.0, 1.0, (cells + 1, cells // 2))
+    for axis in (0, 1):
+        assert np.array_equal(
+            mx._gaussian_filter(values, sigma, axis),
+            gaussian_filter(values, sigma=(sigma, 0.0)[:: 1 - 2 * axis], mode="constant"))
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
+def test_mollifier_width_must_be_positive(width):
+    # scipy's filter skipped a width <= 1e-15; the numpy one would divide by it
+    with pytest.raises(InvalidArgumentError, match="width_cells must be positive"):
+        mollified_ball_gradient(1.0, -2.0, 2.0, 16, width)
 
 
 def test_gsp_field_never_builds_the_pair_matrix():

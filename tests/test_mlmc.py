@@ -188,7 +188,25 @@ def test_run_mlmc_nonconvergence_diagnostics():
     indicator = make_payoff("interval_indicator")
     with pytest.raises(NonconvergenceError) as err:
         run_mlmc(model, indicator, 0.005, M=2, alpha_hint=1.0, seed=4, max_level=2)
-    assert "bias_estimate" in err.value.diagnostics
+    diagnostics = err.value.diagnostics
+    assert "bias_estimate" in diagnostics
+    # the steps taken: N_0 one-step paths, then per level a 2^l- and a 2^(l-1)-step path
+    n0, n1, n2 = diagnostics["samples"]
+    assert diagnostics["total_cost"] == n0 + n1 * (2 + 1) + n2 * (4 + 2)
+
+
+def test_a_sweep_whose_single_level_run_fails_reports_every_step(monkeypatch):
+    model, pay = make_model("constant"), make_payoff("clamp_ramp")
+    sw = complexity_sweep(model, pay, [0.2, 0.1, 0.05], seed=2)
+
+    def nonconvergent(*args, **kwargs):
+        raise NonconvergenceError("single-level bias test unmet at level cap",
+                                  diagnostics={"levels": [0, 1, 2], "total_cost": 7.0})
+
+    monkeypatch.setattr(mlmc, "single_level_run", nonconvergent)
+    with pytest.raises(NonconvergenceError) as err:
+        complexity_sweep(model, pay, [0.2, 0.1, 0.05], seed=2, compare_single_level=True)
+    assert err.value.diagnostics["total_cost"] == float(np.sum(sw.costs)) + 7.0
 
 
 def test_telescoping_zero_diffusion():

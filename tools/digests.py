@@ -7,6 +7,8 @@ Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
   ``maximal_at`` on nodes and off-grid points of a 64-cell ball grid, whose
   dyadic spacing puts its nodes on the 2D kernel's bin table; ``gsp_field``
   at (s, p) = (0.5, 2), where the power is a square, and at (0.3, 1.5);
+- ``mollified_ball_gradient``'s smoothed indicator and its |gradient| density
+  at 64 and 100 cells and mollifier widths of 2 and 2.5 cells;
 - ``pointwise_check`` reports;
 - Euler-Maruyama terminals and M=4 coupled terminals of every registry model;
 - block sums at 1, 2 and 2048 numbers per step for several M;
@@ -25,10 +27,11 @@ only those:
   (``constant``, ``sincos``, ``sincos2d``), ``block_sums``, ``chunked``, and
   the ``cli`` artifacts of ``rate``, ``mlmc``, ``complexity``, ``density`` and
   ``inequality`` (a coarse one, such as a fitted exponent, may still match);
-- kept by a stream change: ``maximal_at``, ``maximal_field``, ``gsp_field``
-  and ``pointwise_check`` (their measures and pairs come from numpy's
-  ``default_rng``), the ``cli/maximal*`` artifacts, and ``em`` and
-  ``em_coupled_M4`` of ``ode`` and ``zero``, which have no noise.
+- kept by a stream change: ``maximal_at``, ``maximal_field``, ``gsp_field``,
+  ``mollifier`` and ``pointwise_check`` (their measures and pairs come from
+  numpy's ``default_rng``, or from no random numbers at all), the
+  ``cli/maximal*`` artifacts, and ``em`` and ``em_coupled_M4`` of ``ode`` and
+  ``zero``, which have no noise.
 
 Usage, from the repository root:
 
@@ -147,6 +150,11 @@ def maximal_digests():
                        _sha(mx.gsp_field(nu.density, 0.5, 2.0).values))
                 yield (f"gsp_field/{kind}/seed{seed}/s=0.3,p=1.5",
                        _sha(mx.gsp_field(nu.density, 0.3, 1.5).values))
+    for cells in (64, 100):
+        for width in (2.0, 2.5):
+            f, grad = mx.mollified_ball_gradient(1.0, -2.0, 2.0, cells, width)
+            yield f"mollifier/{cells}/width={width}/f", _sha(f.values)
+            yield f"mollifier/{cells}/width={width}/grad", _sha(grad.density.values)
     # the 64-cell ball grid has a dyadic spacing, so its nodes share one bin table
     rng = np.random.default_rng(64)
     _, nu = mx.mollified_ball_gradient(1.0, -2.0, 2.0, 64)
