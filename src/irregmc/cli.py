@@ -406,15 +406,17 @@ def _run_maximal(config: ExperimentConfig, out: str, summary: RunSummary) -> Non
     for kind, key, maker in plans:
         for _ in range(p[key]):
             nu = maker(rng)
+            fld = None
             if nu.is_atomic:
                 probes = np.concatenate(
                     [rng.uniform(-6, 6, size=200), nu.atoms[:, 0] + 1e-3]
                 )
                 vals = mx.maximal_at(nu, probes[:, None])
             else:
-                vals = mx.maximal_field(nu).values.ravel()
+                fld = mx.maximal_field(nu)  # picks the lambdas and counts their sets
+                vals = fld.values.ravel()
             lams = mx.percentile_lambda_grid(vals, p["n_lambdas"])
-            rep = mx.weak_type_check(nu, lams)
+            rep = mx.weak_type_check(nu, lams, fld)
             total_violations += rep.violations
             for lam, sl, bd in zip(rep.lambda_grid, rep.superlevel_measures,
                                    rep.bound_values):

@@ -7,10 +7,15 @@ densities restrict radii to multiples of the grid spacing, a documented
 lower-bound bias. The weak-type bound is checked against A_1 = 5^d.
 
 The 1D, atomic and G_{s,p} kernels work in blocks of at most KERNEL_ELEMENTS
-pairs, so their memory does not grow with the number of points or nodes. A 2D
-maximal_field reuses one transform of the cell masses for every radius, and a
-2D maximal_at call looks up the radius bins of all its points that sit on
-nodes of a dyadic grid in one table over integer node offsets.
+pairs, so their memory does not grow with the number of points or nodes. A
+G_{s,p} block is filled in two passes (copy x, subtract y in place), and
+squared without |.| at p = 2. A 2D maximal_field reuses one transform of the
+cell masses for every radius, and a 2D maximal_at call looks up the radius
+bins of all its points that sit on nodes of a dyadic grid in one table over
+integer node offsets; pointwise_check sends both ends of its pairs through one
+such call. Each of these forms does the same floating-point operations in the
+same order as the plain form it replaces, so its values are the same bit for
+bit.
 
 The layer needs numpy only. 2D maximal_field runs on numpy's pocketfft: the
 inverse transforms are unscaled (norm="forward") and the kept block is then
@@ -206,15 +211,17 @@ def _atomic_maximal(measure: GridMeasure, xs: np.ndarray, R: np.ndarray) -> np.n
     out = np.empty(len(xs))
     rows = max(1, KERNEL_ELEMENTS // atoms.shape[0])
     for i in range(0, len(xs), rows):
-        dist = np.linalg.norm(atoms - xs[i : i + rows, None, :], axis=2)
-        cum = np.cumsum(masses[np.argsort(dist, axis=1)], axis=1)
+        # np.linalg.norm along the last axis: the root of the reduced squares
+        sq = atoms - xs[i : i + rows, None, :]
+        sq *= sq
+        dist = np.sqrt(np.add.reduce(sq, axis=2))
+        cum = masses[dist.argsort(axis=1)].cumsum(axis=1)
         dist.sort(axis=1)
-        with np.errstate(divide="ignore"):
-            ratios = cum / ball_volume(measure.d, dist)
+        vol = ball_volume(measure.d, dist)
+        # cum > 0, so cum / vol is inf where vol == 0, as on an atom
+        ratios = np.divide(cum, vol, out=np.full_like(cum, math.inf), where=vol > 0.0)
         # ratios are positive, so 0 stands for "no admissible atom"
-        block = np.where(dist <= R[i : i + rows, None], ratios, 0.0).max(axis=1)
-        block[dist[:, 0] == 0.0] = math.inf
-        out[i : i + rows] = block
+        out[i : i + rows] = np.where(dist <= R[i : i + rows, None], ratios, 0.0).max(axis=1)
     return out
 
 
@@ -276,6 +283,9 @@ def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np
                default=0)
     c = min(half, n - 1)
     table = _bin_table(h, c) if half else None
+    # the covering volume of ladder radius k at [k - 1], for the largest k_max
+    ks = np.arange(1, max(k_tops, default=0) + 1)
+    volumes = ball_volume(2, (ks + 0.5) * h)
     out = np.zeros(len(xs))
     for p, (x, k_max, (i, j)) in enumerate(zip(xs, k_tops, nodes)):
         if k_max < 1:
@@ -292,8 +302,7 @@ def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np
         counts = np.bincount(bins.ravel(), weights=weights[rows, cols].ravel(),
                              minlength=k_max + 1)
         cum = np.cumsum(counts[: k_max + 1])
-        ks = np.arange(1, k_max + 1)
-        out[p] = np.max(cum[1:] / ball_volume(2, (ks + 0.5) * h))
+        out[p] = np.max(cum[1:] / volumes[:k_max])
     return out
 
 
@@ -469,18 +478,19 @@ def superlevel_measure_atomic(measure: GridMeasure, lam: float) -> float:
     a = pos[order]
     m = measure.masses[order]
     prefix = np.concatenate([[0.0], np.cumsum(m)])
-    intervals = []
-    n = a.size
-    for i in range(n):
-        for j in range(i, n):
-            rho = (prefix[j + 1] - prefix[i]) / (2.0 * lam)
-            left, right = a[j] - rho, a[i] + rho
-            if left < right:
-                intervals.append((left, right))
-    intervals.sort()
+    # every block i <= j, in the order of a double loop over i and then j
+    i, j = np.triu_indices(a.size)
+    rho = (prefix[j + 1] - prefix[i]) / (2.0 * lam)
+    left, right = a[j] - rho, a[i] + rho
+    keep = left < right
+    left, right = left[keep], right[keep]
+    if left.size == 0:  # every ball is too light for lam
+        return 0.0
+    order = np.lexsort((right, left))  # by left, then by right
+    intervals = zip(left[order].tolist(), right[order].tolist())
     total = 0.0
-    cur_l, cur_r = intervals[0]
-    for left, right in intervals[1:]:
+    cur_l, cur_r = next(intervals)
+    for left, right in intervals:
         if left > cur_r:
             total += cur_r - cur_l
             cur_l, cur_r = left, right
@@ -490,14 +500,26 @@ def superlevel_measure_atomic(measure: GridMeasure, lam: float) -> float:
     return total
 
 
-def weak_type_check(measure: GridMeasure, lambda_grid) -> MaximalReport:
-    """Compare Leb{M nu > lam} against 5^d |nu|(R^d) / lam for each lambda."""
+def weak_type_check(measure: GridMeasure, lambda_grid,
+                    field: GridField | None = None) -> MaximalReport:
+    """Compare Leb{M nu > lam} against 5^d |nu|(R^d) / lam for each lambda.
+
+    1D atomic measures are measured exactly; a density's superlevel sets are
+    counted on the nodes of maximal_field(measure), or of ``field`` when the
+    caller already holds it (it must lie on the density's grid).
+    """
     lambda_grid = _positive(lambda_grid, "lambda grid")
     if lambda_grid.size == 0:
         raise InvalidArgumentError("lambda grid must not be empty")
     d = measure.d
+    if measure.is_atomic and d != 1:
+        raise InvalidArgumentError(
+            f"weak_type_check supports 1D atomic measures (exact) and density grids "
+            f"(grid count), got an atomic measure in d = {d}")
+    if field is not None and (measure.is_atomic or _grid(field) != _grid(measure.density)):
+        raise InvalidArgumentError("field must lie on the grid of the measure's density")
     bound = WEAK_TYPE_A1_BASE**d * measure.total_mass / lambda_grid
-    if measure.is_atomic and d == 1:
+    if measure.is_atomic:
         if measure.masses.size == 0:
             superlevel = np.zeros_like(lambda_grid)
         else:
@@ -506,7 +528,7 @@ def weak_type_check(measure: GridMeasure, lambda_grid) -> MaximalReport:
             )
         method = "exact-atomic"
     else:
-        fld = maximal_field(measure)
+        fld = maximal_field(measure) if field is None else field
         h = fld.spacing
         superlevel = np.array(
             [float(np.count_nonzero(fld.values > lam)) * h**d for lam in lambda_grid]
@@ -519,10 +541,15 @@ def weak_type_check(measure: GridMeasure, lambda_grid) -> MaximalReport:
     )
 
 
+def _grid(f: GridField) -> tuple:
+    """What fixes the nodes of a grid."""
+    return f.d, f.lo, f.hi, f.spacing, f.values.shape
+
+
 def percentile_lambda_grid(values, count: int = 10,
                            lo_pct: float = 10.0, hi_pct: float = 99.0) -> np.ndarray:
     """Lambda grid spanning the [lo_pct, hi_pct] percentiles of maximal values."""
-    if not isinstance(count, (int, np.integer)) or count < 1:
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
         raise InvalidArgumentError(f"count must be an integer >= 1, got {count!r}")
     values = np.asarray(values, dtype=float)
     values = values[np.isfinite(values) & (values > 0)]
@@ -571,6 +598,7 @@ def gsp_field(f: GridField, s: float, p: float) -> GridField:
     block_rows = max(1, KERNEL_ELEMENTS // (cols * n))
     buf = np.empty(block_rows * cols * n)
     ones = np.ones(n)
+    square = p == 2.0
     for o1 in range(rows):
         for j0 in range(0, n, cols):
             j1 = min(n, j0 + cols)
@@ -579,10 +607,15 @@ def gsp_field(f: GridField, s: float, p: float) -> GridField:
             for r0 in range(o1, rows, block_rows):
                 r1 = min(rows, r0 + block_rows)
                 pair = buf[: (r1 - r0) * (j1 - j0) * width].reshape(r1 - r0, j1 - j0, width)
-                np.subtract(vals[r0:r1, j0:j1, None], vals[r0 - o1 : r1 - o1, None, :width],
-                            out=pair)
-                np.abs(pair, out=pair)
-                pair **= p  # in place, and a square at p = 2
+                # x - y as a copy of x less y in place: the same differences,
+                # cheaper than one subtract that broadcasts both operands
+                np.copyto(pair, vals[r0:r1, j0:j1, None])
+                pair -= vals[r0 - o1 : r1 - o1, None, :width]
+                if square:  # (x - y)^2 == |x - y|^2, and power at 2.0 is the square
+                    np.square(pair, out=pair)
+                else:
+                    np.abs(pair, out=pair)
+                    pair **= p
                 pair *= w
                 # the terms are nonnegative, so any summation order is accurate;
                 # products with ones are the fastest row and column sums
@@ -658,8 +691,9 @@ def pointwise_check(
     xs, ys, dist = xs[keep], ys[keep], dist[keep]
     num = np.abs(_grid_value(f, xs) - _grid_value(f, ys))
     R = 2.0 * dist
-    mx = maximal_at(measure, xs, R)
-    my = maximal_at(measure, ys, R)
+    # both ends in one call, so a 2D density builds one bin table for both
+    both = maximal_at(measure, np.concatenate([xs, ys]), np.concatenate([R, R]))
+    mx, my = both[: len(xs)], both[len(xs) :]
     # Python float pow: numpy's power may take a different libm path
     den = np.array([v**gamma for v in dist.tolist()]) * (mx + my)
     zero = den == 0.0

@@ -153,7 +153,7 @@ def check_weak_type(scale: float = 1.0, seed: int = 555) -> CheckResult:
         nu = mx.random_density_1d(rng) if i % 2 == 0 else mx.random_density_2d(rng)
         fld = mx.maximal_field(nu)
         lams = mx.percentile_lambda_grid(fld.values.ravel(), 10)
-        rep = mx.weak_type_check(nu, lams)
+        rep = mx.weak_type_check(nu, lams, fld)
         violations += rep.violations
         checked += len(lams)
     return CheckResult(

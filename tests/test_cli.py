@@ -455,6 +455,24 @@ def test_maximal_experiment(tmp_path):
         assert fh.readline().strip() == "measure_id,kind,lambda,superlevel,bound"
 
 
+def test_maximal_experiment_computes_each_field_once(tmp_path, monkeypatch):
+    from irregmc import maximal as mx
+
+    calls = []
+    field = mx.maximal_field
+
+    def counted(measure, R=math.inf):
+        calls.append(measure.d)
+        return field(measure, R)
+
+    monkeypatch.setattr(mx, "maximal_field", counted)
+    doc = {"kind": "maximal",
+           "params": {"n_atomic": 1, "n_grid_1d": 1, "n_grid_2d": 2, "seed": 4}}
+    summary = run_experiment(parse_config(json.dumps(doc)), out_dir=str(tmp_path))
+    assert not summary.failed
+    assert calls == [1, 2, 2]
+
+
 def test_inequality_experiment(tmp_path):
     doc = {
         "kind": "inequality",

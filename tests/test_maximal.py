@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
 from scipy.ndimage import gaussian_filter
 from scipy.signal import fftconvolve
@@ -122,6 +123,39 @@ def test_weak_type_slab(slab):
     assert rep.superlevel_measures[0] == pytest.approx(2.0, rel=0.05)
     assert rep.bound_values[0] == pytest.approx(5 * slab.total_mass / 0.5)
     assert rep.violations == 0
+
+
+@pytest.mark.parametrize("maker", [random_density_1d, random_density_2d])
+def test_weak_type_check_takes_the_callers_field(maker):
+    nu = maker(np.random.default_rng(8))
+    fld = maximal_field(nu)
+    lams = percentile_lambda_grid(fld.values.ravel(), 6)
+    given, computed = weak_type_check(nu, lams, fld), weak_type_check(nu, lams)
+    assert np.array_equal(given.superlevel_measures, computed.superlevel_measures)
+    assert given.method == computed.method == "grid-count"
+    other = maker(np.random.default_rng(9)).density
+    shifted = GridField(d=other.d, lo=other.lo + 1.0, hi=other.hi + 1.0,
+                        spacing=other.spacing, values=other.values)
+    coarse = GridField.from_function(lambda x: x[..., 0] ** 2, nu.d, other.lo, other.hi, 12)
+    for wrong in (shifted, coarse):
+        with pytest.raises(InvalidArgumentError, match="grid"):
+            weak_type_check(nu, lams, wrong)
+    with pytest.raises(InvalidArgumentError, match="grid"):
+        weak_type_check(random_atomic_measure(np.random.default_rng(8)), lams, fld)
+
+
+def test_weak_type_check_rejects_atomic_measures_in_2d():
+    nu = measure_from_atoms([[0.0, 0.0], [1.0, 0.5]], [1.0, 2.0])
+    with pytest.raises(InvalidArgumentError,
+                       match=r"1D atomic measures \(exact\) and density grids"):
+        weak_type_check(nu, [0.5, 1.0])
+
+
+def test_superlevel_of_a_lambda_no_ball_exceeds_is_zero():
+    # m / (2 lam) vanishes next to 3.0, so no interval (3 - rho, 3 + rho) is left
+    nu = measure_from_atoms([[3.0]], [1.0])
+    assert superlevel_measure_atomic(nu, 1e20) == 0.0
+    assert weak_type_check(nu, [1.0, 1e20]).superlevel_measures.tolist() == [1.0, 0.0]
 
 
 def test_restriction_monotonicity(slab):
@@ -366,7 +400,7 @@ def test_percentile_lambda_grid():
     assert np.all(np.diff(lams) > 0)
     with pytest.raises(InsufficientDataError):
         percentile_lambda_grid(np.zeros(10), 5)
-    for count in (0, -3, 2.5):
+    for count in (0, -3, 2.5, True, False):
         with pytest.raises(InvalidArgumentError, match="count"):
             percentile_lambda_grid(np.geomspace(0.1, 10, 100), count)
 
@@ -608,9 +642,181 @@ def test_gsp_field_never_builds_the_pair_matrix():
     assert peak < n * n * 8 // 4
 
 
+# Oracles: the kernels as they were before their blocks were made cheaper. The
+# library must give what they give bit for bit.
+
+
+def _gsp_field_before(f, s, p):
+    """gsp_field with one broadcast subtract per pair block, and |.| at every p."""
+    h, d = f.spacing, f.d
+    vals = f.values.reshape(-1, f.values.shape[-1])
+    rows, n = vals.shape
+    acc = np.zeros_like(vals)
+    lead, last = np.ogrid[:rows, 1 - n : n]
+    with np.errstate(divide="ignore"):
+        weights = h**d / (h * np.hypot(lead, last)) ** (d + s * p)
+    weights[0, :n] = 0.0
+    toeplitz = sliding_window_view(weights[:, ::-1], n, axis=1)[:, ::-1]
+    cols = min(n, max(1, mx.KERNEL_ELEMENTS // n))
+    block_rows = max(1, mx.KERNEL_ELEMENTS // (cols * n))
+    buf = np.empty(block_rows * cols * n)
+    ones = np.ones(n)
+    for o1 in range(rows):
+        for j0 in range(0, n, cols):
+            j1 = min(n, j0 + cols)
+            width = j1 if o1 == 0 else n
+            w = np.ascontiguousarray(toeplitz[o1, j0:j1, :width])
+            for r0 in range(o1, rows, block_rows):
+                r1 = min(rows, r0 + block_rows)
+                pair = buf[: (r1 - r0) * (j1 - j0) * width].reshape(r1 - r0, j1 - j0, width)
+                np.subtract(vals[r0:r1, j0:j1, None], vals[r0 - o1 : r1 - o1, None, :width],
+                            out=pair)
+                np.abs(pair, out=pair)
+                pair **= p
+                pair *= w
+                acc[r0:r1, j0:j1] += pair @ ones[:width]
+                acc[r0 - o1 : r1 - o1, :width] += ones[: j1 - j0] @ pair
+    return (acc ** (1.0 / p)).reshape(f.values.shape)
+
+
+def _grids_for_gsp():
+    rng = np.random.default_rng(19)
+    # 1D: 300 nodes make 109-column blocks; 2D: 33 x 33 nodes make 30-row blocks
+    for d, nodes in ((1, 300), (2, 33)):
+        shape = (nodes,) * d
+        yield GridField(d=d, lo=-1.0, hi=1.0, spacing=2.0 / (nodes - 1),
+                        values=rng.uniform(-1.0, 1.0, shape))
+        yield GridField(d=d, lo=-1.0, hi=1.0, spacing=2.0 / (nodes - 1),
+                        values=np.full(shape, 0.75))
+    yield random_density_2d(rng).density
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_gsp_field_equals_the_broadcast_subtract_blocks(p):
+    for f in _grids_for_gsp():
+        for s in (0.3, 0.5):
+            assert np.array_equal(gsp_field(f, s, p).values, _gsp_field_before(f, s, p))
+
+
+def _superlevel_before(measure, lam):
+    """superlevel_measure_atomic with its candidate intervals from a double loop."""
+    order = np.argsort(measure.atoms[:, 0])
+    a = measure.atoms[:, 0][order]
+    m = measure.masses[order]
+    prefix = np.concatenate([[0.0], np.cumsum(m)])
+    intervals = []
+    for i in range(a.size):
+        for j in range(i, a.size):
+            rho = (prefix[j + 1] - prefix[i]) / (2.0 * lam)
+            left, right = a[j] - rho, a[i] + rho
+            if left < right:
+                intervals.append((left, right))
+    intervals.sort()
+    total = 0.0
+    cur_l, cur_r = intervals[0]
+    for left, right in intervals[1:]:
+        if left > cur_r:
+            total += cur_r - cur_l
+            cur_l, cur_r = left, right
+        else:
+            cur_r = max(cur_r, right)
+    total += cur_r - cur_l
+    return total
+
+
+def test_superlevel_equals_the_double_loop():
+    rng = np.random.default_rng(23)
+    measures = [random_atomic_measure(rng) for _ in range(6)]
+    # duplicate atoms, equal masses and equal gaps give equal intervals
+    measures.append(measure_from_atoms([[0.0], [0.0], [1.0], [2.0], [2.0], [3.0]],
+                                       [0.5, 0.5, 1.0, 0.5, 0.5, 1.0]))
+    measures.append(measure_from_atoms([[1.5], [1.5], [1.5]], [1.0, 1.0, 1.0]))
+    for nu in measures:
+        for lam in np.geomspace(0.01, 50.0, 9):
+            assert superlevel_measure_atomic(nu, lam) == _superlevel_before(nu, lam)
+
+
+def _atomic_maximal_before(measure, xs, R):
+    """_atomic_maximal with np.linalg.norm and a division under errstate."""
+    atoms, masses = measure.atoms, measure.masses
+    out = np.empty(len(xs))
+    rows = max(1, mx.KERNEL_ELEMENTS // atoms.shape[0])
+    for i in range(0, len(xs), rows):
+        dist = np.linalg.norm(atoms - xs[i : i + rows, None, :], axis=2)
+        cum = np.cumsum(masses[np.argsort(dist, axis=1)], axis=1)
+        dist.sort(axis=1)
+        with np.errstate(divide="ignore"):
+            ratios = cum / ball_volume(measure.d, dist)
+        block = np.where(dist <= R[i : i + rows, None], ratios, 0.0).max(axis=1)
+        block[dist[:, 0] == 0.0] = math.inf
+        out[i : i + rows] = block
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_atomic_maximal_equals_the_norm_and_errstate_kernel(d):
+    rng = np.random.default_rng(29 + d)
+    for _ in range(4):
+        k = int(rng.integers(1, 30))
+        nu = measure_from_atoms(rng.uniform(-5.0, 5.0, (k, d)), rng.uniform(0.1, 2.0, k))
+        # random points, the atoms, and points 1e-3 and 1e-170 off them: in 2D
+        # the volume at 1e-170 underflows to 0, so the ratio there is inf
+        xs = np.concatenate([rng.uniform(-6.0, 6.0, (50, d)), nu.atoms,
+                             nu.atoms + 1e-3, nu.atoms + 1e-170])
+        for R in (np.full(len(xs), math.inf), rng.uniform(1e-180, 3.0, len(xs)),
+                  np.full(len(xs), 1e-175)):
+            ref = _atomic_maximal_before(nu, xs, R)
+            assert np.array_equal(mx._atomic_maximal(nu, xs, R), ref)
+            assert np.array_equal(maximal_at(nu, xs, R), ref)
+            assert [maximal_at(nu, x, r) for x, r in zip(xs, R)] == ref.tolist()
+
+
 # ---------------------------------------------------------------------------
 # Pointwise checks
 # ---------------------------------------------------------------------------
+
+
+def test_pointwise_check_one_maximal_at_call_equals_two(monkeypatch):
+    """Both ends of the pairs go through one maximal_at call; split into one
+    call per end, as before, every report is the same."""
+    tent = lambda x: np.maximum(0.0, 1.0 - np.abs(x[..., 0]))  # noqa: E731
+    f_tent = GridField.from_function(tent, 1, -2.0, 2.0, 256)
+    f_ball, grad_ball = mollified_ball_gradient(1.0, -2.0, 2.0, 64)  # dyadic: one table
+    nu_2d = random_density_2d(np.random.default_rng(31))
+    f_2d = GridField.from_function(lambda x: x[..., 0] * x[..., 1], 2, -2.0, 2.0, 48)
+    heavi, atom = _heaviside_setup()
+
+    def cross(rng, count):
+        return -rng.uniform(0.01, 3.0, (count, 1)), rng.uniform(0.01, 3.0, (count, 1))
+
+    def checks():
+        return [
+            pointwise_check(f_ball, grad_ball, 300, mode="bv", seed=1),
+            pointwise_check(f_2d, nu_2d, 300, mode="bv", seed=2),
+            pointwise_check(f_tent, gsp_field(f_tent, 0.5, 2.0), 500, mode="fractional",
+                            s=0.5, seed=3),
+            pointwise_check(heavi, atom, 500, mode="bv", seed=4, pair_sampler=cross),
+        ]
+
+    calls = []
+    whole = mx.maximal_at
+
+    def counted(measure, x, R=math.inf):
+        calls.append(len(x))
+        return whole(measure, x, R)
+
+    monkeypatch.setattr(mx, "maximal_at", counted)
+    one = checks()
+    assert len(calls) == 4
+
+    def per_end(measure, x, R=math.inf):
+        half = len(x) // 2
+        return np.concatenate([whole(measure, x[:half], R[:half]),
+                               whole(measure, x[half:], R[half:])])
+
+    monkeypatch.setattr(mx, "maximal_at", per_end)
+    assert one == checks()
+
 
 
 def _heaviside_setup():

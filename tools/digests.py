@@ -6,7 +6,9 @@ Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
   and ``gsp_field`` on the seeded random measures, in 1D and 2D, and
   ``maximal_at`` on nodes and off-grid points of a 64-cell ball grid, whose
   dyadic spacing puts its nodes on the 2D kernel's bin table; ``gsp_field``
-  at (s, p) = (0.5, 2), where the power is a square, and at (0.3, 1.5);
+  at (s, p) = (0.5, 2), where the power is a square, and at (0.3, 1.5),
+  (0.5, 1) and (0.7, 3), where it takes |f(x) - f(y)| first;
+- ``superlevel_measure_atomic`` on the seeded atomic measures at 12 lambdas;
 - ``mollified_ball_gradient``'s smoothed indicator and its |gradient| density
   at 64 and 100 cells and mollifier widths of 2 and 2.5 cells;
 - ``pointwise_check`` reports;
@@ -28,8 +30,8 @@ only those:
   the ``cli`` artifacts of ``rate``, ``mlmc``, ``complexity``, ``density`` and
   ``inequality`` (a coarse one, such as a fitted exponent, may still match);
 - kept by a stream change: ``maximal_at``, ``maximal_field``, ``gsp_field``,
-  ``mollifier`` and ``pointwise_check`` (their measures and pairs come from
-  numpy's ``default_rng``, or from no random numbers at all), the
+  ``superlevel``, ``mollifier`` and ``pointwise_check`` (their measures and
+  pairs come from numpy's ``default_rng``, or from no random numbers at all), the
   ``cli/maximal*`` artifacts, and ``em`` and ``em_coupled_M4`` of ``ode`` and
   ``zero``, which have no noise.
 
@@ -148,8 +150,13 @@ def maximal_digests():
                            _sha(mx.maximal_field(nu, R).values))
                 yield (f"gsp_field/{kind}/seed{seed}",
                        _sha(mx.gsp_field(nu.density, 0.5, 2.0).values))
-                yield (f"gsp_field/{kind}/seed{seed}/s=0.3,p=1.5",
-                       _sha(mx.gsp_field(nu.density, 0.3, 1.5).values))
+                for s, p in ((0.3, 1.5), (0.5, 1.0), (0.7, 3.0)):
+                    yield (f"gsp_field/{kind}/seed{seed}/s={s},p={p}",
+                           _sha(mx.gsp_field(nu.density, s, p).values))
+            else:
+                lams = np.geomspace(0.01, 50.0, 12)
+                yield (f"superlevel/{kind}/seed{seed}",
+                       _sha(np.array([mx.superlevel_measure_atomic(nu, lam) for lam in lams])))
     for cells in (64, 100):
         for width in (2.0, 2.5):
             f, grad = mx.mollified_ball_gradient(1.0, -2.0, 2.0, cells, width)
