@@ -21,9 +21,6 @@ from .sde import SdeModel, StepCounter, path_terminals
 from .sde import em_terminal_batch  # benchmarks/tracing.py rebinds it here
 from .stats import Welford, loglog_fit
 
-# Paths per window, read at call time; a multiple of BLOCK_PATHS, so windows
-# split no block and the curves do not depend on it.
-DEFAULT_BATCH = 4096
 MIN_PATHS = 1000  # fewest paths qerror_curves takes
 NOISE_FLOOR_FACTOR = 10.0
 
@@ -85,10 +82,10 @@ def qerror_curves(
     All targets share the same reference terminals, so indicator curves for
     different q are bit-identical by construction. The reference path and
     the coarse path of each n are stepped by ``sde.path_terminals`` with the
-    coarsening factors n_ref // n, over windows of ``DEFAULT_BATCH`` paths
-    (narrower when the sweep overlaps its draws). Each window's values are
-    folded in block by block, so the curves are bit-identical whatever the
-    window size, chunk length or overlap.
+    coarsening factors n_ref // n, in the windows and time chunks of
+    ``randomkit.path_layout``. Each window's values are folded in block by
+    block, so the curves are bit-identical whatever the window size, chunk
+    length or overlap.
     """
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) == 0:
@@ -100,8 +97,7 @@ def qerror_curves(
         raise InvalidArgumentError(f"N must be >= {MIN_PATHS}")
     accs = {(i, n): Welford() for i in range(len(targets)) for n in n_list}
     factors = [n_ref // n for n in n_list]
-    windows = [(first, min(DEFAULT_BATCH, N - first)) for first in range(0, N, DEFAULT_BATCH)]
-    for first, _, ref, coarse in path_terminals(model, increment_batch, seed, n_ref, windows,
+    for first, _, ref, coarse in path_terminals(model, increment_batch, seed, n_ref, 0, N,
                                                 factors, counter):
         f_ref = [pay(ref) for pay, _ in targets]
         for n, xn in zip(n_list, coarse):

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import FitFailureError, InvalidArgumentError
-from .randomkit import increment_batch, path_windows
+from .randomkit import increment_batch
 from .sde import SdeModel, StepCounter, path_terminals
 from .sde import em_terminal_batch  # benchmarks/tracing.py rebinds it here
 
@@ -80,16 +80,16 @@ def terminal_histogram(
 ) -> Histogram:
     """Histogram of the first coordinate of X^(n)(T) over N paths.
 
-    The paths are stepped by ``sde.path_terminals`` in time chunks, so memory
-    does not grow with n; ``counter`` counts their steps.
+    ``sde.path_terminals`` steps the paths as ``randomkit.path_layout`` cuts
+    them, so memory does not grow with n; ``counter`` counts their steps.
     """
     if N < MIN_PATHS:
         raise InvalidArgumentError(f"N must be >= {MIN_PATHS}")
     if bins < MIN_BINS:
         raise InvalidArgumentError(f"need at least {MIN_BINS} bins")
     samples = np.empty(N)
-    for first, b, x, _ in path_terminals(model, increment_batch, seed, n,
-                                         path_windows(0, N, n * model.d), counter=counter):
+    for first, b, x, _ in path_terminals(model, increment_batch, seed, n, 0, N,
+                                         counter=counter):
         samples[first : first + b] = x[:, 0]
     if value_range is None:
         lo, hi = float(samples.min()), float(samples.max())

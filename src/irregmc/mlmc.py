@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateCurveError, InvalidArgumentError, NonconvergenceError
 from .payoff import Payoff
-from .randomkit import derive_seed, increment_batch, path_windows
+from .randomkit import derive_seed, increment_batch
 from .sde import SdeModel, StepCounter, path_terminals
 from .sde import coupled_terminal_batch, em_terminal_batch  # benchmarks/tracing.py rebinds these
 from .stats import LineFit, Welford, loglog_fit
@@ -26,7 +26,6 @@ from .stats import LineFit, Welford, loglog_fit
 DEFAULT_PILOT = 1000
 DEFAULT_MAX_LEVEL = 12
 DEFAULT_MAX_ROUNDS = 5
-DEFAULT_BATCH = 65536  # window budget in normals, read at call time
 REFINEMENTS = (2, 4)  # the refinement factors M the drivers take
 MIN_EPSILON = 1e-6  # smallest RMS target; keeps the eps**-2 sample counts far inside int64
 MIN_EPSILONS = 3  # fewest epsilons complexity_sweep takes
@@ -102,9 +101,8 @@ def _fold(model: SdeModel, payoff: Payoff, acc: Welford, seed: int, n_fine: int,
           n_new: int, counter: StepCounter) -> Welford:
     """Fold payoff(fine) - payoff(coarse), or payoff(fine) when no factor is
     named, of the next n_new paths into acc, block by block."""
-    windows = path_windows(acc.count, n_new, n_fine * model.d, DEFAULT_BATCH)
     for first, _, fine, coarse in path_terminals(model, increment_batch, seed, n_fine,
-                                                 windows, factors, counter):
+                                                 acc.count, n_new, factors, counter):
         acc.update(payoff(fine) - payoff(coarse[0]) if coarse else payoff(fine), first)
     return acc
 

@@ -15,19 +15,30 @@ drawn in time chunks from block streams keyed once and carried from call to
 call. Coarse increments are always obtained by summing fine ones, never by
 bridge refinement, so the coarse/fine coupling is a structural identity.
 
-``sweep`` draws a driver's windows chunk by chunk and hands out each chunk's
-``block_sums`` for the coarsening factors the driver names. When some window
-needs more than one time chunk, a background thread sums chunk j while the
-caller steps it, and only then draws chunk j+1 (numpy's
-``standard_normal(out=...)`` releases the GIL for the whole fill); each
-block's stream is still advanced by one thread at a time, in the same order,
-so every increment is bit-identical. At most chunk j, its sums and chunk j+1
-are then alive: the two chunks hold at most ``CHUNK_NORMALS`` normals
-together (each gets half, and windows narrow, never below one block, until
-``multiple`` steps fit) and the sums 1/M of a chunk per factor M. A sweep
-whose ``multiple`` steps of one block exceed half the budget, or whose
-windows fit in one chunk each, draws and sums inline with one chunk in
-memory.
+``path_layout`` is the one rule that cuts a range of paths into windows and
+time chunks, for every driver. Windows are cut at multiples of W, the largest
+power of two no more than ``_DRAW_NORMALS // d`` and
+``CHUNK_NORMALS // (2 * multiple * d)`` but at least ``BLOCK_PATHS``, so a
+range narrower than W is one window. Chunk lengths are multiples of
+``multiple`` (at least ``multiple``): as many steps as fit
+``CHUNK_NORMALS // 8`` normals, drawn inline, when the widest window holds at
+most ``CHUNK_NORMALS // 2`` normals in all; as many as fit that half
+otherwise, drawn on a background thread unless ``multiple`` steps of the
+widest window exceed it. Short chunks would hand the GIL back and forth
+between two threads for no gain, and inline chunks of a quarter of this
+size made glibc trim and refault the heap on the wider windows (about 2300
+page faults per MLMC run). So an MLMC top-up round is one window of a few
+inline chunks, and a strong-rate sweep at n_ref = 4096 steps 2048-path
+windows in overlapped 512-step chunks.
+
+``sweep`` draws a range's windows chunk by chunk and hands out each chunk's
+``block_sums`` for the coarsening factors the driver names. When it
+overlaps, a background thread sums chunk j while the caller steps it, and
+only then draws chunk j+1 (numpy's ``standard_normal(out=...)`` releases the
+GIL for the whole fill); each block's stream is still advanced by one thread
+at a time, in the same order, so every increment is bit-identical. At most
+chunk j, its sums and chunk j+1 are then alive: two chunks of at most
+``CHUNK_NORMALS // 2`` normals and the sums, 1/M of a chunk per factor M.
 """
 
 from __future__ import annotations
@@ -45,11 +56,12 @@ _MASK64 = (1 << 64) - 1
 # Paths per stream key. Part of the stream definition: changing it changes
 # every increment drawn.
 BLOCK_PATHS = 1024
-# Normals per draw into the reusable block buffer; sequential draws are
-# chunk-invariant, so this bounds memory without touching the streams.
+# Normals per draw into the reusable block buffer, and the most paths times d
+# in a window; sequential draws are chunk-invariant, so this bounds memory
+# without touching the streams. Read at call time.
 _DRAW_NORMALS = 1 << 16
-# Normals of increments a sweep holds at a time (16 MB), read at call time by
-# time_chunks and sweep: one chunk, or two half chunks while draws overlap.
+# Normals of increments a sweep holds at a time (16 MB): two half chunks while
+# its draws overlap, an eighth of it per inline chunk. Read at call time.
 CHUNK_NORMALS = 1 << 21
 
 
@@ -164,37 +176,37 @@ def increment_batch(
     return out.transpose(1, 0, 2)
 
 
-def time_chunks(n_fine: int, width: int, multiple: int = 1,
-                budget: int | None = None) -> list[tuple[int, int]]:
+def time_chunks(n_fine: int, width: int, multiple: int, budget: int) -> list[tuple[int, int]]:
     """(k0, k) chunks covering steps 0..n_fine-1 of a window of ``width`` normals per step.
 
     Each k is a multiple of ``multiple`` (the last one may be shorter if
     ``multiple`` does not divide n_fine) and a chunk holds at most ``budget``
-    normals (``CHUNK_NORMALS`` by default), unless ``multiple`` steps alone
-    hold more: then each chunk is ``multiple`` steps, over the budget.
+    normals, unless ``multiple`` steps alone hold more: then each chunk is
+    ``multiple`` steps, over the budget.
     """
-    budget = CHUNK_NORMALS if budget is None else budget
     step = max(multiple, budget // width // multiple * multiple)
     return [(k0, min(step, n_fine - k0)) for k0 in range(0, n_fine, step)]
 
 
-def path_windows(first_path: int, n_paths: int, normals_per_path: int,
-                 budget: int = 1 << 16):
-    """Yield (start, count) windows covering first_path..first_path+n_paths-1.
+def path_layout(first_path: int, n_paths: int, n_fine: int, multiple: int = 1, d: int = 1):
+    """(windows, overlap) for paths first_path..first_path+n_paths-1: the one window rule.
 
-    A window holds about ``budget`` normals but at least one whole block, at
-    any depth: drivers draw a window in time chunks (``time_chunks``), so its
-    width does not bound memory. Sizes are powers of two and windows are
-    aligned to multiples of their size, so no block is split, and none drawn
-    twice, except where the range itself starts or ends inside a block.
+    ``windows`` lists (first, b, chunks) in path order, with ``chunks`` the
+    window's ``time_chunks``; ``overlap`` says whether a sweep draws them on
+    a background thread. The module docstring states the rule.
     """
-    size = max(BLOCK_PATHS, budget // normals_per_path)
-    size = 1 << (size.bit_length() - 1)
-    pos, end = first_path, first_path + n_paths
+    width = min(_DRAW_NORMALS // d, CHUNK_NORMALS // (2 * multiple * d))
+    width = 1 << (max(BLOCK_PATHS, width).bit_length() - 1)
+    spans, pos, end = [], first_path, first_path + n_paths
     while pos < end:
-        stop = min(end, (pos // size + 1) * size)
-        yield pos, stop - pos
-        pos = stop
+        spans.append((pos, min(end, (pos // width + 1) * width) - pos))
+        pos += spans[-1][1]
+    widest = max((b for _, b in spans), default=0)
+    half = CHUNK_NORMALS // 2
+    large = widest * n_fine * d > half
+    budget = half if large else CHUNK_NORMALS // 8
+    windows = [(pos, b, time_chunks(n_fine, b * d, multiple, budget)) for pos, b in spans]
+    return windows, large and multiple * widest * d <= half
 
 
 def block_sums(increments: np.ndarray, M: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -227,38 +239,28 @@ def block_sums(increments: np.ndarray, M: int, out: np.ndarray | None = None) ->
     return out.transpose(1, 0, 2)
 
 
-def sweep(draw, master_seed: int, d: int, T: float, n_fine: int, windows,
-          multiple: int = 1, factors=()):
+def sweep(draw, master_seed: int, d: int, T: float, n_fine: int, first_path: int,
+          n_paths: int, multiple: int = 1, factors=()):
     """Yield (first, b, k0, k, increments, sums) for each time chunk of each window, in order.
 
-    ``draw`` is ``increment_batch`` as the caller looks it up; each chunk is
-    ``draw(master_seed, d, T, n_fine, first, b, streams=..., n_steps=k)``
-    with the window's blocks keyed once, and chunk lengths are multiples of
-    ``multiple`` (``time_chunks``), which every factor should divide.
+    The windows and chunks of paths first_path..first_path+n_paths-1 are
+    those of ``path_layout``; chunk lengths are multiples of ``multiple``,
+    which every factor should divide. ``draw`` is ``increment_batch`` as the
+    caller looks it up; each chunk is ``draw(master_seed, d, T, n_fine,
+    first, b, streams=..., n_steps=k)`` with the window's blocks keyed once.
     ``sums()`` returns ``[block_sums(increments, M) for M in factors]``,
-    waiting for the background thread when the sweep overlaps its draws. The
-    increments are the same whatever the windows; the windows yielded are
-    those given, or narrower ones cut at multiples of a power-of-two size
-    when the sweep overlaps (see the module docstring). Chunk j is summed
-    and chunk j+1 drawn while the caller holds chunk j, so the caller should
-    drop the increments and ``sums`` before asking for the next. An
-    exception in a draw or a sum reaches the caller; no thread outlives the
-    generator.
+    waiting for the background thread when the sweep overlaps its draws.
+    Chunk j is summed and chunk j+1 drawn while the caller holds chunk j,
+    so the caller should drop the increments and ``sums`` before asking for
+    the next. An exception in a draw or a sum reaches the caller; no thread
+    outlives the generator.
     """
-    windows = list(windows)
-    widest = max((b for _, b in windows), default=0)
-    budget = CHUNK_NORMALS
-    overlap = (widest > 0 and len(time_chunks(n_fine, widest * d, multiple)) > 1
-               and multiple * BLOCK_PATHS * d <= budget // 2)
-    if overlap:
-        budget //= 2
-        windows = [w for first, b in windows
-                   for w in path_windows(first, b, multiple * d, budget)]
+    windows, overlap = path_layout(first_path, n_paths, n_fine, multiple, d)
 
     def calls():
-        for first, b in windows:
+        for first, b, chunks in windows:
             streams = block_streams(master_seed, first, b)
-            for k0, k in time_chunks(n_fine, b * d, multiple, budget):
+            for k0, k in chunks:
                 yield (first, b, k0, k), partial(draw, master_seed, d, T, n_fine, first, b,
                                                  streams=streams, n_steps=k)
 

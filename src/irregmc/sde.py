@@ -148,19 +148,20 @@ def coupled_terminal_batch(
     return fine, em_terminal_batch(model, coarse_inc, counter, coarse_x, k0 // M, n // M)
 
 
-def path_terminals(model: SdeModel, draw, seed: int, n_fine: int, windows, factors=(),
-                   counter: StepCounter | None = None):
+def path_terminals(model: SdeModel, draw, seed: int, n_fine: int, first: int, n_paths: int,
+                   factors=(), counter: StepCounter | None = None):
     """Yield (first, b, fine, coarse) at the end of each window of paths, in order.
 
-    ``fine`` holds the (b, d) states X^(n_fine)(T) of paths first..first+b-1
-    and ``coarse`` one (b, d) state per factor M, of the n_fine // M-step
-    path on ``block_sums`` of the same increments: ``em_terminal_batch`` on
-    the whole window's increments and on their sums, though
-    ``randomkit.sweep(draw, ...)`` hands the window out in time chunks (and
-    narrower windows when it overlaps its draws).
+    The windows cover paths first..first+n_paths-1 as ``randomkit.path_layout``
+    cuts them. ``fine`` holds the (b, d) states X^(n_fine)(T) of a window's
+    paths and ``coarse`` one (b, d) state per factor M, of the
+    n_fine // M-step path on ``block_sums`` of the same increments:
+    ``em_terminal_batch`` on the whole window's increments and on their
+    sums, though ``randomkit.sweep(draw, ...)`` hands the window out in time
+    chunks.
     """
-    for first, b, k0, k, inc, sums in sweep(draw, seed, model.d, model.T, n_fine, windows,
-                                            math.lcm(*factors), factors):
+    for w, b, k0, k, inc, sums in sweep(draw, seed, model.d, model.T, n_fine, first, n_paths,
+                                        math.lcm(*factors), factors):
         if k0 == 0:
             fine, coarse = None, [None] * len(factors)
         # the fine path first: an overlapped sweep sums this chunk meanwhile
@@ -169,7 +170,7 @@ def path_terminals(model: SdeModel, draw, seed: int, n_fine: int, windows, facto
                   for M, summed, x in zip(factors, sums(), coarse)]
         del inc, sums  # free this chunk and its sums before the next is drawn
         if k0 + k == n_fine:
-            yield first, b, fine, coarse
+            yield w, b, fine, coarse
 
 
 # ---------------------------------------------------------------------------

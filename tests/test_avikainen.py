@@ -95,30 +95,29 @@ def test_curves_do_not_depend_on_the_window_size(monkeypatch):
     # windows and ...6089 at 4096 for n = 32
     model, pay = make_model("sincos"), make_payoff("clamp_ramp")
     curves, windows = [], []
-    for size in (1024, 4096):
-        monkeypatch.setattr(av, "DEFAULT_BATCH", size)
-        cut = []
+    # factors 8 and 2: the window width is CHUNK_NORMALS // 16 at most
+    for budget in (1 << 14, 1 << 16, randomkit.CHUNK_NORMALS):
+        monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
+        cut = {}
 
         def recording(*args, cut=cut, **kwargs):
-            cut.append(args[5])  # paths in the window
+            cut.setdefault(args[4], args[5])  # paths in the window
             return increment_batch(*args, **kwargs)
 
         monkeypatch.setattr(av, "increment_batch", recording)
         curves.append(qerror_curves(model, [(pay, 2.0)], [8, 32], N=8192, n_ref=64, seed=5)[0])
-        windows.append(cut)
-    assert windows == [[1024] * 8, [4096] * 2]
-    assert curves[0].value.tolist() == curves[1].value.tolist()
-    assert curves[0].stderr.tolist() == curves[1].stderr.tolist()
+        windows.append(list(cut.values()))
+    assert windows == [[1024] * 8, [4096] * 2, [8192]]
+    assert len({(tuple(c.value), tuple(c.stderr)) for c in curves}) == 1
 
 
-def _whole_window_curves(model, targets, n_list, N, n_ref, seed):
+def _whole_window_curves(model, targets, n_list, n_ref, seed, widths):
     """(values, stderrs) per target from the whole-window sweep that preceded
     time chunking: each window's (B, n_ref, d) increments drawn in one call."""
     n_list = sorted(n_list)
     accs = {(i, n): Welford() for i in range(len(targets)) for n in n_list}
     done = 0
-    while done < N:
-        b = min(av.DEFAULT_BATCH, N - done)
+    for b in widths:
         inc = increment_batch(seed, model.d, model.T, n_ref, done, b)
         ref = em_terminal_batch(model, inc)
         f_ref = [pay(ref) for pay, _ in targets]
@@ -131,15 +130,17 @@ def _whole_window_curves(model, targets, n_list, N, n_ref, seed):
             for i in range(len(targets))]
 
 
-# chunk lengths of the first window: lcm of the factors 256 // n, an
-# intermediate length that does not divide n_ref, and n_ref itself
-@pytest.mark.parametrize("chunk", [32, 96, 256])
-def test_chunked_curves_equal_whole_window_curves(monkeypatch, chunk):
+# chunk lengths of the first window: lcm of the factors 256 // n over
+# 1024-path windows, an intermediate length that does not divide n_ref over
+# one window, and n_ref itself, by the CHUNK_NORMALS that gives each
+@pytest.mark.parametrize("chunk, budget, widths", [(32, 1 << 16, [1024, 1024, 952]),
+                                                   (96, 576_000, [3000]),
+                                                   (256, 1 << 23, [3000])],
+                         ids=["32", "96", "256"])
+def test_chunked_curves_equal_whole_window_curves(monkeypatch, chunk, budget, widths):
     model = make_model("sincos")
     targets = [(make_payoff("clamp_ramp"), 2.0), (make_payoff("interval_indicator"), 1.0)]
-    monkeypatch.setattr(av, "DEFAULT_BATCH", 2048)  # windows of 2048 and 952 paths
-    # a sweep that overlaps its draws gives each chunk half the budget
-    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", 2 * chunk * 2048)
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
     lengths = []
 
     def recording(*args, **kwargs):
@@ -150,8 +151,9 @@ def test_chunked_curves_equal_whole_window_curves(monkeypatch, chunk):
     monkeypatch.setattr(av, "increment_batch", recording)
     curves = qerror_curves(model, targets, [8, 32, 64], 3000, 256, seed=4)
     assert lengths[0] == chunk
+    assert [b for _, b, _ in randomkit.path_layout(0, 3000, 256, 32)[0]] == widths
     for curve, (values, stderrs) in zip(
-            curves, _whole_window_curves(model, targets, [8, 32, 64], 3000, 256, 4)):
+            curves, _whole_window_curves(model, targets, [8, 32, 64], 256, 4, widths)):
         assert curve.value.tolist() == values
         assert curve.stderr.tolist() == stderrs
 

@@ -19,30 +19,32 @@ from irregmc.mlmc import (
     single_level_run,
 )
 from irregmc.payoff import make_payoff
-from irregmc.randomkit import derive_seed, increment_batch, path_windows
+from irregmc.randomkit import derive_seed, increment_batch, path_layout
 from irregmc.sde import StepCounter, block_sums, em_terminal_batch, make_model
 from irregmc.stats import Welford
 
 
 def test_level_statistics_do_not_depend_on_the_window_budget(monkeypatch):
-    # 1024- and 4096-path windows over the same increments; folding each
-    # window as one batch gave variance ...871321 against ...871322 here
+    # 1024- and 4096-path windows and the whole round as one window, over the
+    # same increments; folding each window as one batch gave variance
+    # ...871321 at 1024 paths against ...871322 at 4096 here
     model = make_model("sincos")
     pay = make_payoff("interval_indicator", a=-1.5, b=1.5)
     stats, windows = [], []
-    for budget in (2**12, 2**16):
-        monkeypatch.setattr(mlmc, "DEFAULT_BATCH", budget)
-        cut = []
+    # the window width is CHUNK_NORMALS // (2 * M) at most: 1024, 4096, 65536
+    for budget in (2**13, 2**15, randomkit.CHUNK_NORMALS):
+        monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
+        cut = {}
 
         def recording(*args, cut=cut, **kwargs):
-            cut.append(args[5])  # paths in the window
+            cut.setdefault(args[4], args[5])  # paths in the window
             return increment_batch(*args, **kwargs)
 
         monkeypatch.setattr(mlmc, "increment_batch", recording)
         stats.append(level_sample(model, pay, 2, 4, 8192, seed=7))
-        windows.append(cut)
-    assert windows == [[1024] * 8, [4096] * 2]
-    assert (stats[0].mean, stats[0].variance) == (stats[1].mean, stats[1].variance)
+        windows.append(list(cut.values()))
+    assert windows == [[1024] * 8, [4096] * 2, [8192]]
+    assert len({(s.mean, s.variance) for s in stats}) == 1
 
 
 def test_level_zero_equals_plain_estimator():
@@ -276,10 +278,13 @@ def _whole_window_coupled(model, increments, M):
     return em_terminal_batch(model, increments), em_terminal_batch(model, coarse_inc)
 
 
-# chunk lengths of the level-3 grid (64 steps) at M = 4: M, an intermediate
-# length and the whole grid
-@pytest.mark.parametrize("chunk", [4, 16, 64])
-def test_chunked_level_equals_whole_window_level(monkeypatch, chunk):
+# chunk lengths of the level-3 grid (64 steps) at M = 4: M over 1024-path
+# windows, an intermediate length over one window, and the whole grid, by
+# the CHUNK_NORMALS that gives each
+@pytest.mark.parametrize("chunk, budget, widths", [(4, 1 << 13, [1024, 1024, 952]),
+                                                   (16, 96_000, [3000]),
+                                                   (64, 1 << 21, [3000])], ids=["4", "16", "64"])
+def test_chunked_level_equals_whole_window_level(monkeypatch, chunk, budget, widths):
     model = make_model("sincos")
     pay = make_payoff("interval_indicator", a=-1.5, b=1.5)
     level, M, N, seed = 3, 4, 3000, 5
@@ -289,16 +294,18 @@ def test_chunked_level_equals_whole_window_level(monkeypatch, chunk):
         terminals.append(x.copy())
         return pay(x)
 
-    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", chunk * 1024)
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
+    windows = path_layout(0, N, M**level, M)[0]
+    assert [(b, chunks[0]) for _, b, chunks in windows] == [(b, (0, chunk)) for b in widths]
     stats = level_sample(model, recording, level, M, N, seed)
 
     acc, expected = Welford(), []
-    for first, b in path_windows(0, N, M**level, mlmc.DEFAULT_BATCH):
+    for first, b, _ in windows:
         inc = increment_batch(derive_seed(seed, level), 1, 1.0, M**level, first, b)
         fine, coarse = _whole_window_coupled(model, inc, M)
         expected += [fine, coarse]
         acc.update(pay(fine) - pay(coarse), first)
-    assert len(terminals) == len(expected) == 6
+    assert len(terminals) == len(expected) == 2 * len(widths)
     assert all(np.array_equal(a, b) for a, b in zip(terminals, expected))
     assert (stats.mean, stats.variance) == (acc.mean, acc.variance)
 
@@ -329,7 +336,7 @@ def test_level_draws_and_steps_what_it_reports(monkeypatch):
     drawn, steps = _counting_engine(monkeypatch)
     N, level, M = 1500, 5, 4
     stats = level_sample(make_model("sincos"), make_payoff("clamp_ramp"), level, M, N, 3)
-    assert len(drawn) == 6  # 1024 paths in four 256-step chunks, 476 in two
+    assert len(drawn) == 6  # one window: five 172-step chunks and one of 164
     assert sum(drawn) == N * M**level
     assert sum(steps) == stats.cost == N * (M**level + M ** (level - 1))
     assert max(drawn) <= budget // 2
@@ -337,8 +344,9 @@ def test_level_draws_and_steps_what_it_reports(monkeypatch):
 
 def test_mlmc_run_draws_and_steps_what_it_reports(monkeypatch):
     # what the benchmark checks on an adaptive run: normals sum N_l M^l and
-    # path-steps sum to the reported cost, here with most levels chunked
-    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", 1 << 12)
+    # path-steps sum to the reported cost, here with most levels chunked:
+    # windows of at most 1024 paths at M = 4, in chunks of at most 4096 normals
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", 1 << 13)
     drawn, steps = _counting_engine(monkeypatch)
     res = run_mlmc(make_model("sincos"), make_payoff("interval_indicator"), 0.05, M=4,
                    seed=3)

@@ -21,7 +21,14 @@ from irregmc.maximal import (
     random_density_2d,
 )
 from irregmc import randomkit
-from irregmc.randomkit import BLOCK_PATHS, StreamTag, block_streams, increment_batch, stream
+from irregmc.randomkit import (
+    BLOCK_PATHS,
+    StreamTag,
+    block_streams,
+    increment_batch,
+    path_layout,
+    stream,
+)
 from irregmc.sde import (
     StepCounter,
     block_sums,
@@ -118,19 +125,24 @@ def test_path_terminals_are_em_on_each_window_and_its_block_sums(overlap, seed, 
     model = _model(model)
     factors = sorted(factors)
     multiple = math.lcm(*factors)
+    if overlap:  # the rule never overlaps one-step chunks
+        multiple = max(multiple, 2)
+        factors = factors or [2]
     n_fine = multiple * r
-    # half of the overlapping budget holds `multiple` steps of one block, so a
-    # window wider than one block needs several chunks; the inline budgets
-    # give several chunks or one per window
-    widths = data.draw(st.lists(st.integers(1, 2 * BLOCK_PATHS), min_size=1, max_size=3))
+    one_block = multiple * BLOCK_PATHS * model.d
+    default = (randomkit.CHUNK_NORMALS, randomkit._DRAW_NORMALS)
     if overlap:
-        widths[0] = max(widths[0], BLOCK_PATHS + 1)
-        budget = 2 * multiple * BLOCK_PATHS * model.d
+        # 1024-path windows whose `multiple` steps fill half the budget, so
+        # every whole window needs several chunks
+        n_paths = data.draw(st.integers(2 * BLOCK_PATHS, 6 * BLOCK_PATHS))
+        budgets = (2 * one_block, BLOCK_PATHS * model.d)
     else:
-        budget = data.draw(st.sampled_from([multiple * BLOCK_PATHS * model.d,
-                                            randomkit.CHUNK_NORMALS]))
-    starts = np.cumsum([first, *widths]).tolist()
-    windows = list(zip(starts, widths))
+        # 1024-path windows too small to overlap, in inline chunks of
+        # 2 * `multiple` steps, or the default budgets, which overlap the
+        # largest of these sweeps
+        n_paths = data.draw(st.integers(1, 6 * BLOCK_PATHS))
+        budgets = data.draw(st.sampled_from([(16 * one_block, BLOCK_PATHS * model.d),
+                                             default]))
     on_main = []
 
     def draw(*args, **kwargs):
@@ -138,24 +150,69 @@ def test_path_terminals_are_em_on_each_window_and_its_block_sums(overlap, seed, 
         return increment_batch(*args, **kwargs)
 
     counter = StepCounter()
-    saved, randomkit.CHUNK_NORMALS = randomkit.CHUNK_NORMALS, budget
+    saved = randomkit.CHUNK_NORMALS, randomkit._DRAW_NORMALS
+    randomkit.CHUNK_NORMALS, randomkit._DRAW_NORMALS = budgets
     try:
-        yielded = list(path_terminals(model, draw, seed, n_fine, windows, factors, counter))
+        overlaps = path_layout(first, n_paths, n_fine, multiple, model.d)[1]
+        yielded = list(path_terminals(model, draw, seed, n_fine, first, n_paths, factors,
+                                      counter))
     finally:
-        randomkit.CHUNK_NORMALS = saved
-    assert set(on_main) == {not overlap}
-    # the windows given, or narrower ones when overlapped, in order
+        randomkit.CHUNK_NORMALS, randomkit._DRAW_NORMALS = saved
+    assert overlaps == overlap or budgets == default
+    assert set(on_main) == {not overlaps}
+    # windows that cover the range in order
     edges = [first] + [w + b for w, b, _, _ in yielded]
-    assert [w for w, _, _, _ in yielded] == edges[:-1] and edges[-1] == starts[-1]
-    if not overlap:
-        assert [(w, b) for w, b, _, _ in yielded] == windows
+    assert [w for w, _, _, _ in yielded] == edges[:-1] and edges[-1] == first + n_paths
     for w, b, fine, coarse in yielded:
         inc = increment_batch(seed, model.d, model.T, n_fine, w, b)
         assert np.array_equal(fine, em_terminal_batch(model, inc))
         assert len(coarse) == len(factors)
         for M, x in zip(factors, coarse):
             assert np.array_equal(x, em_terminal_batch(model, block_sums(inc, M)))
-    assert counter.steps == sum(widths) * (n_fine + sum(n_fine // M for M in factors))
+    assert counter.steps == n_paths * (n_fine + sum(n_fine // M for M in factors))
+
+
+@PROPS
+@given(first=st.integers(0, 1 << 20), n_paths=st.integers(0, 1 << 18),
+       multiple=st.sampled_from([1, 2, 4, 24, 512, 4096]), r=st.integers(1, 8),
+       d=st.integers(1, 3), chunk_log=st.integers(12, 22), draw_log=st.integers(10, 17))
+def test_path_layout_covers_aligns_and_bounds_its_chunks(first, n_paths, multiple, r, d,
+                                                         chunk_log, draw_log):
+    n_fine = multiple * r
+    saved = randomkit.CHUNK_NORMALS, randomkit._DRAW_NORMALS
+    randomkit.CHUNK_NORMALS, randomkit._DRAW_NORMALS = 1 << chunk_log, 1 << draw_log
+    try:
+        windows, overlap = path_layout(first, n_paths, n_fine, multiple, d)
+    finally:
+        randomkit.CHUNK_NORMALS, randomkit._DRAW_NORMALS = saved
+    if n_paths == 0:
+        assert windows == [] and not overlap
+        return
+    width = min((1 << draw_log) // d, (1 << chunk_log) // (2 * multiple * d))
+    width = max(BLOCK_PATHS, 1 << (width.bit_length() - 1) if width else 0)
+    # in order, contiguous, cut at multiples of the width
+    starts = [w for w, _, _ in windows]
+    assert starts[0] == first
+    assert [w + b for w, b, _ in windows] == [*starts[1:], first + n_paths]
+    assert all((w + b) % width == 0 for w, b, _ in windows[:-1])
+    assert all(b <= width for _, b, _ in windows)
+    # a sweep past half of CHUNK_NORMALS takes chunks of up to that half,
+    # others chunks of up to an eighth, unless `multiple` steps hold more
+    half = (1 << chunk_log) // 2
+    widest = max(b for _, b, _ in windows)
+    large = widest * n_fine * d > half
+    for _, b, chunks in windows:
+        assert [k0 for k0, _ in chunks] == list(np.cumsum([0] + [k for _, k in chunks[:-1]]))
+        assert sum(k for _, k in chunks) == n_fine
+        for _, k in chunks:
+            assert k % multiple == 0
+            normals = b * k * d
+            assert normals <= (half if large else (1 << chunk_log) // 8) or k == multiple
+            if overlap:
+                assert normals <= half
+    # overlap only where some window has several chunks
+    assert overlap == (large and multiple * widest * d <= half)
+    assert not overlap or any(len(chunks) > 1 for _, _, chunks in windows)
 
 
 @PROPS

@@ -15,7 +15,7 @@ from irregmc.randomkit import (
     block_sums,
     derive_seed,
     increment_batch,
-    path_windows,
+    path_layout,
     stream,
     sweep,
     time_chunks,
@@ -203,8 +203,9 @@ def test_seeds_above_2_63_stay_exact():
 
 
 def test_path_windows_cover_and_align():
-    for first, n, per_path in [(0, 5000, 1), (1000, 3000, 256), (7, 10, 1 << 22)]:
-        wins = list(path_windows(first, n, per_path))
+    for first, n, n_fine, multiple in [(0, 5000, 1, 1), (1000, 3000, 256, 4),
+                                       (7, 10, 1 << 22, 1 << 22)]:
+        wins = [(s, c) for s, c, _ in path_layout(first, n, n_fine, multiple)[0]]
         starts = [s for s, _ in wins]
         assert starts[0] == first
         assert sum(c for _, c in wins) == n
@@ -213,14 +214,31 @@ def test_path_windows_cover_and_align():
         assert all((s + c) % size == 0 for s, c in wins[:-1])
     # windows split no block (so none is drawn twice) at any depth: drivers
     # draw a window in time chunks, so its width need not shrink
-    for per_path in (256, 4096, 1 << 14, 1 << 15, 1 << 20):
-        wins = list(path_windows(100, 5000, per_path))
-        blocks = [b for s, c in wins
-                  for b in range(s // BLOCK_PATHS, -(-(s + c) // BLOCK_PATHS))]
-        assert len(blocks) == len(set(blocks))
-        aligned = list(path_windows(0, 5000, per_path))
-        assert all(s % BLOCK_PATHS == 0 and c % BLOCK_PATHS == 0 for s, c in aligned[:-1])
-    assert list(path_windows(3, 0, 16)) == []
+    for n_fine in (1, 16, 256, 4096, 1 << 16):
+        for multiple in (1, 4, n_fine):
+            wins = [(s, c) for s, c, _ in path_layout(100, 70_000, n_fine, multiple)[0]]
+            blocks = [b for s, c in wins
+                      for b in range(s // BLOCK_PATHS, -(-(s + c) // BLOCK_PATHS))]
+            assert len(blocks) == len(set(blocks))
+            aligned = path_layout(0, 70_000, n_fine, multiple)[0]
+            assert all(s % BLOCK_PATHS == 0 and c % BLOCK_PATHS == 0
+                       for s, c, _ in aligned[:-1])
+    assert path_layout(3, 0, 16) == ([], False)
+
+
+def test_rate_and_mlmc_round_layouts():
+    # the strong-rate sweep at n_ref = 4096 with n down to 8: eight 2048-path
+    # windows of 512-step chunks, each half of CHUNK_NORMALS, overlapped
+    windows, overlap = path_layout(0, 16384, 4096, 512, 1)
+    assert [(s, c) for s, c, _ in windows] == [(s, 2048) for s in range(0, 16384, 2048)]
+    assert all(chunks == [(k0, 512) for k0 in range(0, 4096, 512)] for *_, chunks in windows)
+    assert 2048 * 512 == randomkit.CHUNK_NORMALS // 2 and overlap
+    # an MLMC top-up round at level 4, M = 4: one window from inside block 1,
+    # drawn inline in 112-step chunks of at most an eighth of CHUNK_NORMALS
+    windows, overlap = path_layout(1500, 2300, 256, 4, 1)
+    assert [(s, c) for s, c, _ in windows] == [(1500, 2300)]
+    assert windows[0][2] == [(0, 112), (112, 112), (224, 32)]
+    assert 2300 * 112 <= randomkit.CHUNK_NORMALS // 8 and not overlap
 
 
 def test_block_streams_continue_across_calls():
@@ -250,25 +268,24 @@ def test_stream_arguments_are_checked():
             increment_batch(1, 1, 1.0, 8, 0, 4, streams=streams, n_steps=bad)
 
 
-def test_time_chunks(monkeypatch):
-    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", 1000)
-    assert time_chunks(64, 10, 8) == [(0, 64)]  # 100 steps fit the budget
-    assert time_chunks(64, 100, 4) == [(k, 8) for k in range(0, 64, 8)]
+def test_time_chunks():
+    assert time_chunks(64, 10, 8, 1000) == [(0, 64)]  # 100 steps fit the budget
+    assert time_chunks(64, 100, 4, 1000) == [(k, 8) for k in range(0, 64, 8)]
     # a multiple that does not divide n_fine leaves a shorter last chunk
-    assert time_chunks(60, 100, 8) == [(k, 8) for k in range(0, 56, 8)] + [(56, 4)]
+    assert time_chunks(60, 100, 8, 1000) == [(k, 8) for k in range(0, 56, 8)] + [(56, 4)]
     # a multiple over the budget is one chunk anyway
-    assert time_chunks(64, 100, 16) == [(k, 16) for k in range(0, 64, 16)]
-    assert time_chunks(1, 10**6) == [(0, 1)]
+    assert time_chunks(64, 100, 16, 1000) == [(k, 16) for k in range(0, 64, 16)]
+    assert time_chunks(1, 10**6, 1, 1000) == [(0, 1)]
 
 
-def _sweep_by_window(windows, n_fine, multiple, d=2):
+def _sweep_by_window(first, n_paths, n_fine, multiple, d=2):
     """{(first, b): chunks} of one sweep, checking its chunk order and threads."""
     before = threading.active_count()
     out = {}
-    for first, b, k0, k, inc, _ in sweep(increment_batch, 11, d, 1.5, n_fine, windows,
-                                         multiple):
+    for w, b, k0, k, inc, _ in sweep(increment_batch, 11, d, 1.5, n_fine, first, n_paths,
+                                     multiple):
         assert threading.active_count() <= before + 1
-        chunks = out.setdefault((first, b), [])
+        chunks = out.setdefault((w, b), [])
         assert k0 == sum(c.shape[1] for c in chunks)
         assert inc.shape == (b, k, d)
         chunks.append(inc)
@@ -279,23 +296,22 @@ def _sweep_by_window(windows, n_fine, multiple, d=2):
 def test_sweep_chunks_are_slices_of_each_window(monkeypatch):
     budget = 1 << 14
     monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
-    given = [(0, 4096), (4096, 1500)]  # the last block partly covered
-    # four steps of one block fit in half the budget: the sweep overlaps its
-    # draws and its windows narrow to one block
-    out = _sweep_by_window(given, 40, 4)
-    assert list(out) == [(0, 1024), (1024, 1024), (2048, 1024), (3072, 1024),
-                         (4096, 1024), (5120, 476)]
+    # four steps of one block fill half the budget: the sweep overlaps its
+    # draws over one-block windows, the last block partly covered
+    out = _sweep_by_window(0, 5596, 40, 4)
+    windows = [(0, 1024), (1024, 1024), (2048, 1024), (3072, 1024), (4096, 1024), (5120, 476)]
+    assert list(out) == windows
     assert max(c.size for chunks in out.values() for c in chunks) <= budget // 2
     for (first, b), chunks in out.items():
         assert all(c.shape[1] % 4 == 0 for c in chunks)
         whole = increment_batch(11, 2, 1.5, 40, first, b)
         assert np.array_equal(np.concatenate(chunks, axis=1), whole)
-    # eight steps of one block do not: inline over the windows given, each
+    # eight steps of one block do not fit half the budget: inline, each
     # chunk the multiple, over the budget
-    out = _sweep_by_window(given, 40, 8)
-    assert list(out) == given
-    assert [c.shape[1] for c in out[(0, 4096)]] == [8] * 5
-    assert list(sweep(increment_batch, 11, 2, 1.5, 40, [])) == []
+    out = _sweep_by_window(0, 5596, 40, 8)
+    assert list(out) == windows
+    assert [c.shape[1] for c in out[(0, 1024)]] == [8] * 5
+    assert list(sweep(increment_batch, 11, 2, 1.5, 40, 0, 0)) == []
 
 
 def test_sweep_holds_two_half_chunks(monkeypatch):
@@ -305,7 +321,9 @@ def test_sweep_holds_two_half_chunks(monkeypatch):
     monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
     tracemalloc.start()
     try:
-        for *_, inc, sums in sweep(increment_batch, 3, 1, 1.0, 256, [(0, 4096), (4096, 4096)]):
+        # one window of 16-step chunks: half the budget each, overlapped
+        for *_, inc, sums in sweep(increment_batch, 3, 1, 1.0, 256, 0, 8192):
+            assert inc.size == budget // 2
             del inc, sums
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -331,8 +349,7 @@ def test_sweep_sums_are_block_sums_of_its_increments(monkeypatch, overlap):
 
     monkeypatch.setattr(randomkit, "block_sums", summing)
     chunks = 0
-    for *_, inc, sums in sweep(drawing, 11, 2, 1.5, 40, [(0, 4096), (4096, 1500)], 4,
-                               factors):
+    for *_, inc, sums in sweep(drawing, 11, 2, 1.5, 40, 0, 5596, 4, factors):
         got = sums()
         assert len(got) == len(factors)
         for M, summed in zip(factors, got):
@@ -354,15 +371,14 @@ def test_sweep_holds_two_chunks_and_one_chunks_sums(monkeypatch):
     chunks = 0
     tracemalloc.start()
     try:
-        for *_, inc, sums in sweep(increment_batch, 3, 1, 1.0, 256,
-                                   [(0, 4096), (4096, 4096)], 8, factors):
+        for *_, inc, sums in sweep(increment_batch, 3, 1, 1.0, 256, 0, 8192, 8, factors):
             sums()
             chunks += 1
             del inc, sums
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert chunks == 16  # the sweep overlaps: 32-step chunks of half the budget
+    assert chunks == 16  # the sweep overlaps: 16-step chunks of half the budget
     half = 8 * budget // 2
     sums_bytes = sum(half // M for M in factors)
     assert peak <= 2 * half + sums_bytes + 8 * randomkit._DRAW_NORMALS + (1 << 16)

@@ -3,8 +3,8 @@
 Each driver runs several windows of several chunks each, the last window
 covering part of a block, with ``CHUNK_NORMALS`` small enough that the sweep
 overlaps its draws. Its outputs must be bit-identical to the same sweep drawn
-inline and to a sweep of one chunk per window, and no thread may outlive the
-call, whether it returns or raises.
+inline and to the sweep of the default budgets (one window, drawn inline),
+and no thread may outlive the call, whether it returns or raises.
 """
 
 import concurrent.futures
@@ -26,21 +26,24 @@ OVERLAP_BUDGET = {"curves": 1 << 16, "level": 1 << 14, "histogram": 1 << 14}
 
 
 def _curves():
-    # lcm 32: 1024-path windows (0, 1024, 2048 with 952 paths) of 32-step chunks
+    # lcm 32: 1024-path windows (0, 1024, 2048 with 952 paths) of 32-step
+    # chunks; by default one window of four 64-step chunks
     targets = [(make_payoff("clamp_ramp"), 2.0), (make_payoff("interval_indicator"), 1.0)]
     curves = av.qerror_curves(make_model("sincos"), targets, [8, 32, 64], 3000, 256, seed=4)
     return [(c.value.tolist(), c.stderr.tolist()) for c in curves]
 
 
 def _level():
-    # level 3 at M = 4: 64 steps in 8-step chunks, windows of 1024, 1024 and 952
+    # level 3 at M = 4: windows of 2048 and 952 paths, 64 steps in 4- and
+    # 8-step chunks; by default one window of one chunk
     pay = make_payoff("interval_indicator", a=-1.5, b=1.5)
     stats = mlmc.level_sample(make_model("sincos"), pay, 3, 4, 3000, seed=5)
     return stats.mean, stats.variance
 
 
 def _histogram():
-    # ten windows of 64 steps in 8-step chunks, the last of 784 paths
+    # windows of 8192 and 1808 paths, 64 steps in 1- and 4-step chunks; by
+    # default one window of 26-step chunks
     hist = dg.terminal_histogram(make_model("sincos"), 64, 10_000, 40, seed=4)
     return hist.edges.tolist(), hist.counts.tolist()
 
@@ -81,7 +84,7 @@ def _record_draw_threads(monkeypatch, module):
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_overlapped_sweep_equals_inline_and_one_chunk_sweeps(monkeypatch, driver):
     run, module = DRIVERS[driver]
-    whole = run()  # one chunk per window, drawn inline
+    whole = run()  # the default budgets: one window, drawn inline
     monkeypatch.setattr(randomkit, "CHUNK_NORMALS", OVERLAP_BUDGET[driver])
     on_main = _record_draw_threads(monkeypatch, module)
     before = threading.active_count()
@@ -126,12 +129,37 @@ def test_no_thread_outlives_a_failed_sweep(monkeypatch, driver, where):
     assert threading.active_count() == before
 
 
-def test_one_chunk_windows_draw_on_the_callers_thread(monkeypatch):
-    # an MLMC-sized level: every window fits in one chunk, so nothing overlaps
+def test_small_sweeps_draw_on_the_callers_thread(monkeypatch):
+    # an MLMC-sized round: one window of 112-step chunks, so nothing overlaps
     on_main = _record_draw_threads(monkeypatch, mlmc)
     pay = make_payoff("interval_indicator", a=-1.5, b=1.5)
-    mlmc.level_sample(make_model("sincos"), pay, 4, 4, 5000, seed=1)
-    assert len(on_main) > 1 and all(on_main)
+    mlmc.level_sample(make_model("sincos"), pay, 4, 4, 2300, seed=1)
+    assert len(on_main) == 3 and all(on_main)
+
+
+class _NoThreads:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a sweep started a thread")
+
+
+def test_mlmc_run_starts_no_thread(monkeypatch):
+    # the benchmark's MLMC run: every top-up round is one window, or windows
+    # of 65536 paths, of chunks of at most an eighth of CHUNK_NORMALS, drawn
+    # and stepped on the caller's thread
+    drawn = []
+    draw = mlmc.increment_batch
+
+    def recording(*args, **kwargs):
+        inc = draw(*args, **kwargs)
+        drawn.append(inc.shape)
+        return inc
+
+    monkeypatch.setattr(mlmc, "increment_batch", recording)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _NoThreads)
+    res = mlmc.run_mlmc(make_model("sincos"), make_payoff("interval_indicator", a=-1.5, b=1.5),
+                        0.005, M=4, seed=3)
+    assert sum(b * k for b, k, _ in drawn) == sum(lv.N * 4**lv.level for lv in res.levels)
+    assert max(b * k for b, k, _ in drawn) <= 1 << 18 == randomkit.CHUNK_NORMALS // 8
 
 
 def test_overlapped_draws_hold_half_the_budget(monkeypatch):
@@ -173,7 +201,7 @@ def test_path_terminals_steps_the_fine_path_before_it_asks_for_the_sums(monkeypa
     monkeypatch.setattr(randomkit, "CHUNK_NORMALS", 1 << 12)
     monkeypatch.setattr(sde, "sweep", recording_sweep)
     monkeypatch.setattr(sde, "em_terminal_batch", recording_em)
-    list(sde.path_terminals(make_model("sincos"), randomkit.increment_batch, 4, 64,
-                            [(0, 100), (100, 50)], [4, 8]))
+    list(sde.path_terminals(make_model("sincos"), randomkit.increment_batch, 4, 64, 0, 150,
+                            [4, 8]))
     assert events.count("chunk") > 2
     assert events == ["chunk", "em", "sums", "em", "em"] * events.count("chunk")

@@ -17,6 +17,10 @@ Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
 - an error curve, a level's statistics and a histogram drawn in small time
   chunks (a tree without ``randomkit.CHUNK_NORMALS`` draws whole windows, so
   comparing with it checks that chunking changes no number);
+- a level's statistics over one round of 1000 and of 3000 paths at level 5,
+  and over two rounds at level 4 whose second starts inside a block, and a
+  histogram of 5000 paths at 1024 steps: shapes that trees cutting each
+  round into one-block windows step differently;
 - the ``maximal``, ``inequality``, ``rate``, ``mlmc``, ``complexity`` and
   ``density`` CLI artifacts on small configs, and again on configs that set
   only what keeps them small, so the param defaults are compared too
@@ -26,9 +30,10 @@ A change to ``randomkit``'s streams changes every digest drawn from them, and
 only those:
 
 - from the streams: ``em`` and ``em_coupled_M4`` of the models with noise
-  (``constant``, ``sincos``, ``sincos2d``), ``block_sums``, ``chunked``, and
-  the ``cli`` artifacts of ``rate``, ``mlmc``, ``complexity``, ``density`` and
-  ``inequality`` (a coarse one, such as a fitted exponent, may still match);
+  (``constant``, ``sincos``, ``sincos2d``), ``block_sums``, ``chunked``,
+  ``windows``, and the ``cli`` artifacts of ``rate``, ``mlmc``,
+  ``complexity``, ``density`` and ``inequality`` (a coarse one, such as a
+  fitted exponent, may still match);
 - kept by a stream change: ``maximal_at``, ``maximal_field``, ``gsp_field``,
   ``superlevel``, ``mollifier`` and ``pointwise_check`` (their measures and
   pairs come from numpy's ``default_rng``, or from no random numbers at all), the
@@ -227,7 +232,7 @@ def chunked_digests():
     from irregmc.payoff import make_payoff
 
     budget = getattr(randomkit, "CHUNK_NORMALS", None)
-    randomkit.CHUNK_NORMALS = 1 << 16  # 4 to 16 chunks per window below
+    randomkit.CHUNK_NORMALS = 1 << 16  # 8 to 86 chunks per window below
     try:
         model = sde.make_model("sincos")
         curve = avikainen.qerror_curves(model, [(make_payoff("clamp_ramp"), 2.0)], [8, 32, 64],
@@ -240,6 +245,31 @@ def chunked_digests():
         yield "chunked/terminal_histogram", _sha((hist.edges.tobytes(), hist.counts.tobytes()))
     finally:
         randomkit.CHUNK_NORMALS = budget
+
+
+def window_digests():
+    from irregmc import diagnostics, mlmc, sde
+    from irregmc.payoff import make_payoff
+
+    model = sde.make_model("sincos")
+    pay = make_payoff("interval_indicator", a=-1.5, b=1.5)
+    for N in (1000, 3000):
+        stats = mlmc.level_sample(model, pay, 5, 4, N, seed=8)
+        yield f"windows/level_sample/L5,N{N}", _sha((stats.mean, stats.variance, stats.cost))
+    state = mlmc._LevelAccumulator(4, 4, model.T, 12)
+    for n_new in (1500, 2300):
+        mlmc._sample_level(model, pay, state, n_new, sde.StepCounter())
+    stats = state.stats()
+    yield "windows/level_sample/L4,rounds1500+2300", _sha((stats.mean, stats.variance,
+                                                           stats.cost))
+    least = diagnostics.MIN_PATHS
+    diagnostics.MIN_PATHS = 5000  # below the driver's floor, read at call time
+    try:
+        hist = diagnostics.terminal_histogram(model, 1024, 5000, 40, seed=5)
+    finally:
+        diagnostics.MIN_PATHS = least
+    yield "windows/terminal_histogram/n1024,N5000", _sha((hist.edges.tobytes(),
+                                                          hist.counts.tobytes()))
 
 
 def cli_digests():
@@ -256,7 +286,7 @@ def cli_digests():
 
 def emit() -> None:
     for group in (maximal_digests, em_digests, block_sums_digests, chunked_digests,
-                  cli_digests):
+                  window_digests, cli_digests):
         for name, digest in group():
             print(f"{digest}  {name}", flush=True)
 
