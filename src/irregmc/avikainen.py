@@ -83,8 +83,9 @@ def qerror_curves(
     different q are bit-identical by construction. The reference path and
     the coarse path of each n are stepped by ``sde.path_terminals`` with the
     coarsening factors n_ref // n, in the windows and time chunks of
-    ``randomkit.path_layout``. Each window's values are folded in block by
-    block, so the curves are bit-identical whatever the window size, chunk
+    ``randomkit.path_layout``, with each coarse step summed in time order
+    even where it straddles chunks. Each window's values are folded in block
+    by block, so the curves are bit-identical whatever the window size, chunk
     length or overlap.
     """
     n_list = sorted(int(n) for n in n_list)

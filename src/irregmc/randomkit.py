@@ -19,31 +19,37 @@ bridge refinement, so the coarse/fine coupling is a structural identity.
 time chunks, for every driver. Windows are cut at multiples of W, the largest
 power of two no more than ``_DRAW_NORMALS // d`` and
 ``CHUNK_NORMALS // (2 * multiple * d)`` but at least ``BLOCK_PATHS``, so a
-range narrower than W is one window. Chunk lengths are multiples of
-``multiple`` (at least ``multiple``): as many steps as fit
-``CHUNK_NORMALS // 8`` normals, drawn inline, when the widest window holds at
-most ``CHUNK_NORMALS // 2`` normals in all; as many as fit that half
-otherwise, drawn on a background thread unless ``multiple`` steps of the
-widest window exceed it. Short chunks would hand the GIL back and forth
+range narrower than W is one window; W sets the width of the arrays
+Euler-Maruyama steps. Every chunk is as many steps as fit
+``CHUNK_NORMALS // 8`` normals (2 MB), at least one, whatever the
+coarsening factors. A sweep whose widest window holds more than
+``CHUNK_NORMALS // 2`` normals in all draws its chunks on a background
+thread, a smaller one inline: short sweeps would hand the GIL back and forth
 between two threads for no gain, and inline chunks of a quarter of this
 size made glibc trim and refault the heap on the wider windows (about 2300
 page faults per MLMC run). So an MLMC top-up round is one window of a few
 inline chunks, and a strong-rate sweep at n_ref = 4096 steps 2048-path
-windows in overlapped 512-step chunks.
+windows in overlapped 128-step chunks.
 
-``sweep`` draws a range's windows chunk by chunk and hands out each chunk's
-``block_sums`` for the coarsening factors the driver names. When it
-overlaps, a background thread sums chunk j while the caller steps it, and
-only then draws chunk j+1 (numpy's ``standard_normal(out=...)`` releases the
-GIL for the whole fill); each block's stream is still advanced by one thread
-at a time, in the same order, so every increment is bit-identical. At most
-chunk j, its sums and chunk j+1 are then alive: two chunks of at most
-``CHUNK_NORMALS // 2`` normals and the sums, 1/M of a chunk per factor M.
+``sweep`` draws a range's windows chunk by chunk and hands out, for each
+coarsening factor M the driver names, the coarse increments the chunk
+completes. A coarse step may straddle chunks: the sweep carries the left
+fold of the step in progress, one (b, d) partial per window and factor, from
+one chunk to the next, and continues it in the chunk's spare row 0, so each
+coarse increment is the time-order sum ``block_sums`` gives over the whole
+window, bit for bit. When it overlaps, a background thread sums chunk j
+while the caller steps it, and only then draws chunk j+1 (numpy's
+``standard_normal(out=...)`` releases the GIL for the whole fill); each
+block's stream is still advanced by one thread at a time, in the same order,
+so every increment is bit-identical. At most chunk j, its sums, chunk j+1
+and the partials are then alive: two chunks of at most ``CHUNK_NORMALS // 8``
+normals, 1/M of a chunk per factor M, and F (b, d) partials for F factors.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from functools import partial
 
 import numpy as np
@@ -60,8 +66,9 @@ BLOCK_PATHS = 1024
 # in a window; sequential draws are chunk-invariant, so this bounds memory
 # without touching the streams. Read at call time.
 _DRAW_NORMALS = 1 << 16
-# Normals of increments a sweep holds at a time (16 MB): two half chunks while
-# its draws overlap, an eighth of it per inline chunk. Read at call time.
+# The sweep budget in normals (16 MB): each time chunk holds at most an eighth
+# of it, and a sweep whose widest window holds more than half of it overlaps
+# its draws. Read at call time.
 CHUNK_NORMALS = 1 << 21
 
 
@@ -123,6 +130,7 @@ def increment_batch(
     stream_tag: StreamTag = StreamTag.PATH,
     streams: list[Generator] | None = None,
     n_steps: int | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Increments for paths first_path..first_path+n_paths-1, shape (B, n_steps, d).
 
@@ -138,6 +146,8 @@ def increment_batch(
     ``block_streams`` for the same window, it draws the next ``n_steps``
     steps of each block and the generators advance in place: successive
     calls return successive time chunks of the whole result, bit for bit.
+    The increments go to ``out``, a C-contiguous (n_steps, B, d) array, when
+    given; the result is its transpose.
     """
     if d < 1:
         raise InvalidArgumentError(f"d must be >= 1, got {d}")
@@ -160,7 +170,11 @@ def increment_batch(
     if len(streams) != len(blocks):
         raise InvalidArgumentError(
             f"{len(streams)} streams given for a window over {len(blocks)} blocks")
-    out = np.empty((n_steps, n_paths, d))
+    shape = (n_steps, n_paths, d)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise InvalidArgumentError(f"out must be a C-contiguous array of shape {shape}")
     scale = np.sqrt(T / n_fine)
     rows = max(1, _DRAW_NORMALS // (BLOCK_PATHS * d))
     buf = np.empty((min(rows, n_steps), BLOCK_PATHS, d))
@@ -176,15 +190,13 @@ def increment_batch(
     return out.transpose(1, 0, 2)
 
 
-def time_chunks(n_fine: int, width: int, multiple: int, budget: int) -> list[tuple[int, int]]:
+def time_chunks(n_fine: int, width: int, budget: int) -> list[tuple[int, int]]:
     """(k0, k) chunks covering steps 0..n_fine-1 of a window of ``width`` normals per step.
 
-    Each k is a multiple of ``multiple`` (the last one may be shorter if
-    ``multiple`` does not divide n_fine) and a chunk holds at most ``budget``
-    normals, unless ``multiple`` steps alone hold more: then each chunk is
-    ``multiple`` steps, over the budget.
+    Each chunk is as many steps as hold at most ``budget`` normals, and at
+    least one step; only the last may be shorter.
     """
-    step = max(multiple, budget // width // multiple * multiple)
+    step = max(1, budget // width)
     return [(k0, min(step, n_fine - k0)) for k0 in range(0, n_fine, step)]
 
 
@@ -192,8 +204,10 @@ def path_layout(first_path: int, n_paths: int, n_fine: int, multiple: int = 1, d
     """(windows, overlap) for paths first_path..first_path+n_paths-1: the one window rule.
 
     ``windows`` lists (first, b, chunks) in path order, with ``chunks`` the
-    window's ``time_chunks``; ``overlap`` says whether a sweep draws them on
-    a background thread. The module docstring states the rule.
+    window's ``time_chunks`` of at most ``CHUNK_NORMALS // 8`` normals each;
+    ``overlap`` says whether a sweep draws them on a background thread.
+    ``multiple``, the lcm of the coarsening factors, narrows the windows; the
+    chunks do not depend on it. The module docstring states the rule.
     """
     width = min(_DRAW_NORMALS // d, CHUNK_NORMALS // (2 * multiple * d))
     width = 1 << (max(BLOCK_PATHS, width).bit_length() - 1)
@@ -202,11 +216,8 @@ def path_layout(first_path: int, n_paths: int, n_fine: int, multiple: int = 1, d
         spans.append((pos, min(end, (pos // width + 1) * width) - pos))
         pos += spans[-1][1]
     widest = max((b for _, b in spans), default=0)
-    half = CHUNK_NORMALS // 2
-    large = widest * n_fine * d > half
-    budget = half if large else CHUNK_NORMALS // 8
-    windows = [(pos, b, time_chunks(n_fine, b * d, multiple, budget)) for pos, b in spans]
-    return windows, large and multiple * widest * d <= half
+    windows = [(pos, b, time_chunks(n_fine, b * d, CHUNK_NORMALS // 8)) for pos, b in spans]
+    return windows, widest * n_fine * d > CHUNK_NORMALS // 2
 
 
 def block_sums(increments: np.ndarray, M: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -239,59 +250,98 @@ def block_sums(increments: np.ndarray, M: int, out: np.ndarray | None = None) ->
     return out.transpose(1, 0, 2)
 
 
+def carried_sums(buf: np.ndarray, k0: int, M: int, acc: np.ndarray) -> np.ndarray:
+    """The coarse increments of factor M that a time chunk completes, (c, b, d).
+
+    ``buf`` is a C-contiguous (k + 1, b, d) array whose rows 1..k hold steps
+    k0..k0+k-1 of a window; row 0 is spare. ``acc`` (b, d) holds the left
+    fold of the k0 % M steps of the coarse step in progress, and is left
+    holding that of the step in progress after the chunk. The result holds
+    coarse steps k0 // M to (k0 + k) // M - 1, each the time-order sum
+    ``block_sums`` gives over the whole window.
+    """
+    k = len(buf) - 1
+    steps = buf.transpose(1, 0, 2)  # what block_sums takes; each slice of it is contiguous
+    out = np.empty(((k0 + k) // M - k0 // M, *buf.shape[1:]))
+    row, done = 1, 0
+    if k0 % M:
+        # continue the fold in progress: acc, then the chunk's first steps
+        need = M - k0 % M
+        buf[0] = acc
+        if need > k:
+            block_sums(steps, k + 1, acc[None])
+            return out
+        block_sums(steps[:, : need + 1], need + 1, out[:1])
+        row, done = need + 1, 1
+    whole = (k + 1 - row) // M * M
+    if whole:
+        block_sums(steps[:, row : row + whole], M, out[done:])
+    if row + whole <= k:  # a fresh fold, for the next chunk to continue
+        block_sums(steps[:, row + whole :], k + 1 - row - whole, acc[None])
+    return out
+
+
 def sweep(draw, master_seed: int, d: int, T: float, n_fine: int, first_path: int,
-          n_paths: int, multiple: int = 1, factors=()):
+          n_paths: int, factors=()):
     """Yield (first, b, k0, k, increments, sums) for each time chunk of each window, in order.
 
     The windows and chunks of paths first_path..first_path+n_paths-1 are
-    those of ``path_layout``; chunk lengths are multiples of ``multiple``,
-    which every factor should divide. ``draw`` is ``increment_batch`` as the
-    caller looks it up; each chunk is ``draw(master_seed, d, T, n_fine,
-    first, b, streams=..., n_steps=k)`` with the window's blocks keyed once.
-    ``sums()`` returns ``[block_sums(increments, M) for M in factors]``,
-    waiting for the background thread when the sweep overlaps its draws.
-    Chunk j is summed and chunk j+1 drawn while the caller holds chunk j,
-    so the caller should drop the increments and ``sums`` before asking for
-    the next. An exception in a draw or a sum reaches the caller; no thread
-    outlives the generator.
+    those of ``path_layout``, with windows narrowed by the lcm of the
+    ``factors``, each of which must divide n_fine. ``draw`` is
+    ``increment_batch`` as the caller looks it up; each chunk is
+    ``draw(master_seed, d, T, n_fine, first, b, streams=..., n_steps=k,
+    out=...)`` with the window's blocks keyed once, drawn into rows 1..k of
+    a (k + 1, b, d) buffer. ``sums()`` returns, per factor M, the (b, c, d)
+    coarse increments of the c coarse steps from k0 // M that the chunk
+    completes (``carried_sums``; c may be 0), waiting for the background
+    thread when the sweep overlaps its draws. In order, a window's sums are
+    ``block_sums`` of its increments, bit for bit. Chunk j is summed and
+    chunk j+1 drawn while the caller holds chunk j, so the caller should drop
+    the increments and ``sums`` before asking for the next. An exception in
+    a draw or a sum reaches the caller; no thread outlives the generator.
     """
-    windows, overlap = path_layout(first_path, n_paths, n_fine, multiple, d)
+    for M in factors:
+        if M < 1 or n_fine % M:
+            raise InvalidArgumentError(f"refinement {M} does not divide n_fine={n_fine}")
+    windows, overlap = path_layout(first_path, n_paths, n_fine, math.lcm(*factors), d)
 
     def calls():
         for first, b, chunks in windows:
             streams = block_streams(master_seed, first, b)
+            accs = [np.empty((b, d)) for _ in factors]  # the folds carried across chunks
             for k0, k in chunks:
-                yield (first, b, k0, k), partial(draw, master_seed, d, T, n_fine, first, b,
-                                                 streams=streams, n_steps=k)
+                yield ((first, b, k0, k), partial(drawn, first, b, k, streams),
+                       partial(summed, k0, accs))
 
-    def empty_sums(inc):
-        return [np.empty((inc.shape[1] // M, inc.shape[0], d)) for M in factors]
+    def drawn(first, b, k, streams):
+        buf = np.empty((k + 1, b, d))
+        draw(master_seed, d, T, n_fine, first, b, streams=streams, n_steps=k, out=buf[1:])
+        return buf
 
-    def summed(inc, outs):
-        return [block_sums(inc, M, out) for M, out in zip(factors, outs)]
+    def summed(k0, accs, buf):
+        return [carried_sums(buf, k0, M, acc).transpose(1, 0, 2)
+                for M, acc in zip(factors, accs)]
 
     if not overlap:
-        for where, call in calls():
-            inc = call()
-            yield *where, inc, lambda sums=summed(inc, empty_sums(inc)): sums
-            del inc  # before the next chunk is drawn
+        for where, draw_chunk, sum_chunk in calls():
+            buf = draw_chunk()
+            sums = sum_chunk(buf)
+            yield *where, buf[1:].transpose(1, 0, 2), lambda sums=sums: sums
+            del buf, sums  # before the next chunk is drawn
         return
     from concurrent.futures import ThreadPoolExecutor  # only sweeps that overlap
 
     with ThreadPoolExecutor(max_workers=1) as pool:  # joined on exit, even on error
 
-        def summing(where, drawn):
-            inc = drawn.result()
-            # The pool thread fills the sums but this thread allocates them, so
-            # glibc keeps them out of the pool thread's arena. There, sums
-            # carved out of a freed chunk's space would push the next chunk
-            # past the top: 8 MB more peak RSS at n_ref = 4096.
-            return *where, inc, pool.submit(summed, inc, empty_sums(inc)).result
+        def summing(where, sum_chunk, drawing):
+            buf = drawing.result()
+            sums = pool.submit(sum_chunk, buf)
+            return *where, buf[1:].transpose(1, 0, 2), sums.result
 
-        ahead = None  # (where, future) of the draw in flight
-        for where, call in calls():
+        ahead = None  # (where, sum_chunk, future) of the draw in flight
+        for where, draw_chunk, sum_chunk in calls():
             ready = ahead and summing(*ahead)
-            ahead = where, pool.submit(call)  # drawn once those sums are done
+            ahead = where, sum_chunk, pool.submit(draw_chunk)  # drawn once those sums are done
             if ready:
                 yield ready
                 del ready  # chunk j goes before chunk j+1 is summed

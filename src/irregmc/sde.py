@@ -158,16 +158,18 @@ def path_terminals(model: SdeModel, draw, seed: int, n_fine: int, first: int, n_
     n_fine // M-step path on ``block_sums`` of the same increments:
     ``em_terminal_batch`` on the whole window's increments and on their
     sums, though ``randomkit.sweep(draw, ...)`` hands the window out in time
-    chunks.
+    chunks whose coarse steps may straddle chunks. Each chunk's fine path is
+    stepped first, then each coarse path over the coarse steps the chunk
+    completes, if any, from coarse step k0 // M.
     """
     for w, b, k0, k, inc, sums in sweep(draw, seed, model.d, model.T, n_fine, first, n_paths,
-                                        math.lcm(*factors), factors):
+                                        factors):
         if k0 == 0:
             fine, coarse = None, [None] * len(factors)
         # the fine path first: an overlapped sweep sums this chunk meanwhile
         fine = em_terminal_batch(model, inc, counter, fine, k0, n_fine)
         coarse = [em_terminal_batch(model, summed, counter, x, k0 // M, n_fine // M)
-                  for M, summed, x in zip(factors, sums(), coarse)]
+                  if summed.shape[1] else x for M, summed, x in zip(factors, sums(), coarse)]
         del inc, sums  # free this chunk and its sums before the next is drawn
         if k0 + k == n_fine:
             yield w, b, fine, coarse

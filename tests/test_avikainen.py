@@ -130,17 +130,19 @@ def _whole_window_curves(model, targets, n_list, n_ref, seed, widths):
             for i in range(len(targets))]
 
 
-# chunk lengths of the first window: lcm of the factors 256 // n over
-# 1024-path windows, an intermediate length that does not divide n_ref over
-# one window, and n_ref itself, by the CHUNK_NORMALS that gives each
-@pytest.mark.parametrize("chunk, budget, widths", [(32, 1 << 16, [1024, 1024, 952]),
-                                                   (96, 576_000, [3000]),
-                                                   (256, 1 << 23, [3000])],
-                         ids=["32", "96", "256"])
-def test_chunked_curves_equal_whole_window_curves(monkeypatch, chunk, budget, widths):
+# chunk lengths of the first window, by the CHUNK_NORMALS and _DRAW_NORMALS
+# that give each: over 1024-path windows 8 steps, which cut the coarse steps
+# of the factors 256 // n = 32, 8 and 4 across chunks, and 32, the lcm; over
+# one window 40 steps, which cut them too, 96 steps, which do not, and n_ref
+@pytest.mark.parametrize("chunk, budget, draw, widths", [
+    (8, 1 << 16, 1 << 16, [1024, 1024, 952]), (32, 1 << 18, 1024, [1024, 1024, 952]),
+    (40, 960_000, 1 << 16, [3000]), (96, 2_304_000, 1 << 16, [3000]),
+    (256, 1 << 23, 1 << 16, [3000])], ids=["8", "32", "40", "96", "256"])
+def test_chunked_curves_equal_whole_window_curves(monkeypatch, chunk, budget, draw, widths):
     model = make_model("sincos")
     targets = [(make_payoff("clamp_ramp"), 2.0), (make_payoff("interval_indicator"), 1.0)]
     monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
+    monkeypatch.setattr(randomkit, "_DRAW_NORMALS", draw)
     lengths = []
 
     def recording(*args, **kwargs):
@@ -183,12 +185,13 @@ def test_sweep_draws_and_steps_what_it_reports(monkeypatch):
     assert len(drawn) > 2  # two windows, several chunks each
     assert sum(drawn) == N * n_ref
     assert sum(steps) == counter.steps == N * (n_ref + sum(n_list))
-    assert max(drawn) <= budget // 2  # overlapped: two chunks in flight
+    assert max(drawn) <= budget // 8  # overlapped: two chunks in flight
 
 
 def test_sweep_memory_does_not_grow_with_n_ref():
     # a whole-window sweep held (N, n_ref) increments: 32 MB at n_ref = 4096
-    # and 128 MB at 16384; chunks hold at most CHUNK_NORMALS normals
+    # and 128 MB at 16384; chunks hold at most CHUNK_NORMALS // 8 normals,
+    # two of them at a time, whatever the factor (2048 here)
     model, pay = make_model("sincos"), make_payoff("interval_indicator")
     peaks = {}
     for n_ref in (4096, 16384):
@@ -199,7 +202,7 @@ def test_sweep_memory_does_not_grow_with_n_ref():
         finally:
             tracemalloc.stop()
     budget_bytes = 8 * randomkit.CHUNK_NORMALS
-    assert peaks[16384] < budget_bytes + (4 << 20)
+    assert peaks[16384] < budget_bytes // 4 + (2 << 20)
     assert peaks[16384] < 1.5 * peaks[4096]
 
 

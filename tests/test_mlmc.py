@@ -278,13 +278,15 @@ def _whole_window_coupled(model, increments, M):
     return em_terminal_batch(model, increments), em_terminal_batch(model, coarse_inc)
 
 
-# chunk lengths of the level-3 grid (64 steps) at M = 4: M over 1024-path
-# windows, an intermediate length over one window, and the whole grid, by
-# the CHUNK_NORMALS that gives each
-@pytest.mark.parametrize("chunk, budget, widths", [(4, 1 << 13, [1024, 1024, 952]),
-                                                   (16, 96_000, [3000]),
-                                                   (64, 1 << 21, [3000])], ids=["4", "16", "64"])
-def test_chunked_level_equals_whole_window_level(monkeypatch, chunk, budget, widths):
+# chunk lengths of the level-3 grid (64 steps) at M = 4, by the
+# CHUNK_NORMALS and _DRAW_NORMALS that give each: over 1024-path windows one
+# step, which cuts coarse steps across chunks, and M; over one window 6
+# steps, which cut them too, 16 steps, which do not, and the whole grid
+@pytest.mark.parametrize("chunk, budget, draw, widths", [
+    (1, 1 << 13, 1 << 16, [1024, 1024, 952]), (4, 1 << 15, 1024, [1024, 1024, 952]),
+    (6, 144_000, 1 << 16, [3000]), (16, 384_000, 1 << 16, [3000]),
+    (64, 1 << 21, 1 << 16, [3000])], ids=["1", "4", "6", "16", "64"])
+def test_chunked_level_equals_whole_window_level(monkeypatch, chunk, budget, draw, widths):
     model = make_model("sincos")
     pay = make_payoff("interval_indicator", a=-1.5, b=1.5)
     level, M, N, seed = 3, 4, 3000, 5
@@ -295,6 +297,7 @@ def test_chunked_level_equals_whole_window_level(monkeypatch, chunk, budget, wid
         return pay(x)
 
     monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
+    monkeypatch.setattr(randomkit, "_DRAW_NORMALS", draw)
     windows = path_layout(0, N, M**level, M)[0]
     assert [(b, chunks[0]) for _, b, chunks in windows] == [(b, (0, chunk)) for b in widths]
     stats = level_sample(model, recording, level, M, N, seed)
@@ -331,28 +334,28 @@ def _counting_engine(monkeypatch):
 
 
 def test_level_draws_and_steps_what_it_reports(monkeypatch):
-    budget = 1 << 19  # the sweep overlaps its draws: each chunk gets half
+    budget = 1 << 19  # the sweep overlaps its draws, each chunk an eighth
     monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
     drawn, steps = _counting_engine(monkeypatch)
     N, level, M = 1500, 5, 4
     stats = level_sample(make_model("sincos"), make_payoff("clamp_ramp"), level, M, N, 3)
-    assert len(drawn) == 6  # one window: five 172-step chunks and one of 164
+    assert len(drawn) == 24  # one window: 23 43-step chunks and one of 35
     assert sum(drawn) == N * M**level
     assert sum(steps) == stats.cost == N * (M**level + M ** (level - 1))
-    assert max(drawn) <= budget // 2
+    assert max(drawn) <= budget // 8
 
 
 def test_mlmc_run_draws_and_steps_what_it_reports(monkeypatch):
     # what the benchmark checks on an adaptive run: normals sum N_l M^l and
     # path-steps sum to the reported cost, here with most levels chunked:
-    # windows of at most 1024 paths at M = 4, in chunks of at most 4096 normals
+    # windows of at most 1024 paths at M = 4, in chunks of at most 1024 normals
     monkeypatch.setattr(randomkit, "CHUNK_NORMALS", 1 << 13)
     drawn, steps = _counting_engine(monkeypatch)
     res = run_mlmc(make_model("sincos"), make_payoff("interval_indicator"), 0.05, M=4,
                    seed=3)
     assert sum(drawn) == sum(lv.N * 4**lv.level for lv in res.levels)
     assert sum(steps) == res.total_cost == sum(lv.cost for lv in res.levels)
-    assert max(drawn) <= 1 << 12
+    assert max(drawn) <= 1 << 10
 
 
 @pytest.mark.parametrize("epsilon, M, alpha_hint, message", [

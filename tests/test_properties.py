@@ -11,7 +11,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irregmc.maximal import (
@@ -25,6 +25,7 @@ from irregmc.randomkit import (
     BLOCK_PATHS,
     StreamTag,
     block_streams,
+    carried_sums,
     increment_batch,
     path_layout,
     stream,
@@ -125,15 +126,13 @@ def test_path_terminals_are_em_on_each_window_and_its_block_sums(overlap, seed, 
     model = _model(model)
     factors = sorted(factors)
     multiple = math.lcm(*factors)
-    if overlap:  # the rule never overlaps one-step chunks
-        multiple = max(multiple, 2)
-        factors = factors or [2]
     n_fine = multiple * r
     one_block = multiple * BLOCK_PATHS * model.d
     default = (randomkit.CHUNK_NORMALS, randomkit._DRAW_NORMALS)
     if overlap:
         # 1024-path windows whose `multiple` steps fill half the budget, so
-        # every whole window needs several chunks
+        # every whole window is over it, in chunks of `multiple` // 4 steps
+        # (at least one): coarse steps straddle chunks
         n_paths = data.draw(st.integers(2 * BLOCK_PATHS, 6 * BLOCK_PATHS))
         budgets = (2 * one_block, BLOCK_PATHS * model.d)
     else:
@@ -196,23 +195,74 @@ def test_path_layout_covers_aligns_and_bounds_its_chunks(first, n_paths, multipl
     assert [w + b for w, b, _ in windows] == [*starts[1:], first + n_paths]
     assert all((w + b) % width == 0 for w, b, _ in windows[:-1])
     assert all(b <= width for _, b, _ in windows)
-    # a sweep past half of CHUNK_NORMALS takes chunks of up to that half,
-    # others chunks of up to an eighth, unless `multiple` steps hold more
-    half = (1 << chunk_log) // 2
-    widest = max(b for _, b, _ in windows)
-    large = widest * n_fine * d > half
+    # every chunk is as many steps as fit an eighth of CHUNK_NORMALS, or one
+    # step over it, whatever `multiple`; only a window's last is shorter
+    eighth = (1 << chunk_log) // 8
     for _, b, chunks in windows:
         assert [k0 for k0, _ in chunks] == list(np.cumsum([0] + [k for _, k in chunks[:-1]]))
         assert sum(k for _, k in chunks) == n_fine
-        for _, k in chunks:
-            assert k % multiple == 0
-            normals = b * k * d
-            assert normals <= (half if large else (1 << chunk_log) // 8) or k == multiple
-            if overlap:
-                assert normals <= half
-    # overlap only where some window has several chunks
-    assert overlap == (large and multiple * widest * d <= half)
+        assert all(k == max(1, eighth // (b * d)) for _, k in chunks[:-1])
+        assert all(b * k * d <= eighth or k == 1 for _, k in chunks)
+    # a sweep past half of CHUNK_NORMALS overlaps, and only where some window
+    # has several chunks
+    widest = max(b for _, b, _ in windows)
+    assert overlap == (widest * n_fine * d > (1 << chunk_log) // 2)
     assert not overlap or any(len(chunks) > 1 for _, _, chunks in windows)
+
+
+@PROPS
+@given(seed=seeds, d=st.integers(1, 2), first=firsts,
+       n_paths=st.one_of(st.integers(1, 40), st.just(1500)),
+       factors=st.one_of(st.just({3, 8, 24}), st.sets(st.sampled_from([1, 2, 3, 4, 5, 8, 24]),
+                                                      min_size=1, max_size=3)),
+       r=st.integers(1, 3), lengths=st.lists(st.integers(1, 50), min_size=1, max_size=6))
+@example(seed=5, d=1, first=BLOCK_PATHS - 1, n_paths=1, factors={3, 8, 24}, r=2,
+         lengths=[5, 17])  # one number per step, where numpy would sum pairwise
+def test_carried_sums_are_block_sums_of_the_window(seed, d, first, n_paths, factors, r,
+                                                   lengths):
+    # chunks of arbitrary lengths, cycling through `lengths`, not multiples
+    # of any factor; in order, the coarse increments each chunk completes are
+    # block_sums over the whole window, bit for bit
+    n_fine = math.lcm(*factors) * r
+    streams = block_streams(seed, first, n_paths)
+    accs = {M: np.empty((n_paths, d)) for M in factors}
+    got = {M: [] for M in factors}
+    k0, i = 0, 0
+    while k0 < n_fine:
+        k = min(lengths[i % len(lengths)], n_fine - k0)
+        buf = np.empty((k + 1, n_paths, d))
+        increment_batch(seed, d, 1.0, n_fine, first, n_paths, streams=streams, n_steps=k,
+                        out=buf[1:])
+        for M in factors:
+            got[M].append(carried_sums(buf, k0, M, accs[M]))
+            assert got[M][-1].shape == ((k0 + k) // M - k0 // M, n_paths, d)
+        k0, i = k0 + k, i + 1
+    whole = increment_batch(seed, d, 1.0, n_fine, first, n_paths)
+    for M in factors:
+        assert np.array_equal(np.concatenate(got[M]).transpose(1, 0, 2), block_sums(whole, M))
+
+
+def test_path_terminals_draw_bounded_chunks_whatever_the_factor(monkeypatch):
+    # factor 256 spans 20 to 128 chunks of these windows; chunks of whole
+    # coarse steps would hold 256 steps, up to 2**18 normals
+    budget = 1 << 14
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
+    drawn = []
+
+    def draw(*args, **kwargs):
+        inc = increment_batch(*args, **kwargs)
+        drawn.append(inc.size)
+        return inc
+
+    model, seed, factors = make_model("sincos"), 3, (4, 256)
+    yielded = list(path_terminals(model, draw, seed, 256, 700, 1500, factors))
+    assert [(w, b) for w, b, _, _ in yielded] == [(700, 324), (1024, 1024), (2048, 152)]
+    assert max(drawn) <= budget // 8 and sum(drawn) == 1500 * 256
+    for w, b, fine, coarse in yielded:
+        inc = increment_batch(seed, model.d, model.T, 256, w, b)
+        assert np.array_equal(fine, em_terminal_batch(model, inc))
+        for M, x in zip(factors, coarse):
+            assert np.array_equal(x, em_terminal_batch(model, block_sums(inc, M)))
 
 
 @PROPS

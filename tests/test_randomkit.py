@@ -228,17 +228,27 @@ def test_path_windows_cover_and_align():
 
 def test_rate_and_mlmc_round_layouts():
     # the strong-rate sweep at n_ref = 4096 with n down to 8: eight 2048-path
-    # windows of 512-step chunks, each half of CHUNK_NORMALS, overlapped
+    # windows of 128-step chunks, each an eighth of CHUNK_NORMALS, overlapped
     windows, overlap = path_layout(0, 16384, 4096, 512, 1)
     assert [(s, c) for s, c, _ in windows] == [(s, 2048) for s in range(0, 16384, 2048)]
-    assert all(chunks == [(k0, 512) for k0 in range(0, 4096, 512)] for *_, chunks in windows)
-    assert 2048 * 512 == randomkit.CHUNK_NORMALS // 2 and overlap
+    assert all(chunks == [(k0, 128) for k0 in range(0, 4096, 128)] for *_, chunks in windows)
+    assert 2048 * 128 == randomkit.CHUNK_NORMALS // 8 and overlap
     # an MLMC top-up round at level 4, M = 4: one window from inside block 1,
-    # drawn inline in 112-step chunks of at most an eighth of CHUNK_NORMALS
+    # drawn inline in 113-step chunks of at most an eighth of CHUNK_NORMALS
     windows, overlap = path_layout(1500, 2300, 256, 4, 1)
     assert [(s, c) for s, c, _ in windows] == [(1500, 2300)]
-    assert windows[0][2] == [(0, 112), (112, 112), (224, 32)]
-    assert 2300 * 112 <= randomkit.CHUNK_NORMALS // 8 and not overlap
+    assert windows[0][2] == [(0, 113), (113, 113), (226, 30)]
+    assert 2300 * 113 <= randomkit.CHUNK_NORMALS // 8 and not overlap
+
+
+def test_chunks_do_not_grow_with_the_coarsening_factor():
+    # n_ref = 65536 with n = 8: chunks whole coarse steps long held 8192
+    # steps of a 1024-path window, 2**23 normals; carried sums cut them at
+    # an eighth of CHUNK_NORMALS whatever the factor
+    for multiple in (1, 8192, 65536):
+        windows, overlap = path_layout(0, 4096, 65536, multiple)
+        assert overlap
+        assert max(b * k for _, b, chunks in windows for _, k in chunks) == 1 << 18
 
 
 def test_block_streams_continue_across_calls():
@@ -266,24 +276,31 @@ def test_stream_arguments_are_checked():
     for bad in (0, 9):
         with pytest.raises(InvalidArgumentError):
             increment_batch(1, 1, 1.0, 8, 0, 4, streams=streams, n_steps=bad)
+    # out= takes the time-major (n_steps, B, d) array the result transposes
+    out = np.empty((8, 4, 1))
+    assert increment_batch(1, 1, 1.0, 8, 0, 4, out=out).base is out
+    assert np.array_equal(out.transpose(1, 0, 2), increment_batch(1, 1, 1.0, 8, 0, 4))
+    for bad in (np.empty((8, 5, 1)), np.empty((8, 8, 1))[:, ::2]):
+        with pytest.raises(InvalidArgumentError, match="C-contiguous"):
+            increment_batch(1, 1, 1.0, 8, 0, 4, out=bad)
 
 
 def test_time_chunks():
-    assert time_chunks(64, 10, 8, 1000) == [(0, 64)]  # 100 steps fit the budget
-    assert time_chunks(64, 100, 4, 1000) == [(k, 8) for k in range(0, 64, 8)]
-    # a multiple that does not divide n_fine leaves a shorter last chunk
-    assert time_chunks(60, 100, 8, 1000) == [(k, 8) for k in range(0, 56, 8)] + [(56, 4)]
-    # a multiple over the budget is one chunk anyway
-    assert time_chunks(64, 100, 16, 1000) == [(k, 16) for k in range(0, 64, 16)]
-    assert time_chunks(1, 10**6, 1, 1000) == [(0, 1)]
+    assert time_chunks(64, 10, 1000) == [(0, 64)]  # 100 steps fit the budget
+    assert time_chunks(60, 100, 1000) == [(k, 10) for k in range(0, 60, 10)]
+    # a length that does not divide n_fine leaves a shorter last chunk
+    assert time_chunks(64, 100, 1000) == [(k, 10) for k in range(0, 60, 10)] + [(60, 4)]
+    # a step over the budget is one chunk anyway
+    assert time_chunks(4, 2000, 1000) == [(k, 1) for k in range(4)]
+    assert time_chunks(1, 10**6, 1000) == [(0, 1)]
 
 
-def _sweep_by_window(first, n_paths, n_fine, multiple, d=2):
+def _sweep_by_window(first, n_paths, n_fine, factors, d=2):
     """{(first, b): chunks} of one sweep, checking its chunk order and threads."""
     before = threading.active_count()
     out = {}
     for w, b, k0, k, inc, _ in sweep(increment_batch, 11, d, 1.5, n_fine, first, n_paths,
-                                     multiple):
+                                     factors):
         assert threading.active_count() <= before + 1
         chunks = out.setdefault((w, b), [])
         assert k0 == sum(c.shape[1] for c in chunks)
@@ -296,92 +313,113 @@ def _sweep_by_window(first, n_paths, n_fine, multiple, d=2):
 def test_sweep_chunks_are_slices_of_each_window(monkeypatch):
     budget = 1 << 14
     monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
-    # four steps of one block fill half the budget: the sweep overlaps its
-    # draws over one-block windows, the last block partly covered
-    out = _sweep_by_window(0, 5596, 40, 4)
+    # a one-block window of 40 steps holds more than half the budget: the
+    # sweep overlaps its draws over one-block windows, the last block partly
+    # covered, in one-step chunks of an eighth of the budget
+    out = _sweep_by_window(0, 5596, 40, (4,))
     windows = [(0, 1024), (1024, 1024), (2048, 1024), (3072, 1024), (4096, 1024), (5120, 476)]
     assert list(out) == windows
-    assert max(c.size for chunks in out.values() for c in chunks) <= budget // 2
+    assert max(c.size for chunks in out.values() for c in chunks) <= budget // 8
     for (first, b), chunks in out.items():
-        assert all(c.shape[1] % 4 == 0 for c in chunks)
         whole = increment_batch(11, 2, 1.5, 40, first, b)
         assert np.array_equal(np.concatenate(chunks, axis=1), whole)
-    # eight steps of one block do not fit half the budget: inline, each
-    # chunk the multiple, over the budget
-    out = _sweep_by_window(0, 5596, 40, 8)
-    assert list(out) == windows
-    assert [c.shape[1] for c in out[(0, 1024)]] == [8] * 5
+    # chunk lengths do not depend on the factors: 8 and 40 steps, over
+    # several chunks, give the same one-step chunks
+    for factors in ((8,), (8, 40)):
+        out = _sweep_by_window(0, 5596, 40, factors)
+        assert [c.shape[1] for c in out[(0, 1024)]] == [1] * 40
+    # four steps of the widest window fit half the budget: drawn inline
+    assert not path_layout(3000, 1000, 4, 4, 2)[1]
+    out = _sweep_by_window(3000, 1000, 4, (4,))
+    assert [c.shape[1] for c in out[(3000, 72)]] == [4]
+    assert [c.shape[1] for c in out[(3072, 928)]] == [1] * 4
     assert list(sweep(increment_batch, 11, 2, 1.5, 40, 0, 0)) == []
+    # a factor that does not divide n_fine would leave its last fold unsummed
+    for factors in ((3,), (0,), (4, 6)):
+        with pytest.raises(InvalidArgumentError, match="does not divide"):
+            list(sweep(increment_batch, 11, 2, 1.5, 40, 0, 10, factors))
 
 
-def test_sweep_holds_two_half_chunks(monkeypatch):
+def test_sweep_holds_two_chunks(monkeypatch):
     # chunk being stepped + chunk being drawn + the draw's buffer; a third
-    # chunk held anywhere would add 1 MB
+    # chunk held anywhere would add 320 kB
     budget = 1 << 18
     monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
     tracemalloc.start()
     try:
-        # one window of 16-step chunks: half the budget each, overlapped
+        # one window of 4-step chunks: an eighth of the budget each, overlapped
         for *_, inc, sums in sweep(increment_batch, 3, 1, 1.0, 256, 0, 8192):
-            assert inc.size == budget // 2
+            assert inc.size == budget // 8
             del inc, sums
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * budget + 8 * randomkit._DRAW_NORMALS + (1 << 16)
+    chunk_bytes = 8 * (4 + 1) * 8192  # with the spare row
+    assert peak <= 2 * chunk_bytes + 8 * randomkit._DRAW_NORMALS + (1 << 16)
 
 
 @pytest.mark.parametrize("overlap", [True, False])
 def test_sweep_sums_are_block_sums_of_its_increments(monkeypatch, overlap):
-    # four steps of one block fit in half of 2**14 normals, so that sweep
-    # overlaps; at 2**13 they do not, and it draws and sums inline
-    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", 1 << 14 if overlap else 1 << 13)
+    # at 2**14 normals a one-block window of 40 steps is over half the
+    # budget, so that sweep overlaps, in one-step chunks; at 2**20 the whole
+    # range is one window that fits half of it, drawn and summed inline in
+    # 11-step chunks. Both cut coarse steps of 2 and 4 across chunks.
+    monkeypatch.setattr(randomkit, "CHUNK_NORMALS", 1 << 14 if overlap else 1 << 20)
     factors = (1, 2, 4)
     events = []
+    carry = randomkit.carried_sums
 
     def drawing(*args, **kwargs):
         events.append("draw")
         return increment_batch(*args, **kwargs)
 
-    def summing(inc, M, out):
-        events.append(("sum", threading.current_thread() is threading.main_thread()))
-        return block_sums(inc, M, out)
+    def summing(buf, k0, M, acc):
+        events.append(("sum", k0, M, threading.current_thread() is threading.main_thread()))
+        return carry(buf, k0, M, acc)
 
-    monkeypatch.setattr(randomkit, "block_sums", summing)
-    chunks = 0
-    for *_, inc, sums in sweep(drawing, 11, 2, 1.5, 40, 0, 5596, 4, factors):
+    monkeypatch.setattr(randomkit, "carried_sums", summing)
+    chunks, windows = [], {}
+    for w, b, k0, k, inc, sums in sweep(drawing, 11, 2, 1.5, 40, 0, 5596, factors):
         got = sums()
-        assert len(got) == len(factors)
-        for M, summed in zip(factors, got):
-            assert np.array_equal(summed, block_sums(inc, M))
-        chunks += 1
+        assert [s.shape for s in got] == [(b, (k0 + k) // M - k0 // M, 2) for M in factors]
+        windows.setdefault((w, b), []).append(got)
+        chunks.append(k0)
         del inc, sums
-    assert chunks > 10
+    # overlapped: five one-block windows of 40 chunks, the last of 20 two-step chunks
+    assert (len(chunks), len(windows)) == ((220, 6) if overlap else (4, 1))
+    for (w, b), got in windows.items():
+        whole = increment_batch(11, 2, 1.5, 40, w, b)
+        for i, M in enumerate(factors):
+            assert np.array_equal(np.concatenate([g[i] for g in got], axis=1),
+                                  block_sums(whole, M))
     # chunk j is summed before chunk j+1 is drawn, off the caller's thread
     # when the sweep overlaps
-    assert events == ["draw", *[("sum", not overlap)] * len(factors)] * chunks
+    assert events == [e for k0 in chunks
+                      for e in ["draw", *[("sum", k0, M, not overlap) for M in factors]]]
 
 
 def test_sweep_holds_two_chunks_and_one_chunks_sums(monkeypatch):
-    # rate-shaped: factors 1, 2, 4 and 8 sum to 15/8 of a chunk; chunk j+1
-    # summed before chunk j and its sums are dropped would add that much
+    # rate-shaped: factors 1, 2, 4 and 8 sum to 8 rows of a 4-step chunk;
+    # chunk j+1 summed before chunk j and its sums are dropped would add that
     budget = 1 << 18
     factors = (1, 2, 4, 8)
     monkeypatch.setattr(randomkit, "CHUNK_NORMALS", budget)
     chunks = 0
     tracemalloc.start()
     try:
-        for *_, inc, sums in sweep(increment_batch, 3, 1, 1.0, 256, 0, 8192, 8, factors):
+        for *_, inc, sums in sweep(increment_batch, 3, 1, 1.0, 256, 0, 8192, factors):
             sums()
             chunks += 1
             del inc, sums
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert chunks == 16  # the sweep overlaps: 16-step chunks of half the budget
-    half = 8 * budget // 2
-    sums_bytes = sum(half // M for M in factors)
-    assert peak <= 2 * half + sums_bytes + 8 * randomkit._DRAW_NORMALS + (1 << 16)
+    assert chunks == 64  # the sweep overlaps: 4-step chunks of an eighth of the budget
+    row = 8 * 8192
+    sums_bytes = (4 + 2 + 1 + 1) * row
+    accs_bytes = len(factors) * row
+    draw_bytes = 8 * randomkit._DRAW_NORMALS
+    assert peak <= 2 * 5 * row + sums_bytes + accs_bytes + draw_bytes + (1 << 16)
 
 
 def test_derive_seed_is_stable_and_spreads():

@@ -20,29 +20,29 @@ from irregmc.errors import InvalidArgumentError, NumericFailureError
 from irregmc.payoff import make_payoff
 from irregmc.sde import make_model
 
-# budgets that cut every window into several chunks, with half of each for
-# the chunk being stepped and half for the chunk being drawn
+# budgets that cut every window into several chunks of at most an eighth of
+# each, with the sweep past half of it, so its draws overlap
 OVERLAP_BUDGET = {"curves": 1 << 16, "level": 1 << 14, "histogram": 1 << 14}
 
 
 def _curves():
-    # lcm 32: 1024-path windows (0, 1024, 2048 with 952 paths) of 32-step
-    # chunks; by default one window of four 64-step chunks
+    # lcm 32: 1024-path windows (0, 1024, 2048 with 952 paths) of 8-step
+    # chunks; by default one window of 87-, 87- and 82-step chunks
     targets = [(make_payoff("clamp_ramp"), 2.0), (make_payoff("interval_indicator"), 1.0)]
     curves = av.qerror_curves(make_model("sincos"), targets, [8, 32, 64], 3000, 256, seed=4)
     return [(c.value.tolist(), c.stderr.tolist()) for c in curves]
 
 
 def _level():
-    # level 3 at M = 4: windows of 2048 and 952 paths, 64 steps in 4- and
-    # 8-step chunks; by default one window of one chunk
+    # level 3 at M = 4: windows of 2048 and 952 paths, 64 steps in 1- and
+    # 2-step chunks; by default one window of one chunk
     pay = make_payoff("interval_indicator", a=-1.5, b=1.5)
     stats = mlmc.level_sample(make_model("sincos"), pay, 3, 4, 3000, seed=5)
     return stats.mean, stats.variance
 
 
 def _histogram():
-    # windows of 8192 and 1808 paths, 64 steps in 1- and 4-step chunks; by
+    # windows of 8192 and 1808 paths, 64 steps in one-step chunks; by
     # default one window of 26-step chunks
     hist = dg.terminal_histogram(make_model("sincos"), 64, 10_000, 40, seed=4)
     return hist.edges.tolist(), hist.counts.tolist()
@@ -130,7 +130,7 @@ def test_no_thread_outlives_a_failed_sweep(monkeypatch, driver, where):
 
 
 def test_small_sweeps_draw_on_the_callers_thread(monkeypatch):
-    # an MLMC-sized round: one window of 112-step chunks, so nothing overlaps
+    # an MLMC-sized round: one window of 113-step chunks, so nothing overlaps
     on_main = _record_draw_threads(monkeypatch, mlmc)
     pay = make_payoff("interval_indicator", a=-1.5, b=1.5)
     mlmc.level_sample(make_model("sincos"), pay, 4, 4, 2300, seed=1)
@@ -162,9 +162,9 @@ def test_mlmc_run_starts_no_thread(monkeypatch):
     assert max(b * k for b, k, _ in drawn) <= 1 << 18 == randomkit.CHUNK_NORMALS // 8
 
 
-def test_overlapped_draws_hold_half_the_budget(monkeypatch):
-    # rate-sized sweep scaled down: lcm 512 steps fit in half the budget once
-    # 4096-path windows narrow to 2048
+def test_overlapped_draws_hold_an_eighth_of_the_budget(monkeypatch):
+    # rate-sized sweep scaled down: 2048-path windows (lcm 512) of 128-step
+    # chunks, and 289-step chunks of the last 904 paths
     budget = 1 << 21
     drawn = []
     draw = av.increment_batch
@@ -179,19 +179,22 @@ def test_overlapped_draws_hold_half_the_budget(monkeypatch):
     pay = make_payoff("interval_indicator", a=0.0, b=1.0)
     av.qerror_curves(make_model("sincos"), [(pay, 2.0)], [8, 512], 5000, 4096, seed=3)
     assert {paths for paths, _ in drawn} == {2048, 904}
-    assert max(size for _, size in drawn) == budget // 2
+    assert max(size for _, size in drawn) == budget // 8
     assert sum(size for _, size in drawn) == 5000 * 4096
 
 
 def test_path_terminals_steps_the_fine_path_before_it_asks_for_the_sums(monkeypatch):
     # an overlapped sweep sums chunk j on its thread while the caller steps
-    # chunk j's fine path; asking for the sums first would serialize the two
+    # chunk j's fine path; asking for the sums first would serialize the two.
+    # Then each coarse path steps only if the chunk completes one of its steps.
     events = []
     sweep, em = sde.sweep, sde.em_terminal_batch
+    factors = (4, 8)
 
     def recording_sweep(*args, **kwargs):
         for *where, inc, sums in sweep(*args, **kwargs):
-            events.append("chunk")
+            k0, k = where[2:]
+            events.append(("chunk", sum((k0 + k) // M > k0 // M for M in factors)))
             yield *where, inc, lambda sums=sums: events.append("sums") or sums()
 
     def recording_em(*args, **kwargs):
@@ -201,7 +204,9 @@ def test_path_terminals_steps_the_fine_path_before_it_asks_for_the_sums(monkeypa
     monkeypatch.setattr(randomkit, "CHUNK_NORMALS", 1 << 12)
     monkeypatch.setattr(sde, "sweep", recording_sweep)
     monkeypatch.setattr(sde, "em_terminal_batch", recording_em)
+    # one window of 3-step chunks
     list(sde.path_terminals(make_model("sincos"), randomkit.increment_batch, 4, 64, 0, 150,
-                            [4, 8]))
-    assert events.count("chunk") > 2
-    assert events == ["chunk", "em", "sums", "em", "em"] * events.count("chunk")
+                            factors))
+    chunks = [e for e in events if e != "sums" and e != "em"]
+    assert len(chunks) == 22 and {coarse for _, coarse in chunks} == {0, 1, 2}
+    assert events == [e for chunk in chunks for e in [chunk, "em", "sums", *["em"] * chunk[1]]]

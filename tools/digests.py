@@ -21,6 +21,10 @@ Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
   and over two rounds at level 4 whose second starts inside a block, and a
   histogram of 5000 paths at 1024 steps: shapes that trees cutting each
   round into one-block windows step differently;
+- error curves at the default budgets whose coarse steps straddle time
+  chunks: the non-nested factors 384, 256 and 32 at n_ref 3072, and a
+  factor of 2048 steps, longer than a chunk, at n_ref 16384 (trees that cut
+  chunks at whole coarse steps draw these differently);
 - the ``maximal``, ``inequality``, ``rate``, ``mlmc``, ``complexity`` and
   ``density`` CLI artifacts on small configs, and again on configs that set
   only what keeps them small, so the param defaults are compared too
@@ -31,7 +35,7 @@ only those:
 
 - from the streams: ``em`` and ``em_coupled_M4`` of the models with noise
   (``constant``, ``sincos``, ``sincos2d``), ``block_sums``, ``chunked``,
-  ``windows``, and the ``cli`` artifacts of ``rate``, ``mlmc``,
+  ``windows``, ``carried``, and the ``cli`` artifacts of ``rate``, ``mlmc``,
   ``complexity``, ``density`` and ``inequality`` (a coarse one, such as a
   fitted exponent, may still match);
 - kept by a stream change: ``maximal_at``, ``maximal_field``, ``gsp_field``,
@@ -272,6 +276,19 @@ def window_digests():
                                                           hist.counts.tobytes()))
 
 
+def carried_digests():
+    from irregmc import avikainen, sde
+    from irregmc.payoff import make_payoff
+
+    model = sde.make_model("sincos")
+    pay = make_payoff("interval_indicator", a=0.0, b=1.0)
+    for n_ref, n_list, N in ((3072, [8, 12, 96], 3000), (16384, [8], 1024)):
+        curve = avikainen.qerror_curves(model, [(pay, 2.0)], n_list, N, n_ref, seed=12)[0]
+        name = f"n_ref{n_ref},n{'+'.join(map(str, n_list))},N{N}"
+        yield f"carried/qerror_curve/{name}", _sha((curve.value.tobytes(),
+                                                   curve.stderr.tobytes()))
+
+
 def cli_digests():
     from irregmc import cli
 
@@ -286,7 +303,7 @@ def cli_digests():
 
 def emit() -> None:
     for group in (maximal_digests, em_digests, block_sums_digests, chunked_digests,
-                  window_digests, cli_digests):
+                  window_digests, carried_digests, cli_digests):
         for name, digest in group():
             print(f"{digest}  {name}", flush=True)
 
