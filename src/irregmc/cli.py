@@ -619,7 +619,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "selftest":
-        from . import selftest  # imports every module and scipy.stats
+        from . import selftest  # imports every module
 
         results = selftest.run_all(scale=args.scale)
         if args.out:

@@ -54,11 +54,24 @@ def young_plog(p: float, alpha: float = 1.0) -> YoungFunction:
     return YoungFunction(name=f"plog(p={p:g},alpha={alpha:g})", phi=phi, p=p, alpha=alpha)
 
 
+def _bracket_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """(argmax, max) of a unimodal vectorised f on [lo, hi], to a few ulps."""
+    while True:
+        t = np.linspace(lo, hi, 33)
+        v = f(t)
+        i = int(np.argmax(v))
+        a, b = t[max(i - 1, 0)], t[min(i + 1, 32)]
+        if b - a >= hi - lo:
+            return float(t[i]), float(v[i])
+        lo, hi = a, b
+
+
 def young_complement(young: YoungFunction, x: float) -> float:
     """Conjugate Psi(x) = sup_{y >= 0} (x*y - Phi(y)).
 
-    Closed form for the power family; otherwise a bounded concave maximization
-    with the search interval grown until the maximizer is interior.
+    Closed form for the power family. Otherwise y_max doubles from 1 until the
+    concave gain falls from y_max/2 to y_max. 33-point scans of [0, y_max] then
+    keep the two cells around the best until the bracket stops shrinking.
     """
     if x < 0:
         raise InvalidArgumentError("conjugate argument must be nonnegative")
@@ -68,17 +81,14 @@ def young_complement(young: YoungFunction, x: float) -> float:
         p = young.p
         p_star = p / (p - 1.0)
         return x**p_star / p_star
-    from scipy.optimize import minimize_scalar  # kept off the import of irregmc
 
-    def neg_obj(y):
-        return -(x * y - float(young.phi(y)))
+    def gain(y):
+        return x * y - young.phi(y)
 
     y_max = 1.0
     for _ in range(200):
-        res = minimize_scalar(neg_obj, bounds=(0.0, y_max), method="bounded",
-                              options={"xatol": 1e-13 * max(1.0, y_max)})
-        if res.x < 0.9 * y_max:
-            return max(0.0, -float(res.fun))
+        if gain(y_max) < gain(0.5 * y_max):
+            return max(0.0, _bracket_max(gain, 0.0, y_max)[1])
         y_max *= 2.0
     raise NumericFailureError("conjugate maximizer escaped the search interval")
 
@@ -111,7 +121,8 @@ def orlicz_bound_minimize(
 ) -> tuple[float, float]:
     """Minimize lam^{-(1 - q/r)} + Phi^{-1}(lam)^q * E over lam > 0.
 
-    r = inf supported (use math.inf); returns (bound, minimizer).
+    r = inf supported (use math.inf); returns (bound, minimizer), found in log lam
+    on [1e-12, 1e12] by the refinement rule of ``young_complement``.
     """
     if E <= 0:
         raise InvalidArgumentError("moment value E must be positive")
@@ -120,25 +131,13 @@ def orlicz_bound_minimize(
     expo = 1.0 if math.isinf(r) else 1.0 - q / r
     if expo <= 0:
         raise InvalidArgumentError("need q < r")
-    from scipy.optimize import minimize_scalar  # kept off the import of irregmc
 
-    def objective(lam):
-        return lam ** (-expo) + young_inverse(young, lam) ** q * E
+    def neg_objective(u):
+        return np.array([-(lam ** (-expo) + young_inverse(young, lam) ** q * E)
+                         for lam in np.exp(u)])
 
-    # log-grid scan, then golden-section refinement between the bracketing nodes
-    grid = np.logspace(-12, 12, 241)
-    vals = [objective(l) for l in grid]
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(
-        lambda u: objective(math.exp(u)),
-        bounds=(math.log(lo), math.log(hi)),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    lam_star = math.exp(res.x)
-    return float(objective(lam_star)), lam_star
+    u_star, neg_bound = _bracket_max(neg_objective, math.log(1e-12), math.log(1e12))
+    return -neg_bound, math.exp(u_star)
 
 
 # ---------------------------------------------------------------------------

@@ -290,20 +290,21 @@ def sweep(draw, master_seed: int, d: int, T: float, n_fine: int, first_path: int
     ``factors``, each of which must divide n_fine. ``draw`` is
     ``increment_batch`` as the caller looks it up; each chunk is
     ``draw(master_seed, d, T, n_fine, first, b, streams=..., n_steps=k,
-    out=...)`` with the window's blocks keyed once, drawn into rows 1..k of
-    a (k + 1, b, d) buffer. ``sums()`` returns, per factor M, the (b, c, d)
-    coarse increments of the c coarse steps from k0 // M that the chunk
-    completes (``carried_sums``; c may be 0), waiting for the background
-    thread when the sweep overlaps its draws. In order, a window's sums are
-    ``block_sums`` of its increments, bit for bit. Chunk j is summed and
-    chunk j+1 drawn while the caller holds chunk j, so the caller should drop
-    the increments and ``sums`` before asking for the next. An exception in
+    out=...)`` with the window's blocks keyed once, into the last k rows of a
+    (k + 1, b, d) buffer (k rows without factors). ``sums()`` returns, per
+    factor M, the (b, c, d) coarse increments of the c coarse steps from k0 // M
+    that the chunk completes (``carried_sums``; c may be 0), waiting for the
+    background thread when the sweep overlaps its draws. In order, a window's
+    sums are ``block_sums`` of its increments, bit for bit. Chunk j is summed
+    and chunk j+1 drawn while the caller holds chunk j, so the caller should
+    drop the increments and ``sums`` before asking for the next. An exception in
     a draw or a sum reaches the caller; no thread outlives the generator.
     """
     for M in factors:
         if M < 1 or n_fine % M:
             raise InvalidArgumentError(f"refinement {M} does not divide n_fine={n_fine}")
     windows, overlap = path_layout(first_path, n_paths, n_fine, math.lcm(*factors), d)
+    spare = int(bool(factors))  # carried_sums's row 0
 
     def calls():
         for first, b, chunks in windows:
@@ -314,8 +315,8 @@ def sweep(draw, master_seed: int, d: int, T: float, n_fine: int, first_path: int
                        partial(summed, k0, accs))
 
     def drawn(first, b, k, streams):
-        buf = np.empty((k + 1, b, d))
-        draw(master_seed, d, T, n_fine, first, b, streams=streams, n_steps=k, out=buf[1:])
+        buf = np.empty((k + spare, b, d))
+        draw(master_seed, d, T, n_fine, first, b, streams=streams, n_steps=k, out=buf[spare:])
         return buf
 
     def summed(k0, accs, buf):
@@ -326,7 +327,7 @@ def sweep(draw, master_seed: int, d: int, T: float, n_fine: int, first_path: int
         for where, draw_chunk, sum_chunk in calls():
             buf = draw_chunk()
             sums = sum_chunk(buf)
-            yield *where, buf[1:].transpose(1, 0, 2), lambda sums=sums: sums
+            yield *where, buf[spare:].transpose(1, 0, 2), lambda sums=sums: sums
             del buf, sums  # before the next chunk is drawn
         return
     from concurrent.futures import ThreadPoolExecutor  # only sweeps that overlap
@@ -336,7 +337,7 @@ def sweep(draw, master_seed: int, d: int, T: float, n_fine: int, first_path: int
         def summing(where, sum_chunk, drawing):
             buf = drawing.result()
             sums = pool.submit(sum_chunk, buf)
-            return *where, buf[1:].transpose(1, 0, 2), sums.result
+            return *where, buf[spare:].transpose(1, 0, 2), sums.result
 
         ahead = None  # (where, sum_chunk, future) of the draw in flight
         for where, draw_chunk, sum_chunk in calls():

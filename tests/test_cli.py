@@ -566,11 +566,15 @@ def test_summary_lists_every_artifact(tmp_path):
     assert produced == listed
 
 
-# Runs each config through main in a fresh interpreter and prints the scipy
-# modules that are loaded at the end.
+# Imports every irregmc module in a fresh interpreter, runs each config through
+# main and the two checks with closed-form oracles, and prints the irregmc and
+# scipy modules that are loaded at the end.
 _IMPORT_PROBE = """
-import json, os, sys
-from irregmc import cli
+import importlib, json, os, pkgutil, sys
+import irregmc
+for module in pkgutil.iter_modules(irregmc.__path__):
+    importlib.import_module(f"irregmc.{module.name}")
+from irregmc import cli, selftest
 out = sys.argv[1]
 for i, doc in enumerate(json.loads(sys.argv[2])):
     path = os.path.join(out, f"{i}.json")
@@ -578,13 +582,16 @@ for i, doc in enumerate(json.loads(sys.argv[2])):
         json.dump(doc, fh)
     rc = cli.main([doc["kind"], "--config", path, "--out", os.path.join(out, str(i))])
     assert rc == 0, (doc["kind"], rc)
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+selftest.check_inequality_closed_form(scale=0.01)
+assert selftest.check_orlicz_toolkit(scale=0.01).passed
+print(json.dumps([sorted(m for m in sys.modules if m.startswith(prefix))
+                  for prefix in ("irregmc.", "scipy")]))
 """
 
 
 def test_simulation_kinds_never_import_scipy(tmp_path):
-    # scipy is needed only by selftest and the Orlicz helpers; importing it
-    # costs about half a second of each run's start-up
+    # numpy is the one runtime dependency: scipy serves only as a test oracle,
+    # and importing it costs about a second of each run's start-up
     constant = {"name": "constant", "params": {"mu": 0.1, "sigma": 0.2}}
     docs = [
         RATE_CONFIG,
@@ -606,17 +613,11 @@ def test_simulation_kinds_never_import_scipy(tmp_path):
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
-
-
-def test_the_maximal_layer_never_imports_scipy():
-    probe = ("import json, sys; import irregmc.maximal; "
-             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(irregmc.__file__))}
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    loaded, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    package = os.path.dirname(irregmc.__file__)
+    assert loaded == sorted(f"irregmc.{name[:-3]}" for name in os.listdir(package)
+                            if name.endswith(".py") and name != "__init__.py")
+    assert scipy_modules == []
 
 
 def test_selftest_command_writes_results(tmp_path, monkeypatch, capsys):

@@ -122,12 +122,14 @@ def test_complement_at_zero():
 
 
 def test_complement_brute_force_oracle():
-    # independent dense-scan maximization of x*y - Phi(y)
-    young = young_plog(2.0, 1.0)
-    for x in (0.3, 1.0, 7.5):
-        ys = np.linspace(0.0, 50.0, 400_001)
-        brute = float(np.max(x * ys - young.phi(ys)))
-        assert young_complement(young, x) == pytest.approx(brute, rel=1e-6)
+    # independent dense-scan maximization of x*y - Phi(y), at x whose
+    # maximiser lies inside the scan (for plog(1.5, -0.4) it passes 50 at x = 6)
+    ys = np.linspace(0.0, 50.0, 400_001)
+    for young, xs in ((young_plog(2.0, 1.0), (0.3, 1.0, 7.5)),
+                      (young_plog(1.5, -0.4), (0.5, 1.0, 3.0, 5.0))):
+        for x in xs:
+            brute = float(np.max(x * ys - young.phi(ys)))
+            assert young_complement(young, x) == pytest.approx(brute, rel=1e-6)
 
 
 def test_complement_doubling_plog():
@@ -168,11 +170,18 @@ def test_orlicz_bound_hand_oracle():
 
 
 def test_orlicz_bound_brute_force_q1():
-    # independent 1D scan for q=1: objective 1/lam + sqrt(2*lam)
+    # independent 1D scans for q=1; for x^2/2 the objective is 1/lam + sqrt(2*lam)
     young = young_power(2.0)
     bound, _ = orlicz_bound_minimize(1.0, math.inf, 1.0, young)
     lams = np.geomspace(1e-4, 1e4, 2_000_001)
     brute = float(np.min(1.0 / lams + np.sqrt(2.0 * lams)))
+    assert bound == pytest.approx(brute, rel=1e-6)
+    # x^2 log(e+x) has no closed-form inverse: scan y = Phi^{-1}(lam) instead,
+    # where the objective is 1/Phi(y) + y
+    young = young_plog(2.0, 1.0)
+    bound, _ = orlicz_bound_minimize(1.0, math.inf, 1.0, young)
+    ys = np.geomspace(1e-4, 1e4, 2_000_001)
+    brute = float(np.min(1.0 / young.phi(ys) + ys))
     assert bound == pytest.approx(brute, rel=1e-6)
 
 

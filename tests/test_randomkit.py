@@ -354,8 +354,23 @@ def test_sweep_holds_two_chunks(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    chunk_bytes = 8 * (4 + 1) * 8192  # with the spare row
+    chunk_bytes = 8 * 4 * 8192  # no spare row without factors
     assert peak <= 2 * chunk_bytes + 8 * randomkit._DRAW_NORMALS + (1 << 16)
+
+
+@pytest.mark.parametrize("factors, spare", [((), 0), ((4,), 1)], ids=["none", "M4"])
+def test_sweep_spares_a_row_only_for_carried_sums(factors, spare):
+    # row 0 of a chunk's buffer holds carried_sums' fold in progress; with no
+    # factors nothing is carried, and each draw's out spans its whole buffer
+    rows = []
+
+    def drawing(*args, out, **kwargs):
+        rows.append(len(out if out.base is None else out.base) - len(out))
+        return increment_batch(*args, out=out, **kwargs)
+
+    for *_, inc, sums in sweep(drawing, 11, 2, 1.5, 40, 0, 100, factors):
+        del inc, sums
+    assert rows and set(rows) == {spare}
 
 
 @pytest.mark.parametrize("overlap", [True, False])

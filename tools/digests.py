@@ -25,6 +25,11 @@ Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
   chunks: the non-nested factors 384, 256 and 32 at n_ref 3072, and a
   factor of 2048 steps, longer than a chunk, at n_ref 16384 (trees that cut
   chunks at whole coarse steps draw these differently);
+- ``young``: the conjugate Psi of x^2 log(e + x) and x^1.5 log(e + x)^-0.4
+  at 25 points from 1e-3 to 1e3, and ``orlicz_bound_minimize`` at q = 2,
+  r = inf and E in {1e-2, 1e-4, 1e-6} for x^2/2 and x^2 log(e + x) (a tree
+  that refines these optima another way moves Psi by about 1e-16 and the
+  bounds by about 1e-11, relative);
 - the ``maximal``, ``inequality``, ``rate``, ``mlmc``, ``complexity`` and
   ``density`` CLI artifacts on small configs, and again on configs that set
   only what keeps them small, so the param defaults are compared too
@@ -41,8 +46,8 @@ only those:
 - kept by a stream change: ``maximal_at``, ``maximal_field``, ``gsp_field``,
   ``superlevel``, ``mollifier`` and ``pointwise_check`` (their measures and
   pairs come from numpy's ``default_rng``, or from no random numbers at all), the
-  ``cli/maximal*`` artifacts, and ``em`` and ``em_coupled_M4`` of ``ode`` and
-  ``zero``, which have no noise.
+  ``cli/maximal*`` artifacts, ``em`` and ``em_coupled_M4`` of ``ode`` and
+  ``zero``, which have no noise, and ``young``.
 
 Usage, from the repository root:
 
@@ -289,6 +294,19 @@ def carried_digests():
                                                    curve.stderr.tobytes()))
 
 
+def young_digests():
+    from irregmc import payoff
+
+    xs = np.geomspace(1e-3, 1e3, 25)
+    for young in (payoff.young_plog(2.0, 1.0), payoff.young_plog(1.5, -0.4)):
+        psi = np.array([payoff.young_complement(young, float(x)) for x in xs])
+        yield f"young/complement/{young.name}", _sha(psi)
+    for young in (payoff.young_power(2.0), payoff.young_plog(2.0, 1.0)):
+        for E in (1e-2, 1e-4, 1e-6):
+            bound, _ = payoff.orlicz_bound_minimize(2.0, math.inf, E, young)
+            yield f"young/orlicz_bound/{young.name},E{E:g}", _sha(bound)
+
+
 def cli_digests():
     from irregmc import cli
 
@@ -303,7 +321,7 @@ def cli_digests():
 
 def emit() -> None:
     for group in (maximal_digests, em_digests, block_sums_digests, chunked_digests,
-                  window_digests, carried_digests, cli_digests):
+                  window_digests, carried_digests, young_digests, cli_digests):
         for name, digest in group():
             print(f"{digest}  {name}", flush=True)
 
