@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator
 
-from .errors import DegenerateCurveError, InvalidArgumentError
+from .errors import DegenerateCurveError, InvalidArgumentError, NumericFailureError
 from .payoff import Payoff
 from .randomkit import StreamTag, derive_seed, increment_batch, stream
 from .sde import SdeModel, StepCounter, path_terminals
@@ -251,10 +251,12 @@ def inequality_check(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(base > 0, lhs / base, np.inf)
         finite = ratios[np.isfinite(ratios)]
-    max_ratio = float(finite.max()) if finite.size else math.inf
-    min_ratio = float(finite.min()) if finite.size else math.inf
+    if not finite.size:
+        raise NumericFailureError(
+            f"the bound base leaves no finite ratio: at moment order {moment:g} it "
+            f"underflows to 0 at every scale of {scale_grid.tolist()}")
     return InequalityReport(
         scale_grid=scale_grid, lhs=lhs, lhs_stderr=lhs_se, rhs_base=base,
         ratios=ratios, moment_order=moment, outer_exponent=outer,
-        max_ratio=max_ratio, min_ratio=min_ratio, family=family, rule=rule,
+        max_ratio=float(finite.max()), min_ratio=float(finite.min()), family=family, rule=rule,
     )

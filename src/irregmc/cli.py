@@ -64,8 +64,8 @@ def _int_from(low: int) -> tuple:
 # JSON value, and a value that fails it exits 2 with "<key> must <requirement>".
 _MOMENT = (lambda v: _is_number(v) and 1 <= v < math.inf), "be a finite number >= 1"
 _FRACTION = (lambda v: _is_number(v) and 0 < v < 1), "lie in (0,1)"
-_N_LIST = (lambda v: isinstance(v, list) and v != [] and all(_is_int(n) and n >= 1 for n in v),
-           "be a nonempty list of integers >= 1")
+_N_LIST = (lambda v: isinstance(v, list) and v != [] and all(_is_int(n) and n >= 1 for n in v)
+           and len(set(v)) == len(v), "be a nonempty list of distinct integers >= 1")
 _SEED = (0, lambda v: _is_int(v) and 0 <= v < 2**64, "be an integer in [0, 2**64)")
 _M = (2, lambda v: _is_int(v) and v in mlmc.REFINEMENTS,
       f"be one of the integers {list(mlmc.REFINEMENTS)}")
@@ -478,7 +478,7 @@ def _run_complexity(config: ExperimentConfig, out: str, summary: RunSummary) -> 
     model, pay = config.model, config.payoff
     p = config.params
     delta = 0.9
-    predicted = po.predicted_mlmc_exponent(pay.space, "weak1", delta, p=pay.p, s=pay.s)
+    predicted = po.predicted_mlmc_exponent(pay.space, delta, p=pay.p, s=pay.s)
     try:
         sw = mlmc.complexity_sweep(
             model, pay, p["epsilon_list"], M=p["M"], seed=p["seed"],

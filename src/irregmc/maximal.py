@@ -546,17 +546,16 @@ def _grid(f: GridField) -> tuple:
     return f.d, f.lo, f.hi, f.spacing, f.values.shape
 
 
-def percentile_lambda_grid(values, count: int = 10,
-                           lo_pct: float = 10.0, hi_pct: float = 99.0) -> np.ndarray:
-    """Lambda grid spanning the [lo_pct, hi_pct] percentiles of maximal values."""
+def percentile_lambda_grid(values, count: int = 10) -> np.ndarray:
+    """Lambda grid spanning the 10th to 99th percentiles of maximal values."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
         raise InvalidArgumentError(f"count must be an integer >= 1, got {count!r}")
     values = np.asarray(values, dtype=float)
     values = values[np.isfinite(values) & (values > 0)]
     if values.size == 0:
         raise InsufficientDataError("no positive finite maximal values to span")
-    lo = np.percentile(values, lo_pct)
-    hi = np.percentile(values, hi_pct)
+    lo = np.percentile(values, 10.0)
+    hi = np.percentile(values, 99.0)
     if hi <= lo:
         hi = lo * 2.0
     return np.geomspace(lo, hi, count)

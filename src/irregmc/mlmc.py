@@ -203,26 +203,25 @@ def run_mlmc(
     seed: int = 0,
     n_pilot: int = DEFAULT_PILOT,
     max_level: int = DEFAULT_MAX_LEVEL,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    min_levels: int = 1,
 ) -> MlmcResult:
     """Adaptive MLMC driver targeting RMS error epsilon.
 
-    Grows L until the bias test passes, re-allocating samples after each
-    variance update (at most max_rounds top-up rounds per level set); raises
+    Starts from levels 0 and 1 and grows L until the bias test passes,
+    re-allocating samples after each variance update (at most
+    DEFAULT_MAX_ROUNDS top-up rounds per level set); raises
     NonconvergenceError with diagnostics, among them the EM steps taken
     (``total_cost``), when L exceeds max_level.
     """
     _check_target(epsilon, M, alpha_hint)
     counter = StepCounter()
-    states = [_LevelAccumulator(l, M, model.T, seed) for l in range(min_levels + 1)]
+    states = [_LevelAccumulator(l, M, model.T, seed) for l in range(2)]
     for st in states:
         _sample_level(model, payoff, st, n_pilot, counter)
 
     alpha_est = None
     beta_est = None
     while True:
-        for _ in range(max_rounds):
+        for _ in range(DEFAULT_MAX_ROUNDS):
             variances = np.array([st.acc.variance for st in states])
             hs = np.array([st.h for st in states])
             targets = allocate_samples(variances, hs, epsilon)
@@ -297,8 +296,6 @@ def single_level_run(
     M: int = 2,
     alpha_hint: float | None = 1.0,
     seed: int = 0,
-    n_pilot: int = DEFAULT_PILOT,
-    max_level: int = DEFAULT_MAX_LEVEL,
 ) -> SingleLevelResult:
     """Plain Monte Carlo at the coarsest n = M^L passing the same bias test."""
     _check_target(epsilon, M, alpha_hint)
@@ -306,10 +303,10 @@ def single_level_run(
     states = [_LevelAccumulator(l, M, model.T, derive_seed(seed, 0xB1A5))
               for l in range(3)]
     for st in states:
-        _sample_level(model, payoff, st, n_pilot, calib)
+        _sample_level(model, payoff, st, DEFAULT_PILOT, calib)
     alpha = alpha_hint if alpha_hint is not None else 1.0
     while _bias_estimate(states, M, alpha) > epsilon / math.sqrt(2.0):
-        if states[-1].level >= max_level:
+        if states[-1].level >= DEFAULT_MAX_LEVEL:
             raise NonconvergenceError(
                 "single-level bias test unmet at level cap",
                 diagnostics={"levels": [st.level for st in states],
@@ -317,13 +314,13 @@ def single_level_run(
             )
         st = _LevelAccumulator(states[-1].level + 1, M, model.T,
                                derive_seed(seed, 0xB1A5))
-        _sample_level(model, payoff, st, n_pilot, calib)
+        _sample_level(model, payoff, st, DEFAULT_PILOT, calib)
         states.append(st)
     n_steps = states[-1].n_fine
 
     # pilot the payoff variance at the chosen resolution, then size N
-    pilot = _fold(model, payoff, Welford(), derive_seed(seed, 0x51E6), n_steps, (), n_pilot,
-                  calib)
+    pilot = _fold(model, payoff, Welford(), derive_seed(seed, 0x51E6), n_steps, (),
+                  DEFAULT_PILOT, calib)
     N = max(2, int(math.ceil(2.0 * pilot.variance / epsilon**2)))
 
     counter = StepCounter()
@@ -364,7 +361,6 @@ def complexity_sweep(
     alpha_hint: float | None = 1.0,
     predicted_exponent: float | None = None,
     compare_single_level: bool = False,
-    **mlmc_kwargs,
 ) -> ComplexitySweep:
     """Cost-vs-accuracy sweep; fits log cost against log eps.
 
@@ -383,7 +379,7 @@ def complexity_sweep(
     for i, eps in enumerate(epsilon_list):
         try:
             res = run_mlmc(model, payoff, eps, M=M, alpha_hint=alpha_hint,
-                           seed=derive_seed(seed, i), **mlmc_kwargs)
+                           seed=derive_seed(seed, i))
         except NonconvergenceError as exc:
             failed.append(eps)
             failed_costs.append(exc.diagnostics["total_cost"])

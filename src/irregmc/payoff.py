@@ -281,11 +281,6 @@ def make_payoff(name: str, **params) -> Payoff:
 # ---------------------------------------------------------------------------
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise InvalidArgumentError(f"delta must lie in (0,1), got {delta}")
-
-
 def predicted_strong_exponent(
     space: str, q: float, delta: float = 0.9,
     p: float | None = None, s: float | None = None,
@@ -298,7 +293,8 @@ def predicted_strong_exponent(
     if q < 1:
         raise InvalidArgumentError("q must be >= 1")
     if space == "bv":
-        _check_delta(delta)
+        if not 0.0 < delta < 1.0:
+            raise InvalidArgumentError(f"delta must lie in (0,1), got {delta}")
         return delta / 2.0
     if space in ("sobolev", "orlicz", "variable"):
         return q / (2.0 * (q + 1.0))
@@ -314,42 +310,13 @@ def predicted_strong_exponent(
 
 
 def predicted_mlmc_exponent(
-    space: str, regime: str, delta: float = 0.9,
-    p: float | None = None, s: float | None = None,
+    space: str, delta: float = 0.9, p: float | None = None, s: float | None = None,
 ) -> float:
-    """Cost exponent c in the MLMC complexity bound eps^{-c}.
+    """Cost exponent c in the MLMC complexity bound eps^{-c}: 3 - beta.
 
-    regime "weak1" (weak rate 1): bv (6-delta)/2, sobolev/orlicz/variable 8/3,
-    fractional 3 - p*s/(p+2), lipschitz 2 (the eps^-2 log^2 eps case, log
-    factor unmodeled). regime "weakdelta" (weak rate delta/2): bv 1 + 2/delta,
-    sobolev/orlicz/variable 2 + 4/(3 delta),
-    fractional 2 + (p(1-s)+2)/(delta (p+2)).
+    Giles' theorem at weak rate alpha = 1 and cost rate gamma = 1, with beta
+    the strong exponent at q = 2, at most 1: bv (6-delta)/2,
+    sobolev/orlicz/variable 8/3, fractional 3 - p*s/(p+2). Lipschitz is the
+    beta = gamma case, eps^-2 log^2 eps, whose log factor is not modelled.
     """
-    if regime not in ("weak1", "weakdelta"):
-        raise InvalidArgumentError("regime must be 'weak1' or 'weakdelta'")
-    if space == "fractional":
-        if p is None or s is None:
-            raise InvalidArgumentError("fractional class needs p and s")
-        if not 0 < s < 1:
-            raise InvalidArgumentError("s must lie in (0,1)")
-    if regime == "weak1":
-        if space == "bv":
-            _check_delta(delta)
-            return (6.0 - delta) / 2.0
-        if space in ("sobolev", "orlicz", "variable"):
-            return 8.0 / 3.0
-        if space == "fractional":
-            return 3.0 - p * s / (p + 2.0)
-        if space == "lipschitz":
-            return 2.0
-        raise InvalidArgumentError(f"unknown function-space class {space!r}")
-    _check_delta(delta)
-    if space == "bv":
-        return 1.0 + 2.0 / delta
-    if space in ("sobolev", "orlicz", "variable"):
-        return 2.0 + 4.0 / (3.0 * delta)
-    if space == "fractional":
-        return 2.0 + (p * (1.0 - s) + 2.0) / (delta * (p + 2.0))
-    raise InvalidArgumentError(
-        f"class {space!r} has no weak-rate-delta/2 table entry"
-    )
+    return 3.0 - predicted_strong_exponent(space, 2.0, delta, p=p, s=s)

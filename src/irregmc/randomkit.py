@@ -110,14 +110,13 @@ def _blocks(first_path: int, n_paths: int) -> range:
     return range(first_path // BLOCK_PATHS, -(-(first_path + n_paths) // BLOCK_PATHS))
 
 
-def block_streams(master_seed: int, first_path: int, n_paths: int,
-                  stream_tag: StreamTag = StreamTag.PATH) -> list[Generator]:
-    """One generator per block that paths first_path..first_path+n_paths-1 touch.
+def block_streams(master_seed: int, first_path: int, n_paths: int) -> list[Generator]:
+    """One PATH generator per block that paths first_path..first_path+n_paths-1 touch.
 
     Passed to ``increment_batch``, they carry a window's streams from one time
     chunk to the next; each block is keyed once here.
     """
-    return [stream(master_seed, block, stream_tag) for block in _blocks(first_path, n_paths)]
+    return [stream(master_seed, block) for block in _blocks(first_path, n_paths)]
 
 
 def increment_batch(
@@ -127,7 +126,6 @@ def increment_batch(
     n_fine: int,
     first_path: int,
     n_paths: int,
-    stream_tag: StreamTag = StreamTag.PATH,
     streams: list[Generator] | None = None,
     n_steps: int | None = None,
     out: np.ndarray | None = None,
@@ -166,7 +164,7 @@ def increment_batch(
     _check_key(master_seed, end // BLOCK_PATHS)
     blocks = _blocks(first_path, n_paths)
     if streams is None:
-        streams = block_streams(master_seed, first_path, n_paths, stream_tag)
+        streams = block_streams(master_seed, first_path, n_paths)
     if len(streams) != len(blocks):
         raise InvalidArgumentError(
             f"{len(streams)} streams given for a window over {len(blocks)} blocks")

@@ -120,32 +120,16 @@ def em_terminal_batch(
     return out
 
 
-def coupled_terminal_batch(
-    model: SdeModel,
-    increments: np.ndarray,
-    M: int,
-    counter: StepCounter | None = None,
-    state: tuple[np.ndarray, np.ndarray] | None = None,
-    k0: int = 0,
-    n: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fine and coarse states, each (B, d), driven by the same increments.
+def coupled_terminal_batch(model: SdeModel, increments: np.ndarray,
+                           M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Terminals of the fine path and of the coarse path, each (B, d), from one call.
 
     The coarse path takes k // M steps driven by ``block_sums(increments, M)``.
-    ``state`` (a previous (fine, coarse) result), ``k0`` and ``n`` continue
-    both paths as in ``em_terminal_batch``; the coarse one continues at step
-    k0 // M of its n // M-step grid, so k0 and n must be multiples of M.
+    This one-call form is the reference that ``path_terminals`` is checked
+    against.
     """
-    fine_x, coarse_x = (None, None) if state is None else state
-    n = k0 + increments.shape[1] if n is None else n
-    if M == 1:
-        fine = em_terminal_batch(model, increments, counter, fine_x, k0, n)
-        return fine, fine.copy()
-    if k0 % M or n % M:
-        raise InvalidArgumentError(f"refinement {M} does not divide k0={k0} and n={n}")
     coarse_inc = block_sums(increments, M)
-    fine = em_terminal_batch(model, increments, counter, fine_x, k0, n)
-    return fine, em_terminal_batch(model, coarse_inc, counter, coarse_x, k0 // M, n // M)
+    return em_terminal_batch(model, increments), em_terminal_batch(model, coarse_inc)
 
 
 def path_terminals(model: SdeModel, draw, seed: int, n_fine: int, first: int, n_paths: int,

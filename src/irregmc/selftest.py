@@ -346,11 +346,11 @@ def check_mlmc_complexity(scale: float = 1.0, seed: int = 4242) -> CheckResult:
     eps_list = [0.02, 0.01, 0.005]
     sw_lip = mlmc.complexity_sweep(
         model, lipschitz, eps_list, M=4, seed=seed, alpha_hint=1.0,
-        predicted_exponent=po.predicted_mlmc_exponent("lipschitz", "weak1"),
+        predicted_exponent=po.predicted_mlmc_exponent("lipschitz"),
     )
     sw_ind = mlmc.complexity_sweep(
         model, indicator, eps_list, M=4, seed=seed + 1, alpha_hint=1.0,
-        predicted_exponent=po.predicted_mlmc_exponent("bv", "weak1", 0.9),
+        predicted_exponent=po.predicted_mlmc_exponent("bv", 0.9),
         compare_single_level=True,
     )
     single = sw_ind.single_level

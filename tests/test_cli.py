@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +24,8 @@ from irregmc.cli import (
     parse_config,
     run_experiment,
 )
-from irregmc.errors import ConfigError, InvalidArgumentError, NonconvergenceError
+from irregmc.errors import (ConfigError, InvalidArgumentError, NonconvergenceError,
+                            NumericFailureError)
 
 RATE_CONFIG = {
     "kind": "rate",
@@ -165,6 +167,10 @@ def _doc(kind, params):
     ("rate", {"q": math.inf}, "q must be a finite number >= 1"),
     ("mlmc", {"M": 2.0}, "M must be one of the integers"),
     ("rate", {"n_list": [8, 64], "n_ref": 64}, "n_list must divide n_ref=64 and be smaller"),
+    # a repeated n ran the whole sweep before the fit refused it, or wrote one histogram twice
+    ("rate", {"n_list": [8, 8, 16, 32], "N": 1000, "n_ref": 64}, "n_list must be a nonempty "
+     "list of distinct integers"),
+    ("density", {"n_list": [16, 16, 64]}, "n_list must be a nonempty list of distinct integers"),
 ])
 def test_runtime_param_errors_exit_2(tmp_path, capsys, kind, params, message):
     # each of these used to reach the library and end in a traceback, or to
@@ -334,16 +340,29 @@ def _no_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
-@pytest.mark.parametrize("kind", list(_VALID_PARAMS))
-def test_summary_is_strict_json(tmp_path, kind):
+@pytest.mark.parametrize("kind, extra", [*((kind, {}) for kind in _VALID_PARAMS),
+                                         ("inequality", {"p": 1000})],
+                         ids=[*_VALID_PARAMS, "inequality-underflow"])
+def test_summary_is_strict_json(tmp_path, kind, extra):
     # an infinite r, the default, is echoed as null, and null reads back as it
-    params = dict(_VALID_PARAMS[kind])
+    params = {**_VALID_PARAMS[kind], **extra}
     if kind == "inequality":
         params.update(rule="bv", r=math.inf)
     config = parse_config(json.dumps(_doc(kind, params)))
-    run_experiment(config, out_dir=str(tmp_path))
+    if extra:
+        # the base t^1000 underflows to 0 at every scale, which left only
+        # Infinity and NaN to write
+        with pytest.raises(NumericFailureError, match="moment order 1000"):
+            run_experiment(config, out_dir=str(tmp_path))
+    else:
+        run_experiment(config, out_dir=str(tmp_path))
     echoed = json.loads((tmp_path / "summary.json").read_text(), parse_constant=_no_constant)
     assert parse_config(json.dumps(echoed["config"])) == config
+    if extra:
+        assert echoed["error"]["type"] == "NumericFailureError"
+    for path in echoed["artifacts"]:
+        if path.endswith(".json"):
+            json.loads(Path(path).read_text(), parse_constant=_no_constant)
     if kind == "inequality":
         assert echoed["config"]["params"]["r"] is None
         del params["r"]

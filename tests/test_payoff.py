@@ -77,20 +77,24 @@ def test_strong_exponent_monotonicity():
 
 
 def test_mlmc_exponents_weak1():
-    assert predicted_mlmc_exponent("bv", "weak1", 1.0 - 1e-12) == pytest.approx(2.5)
-    assert predicted_mlmc_exponent("sobolev", "weak1") == pytest.approx(8.0 / 3.0)
-    assert predicted_mlmc_exponent("fractional", "weak1", p=2.0, s=0.5) == pytest.approx(2.75)
-    assert predicted_mlmc_exponent("lipschitz", "weak1") == pytest.approx(2.0)
+    assert predicted_mlmc_exponent("bv", 1.0 - 1e-12) == pytest.approx(2.5)
+    assert predicted_mlmc_exponent("sobolev") == pytest.approx(8.0 / 3.0)
+    assert predicted_mlmc_exponent("fractional", p=2.0, s=0.5) == pytest.approx(2.75)
+    assert predicted_mlmc_exponent("lipschitz") == pytest.approx(2.0)
 
 
-def test_mlmc_exponents_weakdelta():
-    assert predicted_mlmc_exponent("bv", "weakdelta", 0.5) == pytest.approx(5.0)
-    assert predicted_mlmc_exponent("sobolev", "weakdelta", 0.5) == pytest.approx(2 + 8.0 / 3.0)
-    assert predicted_mlmc_exponent("fractional", "weakdelta", 0.5, p=2.0, s=0.5) == pytest.approx(2 + 3.0 / 2.0)
-    with pytest.raises(InvalidArgumentError):
-        predicted_mlmc_exponent("lipschitz", "weakdelta", 0.5)
-    with pytest.raises(InvalidArgumentError):
-        predicted_mlmc_exponent("bv", "nope", 0.5)
+def test_mlmc_exponent_is_three_minus_the_l2_strong_exponent():
+    # Giles at alpha = gamma = 1: c = 3 - beta, with beta the q = 2 strong exponent
+    for space in ("bv", "sobolev", "orlicz", "variable", "fractional", "lipschitz"):
+        for delta in (0.1, 0.5, 0.9, 1.0 - 1e-12):
+            for p in (1.0, 1.5, 2.0, 3.0):
+                for s in (0.1, 0.5, 0.9):
+                    want = 3.0 - predicted_strong_exponent(space, 2.0, delta, p=p, s=s)
+                    assert predicted_mlmc_exponent(space, delta, p=p, s=s) == want
+    for space, delta, p, s in [("holder", 0.5, None, None), ("bv", 1.0, None, None),
+                               ("fractional", 0.9, None, 0.5), ("fractional", 0.9, 2.0, 1.0)]:
+        with pytest.raises(InvalidArgumentError):
+            predicted_mlmc_exponent(space, delta, p=p, s=s)
 
 
 def test_predicted_exponents_from_payoff_fields():
@@ -98,7 +102,7 @@ def test_predicted_exponents_from_payoff_fields():
     pay = make_payoff("tent_power", s=0.5, p=2.0)
     assert pay.space == "fractional"
     strong = predicted_strong_exponent(pay.space, 2.0, 0.9, p=pay.p, s=pay.s)
-    weak1 = predicted_mlmc_exponent(pay.space, "weak1", 0.9, p=pay.p, s=pay.s)
+    weak1 = predicted_mlmc_exponent(pay.space, 0.9, p=pay.p, s=pay.s)
     assert strong == pytest.approx(0.25)
     assert weak1 == pytest.approx(2.75)
 

@@ -95,10 +95,10 @@ def test_rows_are_columns_of_the_block_stream(seed, d, n_fine, first, n_paths):
 
 
 @PROPS
-@given(seed=seeds, first=firsts, n_paths=st.integers(1, 64), n_fine=st.integers(1, 8))
-def test_tags_separate_streams(seed, first, n_paths, n_fine):
-    path = increment_batch(seed, 1, 1.0, n_fine, first, n_paths, StreamTag.PATH)
-    aux = increment_batch(seed, 1, 1.0, n_fine, first, n_paths, StreamTag.AUXILIARY)
+@given(seed=seeds, index=st.integers(0, 2**63 - 1), n=st.integers(1, 512))
+def test_tags_separate_streams(seed, index, n):
+    path = stream(seed, index, StreamTag.PATH).standard_normal(n)
+    aux = stream(seed, index, StreamTag.AUXILIARY).standard_normal(n)
     assert not np.any(path == aux)
 
 

@@ -28,12 +28,10 @@ def test_same_seed_is_bitwise_identical():
     assert np.array_equal(a, b)
 
 
-def test_distinct_paths_and_tags_differ():
+def test_distinct_paths_differ():
     base = increment_batch(42, 1, 1.0, 32, 0, 2)
-    aux = increment_batch(42, 1, 1.0, 32, 0, 1, StreamTag.AUXILIARY)
     other_block = increment_batch(42, 1, 1.0, 32, BLOCK_PATHS, 1)
     assert not np.allclose(base[0], base[1])
-    assert not np.allclose(base[0], aux[0])
     assert not np.allclose(base[0], other_block[0])
 
 
@@ -262,10 +260,6 @@ def test_block_streams_continue_across_calls():
              for k in (1, 40, 59)]
     assert all(part.shape == (n_paths, k, d) for part, k in zip(parts, (1, 40, 59)))
     assert np.array_equal(np.concatenate(parts, axis=1), whole)
-    aux = block_streams(99, first, n_paths, StreamTag.AUXILIARY)
-    assert np.array_equal(increment_batch(99, d, 1.5, n_fine, first, n_paths, streams=aux),
-                          increment_batch(99, d, 1.5, n_fine, first, n_paths,
-                                          StreamTag.AUXILIARY))
     assert block_streams(99, 7, 0) == []
 
 

@@ -83,12 +83,12 @@ def test_chunked_stepping_equals_one_call(cuts):
                            sup_b=2**0.5, a_lower=0.25, a_upper=2.25)
     inc = increment_batch(6, 2, 1.0, 24, 1000, 40)
     fine, coarse = coupled_terminal_batch(model, inc, 4)
-    x, state = None, None
+    sums = block_sums(inc, 4)
+    x, xc = None, None
     for k0, k1 in zip([0, *cuts], [*cuts, 24]):
         x = em_terminal_batch(model, inc[:, k0:k1], None, x, k0, 24)
-        state = coupled_terminal_batch(model, inc[:, k0:k1], 4, None, state, k0, 24)
-    assert np.array_equal(x, fine)
-    assert np.array_equal(state[0], fine) and np.array_equal(state[1], coarse)
+        xc = em_terminal_batch(model, sums[:, k0 // 4 : k1 // 4], None, xc, k0 // 4, 6)
+    assert np.array_equal(x, fine) and np.array_equal(xc, coarse)
 
 
 def test_continuation_checks_its_grid():
@@ -96,8 +96,6 @@ def test_continuation_checks_its_grid():
     inc = increment_batch(1, 1, 1.0, 8, 0, 2)
     with pytest.raises(InvalidArgumentError):
         em_terminal_batch(model, inc, None, None, 4, 10)  # steps 4..11 of 10
-    with pytest.raises(InvalidArgumentError):
-        coupled_terminal_batch(model, inc, 4, None, None, 2, 16)  # k0 not a multiple of M
 
 
 def test_nonfinite_state_names_the_global_step():

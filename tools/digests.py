@@ -30,6 +30,10 @@ Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
   r = inf and E in {1e-2, 1e-4, 1e-6} for x^2/2 and x^2 log(e + x) (a tree
   that refines these optima another way moves Psi by about 1e-16 and the
   bounds by about 1e-11, relative);
+- ``predicted``: ``predicted_strong_exponent`` at q in {1, 2, 4} and
+  ``predicted_mlmc_exponent`` for every function-space class, at delta in
+  {0.1, 0.5, 0.9, 1 - 1e-12} and (p, s) in {1, 1.5, 2, 3} x {0.1, 0.5, 0.9}
+  (a tree whose cost exponent takes a weak-rate regime is asked for "weak1");
 - the ``maximal``, ``inequality``, ``rate``, ``mlmc``, ``complexity`` and
   ``density`` CLI artifacts on small configs, and again on configs that set
   only what keeps them small, so the param defaults are compared too
@@ -47,7 +51,7 @@ only those:
   ``superlevel``, ``mollifier`` and ``pointwise_check`` (their measures and
   pairs come from numpy's ``default_rng``, or from no random numbers at all), the
   ``cli/maximal*`` artifacts, ``em`` and ``em_coupled_M4`` of ``ode`` and
-  ``zero``, which have no noise, and ``young``.
+  ``zero``, which have no noise, ``young`` and ``predicted``.
 
 Usage, from the repository root:
 
@@ -66,7 +70,9 @@ from __future__ import annotations
 import argparse
 import collections
 import dataclasses
+import functools
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -307,6 +313,23 @@ def young_digests():
             yield f"young/orlicz_bound/{young.name},E{E:g}", _sha(bound)
 
 
+def predicted_digests():
+    from irregmc import payoff
+
+    mlmc_exponent = payoff.predicted_mlmc_exponent
+    if "regime" in inspect.signature(mlmc_exponent).parameters:
+        mlmc_exponent = functools.partial(mlmc_exponent, regime="weak1")
+    grid = [(delta, p, s) for delta in (0.1, 0.5, 0.9, 1.0 - 1e-12)
+            for p in (1.0, 1.5, 2.0, 3.0) for s in (0.1, 0.5, 0.9)]
+    for space in ("bv", "sobolev", "orlicz", "variable", "fractional", "lipschitz"):
+        for q in (1.0, 2.0, 4.0):
+            yield f"predicted/strong/{space},q{q:g}", _sha(
+                [payoff.predicted_strong_exponent(space, q, delta, p=p, s=s)
+                 for delta, p, s in grid])
+        yield f"predicted/mlmc/{space}", _sha([mlmc_exponent(space, delta=delta, p=p, s=s)
+                                               for delta, p, s in grid])
+
+
 def cli_digests():
     from irregmc import cli
 
@@ -321,7 +344,8 @@ def cli_digests():
 
 def emit() -> None:
     for group in (maximal_digests, em_digests, block_sums_digests, chunked_digests,
-                  window_digests, carried_digests, young_digests, cli_digests):
+                  window_digests, carried_digests, young_digests, predicted_digests,
+                  cli_digests):
         for name, digest in group():
             print(f"{digest}  {name}", flush=True)
 
