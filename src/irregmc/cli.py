@@ -27,6 +27,7 @@ from . import payoff as po
 from . import sde
 from .errors import (ConfigError, DegenerateCurveError, InvalidArgumentError, IrregmcError,
                      NonconvergenceError)
+from .stats import Gate, spread_gate
 
 OUT_ENV_VAR = "IRREGMC_OUT"
 
@@ -214,6 +215,12 @@ class RunSummary:
             raise ValueError(f"bad status {status!r}")
         self.checks.append({"name": name, "status": status, "detail": detail})
 
+    def add_gate(self, gate: Gate, detail: str) -> None:
+        """A check that the gate judges; it echoes the gate's value, lo and hi."""
+        entry = gate.to_dict()
+        self.add_check(gate.name, "pass" if entry.pop("passed") else "fail", detail)
+        self.checks[-1].update(entry)
+
     @property
     def failed(self) -> bool:
         return any(c["status"] == "fail" for c in self.checks)
@@ -273,6 +280,13 @@ def parse_config(text: str) -> ExperimentConfig:
         rules(params)
     except InvalidArgumentError as exc:
         raise ConfigError(f"bad {kind} params: {exc}") from exc
+    if "payoff" in blocks and pay.d is not None:
+        # the pair families of the inequality kind draw points in d = 1
+        d, source = ((model.d, f"model block {model_name!r}") if "model" in blocks
+                     else (1, f"params family {params['family']!r}"))
+        if pay.d != d:
+            raise ConfigError(f"payoff block {payoff_name!r} takes points in d={pay.d}, "
+                              f"but {source} draws points in d={d}")
     return ExperimentConfig(
         kind=kind, model_name=model_name, model_params=model_params,
         payoff_name=payoff_name, payoff_params=payoff_params,
@@ -343,7 +357,7 @@ def _run_rate(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
     except DegenerateCurveError as exc:
         summary.add_check("rate-fit", "informational", f"degenerate curve: {exc}")
         return
-    ok = abs(fit.slope) >= predicted - 0.1
+    gate = Gate("rate-slope-conservative", abs(fit.slope), lo=predicted - 0.1)
     payload = {
         "slope": fit.slope,
         "slope_stderr": fit.slope_stderr,
@@ -353,15 +367,12 @@ def _run_rate(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
         "excluded_n": fit.excluded_n,
         "predicted_exponent": predicted,
         "delta": delta,
-        "pass": bool(ok),
+        "pass": gate.passed,
     }
     fit_path = os.path.join(out, "rate_fit.json")
     _write_json(fit_path, payload)
     summary.artifacts.append(fit_path)
-    summary.add_check(
-        "rate-slope-conservative", "pass" if ok else "fail",
-        f"|slope|={abs(fit.slope):.3f} vs predicted-0.1={predicted - 0.1:.3f}",
-    )
+    summary.add_gate(gate, f"|slope|={gate.value:.3f} vs predicted-0.1={gate.lo:.3f}")
 
 
 def _run_inequality(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
@@ -428,10 +439,8 @@ def _run_maximal(config: ExperimentConfig, out: str, summary: RunSummary) -> Non
     json_path = os.path.join(out, "weak_type.json")
     _write_json(json_path, {"measures": mid, "violations": total_violations})
     summary.artifacts.append(json_path)
-    summary.add_check(
-        "weak-type-bound", "pass" if total_violations == 0 else "fail",
-        f"{total_violations} violations over {mid} measures",
-    )
+    summary.add_gate(Gate("weak-type-bound", total_violations, hi=0),
+                     f"{total_violations} violations over {mid} measures")
 
 
 def _run_mlmc(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
@@ -454,18 +463,9 @@ def _run_mlmc(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
     summary.artifacts.append(json_path)
     summary.em_steps += res.total_cost
     if config.model_name == "constant" and config.payoff_name == "clamp_ramp":
-        x0, T = float(model.x0[0]), model.T
-        mu, sig = float(model.drift(0.0, model.x0)[0]), float(model.sigma(0.0, model.x0)[0])
-        gh_x, gh_w = np.polynomial.hermite_e.hermegauss(120)
-        truth = float(
-            np.sum(gh_w * np.clip(x0 + mu * T + sig * math.sqrt(T) * gh_x, 0.0, 1.0))
-            / math.sqrt(2 * math.pi)
-        )
-        err = abs(res.estimate - truth)
-        summary.add_check(
-            "mlmc-vs-quadrature", "pass" if err <= 3 * eps else "fail",
-            f"|estimate - truth| = {err:.5f} vs 3*eps = {3 * eps:.5f}",
-        )
+        err = abs(res.estimate - sde.constant_model_mean(model, pay))
+        gate = Gate("mlmc-vs-quadrature", err, hi=3 * eps)
+        summary.add_gate(gate, f"|estimate - truth| = {err:.5f} vs 3*eps = {gate.hi:.5f}")
     else:
         summary.add_check(
             "mlmc-run", "informational",
@@ -477,8 +477,7 @@ def _run_mlmc(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
 def _run_complexity(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
     model, pay = config.model, config.payoff
     p = config.params
-    delta = 0.9
-    predicted = po.predicted_mlmc_exponent(pay.space, delta, p=pay.p, s=pay.s)
+    predicted = po.predicted_mlmc_exponent(pay.space, p=pay.p, s=pay.s)
     try:
         sw = mlmc.complexity_sweep(
             model, pay, p["epsilon_list"], M=p["M"], seed=p["seed"],
@@ -550,11 +549,8 @@ def _run_density(config: ExperimentConfig, out: str, summary: RunSummary) -> Non
     _write_json(json_path, env_payload)
     summary.artifacts.append(json_path)
     if len(cs) >= 2:
-        uniform = max(cs) / min(cs)
-        summary.add_check(
-            "envelope-uniformity", "pass" if uniform < 2.0 else "fail",
-            f"C+ spread {uniform:.2f} across n={list(map(int, n_list))}",
-        )
+        gate = spread_gate("envelope-uniformity", cs)
+        summary.add_gate(gate, f"C+ spread {gate.value:.2f} across n={list(map(int, n_list))}")
     else:
         summary.add_check("envelope-fit", "informational", f"C+={cs[0]:.3f}")
 
@@ -624,13 +620,8 @@ def main(argv=None) -> int:
         results = selftest.run_all(scale=args.scale)
         if args.out:
             os.makedirs(args.out, exist_ok=True)
-            _write_json(
-                os.path.join(args.out, "selftest.json"),
-                {r.criterion: {"name": r.name, "passed": r.passed,
-                               "details": {k: str(v) for k, v in r.details.items()},
-                               "runtime_s": r.runtime_s}
-                 for r in results},
-            )
+            _write_json(os.path.join(args.out, "selftest.json"),
+                        {r.criterion: r.to_dict() for r in results})
         n_fail = sum(not r.passed for r in results)
         print(f"{len(results) - n_fail}/{len(results)} checks passed")
         return 0 if n_fail == 0 else 1

@@ -149,7 +149,8 @@ def orlicz_bound_minimize(
 class Payoff:
     """Evaluatable functional with function-space classification and metadata.
 
-    ``fn`` maps arrays of shape (..., d) to shape (...).
+    ``fn`` maps arrays of shape (..., d) to shape (...). A payoff of the first
+    coordinate has d = None and takes points of any dimension.
     """
 
     name: str
@@ -158,9 +159,13 @@ class Payoff:
     sup_norm: float
     p: float | None = None
     s: float | None = None
+    d: int | None = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.fn(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        if self.d is not None and x.shape[-1:] != (self.d,):
+            raise InvalidArgumentError(f"{self.name} takes points in d={self.d}, got {x.shape}")
+        return self.fn(x)
 
 
 def _x1(x: np.ndarray) -> np.ndarray:
@@ -189,7 +194,7 @@ def make_ball_indicator(d: int = 2, radius: float = 1.0, center: float = 0.0) ->
         return (np.linalg.norm(x - c, axis=-1) < radius).astype(float)
 
     return Payoff(
-        name=f"ball_indicator(d={d},R={radius:g})", fn=fn, space="bv", sup_norm=1.0,
+        name=f"ball_indicator(d={d},R={radius:g})", fn=fn, space="bv", sup_norm=1.0, d=d,
     )
 
 

@@ -20,15 +20,6 @@ from .randomkit import block_sums, sweep
 
 
 @dataclass(frozen=True)
-class CoefficientMeta:
-    """Declared bounds: sup |b| and two-sided ellipticity of a = diag(sigma)^2."""
-
-    sup_b: float
-    a_lower: float
-    a_upper: float
-
-
-@dataclass(frozen=True)
 class SdeModel:
     """Time-inhomogeneous Markovian diffusion dX = b dt + diag(sigma) dB on R^d.
 
@@ -42,16 +33,13 @@ class SdeModel:
     x0: np.ndarray
     drift: Callable
     sigma: Callable
-    meta: CoefficientMeta
 
 
-def diagonal_model(name: str, d: int, T, x0, drift: Callable, sigma: Callable,
-                   sup_b: float, a_lower: float, a_upper: float) -> SdeModel:
+def diagonal_model(name: str, d: int, T, x0, drift: Callable, sigma: Callable) -> SdeModel:
     """Model with x0 broadcast to a float (d,) vector; the callables are kept as given."""
     return SdeModel(
         name=name, d=d, T=float(T),
-        x0=np.broadcast_to(np.asarray(x0, dtype=float), (d,)).copy(),
-        drift=drift, sigma=sigma, meta=CoefficientMeta(sup_b, a_lower, a_upper),
+        x0=np.broadcast_to(np.asarray(x0, dtype=float), (d,)).copy(), drift=drift, sigma=sigma,
     )
 
 
@@ -167,12 +155,23 @@ def path_terminals(model: SdeModel, draw, seed: int, n_fine: int, first: int, n_
 def _constant_model(mu=0.1, sigma=0.2, d=1, T=1.0, x0=0.0) -> SdeModel:
     mu_vec = np.broadcast_to(np.asarray(mu, dtype=float), (d,)).copy()
     sig = float(sigma)
-    return diagonal_model(
-        "constant", d, T, x0,
-        drift=lambda t, x: np.full(x.shape, mu_vec),
-        sigma=lambda t, x: np.full_like(x, sig),
-        sup_b=float(np.linalg.norm(mu_vec)), a_lower=sig**2, a_upper=sig**2,
-    )
+    return diagonal_model("constant", d, T, x0, drift=lambda t, x: np.full(x.shape, mu_vec),
+                          sigma=lambda t, x: np.full_like(x, sig))
+
+
+def constant_model_mean(model: SdeModel, payoff) -> float:
+    """E f(X(T)) under the constant model, for a payoff f of the first coordinate.
+
+    X_1(T) is exactly N(x0 + mu T, sigma^2 T), so 120-node Gauss-Hermite
+    quadrature evaluates f at its nodes.
+    """
+    if model.name != "constant":
+        raise InvalidArgumentError(f"no closed-form law for model {model.name!r}")
+    x0, T = float(model.x0[0]), model.T
+    mu, sig = float(model.drift(0.0, model.x0)[0]), float(model.sigma(0.0, model.x0)[0])
+    nodes, weights = np.polynomial.hermite_e.hermegauss(120)
+    x1 = x0 + mu * T + sig * math.sqrt(T) * nodes
+    return float(np.sum(weights * payoff(x1[:, None])) / math.sqrt(2 * math.pi))
 
 
 def _sincos(name: str, d: int):
@@ -185,12 +184,8 @@ def _sincos(name: str, d: int):
         amp = float(cos_amp)
         if not 0.0 < amp < 1.0:
             raise InvalidArgumentError("cos_amp must lie in (0,1) for ellipticity")
-        return diagonal_model(
-            name, d, T, x0,
-            drift=lambda t, x: np.sin(x),
-            sigma=lambda t, x: 1.0 + amp * np.cos(x),
-            sup_b=math.sqrt(d), a_lower=(1.0 - amp) ** 2, a_upper=(1.0 + amp) ** 2,
-        )
+        return diagonal_model(name, d, T, x0, drift=lambda t, x: np.sin(x),
+                              sigma=lambda t, x: 1.0 + amp * np.cos(x))
 
     return build
 
@@ -198,15 +193,13 @@ def _sincos(name: str, d: int):
 def _zero_model(d=1, T=1.0, x0=0.0) -> SdeModel:
     """Zero drift, zero diffusion; useful for exact telescoping checks."""
     return diagonal_model("zero", d, T, x0, drift=lambda t, x: np.zeros_like(x),
-                          sigma=lambda t, x: np.zeros_like(x),
-                          sup_b=0.0, a_lower=0.0, a_upper=0.0)
+                          sigma=lambda t, x: np.zeros_like(x))
 
 
 def _ode_model(d=1, T=1.0, x0=0.5) -> SdeModel:
     """Deterministic dynamics dX = cos(X) dt; zero diffusion."""
     return diagonal_model("ode", d, T, x0, drift=lambda t, x: np.cos(x),
-                          sigma=lambda t, x: np.zeros_like(x),
-                          sup_b=1.0, a_lower=0.0, a_upper=0.0)
+                          sigma=lambda t, x: np.zeros_like(x))
 
 
 MODEL_REGISTRY = {

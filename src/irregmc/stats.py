@@ -1,7 +1,9 @@
-"""Streaming moment accumulation and log-log rate regression."""
+"""Streaming moment accumulation, log-log rate regression and the gates that
+judge a statistic against its bounds."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,3 +108,48 @@ def loglog_fit(x, y) -> LineFit:
     if np.any(x <= 0) or np.any(y <= 0):
         raise InvalidArgumentError("log-log fit requires positive values")
     return ols_line(np.log(x), np.log(y))
+
+
+@dataclass(frozen=True)
+class Gate:
+    """A bounded statistic: it passes when lo <= value <= hi, or value < hi if
+    ``strict``. A bound of None is open, and a NaN value fails."""
+
+    name: str
+    value: float
+    lo: float | None = None
+    hi: float | None = None
+    strict: bool = False
+
+    @property
+    def passed(self) -> bool:
+        v = self.value
+        below = self.hi is None or (v < self.hi if self.strict else v <= self.hi)
+        return bool((self.lo is None or self.lo <= v) and below and v == v)
+
+    def __str__(self) -> str:
+        if self.lo is None:
+            bound = f"{'<' if self.strict else '<='} {self.hi:.6g}"
+        elif self.hi is None:
+            bound = f">= {self.lo:.6g}"
+        else:
+            bound = f"in [{self.lo:.6g}, {self.hi:.6g}{')' if self.strict else ']'}"
+        return f"{self.name}={self.value:.6g} ({bound})"
+
+    def to_dict(self) -> dict:
+        """Strict JSON: an open bound, or a NaN or infinite value, is null."""
+        return {"name": self.name, "passed": self.passed,
+                **{k: strict_json(getattr(self, k)) for k in ("value", "lo", "hi")}}
+
+
+def strict_json(x):
+    """x with each NaN or infinite float in it, or in a list of it, made None."""
+    if isinstance(x, list):
+        return list(map(strict_json, x))
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def spread_gate(name: str, values) -> Gate:
+    """The uniformity rule: the largest of some positive constants is less than
+    twice the smallest."""
+    return Gate(name, max(values) / min(values), hi=2.0, strict=True)

@@ -6,11 +6,13 @@ doubles as the acceptance report. The same checks run (down-scaled) behind the
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from irregmc import selftest
+from irregmc.stats import Gate, spread_gate
 
 
 def _run(check):
@@ -18,7 +20,22 @@ def _run(check):
     print()
     print(result.line())
     print(f"        runtime: {result.runtime_s:.1f}s")
+    assert result.gates
+    assert result.passed == all(g.passed for g in result.gates)
     return result
+
+
+def test_gate_keeps_strict_and_inclusive_bounds():
+    assert Gate("g", 2.0, hi=2.0).passed and not Gate("g", 2.0, hi=2.0, strict=True).passed
+    assert Gate("g", -0.65, lo=-0.65, hi=-0.35).passed
+    assert not Gate("g", -0.66, lo=-0.65, hi=-0.35).passed
+    for gate in (Gate("g", math.nan, hi=1.0), Gate("g", math.nan, lo=0.0), Gate("g", math.nan)):
+        assert not gate.passed
+    assert Gate("g", math.inf, lo=1.0).to_dict() == {
+        "name": "g", "value": None, "lo": 1.0, "hi": None, "passed": True}
+    assert str(Gate("growth", 1.0, hi=2.0, strict=True)) == "growth=1 (< 2)"
+    assert str(Gate("slope", -0.561, lo=-0.65, hi=-0.35)) == "slope=-0.561 (in [-0.65, -0.35])"
+    assert spread_gate("c", [1.0, 1.9]).passed and not spread_gate("c", [1.0, 2.0]).passed
 
 
 def test_criterion_1_exact_coupling():
@@ -65,8 +82,9 @@ def test_criterion_6b_fails_when_ratio_grows(monkeypatch):
     monkeypatch.setattr(selftest.av, "inequality_check", frozen_lhs)
     result = selftest.check_inequality_ratio_bounded(scale=0.1)
     assert not result.passed
-    growth = float(result.details["growth"].split()[0])
-    assert growth == pytest.approx(8**0.5, abs=1e-3)
+    growth = next(g for g in result.gates if g.name == "growth")
+    assert not growth.passed
+    assert growth.value == pytest.approx(8**0.5, abs=1e-3)
 
 
 def test_criterion_7_orlicz_toolkit():

@@ -442,6 +442,54 @@ def test_rate_sincos_passes_and_is_deterministic(tmp_path):
     assert (out1 / "rate_curve.csv").read_bytes() == (out2 / "rate_curve.csv").read_bytes()
     fit = json.loads((out1 / "rate_fit.json").read_text())
     assert fit["pass"] is True
+    gate, = (c for c in s1.checks if c["name"] == "rate-slope-conservative")
+    assert gate["status"] == "pass" and gate["value"] == abs(fit["slope"])
+    assert gate["lo"] == fit["predicted_exponent"] - 0.1 and gate["hi"] is None
+
+
+def test_mlmc_quadrature_judges_the_run_s_own_payoff(tmp_path, capsys):
+    # the truth of a ramp clamped to [-10, 10] under N(0, 4) is 0; a truth that
+    # clamps to [0, 1] whatever the payoff's bounds reads 0.405 and fails a correct run
+    doc = {
+        "kind": "mlmc",
+        "model": {"name": "constant", "params": {"mu": 0.0, "sigma": 2.0}},
+        "payoff": {"name": "clamp_ramp", "params": {"lo": -10, "hi": 10}},
+        "params": {"epsilon": 0.05, "M": 2, "seed": 3},
+    }
+    cfg_path = tmp_path / "ramp.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["mlmc", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert "[PASS] mlmc-vs-quadrature" in capsys.readouterr().out
+    check, = json.loads((out / "summary.json").read_text())["checks"]
+    assert check["name"] == "mlmc-vs-quadrature" and check["status"] == "pass"
+    estimate = json.loads((out / "mlmc.json").read_text())["estimate"]
+    assert check["value"] == pytest.approx(abs(estimate), abs=1e-12)
+    assert check["lo"] is None and check["hi"] == 3 * 0.05
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "rate", "model": {"name": "sincos"}, "payoff": {"name": "ball_indicator"},
+      "params": {"n_list": [8, 16], "N": 1000, "n_ref": 64}},
+     "payoff block 'ball_indicator' takes points in d=2, but model block 'sincos' draws "
+     "points in d=1"),
+    ({"kind": "inequality", "payoff": {"name": "ball_indicator"}, "params": {"N": 1000}},
+     "payoff block 'ball_indicator' takes points in d=2, but params family 'gaussian_shift' "
+     "draws points in d=1"),
+    ({"kind": "mlmc", "model": {"name": "sincos2d"},
+      "payoff": {"name": "ball_indicator", "params": {"d": 3}}, "params": {"epsilon": 0.1}},
+     "payoff block 'ball_indicator' takes points in d=3, but model block 'sincos2d' draws "
+     "points in d=2"),
+], ids=["rate", "inequality", "mlmc"])
+def test_a_payoff_of_another_dimension_exits_2(tmp_path, capsys, doc, message):
+    # these ran on a broadcast payoff and exited 0, or ended in a numpy traceback
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([doc["kind"], "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_mlmc_experiment_quadrature_check(tmp_path):
@@ -517,6 +565,8 @@ def test_density_experiment(tmp_path):
     summary = run_experiment(cfg, out_dir=str(tmp_path))
     statuses = {c["name"]: c["status"] for c in summary.checks}
     assert statuses["envelope-uniformity"] == "pass"
+    gate, = (c for c in summary.checks if c["name"] == "envelope-uniformity")
+    assert gate["value"] < gate["hi"] == 2.0 and gate["lo"] is None
     with open(tmp_path / "histogram_n8.csv") as fh:
         assert fh.readline().strip() == "bin_center,density,count"
     env = json.loads((tmp_path / "envelope.json").read_text())
@@ -642,10 +692,22 @@ def test_simulation_kinds_never_import_scipy(tmp_path):
 def test_selftest_command_writes_results(tmp_path, monkeypatch, capsys):
     # main imports selftest only for this command; run_all is stubbed
     from irregmc import selftest
+    from irregmc.stats import Gate
 
-    fake = [selftest.CheckResult("1", "one", True), selftest.CheckResult("2", "two", False)]
+    fake = [
+        selftest.CheckResult("1", "one", [Gate("slope", -0.5, lo=-0.65, hi=-0.35)],
+                             {"N": 10, "values": [1.0, math.inf]}),
+        selftest.CheckResult("2", "two", [Gate("growth", 2.0, hi=2.0, strict=True),
+                                          Gate("spread", math.nan, lo=0.0)]),
+    ]
     monkeypatch.setattr(selftest, "run_all", lambda scale: fake)
     assert main(["selftest", "--scale", "0.01", "--out", str(tmp_path)]) == 1
     assert "1/2 checks passed" in capsys.readouterr().out
-    results = json.loads((tmp_path / "selftest.json").read_text())
+    results = json.loads((tmp_path / "selftest.json").read_text(), parse_constant=_no_constant)
     assert results["1"]["passed"] is True and results["2"]["passed"] is False
+    assert results["1"]["gates"] == [
+        {"name": "slope", "value": -0.5, "lo": -0.65, "hi": -0.35, "passed": True}]
+    assert results["1"]["info"] == {"N": 10, "values": [1.0, None]}
+    assert results["2"]["gates"] == [
+        {"name": "growth", "value": 2.0, "lo": None, "hi": 2.0, "passed": False},
+        {"name": "spread", "value": None, "lo": 0.0, "hi": None, "passed": False}]

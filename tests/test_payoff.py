@@ -30,6 +30,18 @@ def test_sup_norm_probe():
         assert np.max(np.abs(pay(x))) <= pay.sup_norm + 1e-12
 
 
+def test_payoff_dimension_contract():
+    # a payoff of the first coordinate takes any d; the ball takes only its own
+    ramp, ball = make_payoff("clamp_ramp"), make_payoff("ball_indicator", d=2)
+    assert ramp.d is None and ball.d == 2
+    x = np.array([[0.8, 0.0], [0.2, 0.3]])
+    assert np.array_equal(ramp(x), ramp(x[:, :1]))
+    assert np.array_equal(ball(x), [1.0, 1.0])
+    for bad in (x[:, :1], np.zeros((2, 3)), 0.8):
+        with pytest.raises(InvalidArgumentError, match="d=2"):
+            ball(bad)
+
+
 def test_indicator_power_invariance():
     # |f(x)-f(y)|^q == |f(x)-f(y)|^p exactly for indicator payoffs
     pay = make_payoff("ball_indicator", d=2)

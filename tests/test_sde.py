@@ -65,8 +65,7 @@ def test_integer_x0_gives_float_state():
 
 def test_nonfinite_state_names_step():
     bad = diagonal_model("bad", 1, 1.0, 0.0, drift=lambda t, x: np.full_like(x, np.nan),
-                         sigma=lambda t, x: np.zeros_like(x),
-                         sup_b=0.0, a_lower=0.0, a_upper=0.0)
+                         sigma=lambda t, x: np.zeros_like(x))
     inc = increment_batch(1, 1, 1.0, 4, 0, 2)
     with pytest.raises(NumericFailureError, match="step 0"):
         em_terminal_batch(bad, inc)
@@ -79,8 +78,7 @@ def test_chunked_stepping_equals_one_call(cuts):
     # coefficients depend on t, so a chunk must step at the global times
     model = diagonal_model("moving", 2, 1.0, 0.0,
                            drift=lambda t, x: np.sin(x + 5.0 * t),
-                           sigma=lambda t, x: 1.0 + 0.5 * np.cos(x - 3.0 * t),
-                           sup_b=2**0.5, a_lower=0.25, a_upper=2.25)
+                           sigma=lambda t, x: 1.0 + 0.5 * np.cos(x - 3.0 * t))
     inc = increment_batch(6, 2, 1.0, 24, 1000, 40)
     fine, coarse = coupled_terminal_batch(model, inc, 4)
     sums = block_sums(inc, 4)
@@ -101,8 +99,7 @@ def test_continuation_checks_its_grid():
 def test_nonfinite_state_names_the_global_step():
     blowup = diagonal_model("blowup", 1, 1.0, 0.0,
                             drift=lambda t, x: np.where(t >= 0.5, np.inf, 0.0) + x,
-                            sigma=lambda t, x: np.zeros_like(x),
-                            sup_b=0.0, a_lower=0.0, a_upper=0.0)
+                            sigma=lambda t, x: np.zeros_like(x))
     inc = increment_batch(1, 1, 1.0, 8, 0, 2)
     x = em_terminal_batch(blowup, inc[:, :2], None, None, 0, 8)
     # the chunk's third step is step 4, the first with t = 4/8 >= 0.5
@@ -225,12 +222,23 @@ def test_coupled_fine_matches_euler():
     assert np.array_equal(coarse, em_terminal_batch(model, block_sums(inc, 4)))
 
 
-def verify_model(model, seed=0, n_probe=256):
-    """Numerically spot-check the declared coefficient bounds.
+# sup |b| and the ellipticity bounds of a = diag(sigma)^2 for each registry
+# model at its default params; a_upper = 0 marks a model without noise
+BOUNDS = {
+    "constant": (0.1, 0.2**2, 0.2**2),
+    "sincos": (1.0, 0.5**2, 1.5**2),
+    "sincos2d": (2**0.5, 0.5**2, 1.5**2),
+    "zero": (0.0, 0.0, 0.0),
+    "ode": (1.0, 0.0, 0.0),
+}
+
+
+def verify_model(model, sup_b, a_lower, a_upper, seed=0, n_probe=256):
+    """Numerically spot-check coefficient bounds.
 
     Samples (t, x, xi) and verifies drift boundedness and two-sided
     ellipticity of a = diag(sigma)^2, <a xi, xi> = sum_i (sigma_i xi_i)^2,
-    against the metadata; raises InvalidArgumentError on a violation.
+    against the given bounds; raises InvalidArgumentError on a violation.
     """
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0.0, model.T, n_probe)
@@ -239,24 +247,22 @@ def verify_model(model, seed=0, n_probe=256):
     for t, x in zip(ts, xs):
         xb = x[None, :]
         b = float(np.linalg.norm(model.drift(float(t), xb)[0]))
-        if b > model.meta.sup_b + tol:
-            raise InvalidArgumentError(
-                f"drift bound violated: |b|={b:.6g} > sup_b={model.meta.sup_b}"
-            )
+        if b > sup_b + tol:
+            raise InvalidArgumentError(f"drift bound violated: |b|={b:.6g} > sup_b={sup_b}")
         xi = rng.normal(size=model.d)
         xi /= np.linalg.norm(xi)
         quad = float(np.sum((model.sigma(float(t), xb)[0] * xi) ** 2))
-        if model.meta.a_upper > 0:
-            if quad < model.meta.a_lower - tol or quad > model.meta.a_upper + tol:
+        if a_upper > 0:
+            if quad < a_lower - tol or quad > a_upper + tol:
                 raise InvalidArgumentError(
                     f"ellipticity bounds violated: <a xi, xi>={quad:.6g} outside "
-                    f"[{model.meta.a_lower}, {model.meta.a_upper}]"
+                    f"[{a_lower}, {a_upper}]"
                 )
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
 def test_registry_model_passes_verification(name):
-    verify_model(make_model(name))
+    verify_model(make_model(name), *BOUNDS[name])
 
 
 def test_registry_and_verification():
@@ -264,26 +270,25 @@ def test_registry_and_verification():
         make_model("no_such_model")
     # the drift breaks sup_b
     fast = diagonal_model("fast", 1, 1.0, 0.0, drift=lambda t, x: np.full_like(x, 5.0),
-                          sigma=lambda t, x: np.ones_like(x),
-                          sup_b=1.0, a_lower=1.0, a_upper=1.0)
+                          sigma=lambda t, x: np.ones_like(x))
     with pytest.raises(InvalidArgumentError, match="drift bound"):
-        verify_model(fast)
+        verify_model(fast, 1.0, 1.0, 1.0)
     # sigma = 0.5 in one coordinate lets <a xi, xi> fall below a_lower = 1
     flat = diagonal_model("flat", 2, 1.0, 0.0, drift=lambda t, x: np.zeros_like(x),
-                          sigma=lambda t, x: np.broadcast_to([1.0, 0.5], x.shape),
-                          sup_b=1.0, a_lower=1.0, a_upper=1.0)
+                          sigma=lambda t, x: np.broadcast_to([1.0, 0.5], x.shape))
     with pytest.raises(InvalidArgumentError, match="ellipticity"):
-        verify_model(flat)
+        verify_model(flat, 1.0, 1.0, 1.0)
 
 
 def test_sincos2d_diagonal_consistency():
     # sincos2d is the sin/cos model at d = 2: each coordinate of its drift and
-    # sigma is the one-dimensional model's, and sup |b| = sqrt(2)
+    # sigma is the one-dimensional model's, so sup |b| = sqrt(2) and the
+    # ellipticity bounds are the one-dimensional model's
     one, two = make_model("sincos", cos_amp=0.3), make_model("sincos2d", cos_amp=0.3)
     x = np.random.default_rng(0).normal(size=(5, 2))
     for c in range(2):
         xc = x[:, c : c + 1]
         assert np.array_equal(two.drift(0.3, x)[:, c : c + 1], one.drift(0.3, xc))
         assert np.array_equal(two.sigma(0.3, x)[:, c : c + 1], one.sigma(0.3, xc))
-    assert two.meta.sup_b == np.sqrt(2.0) and one.meta.sup_b == 1.0
-    assert (two.meta.a_lower, two.meta.a_upper) == (one.meta.a_lower, one.meta.a_upper)
+    verify_model(two, np.sqrt(2.0), 0.7**2, 1.3**2)
+    verify_model(one, 1.0, 0.7**2, 1.3**2)

@@ -37,7 +37,9 @@ Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
 - the ``maximal``, ``inequality``, ``rate``, ``mlmc``, ``complexity`` and
   ``density`` CLI artifacts on small configs, and again on configs that set
   only what keeps them small, so the param defaults are compared too
-  (``summary.json`` holds wall times and is left out).
+  (``summary.json`` holds wall times and is left out);
+- ``checks``: the (name, status) pairs of the checks in each of those runs'
+  ``summary.json``, the verdicts the benchmark's gates read.
 
 A change to ``randomkit``'s streams changes every digest drawn from them, and
 only those:
@@ -46,7 +48,8 @@ only those:
   (``constant``, ``sincos``, ``sincos2d``), ``block_sums``, ``chunked``,
   ``windows``, ``carried``, and the ``cli`` artifacts of ``rate``, ``mlmc``,
   ``complexity``, ``density`` and ``inequality`` (a coarse one, such as a
-  fitted exponent, may still match);
+  fitted exponent, may still match), and the ``checks`` of those runs (a
+  verdict may still match);
 - kept by a stream change: ``maximal_at``, ``maximal_field``, ``gsp_field``,
   ``superlevel``, ``mollifier`` and ``pointwise_check`` (their measures and
   pairs come from numpy's ``default_rng``, or from no random numbers at all), the
@@ -340,6 +343,8 @@ def cli_digests():
             for path in sorted(summary.artifacts):
                 if os.path.basename(path) != "summary.json":
                     yield f"cli/{label}/{os.path.basename(path)}", _sha(Path(path).read_bytes())
+            checks = json.loads(Path(out, "summary.json").read_text())["checks"]
+            yield f"checks/{label}", _sha([(c["name"], c["status"]) for c in checks])
 
 
 def emit() -> None:
