@@ -82,21 +82,30 @@ def terminal_histogram(
 
     ``sde.path_terminals`` steps the paths as ``randomkit.path_layout`` cuts
     them, so memory does not grow with n; ``counter`` counts their steps.
+    With a ``value_range`` each window's terminals are binned as they come
+    and the integer counts added up, so memory does not grow with N either;
+    a terminal's bin does not depend on the others, so the counts are those
+    of one pass over all N. With ``value_range`` None the range is the
+    terminals' min and max, so all N terminals are held until it is known.
     """
     if N < MIN_PATHS:
         raise InvalidArgumentError(f"N must be >= {MIN_PATHS}")
     if bins < MIN_BINS:
         raise InvalidArgumentError(f"need at least {MIN_BINS} bins")
-    samples = np.empty(N)
-    for first, b, x, _ in path_terminals(model, increment_batch, seed, n, 0, N,
-                                         counter=counter):
-        samples[first : first + b] = x[:, 0]
+    windows = path_terminals(model, increment_batch, seed, n, 0, N, counter=counter)
     if value_range is None:
+        samples = np.empty(N)
+        for first, b, x, _ in windows:
+            samples[first : first + b] = x[:, 0]
         lo, hi = float(samples.min()), float(samples.max())
         if lo == hi:
             raise InvalidArgumentError("degenerate sample range")
-        value_range = (lo, hi)
-    counts, edges = np.histogram(samples, bins=bins, range=value_range)
+        counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
+    else:
+        counts = 0
+        for _, _, x, _ in windows:
+            binned, edges = np.histogram(x[:, 0], bins=bins, range=value_range)
+            counts = counts + binned
     inside = int(counts.sum())
     if inside == 0:
         raise InvalidArgumentError("empty histogram range")

@@ -10,12 +10,18 @@ The 1D, atomic and G_{s,p} kernels work in blocks of at most KERNEL_ELEMENTS
 pairs, so their memory does not grow with the number of points or nodes. A
 G_{s,p} block is filled in two passes (copy x, subtract y in place), and
 squared without |.| at p = 2. A 2D maximal_field reuses one transform of the
-cell masses for every radius, and a 2D maximal_at call looks up the radius
-bins of all its points that sit on nodes of a dyadic grid in one table over
-integer node offsets; pointwise_check sends both ends of its pairs through one
-such call. Each of these forms does the same floating-point operations in the
-same order as the plain form it replaces, so its values are the same bit for
-bit.
+cell masses for every radius, and gathers each disk's row transforms from one
+table of the transforms of the interval rows |off| <= w. Its radius ladder
+stops once the total mass (times 1 + 1e-6, for rounding) over the next disk's
+volume is no larger than the smallest node value: a disk holds at most the
+total, so no later radius can raise a node. A 2D maximal_at call finds the
+ladder tops, node indices and windows of all its points in one pass, in
+blocks of at most KERNEL_ELEMENTS offsets, and looks up the radius bins of
+all its points that sit on nodes of a dyadic grid in one table over integer
+node offsets; pointwise_check sends both ends of its pairs through one such
+call. Each of these forms does the same floating-point operations in the same
+order as the plain form it replaces, or skips only operations that cannot
+change a value, so its values are the same bit for bit.
 
 The layer needs numpy only. 2D maximal_field runs on numpy's pocketfft: the
 inverse transforms are unscaled (norm="forward") and the kept block is then
@@ -266,7 +272,9 @@ def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np
     grid with dyadic spacing).
     Its bins depend only on those integers, so all such points of a call
     slice one table of bins, built once for the largest window; other points
-    compute their bins from their offsets. Both give the same bins.
+    compute their bins from their offsets. Both give the same bins. The
+    ladder tops, node indices and windows of all points come from one blocked
+    pass, _ladder_setup.
     """
     h = density.spacing
     ax = density.axis_nodes()
@@ -275,30 +283,25 @@ def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np
     # the rows and the columns from the first to the last that hold mass
     held = (_span(np.flatnonzero(weights.any(axis=1))),
             _span(np.flatnonzero(weights.any(axis=0))))
-    steps = h * np.arange(1 - n, n)  # h * a for every node offset a
-    k_tops = [_ladder_top(density, x, r) for x, r in zip(xs, R)]
-    nodes = [(_node_index(ax - x[0], steps), _node_index(ax - x[1], steps))
-             for x in xs]
-    half = max((k + 1 for k, node in zip(k_tops, nodes) if k >= 1 and None not in node),
-               default=0)
+    k_tops, nodes, windows = _ladder_setup(density, xs, R, held)
+    on_grid = (k_tops >= 1) & (nodes >= 0).all(axis=1)
+    half = int(k_tops[on_grid].max(initial=-1)) + 1
     c = min(half, n - 1)
     table = _bin_table(h, c) if half else None
     # the covering volume of ladder radius k at [k - 1], for the largest k_max
-    ks = np.arange(1, max(k_tops, default=0) + 1)
+    ks = np.arange(1, k_tops.max(initial=0) + 1)
     volumes = ball_volume(2, (ks + 0.5) * h)
     out = np.zeros(len(xs))
-    for p, (x, k_max, (i, j)) in enumerate(zip(xs, k_tops, nodes)):
+    for p, (x, k_max, (i, j), (r0, r1, c0, c1)) in enumerate(
+            zip(xs, k_tops.tolist(), nodes.tolist(), windows.tolist())):
         if k_max < 1:
             continue
-        reach = (k_max + 1) * h
-        dx, rows = _window(ax - x[0], reach, held[0])
-        dy, cols = _window(ax - x[1], reach, held[1])
-        if i is None or j is None:
-            dist = np.sqrt(dx[:, None] ** 2 + dy[None, :] ** 2)
+        rows, cols = slice(r0, r1), slice(c0, c1)
+        if i < 0 or j < 0:
+            dist = np.sqrt((ax[rows] - x[0])[:, None] ** 2 + (ax[cols] - x[1])[None, :] ** 2)
             bins = np.ceil(dist / h - 1e-12).astype(int)
         else:  # the window's offsets are a run of h * a with |a| <= k_max + 1
-            bins = table[rows.start - i + c : rows.stop - i + c,
-                         cols.start - j + c : cols.stop - j + c]
+            bins = table[r0 - i + c : r1 - i + c, c0 - j + c : c1 - j + c]
         counts = np.bincount(bins.ravel(), weights=weights[rows, cols].ravel(),
                              minlength=k_max + 1)
         cum = np.cumsum(counts[: k_max + 1])
@@ -306,20 +309,46 @@ def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np
     return out
 
 
-def _ladder_top(density: GridField, x: np.ndarray, r: float) -> int:
-    """The largest ladder index k with k h <= r, capped beyond the grid's reach."""
+def _ladder_setup(density: GridField, xs: np.ndarray, R: np.ndarray,
+                  held: tuple[slice, slice]):
+    """Each point's ladder top, node indices and windows, in one pass.
+
+    Returns k_tops (P,), the largest k with k h <= R, capped beyond the
+    grid's reach; nodes (P, 2), the node i at which the offsets ax - x[a]
+    equal h * (j - i) for every node j bit for bit, or -1 if none; and
+    windows (P, 4), the row and the column start and stop of the nodes in
+    ``held`` within (k_top + 1) h of x, (0, 0) if there are none. Offsets are
+    sorted, so a window starts after the offsets below -reach and stops after
+    those at or below +reach. Points go through in blocks of at most
+    KERNEL_ELEMENTS offsets.
+    """
     h = density.spacing
-    diam = (density.hi - density.lo) * math.sqrt(2.0) + float(np.max(np.abs(x)))
-    k_cap = math.ceil(diam / h) + 1
-    return k_cap if math.isinf(r) else int(min(math.floor(r / h + 1e-12), k_cap))
-
-
-def _node_index(offsets: np.ndarray, steps: np.ndarray) -> int | None:
-    """The node i at which offsets (n of them) equal steps[n - 1 - i : 2n - 1 - i]
-    exactly, that is h * (j - i) for every node j; None if there is none."""
-    n = offsets.size
-    i = int(np.argmin(np.abs(offsets)))
-    return i if np.array_equal(offsets, steps[n - 1 - i : 2 * n - 1 - i]) else None
+    ax = density.axis_nodes()
+    n = ax.size
+    diam = (density.hi - density.lo) * math.sqrt(2.0) + np.abs(xs).max(axis=1)
+    k_tops = np.minimum(np.floor(R / h + 1e-12), np.ceil(diam / h) + 1)
+    if not k_tops.max(initial=0) < 2**62:  # no array holds such a ladder
+        raise InvalidArgumentError("points lie too far from the grid for its radius ladder")
+    k_tops = k_tops.astype(np.intp)
+    reach = (k_tops + 1) * h
+    steps = h * np.arange(1 - n, n)  # h * a for every node offset a
+    lo = np.array([held[0].start, held[1].start])
+    hi = np.array([held[0].stop, held[1].stop])
+    nodes = np.empty((len(xs), 2), dtype=np.intp)
+    windows = np.empty((len(xs), 2, 2), dtype=np.intp)
+    block = max(1, KERNEL_ELEMENTS // (2 * n))
+    for b in range(0, len(xs), block):
+        off = ax - xs[b : b + block, :, None]  # (B, 2, n): ax - x[a] per axis a
+        i = np.abs(off).argmin(axis=2)
+        exact = (off == steps[(n - 1 - i)[..., None] + np.arange(n)]).all(axis=2)
+        nodes[b : b + block] = np.where(exact, i, -1)
+        r = reach[b : b + block, None, None]
+        start = np.maximum(np.count_nonzero(off < -r, axis=2), lo)
+        stop = np.minimum(np.count_nonzero(off <= r, axis=2), hi)
+        empty = start >= stop
+        start[empty] = stop[empty] = 0
+        windows[b : b + block] = np.stack([start, stop], axis=2)
+    return k_tops, nodes, windows.reshape(len(xs), 4)
 
 
 def _bin_table(h: float, c: int) -> np.ndarray:
@@ -347,26 +376,21 @@ def _span(indices: np.ndarray) -> slice:
     return slice(indices[0], indices[-1] + 1) if indices.size else slice(0, 0)
 
 
-def _window(offsets: np.ndarray, reach: float, held: slice) -> tuple[np.ndarray, slice]:
-    """The offsets in ``held`` with |offset| <= reach (a contiguous run of sorted
-    offsets) and the slice that selects them."""
-    run = _span(np.flatnonzero(np.abs(offsets[held]) <= reach) + held.start)
-    return offsets[run], run
-
-
 def maximal_at(measure: GridMeasure, x, R=math.inf):
     """M_R nu(x): sup over 0 < s <= R of |nu|(B(x;s)) / Leb(B(x;s)).
 
     x is one point, shape (d,), or a batch of points, shape (P, d); R is a
     scalar or one bound per point, shape (P,). A single point gives a float,
-    a batch an array of shape (P,), from the same kernels.
+    a batch an array of shape (P,), from the same kernels. Every point must
+    be finite, whatever the measure.
 
     Exact for purely atomic measures and for 1D densities (piecewise-constant
     cell integration; the sup is attained at a cell-boundary radius). 2D
     densities restrict radii to spacing multiples and cover the included cell
     material with the ball of radius (k + 1/2) h, a conservative lower bound;
-    a call builds one bin table for all its points on the node grid (see
-    _density_maximal_2d), and the values do not depend on it.
+    a call finds the ladder tops, node indices and windows of all its points
+    in one blocked pass and builds one bin table for all its points on the
+    node grid (see _density_maximal_2d); the values do not depend on either.
     """
     R = _positive(R, "radius bound")
     x = np.asarray(x, dtype=float)
@@ -374,6 +398,8 @@ def maximal_at(measure: GridMeasure, x, R=math.inf):
     if xs.ndim != 2 or xs.shape[1] != measure.d:
         raise InvalidArgumentError(
             f"points must have shape (d,) or (P, d) with d = {measure.d}, got {x.shape}")
+    if not np.isfinite(xs).all():
+        raise InvalidArgumentError("points must be finite")
     if R.shape not in ((), (len(xs),)):
         raise InvalidArgumentError(f"R must be a scalar or have shape ({len(xs)},)")
     R = np.full(len(xs), R) if R.ndim == 0 else R
@@ -393,8 +419,17 @@ def maximal_field(measure: GridMeasure, R: float = math.inf) -> GridField:
 
     1D fields run the exact kernel of maximal_at over all nodes at once. 2D
     fields take one rfft2 of the cell masses, at a shape that holds the
-    largest disk without wrap-around, then per ladder radius k one transform
-    of the disk kernel and one inverse, with the (k + 1/2) h covering volume.
+    largest disk without wrap-around, and one rfft of every interval row
+    |off| <= w, w = 0..reach, and of the empty row. Row i of the disk of
+    radius k is the interval w = floor(sqrt(k^2 - i^2)), so each disk's row
+    transforms are gathered from that table; one column transform and one
+    inverse per radius follow, with the (k + 1/2) h covering volume.
+
+    The ladder stops at the first k with total (1 + 1e-6) / vol_k <= the
+    smallest node value: a disk holds at most the total mass, and vol_k grows
+    with k, so no later radius can raise a node; the margin covers the
+    rounding of the sum and of the transforms. An all-zero density
+    transforms no disk.
     """
     R = float(_positive(R, "radius bound"))
     if measure.density is None:
@@ -413,23 +448,32 @@ def maximal_field(measure: GridMeasure, R: float = math.inf) -> GridField:
     reach = min(k_max, n - 1)
     L = _next_fast_len(n + reach)
     mass_hat = np.fft.rfft2(cell_mass, s=(L, L))
+    # |off| of each column: off = j up to reach, j - L from L - reach on; the
+    # columns between lie in no interval
     idx = np.arange(L)
-    off = np.where(idx <= reach, idx, idx - L).astype(float)
-    off[reach + 1 : L - reach] = math.inf  # outside the largest box
-    # rows 0..L/2 only: off[L - i] = -off[i], so a disk's row L - i is its row i
-    rad2 = off[: L // 2 + 1, None] ** 2 + off[None, :] ** 2
+    dist = np.minimum(idx, L - idx)
+    # table[w] transforms the row of |off| <= w, and table[reach + 1] the empty row
+    table = np.fft.rfft(dist <= np.append(np.arange(reach + 1), -1)[:, None], axis=1)
+    # rows 0..min(k, reach) of disk k hold intervals, the rest up to L/2 none
+    width = np.full(L // 2 + 1, reach + 1)
     out = np.zeros_like(cell_mass)
     scale = 1.0 / (L * L)
+    bound = float(cell_mass.sum()) * (1.0 + 1e-6)
     for k in range(1, k_max + 1):
-        # rfft2 of the disk: one row transform serves rows i and L - i
-        top = np.fft.rfft(rad2 <= k * k, axis=1)
-        kern_hat = np.fft.fft(np.concatenate([top, top[(L - 1) // 2 : 0 : -1]]), axis=0)
+        volume = ball_volume(2, (k + 0.5) * h)
+        if bound / volume <= out.min():
+            break
+        i = np.arange(min(k, reach) + 1)
+        width[: i.size] = np.minimum(np.sqrt(k * k - i * i).astype(int), reach)
+        # the disk's rows 0..L/2, with row L - i equal to row i
+        kern_hat = np.fft.fft(table[np.concatenate([width, width[(L - 1) // 2 : 0 : -1]])],
+                              axis=0)
         # the inverse of the n rows the output keeps, scaled as scipy.fft.irfft2
         # scales; the product keeps its operand order, since numpy may fuse a
         # complex product's multiply-adds and round b * a unlike a * b
         rows = np.fft.ifft(mass_hat * kern_hat, axis=0, norm="forward")[:n]
         mass = np.fft.irfft(rows, n=L, axis=1, norm="forward")[:, :n] * scale
-        np.maximum(out, np.maximum(mass, 0.0) / ball_volume(2, (k + 0.5) * h), out=out)
+        np.maximum(out, np.maximum(mass, 0.0) / volume, out=out)
     return GridField(d=2, lo=density.lo, hi=density.hi, spacing=h, values=out)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,3 +123,27 @@ def test_histogram_draws_and_steps_in_bounded_chunks(monkeypatch):
     assert max(drawn) <= budget // 8  # overlapped: two chunks in flight
     assert np.array_equal(chunked.edges, whole.edges)
     assert np.array_equal(chunked.counts, whole.counts)
+
+
+def test_histogram_with_a_range_does_not_hold_the_terminals():
+    # each window is binned as it comes: 8x the paths, the same peak, and the
+    # counts of one pass over all terminals
+    model = make_model("constant", mu=0.0, sigma=1.0)
+
+    def peak(N):
+        tracemalloc.start()
+        try:
+            hist = terminal_histogram(model, 1, N, 40, seed=6, value_range=(-4.0, 4.0))
+            return hist, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    N = 1 << 16  # one full window of paths
+    hist, small = peak(N)
+    _, large = peak(8 * N)
+    assert large <= small + (1 << 16)  # an 8N terminal array would add 3.5 MB
+    terminals = np.concatenate([x[:, 0] for _, _, x, _ in sde.path_terminals(
+        model, dg.increment_batch, 6, 1, 0, N)])
+    counts, edges = np.histogram(terminals, bins=40, range=(-4.0, 4.0))
+    assert np.array_equal(hist.counts, counts) and np.array_equal(hist.edges, edges)
+    assert hist.N == counts.sum()

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
 from scipy.ndimage import gaussian_filter
@@ -335,6 +337,106 @@ def test_bin_table_memory_is_the_table(monkeypatch):
     assert peak <= 1.6 * built[0].nbytes
 
 
+# The per-point set-up of the 2D kernel as it was before one blocked pass
+# replaced it; _ladder_setup must give the same tops, nodes and windows.
+
+
+def _ladder_top_before(density, x, r):
+    h = density.spacing
+    diam = (density.hi - density.lo) * math.sqrt(2.0) + float(np.max(np.abs(x)))
+    k_cap = math.ceil(diam / h) + 1
+    return k_cap if math.isinf(r) else int(min(math.floor(r / h + 1e-12), k_cap))
+
+
+def _node_index_before(offsets, steps):
+    n = offsets.size
+    i = int(np.argmin(np.abs(offsets)))
+    return i if np.array_equal(offsets, steps[n - 1 - i : 2 * n - 1 - i]) else None
+
+
+def _window_before(offsets, reach, held):
+    run = mx._span(np.flatnonzero(np.abs(offsets[held]) <= reach) + held.start)
+    return run.start, run.stop
+
+
+def _setup_before(density, xs, R, held):
+    h = density.spacing
+    ax = density.axis_nodes()
+    steps = h * np.arange(1 - ax.size, ax.size)
+    tops, nodes, windows = [], [], []
+    for x, r in zip(xs, R):
+        k = _ladder_top_before(density, x, r)
+        tops.append(k)
+        nodes.append([-1 if i is None else i
+                      for i in (_node_index_before(ax - x[a], steps) for a in (0, 1))])
+        windows.append([*_window_before(ax - x[0], (k + 1) * h, held[0]),
+                        *_window_before(ax - x[1], (k + 1) * h, held[1])])
+    return tops, nodes, windows
+
+
+def _held(density):
+    weights = density.values * density.spacing**2
+    return (mx._span(np.flatnonzero(weights.any(axis=1))),
+            mx._span(np.flatnonzero(weights.any(axis=0))))
+
+
+def _zero_rows_and_columns(density):
+    values = density.values.copy()
+    values[:9] = values[:, -5:] = 0.0
+    return GridField(d=2, lo=density.lo, hi=density.hi, spacing=density.spacing,
+                     values=values)
+
+
+@pytest.mark.parametrize("case", ["dyadic", "random", "zero-edges", "empty"])
+def test_ladder_setup_equals_the_per_point_helpers(case):
+    rng = np.random.default_rng(17)
+    density = (dyadic_ball_2d(rng) if case == "dyadic" else random_density_2d(rng)).density
+    if case == "zero-edges":
+        density = _zero_rows_and_columns(density)
+    elif case == "empty":  # no row or column holds mass
+        density = GridField(d=2, lo=density.lo, hi=density.hi, spacing=density.spacing,
+                            values=np.zeros_like(density.values))
+    h = density.spacing
+    nodes = density.node_coords()
+    # on nodes, off nodes and outside the box, more than one block of points
+    xs = np.concatenate([nodes[rng.integers(0, len(nodes), 300)],
+                         rng.uniform(-2.5, 2.5, (300, 2)),
+                         rng.uniform(-9.0, 9.0, (40, 2)), [[9.0, -9.0], [0.0, 40.0]]])
+    assert len(xs) > mx.KERNEL_ELEMENTS // (2 * density.n_nodes_per_axis)
+    held = _held(density)
+    for R in (np.full(len(xs), math.inf), np.full(len(xs), 0.5 * h),
+              np.full(len(xs), 0.5), rng.uniform(0.01, 3.0, len(xs))):
+        tops, at, windows = mx._ladder_setup(density, xs, R, held)
+        assert (tops.tolist(), at.tolist(), windows.tolist()) == _setup_before(
+            density, xs, R, held)
+    if case == "empty":
+        assert not windows.any()
+        assert not mx._density_maximal_2d(density, xs, R).any()
+
+
+def _nonfinite_measures():
+    rng = np.random.default_rng(8)
+    return [random_atomic_measure(rng), random_density_1d(rng), random_density_2d(rng)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("nu", _nonfinite_measures(), ids=["atomic", "1d", "2d"])
+def test_nonfinite_points_rejected(nu, bad):
+    x = np.zeros(nu.d)
+    x[-1] = bad
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        maximal_at(nu, x)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        maximal_at(nu, np.stack([np.zeros(nu.d), x]), 1.0)
+
+
+def test_a_ladder_top_beyond_any_array_is_rejected():
+    # its top does not fit an integer; cast anyway, it would read 0.0
+    nu = random_density_2d(np.random.default_rng(8))
+    with pytest.raises(InvalidArgumentError, match="too far"):
+        maximal_at(nu, [1e20, 0.0])
+
+
 def test_maximal_at_shapes():
     nu = random_density_2d(np.random.default_rng(3))
     assert isinstance(maximal_at(nu, [0.1, 0.2]), float)
@@ -560,6 +662,95 @@ def test_maximal_field_2d_matches_fftconvolve_ladder(seed):
     nu = random_density_2d(np.random.default_rng(seed))
     for R in (math.inf, 0.3, 0.5 * nu.density.spacing):
         _assert_close(maximal_field(nu, R).values, _ref_maximal_field_2d(nu.density, R))
+
+
+# 2D maximal_field as it was before the interval table and the stop rule:
+# one rfft of the disk mask per radius, and every radius of the ladder. The
+# new field must equal it bit for bit.
+
+
+def _maximal_field_2d_before(density, R):
+    h = density.spacing
+    cell_mass = density.values * h**2
+    n = cell_mass.shape[0]
+    diam_cells = int(math.ceil((density.hi - density.lo) / h * math.sqrt(2.0))) + 1
+    k_max = int(min(math.floor(R / h + 1e-12), diam_cells)) if math.isfinite(R) else diam_cells
+    reach = min(k_max, n - 1)
+    L = mx._next_fast_len(n + reach)
+    mass_hat = np.fft.rfft2(cell_mass, s=(L, L))
+    idx = np.arange(L)
+    off = np.where(idx <= reach, idx, idx - L).astype(float)
+    off[reach + 1 : L - reach] = math.inf
+    rad2 = off[: L // 2 + 1, None] ** 2 + off[None, :] ** 2
+    out = np.zeros_like(cell_mass)
+    scale = 1.0 / (L * L)
+    for k in range(1, k_max + 1):
+        top = np.fft.rfft(rad2 <= k * k, axis=1)
+        kern_hat = np.fft.fft(np.concatenate([top, top[(L - 1) // 2 : 0 : -1]]), axis=0)
+        rows = np.fft.ifft(mass_hat * kern_hat, axis=0, norm="forward")[:n]
+        mass = np.fft.irfft(rows, n=L, axis=1, norm="forward")[:, :n] * scale
+        np.maximum(out, np.maximum(mass, 0.0) / ball_volume(2, (k + 0.5) * h), out=out)
+    return out
+
+
+@st.composite
+def densities_2d(draw):
+    """2D densities on 2 to 60 cells: random masses with zero rows and
+    columns, one hot cell, all mass in a corner, uniform, or all zero."""
+    cells = draw(st.integers(2, 60))
+    kind = draw(st.sampled_from(["zeroed", "hot", "corner", "uniform", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = cells + 1
+    values = np.zeros((n, n))
+    if kind == "zeroed":
+        values = rng.uniform(0.0, 2.0, (n, n))
+        values[rng.random(n) < 0.3] = 0.0
+        values[:, rng.random(n) < 0.3] = 0.0
+    elif kind == "hot":
+        values[tuple(rng.integers(0, n, 2))] = rng.uniform(0.1, 100.0)
+    elif kind == "corner":
+        m = int(rng.integers(1, n + 1))
+        values[:m, :m] = rng.uniform(0.0, 1.0, (m, m))
+    elif kind == "uniform":
+        values[:] = rng.uniform(0.1, 2.0)
+    return measure_from_density(
+        GridField(d=2, lo=-2.0, hi=2.0, spacing=4.0 / cells, values=values))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(nu=densities_2d(), between=st.floats(0.0, 1.0))
+def test_maximal_field_2d_equals_the_per_radius_loop(nu, between):
+    h = nu.density.spacing
+    for R in (0.5 * h, h + between * (4.0 * math.sqrt(2.0) - h), math.inf):
+        new = maximal_field(nu, R).values
+        ref = _maximal_field_2d_before(nu.density, R)
+        assert np.array_equal(new, ref)
+        assert not np.signbit(new).any()
+
+
+def _count_inverse_transforms(monkeypatch):
+    calls = []
+    irfft = np.fft.irfft
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counting)
+    return calls
+
+
+def test_maximal_field_ladder_stops_early(monkeypatch):
+    calls = _count_inverse_transforms(monkeypatch)
+    nu = random_density_2d(np.random.default_rng(5))
+    values = maximal_field(nu).values
+    k_max = math.ceil(48 * math.sqrt(2.0)) + 1  # the ladder of the 48-cell grid
+    assert 0 < len(calls) < k_max
+    assert np.array_equal(values, _maximal_field_2d_before(nu.density, math.inf))
+    calls.clear()
+    zero = GridField(d=2, lo=-2.0, hi=2.0, spacing=4.0 / 48, values=np.zeros((49, 49)))
+    assert not maximal_field(measure_from_density(zero)).values.any()
+    assert calls == []  # an all-zero density transforms no disk
 
 
 # scipy oracles: the layer runs on numpy alone, and must give what these scipy

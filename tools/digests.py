@@ -5,7 +5,9 @@ Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
 - ``maximal_at`` (one point per call, and batches of points), ``maximal_field``
   and ``gsp_field`` on the seeded random measures, in 1D and 2D, and
   ``maximal_at`` on nodes and off-grid points of a 64-cell ball grid, whose
-  dyadic spacing puts its nodes on the 2D kernel's bin table; ``gsp_field``
+  dyadic spacing puts its nodes on the 2D kernel's bin table, and
+  ``maximal_field`` of that grid at R = inf and 0.7 (its mass sits on an
+  annulus, so the radius ladder stops elsewhere than on Gaussian bumps); ``gsp_field``
   at (s, p) = (0.5, 2), where the power is a square, and at (0.3, 1.5),
   (0.5, 1) and (0.7, 3), where it takes |f(x) - f(y)| first;
 - ``superlevel_measure_atomic`` on the seeded atomic measures at 12 lambdas;
@@ -197,6 +199,8 @@ def maximal_digests():
         one = np.array([mx.maximal_at(nu, x, r) for x, r in zip(xs, R)])
         yield f"maximal_at/point/ball64/R={label}", _sha(one)
         yield f"maximal_at/batch/ball64/R={label}", _sha(_batch(mx, nu, xs, R))
+    for R in (math.inf, 0.7):
+        yield f"maximal_field/ball64/R={R}", _sha(mx.maximal_field(nu, R).values)
     tent = lambda x: np.maximum(0.0, 1.0 - np.abs(x[..., 0]))  # noqa: E731
     for cells in (32, 257):
         f = mx.GridField.from_function(tent, 1, -2.0, 2.0, cells)
