@@ -8,6 +8,13 @@ lower-bound bias. The weak-type bound is checked against A_1 = 5^d.
 
 The 1D, atomic and G_{s,p} kernels work in blocks of at most KERNEL_ELEMENTS
 pairs, so their memory does not grow with the number of points or nodes. A
+1D grid is exact when, with u = h / 2 = m 2^e for an odd m, lo = a u for an
+integer a and m (|a| + 4 N + 4) < 2^53 (checked once per call, in integers):
+then every node, bound, offset |x - b| and reflection x +/- |x - b| of a node
+point is an integer multiple of u, computed with no rounding, so np.interp
+at x +/- |x - b| returns a prefix entry or an end value. Node points of
+exact grids read those entries by index from a padded prefix, one candidate
+per distance, and other points interpolate; the sums are the same. A
 G_{s,p} block is filled in two passes (copy x, subtract y in place), and
 squared without |.| at p = 2. A 2D maximal_field reuses one transform of the
 cell masses for every radius, and gathers each disk's row transforms from one
@@ -19,9 +26,12 @@ ladder tops, node indices and windows of all its points in one pass, in
 blocks of at most KERNEL_ELEMENTS offsets, and looks up the radius bins of
 all its points that sit on nodes of a dyadic grid in one table over integer
 node offsets; pointwise_check sends both ends of its pairs through one such
-call. Each of these forms does the same floating-point operations in the same
-order as the plain form it replaces, or skips only operations that cannot
-change a value, so its values are the same bit for bit.
+call. A 2D point's ladder runs from the bin of its nearest window node to
+that of its farthest: smaller disks are empty, and larger ones hold the same
+mass over a larger volume. Each of these forms does the same floating-point
+operations in the same order as the plain form it replaces, or skips only
+operations that cannot change a value, so its values are the same bit for
+bit.
 
 The layer needs numpy only. 2D maximal_field runs on numpy's pocketfft: the
 inverse transforms are unscaled (norm="forward") and the kept block is then
@@ -205,29 +215,31 @@ def _positive(values, what: str) -> np.ndarray:
     return values
 
 
-def _atomic_maximal(measure: GridMeasure, xs: np.ndarray, R: np.ndarray) -> np.ndarray:
+def _atomic_maximal(measure: GridMeasure, xs: np.ndarray, R) -> np.ndarray:
     """M_R of an atomic measure at each row of xs (P, d), shape (P,).
 
     Closed-ball mass is right-continuous in s and mass/vol decreases between
     atom distances, so the sup is attained at an admissible atom distance; a
-    point on an atom gets inf. Rows go through in blocks of at most
-    KERNEL_ELEMENTS (point, atom) distances.
+    point on an atom gets inf. R is a scalar or one bound per point. Rows go
+    through in blocks of at most KERNEL_ELEMENTS (point, atom) distances.
     """
-    atoms, masses = measure.atoms, measure.masses
+    atoms, masses, d = measure.atoms, measure.masses, measure.d
     out = np.empty(len(xs))
     rows = max(1, KERNEL_ELEMENTS // atoms.shape[0])
     for i in range(0, len(xs), rows):
-        # np.linalg.norm along the last axis: the root of the reduced squares
+        # np.linalg.norm along the last axis: the root of the reduced squares,
+        # where the sum of one square is that square
         sq = atoms - xs[i : i + rows, None, :]
         sq *= sq
-        dist = np.sqrt(np.add.reduce(sq, axis=2))
-        cum = masses[dist.argsort(axis=1)].cumsum(axis=1)
+        dist = np.sqrt(sq[..., 0] if d == 1 else np.add.reduce(sq, axis=2))
+        cum = np.add.accumulate(masses[dist.argsort(axis=1)], axis=1)  # cumsum
         dist.sort(axis=1)
-        vol = ball_volume(measure.d, dist)
-        # cum > 0, so cum / vol is inf where vol == 0, as on an atom
-        ratios = np.divide(cum, vol, out=np.full_like(cum, math.inf), where=vol > 0.0)
+        # cum > 0, so cum / 0 is inf, as on an atom
+        with np.errstate(divide="ignore"):
+            cum /= ball_volume(d, dist)
         # ratios are positive, so 0 stands for "no admissible atom"
-        out[i : i + rows] = np.where(dist <= R[i : i + rows, None], ratios, 0.0).max(axis=1)
+        cum[dist > (R if isinstance(R, float) else R[i : i + rows, None])] = 0.0
+        out[i : i + rows] = cum.max(axis=1)
     return out
 
 
@@ -236,22 +248,114 @@ def _density_maximal_1d(density: GridField, xs: np.ndarray, R) -> np.ndarray:
 
     Exact: between the radii at which x +/- s crosses a cell boundary b the
     ratio mass / (2s) is monotone, so the sup over 0 < s <= R is attained at
-    one of s = min(|x - b|, R). R is a scalar or one bound per point. Points
-    go through in row blocks of at most KERNEL_ELEMENTS candidates (or one
-    row), so memory does not grow with P.
+    one of s = min(|x - b|, R), with mass from np.interp of the prefix sums
+    at x +/- s. R is a scalar or one bound per point.
+
+    On an exact grid (_node_index_1d) every node, bound, offset and
+    reflection of a node point is computed with no rounding, so at node i the
+    interpolation of each bound's candidate returns prefix[min(i + o + 1, N)]
+    and prefix[max(i - o, 0)] for an offset o, or an end value: such points
+    read those entries by index (_node_maximal_1d) and give the same sums,
+    and so the same values, bit for bit. Other points, and every point of a
+    grid that is not exact, interpolate. Points go through in row blocks of
+    at most KERNEL_ELEMENTS candidates (or one row), so memory does not grow
+    with P.
     """
     h = density.spacing
-    bounds = density.lo - 0.5 * h + h * np.arange(density.n_nodes_per_axis + 1)
+    n = density.n_nodes_per_axis
+    bounds = density.lo - 0.5 * h + h * np.arange(n + 1)
     prefix = np.concatenate([[0.0], np.cumsum(density.values * h)])
     R = np.broadcast_to(R, xs.shape)
     out = np.empty(xs.size)
+    node = _node_index_1d(density, xs)
+    on = np.flatnonzero(node >= 0)
+    if on.size:
+        with np.errstate(invalid="ignore"):  # inf - inf of an overflowed prefix, as below
+            out[on] = _node_maximal_1d(prefix, bounds, h, xs[on], node[on], R[on])
+    rest = np.flatnonzero(node < 0)
     rows = max(1, KERNEL_ELEMENTS // bounds.size)
-    for i in range(0, xs.size, rows):
-        x = xs[i : i + rows, None]
-        s = np.minimum(np.abs(x - bounds), R[i : i + rows, None])
+    for i in range(0, rest.size, rows):
+        p = rest[i : i + rows]
+        x = xs[p, None]
+        s = np.minimum(np.abs(x - bounds), R[p, None])
         mass = np.interp(x + s, bounds, prefix) - np.interp(x - s, bounds, prefix)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out[i : i + rows] = np.where(s > 0, mass / (2.0 * s), 0.0).max(axis=1)
+            out[p] = np.where(s > 0, mass / (2.0 * s), 0.0).max(axis=1)
+    return out
+
+
+def _node_index_1d(density: GridField, xs: np.ndarray) -> np.ndarray:
+    """The node index of each point of xs that equals a node of an exact grid
+    bit for bit, -1 for other points and for every point of other grids.
+
+    A grid is exact when, with u = h / 2 = m 2^e for an odd integer m, lo is
+    a u for an integer a and m (|a| + 4 N + 4) < 2^53, for N nodes: then every
+    node, bound, offset |x - b|, reflection x +/- |x - b| and 2 |x - b| of a
+    node point is an integer multiple of u below 2^53 m 2^e in magnitude, so
+    computing it rounds nothing. The test is made once, in integers, with
+    float.as_integer_ratio.
+    """
+    h, lo = float(density.spacing), float(density.lo)
+    n = density.n_nodes_per_axis
+    h_num, h_den = h.as_integer_ratio()  # u = h_num / (2 h_den)
+    lo_num, lo_den = lo.as_integer_ratio()
+    a, rest = divmod(lo_num * 2 * h_den, lo_den * h_num)
+    m = h_num // (h_num & -h_num)
+    size = abs(a) + 4 * n + 4
+    # 0.5 * h rounds nothing unless h is subnormal, and the largest multiple
+    # of u must not overflow
+    if rest or m * size >= 2**53 or 0.5 * h * 2.0 != h or not math.isfinite(0.5 * h * size):
+        return np.full(xs.size, -1)
+    i = np.clip(np.rint((xs - lo) / h), 0, n - 1).astype(np.intp)
+    # lo + h * i is node i as axis_nodes computes it
+    return np.where(lo + h * i == xs, i, -1)
+
+
+def _node_maximal_1d(prefix: np.ndarray, bounds: np.ndarray, h: float, xs: np.ndarray,
+                     node: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """_density_maximal_1d at points xs that are nodes of an exact grid.
+
+    At node i the bounds i - o and i + o + 1 both lie at |x - b| = (o + 1/2) h,
+    so they give one candidate, and np.interp at x +/- (o + 1/2) h, which are
+    bounds or lie beyond the ends, returns prefix[min(i + o + 1, N)] and
+    prefix[max(i - o, 0)], read here from a padded prefix. A row's maximum
+    runs over its offsets within R; offsets past max(i, N - 1 - i) add the
+    total mass at a larger radius, which raises nothing. The bounds past R
+    share the one candidate s = R, interpolated as before. Points go through
+    sorted by their number of offsets, in blocks of at most KERNEL_ELEMENTS.
+    """
+    n = prefix.size - 1
+    # padded[k + n + 1] = prefix[clip(k, 0, n)] for -n - 1 <= k <= 2n + 1, and
+    # row j of the window view holds padded[j : j + n]
+    padded = np.concatenate([np.zeros(n + 1), prefix, np.full(n + 1, prefix[-1])])
+    window = sliding_window_view(padded, n)
+    half = (np.arange(n) + 0.5) * h  # |x - b| at offset o, exactly
+    reach = np.maximum(node, n - 1 - node) + 1  # the offsets that hold a bound
+    free = np.searchsorted(half, R, side="right")  # the offsets within R
+    need = np.minimum(reach, free)
+    order = np.argsort(need)
+    first = np.searchsorted(need[order], 1)
+    out = np.empty(xs.size)
+    out[order[:first]] = -math.inf  # every bound lies beyond R
+    rows = max(1, KERNEL_ELEMENTS // n)
+    for b in range(first, xs.size, rows):
+        p = order[b : b + rows]
+        width = int(need[p[-1]])
+        at = node[p]
+        mass = window[at + n + 2, :width]  # prefix[i + o + 1]
+        mass -= window[at + 2, n - width :][:, ::-1]  # prefix[i - o]
+        mass /= 2.0 * half[:width]
+        # each row's maximum over its first min(free, width) >= 1 offsets; the
+        # last row's run ends the array, as its free >= need = width
+        runs = np.empty(2 * p.size, dtype=np.intp)
+        runs[::2] = width * np.arange(p.size)
+        runs[1::2] = runs[::2] + np.minimum(free[p], width)
+        out[p] = np.maximum.reduceat(mass.ravel(), runs[:-1])[::2]
+    clipped = np.flatnonzero(free < reach)
+    if clipped.size:
+        x, r = xs[clipped], R[clipped]
+        mass = np.interp(x + r, bounds, prefix) - np.interp(x - r, bounds, prefix)
+        out[clipped] = np.maximum(out[clipped], mass / (2.0 * r))
     return out
 
 
@@ -265,7 +369,14 @@ def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np
     cell outside the second is zero (masses are >= 0, so a disk's sum never
     changes by adding one), and the window keeps the row-major order of its
     nodes, so each disk sums the same nonzero weights in the same order as a
-    whole-grid pass. Bins above k_max only lengthen the counts.
+    whole-grid pass. Bins above k_max only lengthen the counts. The ladder
+    runs over the radii _ladder_span finds: below the nearest window node's
+    bin every disk is empty (0 / vol, and 0 + m == m for the disks after),
+    and from the farthest one's bin on the ratio only falls. Ladders that
+    end within KERNEL_ELEMENTS radii share one table of volumes; a longer
+    one, of a point far from the mass, starts its counts at the nearest bin
+    and takes the volumes of its own radii, so no array grows with the
+    point's distance.
 
     A point is on the node grid when its node offsets ax - x[0] and
     ax - x[1] equal h * a for integers a bit for bit (as on the nodes of a
@@ -284,17 +395,20 @@ def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np
     held = (_span(np.flatnonzero(weights.any(axis=1))),
             _span(np.flatnonzero(weights.any(axis=0))))
     k_tops, nodes, windows = _ladder_setup(density, xs, R, held)
+    near, lasts = _ladder_span(density, xs, k_tops, windows)
     on_grid = (k_tops >= 1) & (nodes >= 0).all(axis=1)
     half = int(k_tops[on_grid].max(initial=-1)) + 1
     c = min(half, n - 1)
     table = _bin_table(h, c) if half else None
-    # the covering volume of ladder radius k at [k - 1], for the largest k_max
-    ks = np.arange(1, k_tops.max(initial=0) + 1)
-    volumes = ball_volume(2, (ks + 0.5) * h)
+    # the covering volume of ladder radius k at [k - 1], for the ladders that
+    # end within KERNEL_ELEMENTS radii; a longer one takes its own range
+    top = int(lasts[lasts <= KERNEL_ELEMENTS].max(initial=0))
+    volumes = ball_volume(2, (np.arange(1, top + 1) + 0.5) * h)
     out = np.zeros(len(xs))
-    for p, (x, k_max, (i, j), (r0, r1, c0, c1)) in enumerate(
-            zip(xs, k_tops.tolist(), nodes.tolist(), windows.tolist())):
-        if k_max < 1:
+    for p, (x, lo, last, (i, j), (r0, r1, c0, c1)) in enumerate(
+            zip(xs, near.tolist(), lasts.tolist(), nodes.tolist(), windows.tolist())):
+        first = max(lo, 1)
+        if first > last:  # no disk up to the ladder top holds a node
             continue
         rows, cols = slice(r0, r1), slice(c0, c1)
         if i < 0 or j < 0:
@@ -302,11 +416,49 @@ def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np
             bins = np.ceil(dist / h - 1e-12).astype(int)
         else:  # the window's offsets are a run of h * a with |a| <= k_max + 1
             bins = table[r0 - i + c : r1 - i + c, c0 - j + c : c1 - j + c]
-        counts = np.bincount(bins.ravel(), weights=weights[rows, cols].ravel(),
-                             minlength=k_max + 1)
-        cum = np.cumsum(counts[: k_max + 1])
-        out[p] = np.max(cum[1:] / volumes[:k_max])
+        mass = weights[rows, cols].ravel()
+        if last <= top:
+            counts = np.bincount(bins.ravel(), weights=mass, minlength=last + 1)
+            cum = np.cumsum(counts[: last + 1])
+            out[p] = np.max(cum[1:] / volumes[:last])
+        else:  # the disks below bin lo hold nothing, so their zeros are left out
+            counts = np.bincount((bins - lo).ravel(), weights=mass, minlength=last + 1 - lo)
+            cum = np.cumsum(counts[: last + 1 - lo])
+            ks = np.arange(first, last + 1)
+            out[p] = np.max(cum[first - lo :] / ball_volume(2, (ks + 0.5) * h))
     return out
+
+
+def _ladder_span(density: GridField, xs: np.ndarray, k_tops: np.ndarray,
+                 windows: np.ndarray):
+    """The radii of each point's ladder that can set its maximum.
+
+    Returns near (P,), the bin of the window node nearest to x, and last
+    (P,), min(k_top, max(b, 1)) for the bin b of the farthest window node;
+    near > last where no window node lies within the ladder (an empty window
+    reads near 1, last 0). A bin grows with |ax[r] - x[0]| and |ax[c] - x[1]|
+    (each step of ceil(sqrt(dr^2 + dc^2) / h - 1e-12) is monotone), so the
+    bins of the window's nearest row and column and of its farthest corner
+    are its smallest and largest. Disks below near hold nothing; from the
+    largest bin on a disk holds the whole window, so its ratio only falls.
+    """
+    h = density.spacing
+    ax = density.axis_nodes()
+    near = np.empty((len(xs), 2))
+    far = np.empty((len(xs), 2))
+    for a in (0, 1):
+        x = xs[:, a]
+        start = windows[:, 2 * a]
+        stop = np.maximum(windows[:, 2 * a + 1] - 1, start)  # the last row or column
+        j = np.searchsorted(ax, x)  # |ax - x| falls up to j - 1 or j and then rises
+        near[:, a] = np.minimum(np.abs(ax[np.clip(j - 1, start, stop)] - x),
+                                np.abs(ax[np.clip(j, start, stop)] - x))
+        far[:, a] = np.maximum(np.abs(ax[start] - x), np.abs(ax[stop] - x))
+    near, far = (np.ceil(np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2) / h - 1e-12) for d in (near, far))
+    last = np.minimum(k_tops, np.maximum(far, 1.0))
+    # near of a skipped point may not fit an integer
+    skip = (windows[:, 1] == 0) | (windows[:, 3] == 0) | (near > last)
+    return np.where(skip, 1, near).astype(np.intp), np.where(skip, 0, last).astype(np.intp)
 
 
 def _ladder_setup(density: GridField, xs: np.ndarray, R: np.ndarray,
@@ -392,17 +544,25 @@ def maximal_at(measure: GridMeasure, x, R=math.inf):
     in one blocked pass and builds one bin table for all its points on the
     node grid (see _density_maximal_2d); the values do not depend on either.
     """
-    R = _positive(R, "radius bound")
+    # a scalar bound and one point are checked without array round trips
+    if isinstance(R, (float, int)):
+        if not R > 0:  # written so NaN fails too
+            raise InvalidArgumentError(f"radius bound must be positive, got {float(R)}")
+        R = float(R)
+    else:
+        R = _positive(R, "radius bound")
     x = np.asarray(x, dtype=float)
-    xs = np.atleast_2d(x)
+    single = x.ndim < 2
+    xs = x.reshape(1, -1) if single else x
     if xs.ndim != 2 or xs.shape[1] != measure.d:
         raise InvalidArgumentError(
             f"points must have shape (d,) or (P, d) with d = {measure.d}, got {x.shape}")
-    if not np.isfinite(xs).all():
+    if not (all(map(math.isfinite, xs[0].tolist())) if single else np.isfinite(xs).all()):
         raise InvalidArgumentError("points must be finite")
-    if R.shape not in ((), (len(xs),)):
-        raise InvalidArgumentError(f"R must be a scalar or have shape ({len(xs)},)")
-    R = np.full(len(xs), R) if R.ndim == 0 else R
+    if isinstance(R, np.ndarray):
+        if R.shape not in ((), (len(xs),)):
+            raise InvalidArgumentError(f"R must be a scalar or have shape ({len(xs)},)")
+        R = float(R) if R.ndim == 0 else R
     if measure.total_mass == 0.0:
         out = np.zeros(len(xs))
     elif measure.is_atomic:
@@ -411,7 +571,7 @@ def maximal_at(measure: GridMeasure, x, R=math.inf):
         out = _density_maximal_1d(measure.density, xs[:, 0], R)
     else:
         out = _density_maximal_2d(measure.density, xs, R)
-    return float(out[0]) if x.ndim < 2 else out
+    return float(out[0]) if single else out
 
 
 def maximal_field(measure: GridMeasure, R: float = math.inf) -> GridField:
@@ -523,25 +683,35 @@ def superlevel_measure_atomic(measure: GridMeasure, lam: float) -> float:
     m = measure.masses[order]
     prefix = np.concatenate([[0.0], np.cumsum(m)])
     # every block i <= j, in the order of a double loop over i and then j
-    i, j = np.triu_indices(a.size)
+    k = np.arange(a.size)
+    i, j = np.nonzero(k[:, None] <= k)  # np.triu_indices(a.size)
     rho = (prefix[j + 1] - prefix[i]) / (2.0 * lam)
     left, right = a[j] - rho, a[i] + rho
     keep = left < right
-    left, right = left[keep], right[keep]
+    return _union_length(left[keep], right[keep])
+
+
+def _union_length(left: np.ndarray, right: np.ndarray) -> float:
+    """Lebesgue measure of the union of the intervals (left, right), left < right.
+
+    The intervals are sorted by left, then by right. A component starts where
+    left exceeds the running maximum of the right ends before it (touching
+    intervals join), and ends at the running maximum before the next start.
+    The lengths are added in order from 0.0 by one cumulative sum, the left
+    fold of a merge loop that adds each component as it closes.
+    """
     if left.size == 0:  # every ball is too light for lam
         return 0.0
     order = np.lexsort((right, left))  # by left, then by right
-    intervals = zip(left[order].tolist(), right[order].tolist())
-    total = 0.0
-    cur_l, cur_r = next(intervals)
-    for left, right in intervals:
-        if left > cur_r:
-            total += cur_r - cur_l
-            cur_l, cur_r = left, right
-        else:
-            cur_r = max(cur_r, right)
-    total += cur_r - cur_l
-    return total
+    left, right = left[order], right[order]
+    cover = np.maximum.accumulate(right)
+    start = np.empty(left.size, dtype=bool)
+    start[0] = True
+    np.greater(left[1:], cover[:-1], out=start[1:])
+    end = np.empty_like(start)  # a component ends before the next starts
+    end[:-1] = start[1:]
+    end[-1] = True
+    return float(np.cumsum(cover[end] - left[start])[-1])
 
 
 def weak_type_check(measure: GridMeasure, lambda_grid,

@@ -927,6 +927,47 @@ def test_superlevel_equals_the_double_loop():
             assert superlevel_measure_atomic(nu, lam) == _superlevel_before(nu, lam)
 
 
+def _union_loop(left, right):
+    """The interval union as a merge loop over the intervals sorted by left,
+    then by right."""
+    order = np.lexsort((right, left))
+    intervals = zip(left[order].tolist(), right[order].tolist())
+    total = 0.0
+    cur_l, cur_r = next(intervals)
+    for left, right in intervals:
+        if left > cur_r:
+            total += cur_r - cur_l
+            cur_l, cur_r = left, right
+        else:
+            cur_r = max(cur_r, right)
+    total += cur_r - cur_l
+    return total
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 30)), min_size=1, max_size=60),
+       st.floats(0.001, 10.0))
+def test_union_length_equals_the_merge_loop(spans, scale):
+    # integer ends nest, touch (left == the running right end) and part often
+    left = np.array([a for a, _ in spans], dtype=float)
+    right = left + np.array([w for _, w in spans], dtype=float)
+    for lo, hi in ((left, right), (left * scale, right * scale + 1e-3)):
+        assert mx._union_length(lo, hi) == _union_loop(lo, hi)
+
+
+def test_union_length_joins_touching_and_nested_intervals():
+    left = np.array([0.0, 1.0, 0.5, 5.0, 2.0, 7.5])
+    right = np.array([1.0, 2.0, 0.75, 6.0, 3.0, 8.0])
+    # [0, 2] touches [2, 3]; [0.5, 0.75] nests in [0, 1]; [5, 6] and [7.5, 8] part
+    assert mx._union_length(left, right) == _union_loop(left, right) == 4.5
+    # touching intervals join: (1.985 - 0.908) + (4.046 - 1.985) rounds above
+    # 4.046 - 0.908, so splitting them would change the sum
+    left, right = np.array([0.908, 1.985]), np.array([1.985, 4.046])
+    assert (1.985 - 0.908) + (4.046 - 1.985) != 4.046 - 0.908
+    assert mx._union_length(left, right) == _union_loop(left, right) == 4.046 - 0.908
+    assert mx._union_length(np.zeros(0), np.zeros(0)) == 0.0
+
+
 def _atomic_maximal_before(measure, xs, R):
     """_atomic_maximal with np.linalg.norm and a division under errstate."""
     atoms, masses = measure.atoms, measure.masses
@@ -960,6 +1001,242 @@ def test_atomic_maximal_equals_the_norm_and_errstate_kernel(d):
             assert np.array_equal(mx._atomic_maximal(nu, xs, R), ref)
             assert np.array_equal(maximal_at(nu, xs, R), ref)
             assert [maximal_at(nu, x, r) for x, r in zip(xs, R)] == ref.tolist()
+
+
+# The 1D and atomic kernels as they were before node points of exact grids
+# read the prefix by index and the atomic kernel lost its per-call overhead;
+# the kernels must reproduce them bit for bit.
+
+
+def _density_maximal_1d_interp(density, xs, R):
+    h = density.spacing
+    bounds = density.lo - 0.5 * h + h * np.arange(density.n_nodes_per_axis + 1)
+    prefix = np.concatenate([[0.0], np.cumsum(density.values * h)])
+    R = np.broadcast_to(R, xs.shape)
+    out = np.empty(xs.size)
+    rows = max(1, mx.KERNEL_ELEMENTS // bounds.size)
+    for i in range(0, xs.size, rows):
+        x = xs[i : i + rows, None]
+        s = np.minimum(np.abs(x - bounds), R[i : i + rows, None])
+        mass = np.interp(x + s, bounds, prefix) - np.interp(x - s, bounds, prefix)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[i : i + rows] = np.where(s > 0, mass / (2.0 * s), 0.0).max(axis=1)
+    return out
+
+
+def _atomic_maximal_where(measure, xs, R):
+    atoms, masses = measure.atoms, measure.masses
+    out = np.empty(len(xs))
+    rows = max(1, mx.KERNEL_ELEMENTS // atoms.shape[0])
+    for i in range(0, len(xs), rows):
+        sq = atoms - xs[i : i + rows, None, :]
+        sq *= sq
+        dist = np.sqrt(np.add.reduce(sq, axis=2))
+        cum = masses[dist.argsort(axis=1)].cumsum(axis=1)
+        dist.sort(axis=1)
+        vol = ball_volume(measure.d, dist)
+        ratios = np.divide(cum, vol, out=np.full_like(cum, math.inf), where=vol > 0.0)
+        out[i : i + rows] = np.where(dist <= R[i : i + rows, None], ratios, 0.0).max(axis=1)
+    return out
+
+
+@st.composite
+def grids_1d(draw):
+    """1D densities on 1 to 600 nodes: spacing 2^-k or 3 2^-k with lo a
+    multiple of h / 2 (an exact grid), or h = 0.01 and lo = -3 (not exact);
+    all zero, one hot node, or steps."""
+    kind = draw(st.sampled_from(["dyadic", "triadic", "decimal", "shifted"]))
+    cells = draw(st.integers(0, 599))
+    if kind == "decimal":
+        h, lo = 0.01, -3.0
+    else:
+        h = (3.0 if kind == "triadic" else 1.0) * 2.0 ** -draw(st.integers(0, 12))
+        lo = 0.5 * h * draw(st.integers(-3000, 3000))
+        if kind == "shifted":  # lo is no multiple of h / 2
+            lo += 0.1
+    hi = lo + h * (cells if cells else 0.25)  # one node when the box is below h / 2
+    n = cells + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.zeros(n)
+    fill = draw(st.sampled_from(["zero", "hot", "steps"]))
+    if fill == "hot":
+        values[draw(st.sampled_from([0, n - 1, int(rng.integers(0, n))]))] = rng.uniform(0.1, 9.0)
+    elif fill == "steps":
+        levels = rng.uniform(0.0, 1.0, int(rng.integers(1, 17)))
+        values = np.repeat(levels, n // levels.size + 1)[:n]
+        values[rng.random(n) < 0.1] = 0.0
+    return GridField(d=1, lo=lo, hi=hi, spacing=h, values=values), kind in ("dyadic", "triadic")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(grid=grids_1d(), seed=st.integers(0, 2**32 - 1))
+def test_density_maximal_1d_equals_the_interp_kernel(grid, seed):
+    density, exact = grid
+    rng = np.random.default_rng(seed)
+    h, n = density.spacing, density.n_nodes_per_axis
+    nodes = density.axis_nodes()
+    width = density.hi - density.lo
+    # the first, last and interior nodes; off-node points, the bounds among them
+    xs = np.concatenate([nodes[[0, -1]], nodes[rng.integers(0, n, 40)],
+                         rng.uniform(density.lo - h, density.hi + h, 12),
+                         nodes[:3] + 0.5 * h])
+    if exact:  # the nodes read the prefix by index
+        assert (mx._node_index_1d(density, xs)[:42] >= 0).all()
+    else:  # every point takes the interpolation
+        assert (mx._node_index_1d(density, xs) == -1).all()
+    choices = np.array([0.25 * h, h + rng.uniform() * (width + h), math.inf])
+    for R in [*choices, choices[rng.integers(0, 3, xs.size)],
+              rng.uniform(0.1 * h, 2.0 * width + h, xs.size)]:
+        ref = _density_maximal_1d_interp(density, xs, R)
+        assert np.array_equal(mx._density_maximal_1d(density, xs, R), ref)
+        if density.values.any():
+            assert np.array_equal(maximal_at(measure_from_density(density), xs[:, None], R), ref)
+    if density.values.any():
+        ref = _density_maximal_1d_interp(density, nodes, math.inf)
+        assert np.array_equal(maximal_field(measure_from_density(density)).values, ref)
+
+
+@pytest.mark.parametrize("lo, hi, h", [
+    (0.1, 4.1, 0.25),  # lo is no multiple of h / 2
+    (2.0**52, 2.0**52 + 4.0, 1.0),  # m (|a| + 4 N + 4) reaches 2^53
+    (0.0, 6e-323, 1.5e-323),  # h / 2 rounds: h is subnormal with an odd last bit
+    (-(2.0**1020), 3 * 2.0**1020, 2.0**1021),  # the largest multiple of h / 2 overflows
+])
+def test_grids_that_are_not_exact_take_the_interpolation(lo, hi, h):
+    density = GridField(d=1, lo=lo, hi=hi, spacing=h, values=np.ones(round((hi - lo) / h) + 1))
+    assert (mx._node_index_1d(density, density.axis_nodes()) == -1).all()
+
+
+def test_node_rows_mask_the_offsets_beyond_their_own_bound():
+    # one block holds an edge node whose bound stops short of the mass at the
+    # other end, next to nodes that reach every offset: its row must not
+    # count the offsets past its bound
+    values = np.zeros(65)
+    values[0] = 1.0
+    density = GridField(d=1, lo=0.0, hi=1.0, spacing=1 / 64, values=values)
+    xs = density.axis_nodes()[[64, 32, 0]]
+    R = np.array([0.75, math.inf, math.inf])
+    out = mx._density_maximal_1d(density, xs, R)
+    assert np.array_equal(out, _density_maximal_1d_interp(density, xs, R))
+    assert out[0] == 0.0
+
+
+def _count_interp_calls(monkeypatch):
+    """Wrap np.interp; returns the sizes of the arrays it was asked for."""
+    calls = []
+    interp = np.interp
+
+    def counting(x, xp, fp):
+        calls.append(np.size(x))
+        return interp(x, xp, fp)
+
+    monkeypatch.setattr(np, "interp", counting)
+    return calls
+
+
+def test_node_points_of_an_exact_grid_read_the_prefix_by_index(monkeypatch):
+    calls = _count_interp_calls(monkeypatch)
+    nu = random_density_1d(np.random.default_rng(4))  # h = 3 2^-7, lo = -3: exact
+    nodes = nu.density.axis_nodes()
+    assert (mx._node_index_1d(nu.density, nodes) == np.arange(nodes.size)).all()
+    maximal_at(nu, nodes[:, None])
+    maximal_field(nu)
+    maximal_at(nu, nodes[:, None], np.full(nodes.size, 100.0))
+    assert calls == []  # no bound lies beyond R
+    maximal_at(nu, nodes[:, None], 0.5)  # every node has bounds beyond 0.5
+    assert calls == [nodes.size, nodes.size]  # one pair, for s = R
+    calls.clear()
+    maximal_at(nu, [0.01])  # off the nodes: every bound is interpolated
+    assert calls == [nodes.size + 1, nodes.size + 1]
+    calls.clear()
+    decimal = GridField(d=1, lo=-3.0, hi=3.0, spacing=0.01, values=np.ones(601))
+    assert (mx._node_index_1d(decimal, decimal.axis_nodes()) == -1).all()
+    maximal_field(measure_from_density(decimal))
+    rows = mx.KERNEL_ELEMENTS // 602  # points per block of the interpolation
+    assert calls == [rows * 602] * (2 * (601 // rows)) + [601 % rows * 602] * 2
+
+
+@st.composite
+def atomic_cases(draw):
+    """Atoms in d = 1 or 2, some as mirror pairs about a point (distance
+    ties), and points: random, on the atoms, at the mirror centre."""
+    d = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = rng.uniform(-5.0, 5.0, (draw(st.integers(1, 30)), d))
+    centre = rng.uniform(-1.0, 1.0, (1, d))
+    if draw(st.booleans()):
+        atoms = np.concatenate([centre + atoms, centre - atoms])
+    nu = measure_from_atoms(atoms, rng.uniform(0.1, 2.0, len(atoms)))
+    xs = np.concatenate([rng.uniform(-6.0, 6.0, (20, d)), atoms, centre])
+    return nu, xs, rng
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(case=atomic_cases())
+def test_atomic_maximal_equals_the_where_kernel(case):
+    nu, xs, rng = case
+    nearest = np.sqrt(((nu.atoms - xs[:, None, :]) ** 2).sum(axis=2)).min(axis=1)
+    # R = inf, one bound per point, a bound below each point's nearest atom and
+    # one equal to that distance (closed balls: the atom counts)
+    for R in (np.full(len(xs), math.inf), rng.uniform(0.01, 8.0, len(xs)), 0.5 * nearest,
+              nearest):
+        R = np.where(R > 0.0, R, 1.0)  # points on atoms keep a positive bound
+        ref = _atomic_maximal_where(nu, xs, R)
+        assert np.array_equal(mx._atomic_maximal(nu, xs, R), ref)
+        assert np.array_equal(maximal_at(nu, xs, R), ref)
+        assert [maximal_at(nu, x, r) for x, r in zip(xs[::7], R[::7])] == ref[::7].tolist()
+    below = (nearest > 0.0) & (0.5 * nearest < 1.0)
+    assert (maximal_at(nu, xs, np.where(below, 0.5 * nearest, 1.0))[below] == 0.0).all()
+    assert (maximal_at(nu, nu.atoms) == math.inf).all()
+
+
+def test_one_point_calls_validate_as_batches():
+    nu = random_atomic_measure(np.random.default_rng(9))
+    x = [0.25]
+    assert maximal_at(nu, x) == maximal_at(nu, np.array([x]))[0]
+    two = maximal_at(nu, x, 2)
+    assert two == maximal_at(nu, x, np.float64(2.0)) == maximal_at(nu, x, np.array(2.0))
+    assert maximal_at(nu, 0.25) == maximal_at(nu, x)  # a scalar is a point in d = 1
+    for bad in (0, -1.0, math.nan, np.float64(-2.0)):
+        with pytest.raises(InvalidArgumentError, match="radius bound must be positive"):
+            maximal_at(nu, x, bad)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        maximal_at(nu, [math.inf])
+    with pytest.raises(InvalidArgumentError, match="shape"):
+        maximal_at(nu, [0.1, 0.2])
+
+
+# 2D ladders of points far from the mass: they start at the nearest held bin
+
+
+def test_a_far_point_holds_no_ladder_as_long_as_its_distance():
+    nu = random_density_2d(np.random.default_rng(8))
+    tracemalloc.start()
+    try:
+        value = maximal_at(nu, [1e5, 0.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < value and peak < 1 << 20  # a ladder from the origin holds 1.2e6 radii
+    assert maximal_at(nu, [1e3, 0.0]) == _ref_maximal_at(nu, [1e3, 0.0])
+    assert 0.0 < maximal_at(nu, [1e17, 0.0]) < math.inf
+
+
+def test_a_batch_with_far_points_equals_the_reference():
+    rng = np.random.default_rng(12)
+    hot = np.zeros((49, 49))
+    hot[40, 7] = 3.0  # the nearest and the farthest held node are one node
+    one = measure_from_density(GridField(d=2, lo=-2.0, hi=2.0, spacing=4.0 / 48, values=hot))
+    for nu in (random_density_2d(rng), dyadic_ball_2d(rng), one):
+        nodes = nu.density.node_coords()
+        # the far points set every point's ladder top by their distance
+        xs = np.concatenate([nodes[rng.integers(0, len(nodes), 20)],
+                             rng.uniform(-3.0, 3.0, (10, 2)),
+                             [[1e3, 0.0], [0.0, -1.5e3], [40.0, 40.0]]])
+        for R in (np.full(len(xs), math.inf), rng.uniform(0.01, 3.0, len(xs)),
+                  np.full(len(xs), 1e3)):
+            ref = [_ref_maximal_at(nu, x, r) for x, r in zip(xs, R)]
+            assert maximal_at(nu, xs, R).tolist() == ref
 
 
 # ---------------------------------------------------------------------------

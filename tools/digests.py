@@ -7,7 +7,11 @@ Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
   ``maximal_at`` on nodes and off-grid points of a 64-cell ball grid, whose
   dyadic spacing puts its nodes on the 2D kernel's bin table, and
   ``maximal_field`` of that grid at R = inf and 0.7 (its mass sits on an
-  annulus, so the radius ladder stops elsewhere than on Gaussian bumps); ``gsp_field``
+  annulus, so the radius ladder stops elsewhere than on Gaussian bumps);
+  1D ``maximal_at`` at node points of the 1024-cell tent G_{s,p} field with
+  R = 2|x - y|, and 1D ``maximal_field`` on a grid with h = 3 2^-7, whose
+  node points read the prefix by index, and on one with h = 0.01, whose
+  points all take the interpolation; ``gsp_field``
   at (s, p) = (0.5, 2), where the power is a square, and at (0.3, 1.5),
   (0.5, 1) and (0.7, 3), where it takes |f(x) - f(y)| first;
 - ``superlevel_measure_atomic`` on the seeded atomic measures at 12 lambdas;
@@ -202,6 +206,23 @@ def maximal_digests():
     for R in (math.inf, 0.7):
         yield f"maximal_field/ball64/R={R}", _sha(mx.maximal_field(nu, R).values)
     tent = lambda x: np.maximum(0.0, 1.0 - np.abs(x[..., 0]))  # noqa: E731
+    # 1D node points of an exact grid (h = 2^-8), at one bound per point as
+    # pointwise_check sets them
+    f = mx.GridField.from_function(tent, 1, -2.0, 2.0, 1024)
+    nodes = f.node_coords()
+    rng = np.random.default_rng(1024)
+    xs, ys = nodes[rng.integers(0, len(nodes), 500)], nodes[rng.integers(0, len(nodes), 500)]
+    R = 2.0 * np.abs(xs - ys)[:, 0]
+    R[R == 0.0] = 1.0
+    g = mx.measure_from_density(mx.gsp_field(f, 0.5, 2.0))
+    yield ("maximal_at/tent1024/nodes/R=2|x-y|",
+           _sha(_batch(mx, g, np.concatenate([xs, ys]), np.concatenate([R, R]))))
+    # 1D fields on an exact grid (h = 3 2^-7) and on one that is not (h = 0.01)
+    for label, cells, R in (("3*2^-7", 256, 0.7), ("0.01", 600, math.inf)):
+        f = mx.GridField.from_function(
+            lambda x: np.abs(np.sin(3.0 * x[..., 0])) + (x[..., 0] > 1.0), 1, -3.0, 3.0, cells)
+        yield (f"maximal_field/1d/h={label}",
+               _sha(mx.maximal_field(mx.measure_from_density(f), R).values))
     for cells in (32, 257):
         f = mx.GridField.from_function(tent, 1, -2.0, 2.0, cells)
         yield f"gsp_field/tent/{cells}", _sha(mx.gsp_field(f, 0.5, 2.0).values)
