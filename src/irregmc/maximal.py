@@ -256,10 +256,11 @@ def _density_maximal_1d(density: GridField, xs: np.ndarray, R) -> np.ndarray:
     interpolation of each bound's candidate returns prefix[min(i + o + 1, N)]
     and prefix[max(i - o, 0)] for an offset o, or an end value: such points
     read those entries by index (_node_maximal_1d) and give the same sums,
-    and so the same values, bit for bit. Other points, and every point of a
-    grid that is not exact, interpolate. Points go through in row blocks of
-    at most KERNEL_ELEMENTS candidates (or one row), so memory does not grow
-    with P.
+    and so the same values, bit for bit. Other points, every point of a grid
+    that is not exact, and the point of a one-point call (the index path's
+    set-up costs more than one interpolated row) interpolate. Points go
+    through in row blocks of at most KERNEL_ELEMENTS candidates (or one row),
+    so memory does not grow with P.
     """
     h = density.spacing
     n = density.n_nodes_per_axis
@@ -267,7 +268,7 @@ def _density_maximal_1d(density: GridField, xs: np.ndarray, R) -> np.ndarray:
     prefix = np.concatenate([[0.0], np.cumsum(density.values * h)])
     R = np.broadcast_to(R, xs.shape)
     out = np.empty(xs.size)
-    node = _node_index_1d(density, xs)
+    node = _node_index_1d(density, xs) if xs.size > 1 else np.full(xs.size, -1)
     on = np.flatnonzero(node >= 0)
     if on.size:
         with np.errstate(invalid="ignore"):  # inf - inf of an overflowed prefix, as below
@@ -372,11 +373,11 @@ def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np
     whole-grid pass. Bins above k_max only lengthen the counts. The ladder
     runs over the radii _ladder_span finds: below the nearest window node's
     bin every disk is empty (0 / vol, and 0 + m == m for the disks after),
-    and from the farthest one's bin on the ratio only falls. Ladders that
-    end within KERNEL_ELEMENTS radii share one table of volumes; a longer
-    one, of a point far from the mass, starts its counts at the nearest bin
-    and takes the volumes of its own radii, so no array grows with the
-    point's distance.
+    and from the farthest one's bin on the ratio only falls. Every ladder
+    starts its counts at the nearest bin. Ladders of points in the node box
+    (they end within 2n radii) share one table of volumes; a longer one, of
+    a point outside, takes the volumes of its own radii, so no array grows
+    with the point's distance.
 
     A point is on the node grid when its node offsets ax - x[0] and
     ax - x[1] equal h * a for integers a bit for bit (as on the nodes of a
@@ -401,8 +402,9 @@ def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np
     c = min(half, n - 1)
     table = _bin_table(h, c) if half else None
     # the covering volume of ladder radius k at [k - 1], for the ladders that
-    # end within KERNEL_ELEMENTS radii; a longer one takes its own range
-    top = int(lasts[lasts <= KERNEL_ELEMENTS].max(initial=0))
+    # end within 2n radii (those of all points in the box); a longer one, of a
+    # point outside, takes the volumes of its own radii
+    top = int(lasts[lasts <= 2 * n].max(initial=0))
     volumes = ball_volume(2, (np.arange(1, top + 1) + 0.5) * h)
     out = np.zeros(len(xs))
     for p, (x, lo, last, (i, j), (r0, r1, c0, c1)) in enumerate(
@@ -416,16 +418,13 @@ def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np
             bins = np.ceil(dist / h - 1e-12).astype(int)
         else:  # the window's offsets are a run of h * a with |a| <= k_max + 1
             bins = table[r0 - i + c : r1 - i + c, c0 - j + c : c1 - j + c]
-        mass = weights[rows, cols].ravel()
-        if last <= top:
-            counts = np.bincount(bins.ravel(), weights=mass, minlength=last + 1)
-            cum = np.cumsum(counts[: last + 1])
-            out[p] = np.max(cum[1:] / volumes[:last])
-        else:  # the disks below bin lo hold nothing, so their zeros are left out
-            counts = np.bincount((bins - lo).ravel(), weights=mass, minlength=last + 1 - lo)
-            cum = np.cumsum(counts[: last + 1 - lo])
-            ks = np.arange(first, last + 1)
-            out[p] = np.max(cum[first - lo :] / ball_volume(2, (ks + 0.5) * h))
+        # the disks below bin lo hold nothing, so their zeros are left out
+        counts = np.bincount((bins - lo).ravel(), weights=weights[rows, cols].ravel(),
+                             minlength=last + 1 - lo)
+        cum = np.cumsum(counts[: last + 1 - lo])[first - lo :]
+        vol = (volumes[first - 1 : last] if last <= top
+               else ball_volume(2, (np.arange(first, last + 1) + 0.5) * h))
+        out[p] = np.max(cum / vol)
     return out
 
 
@@ -465,8 +464,9 @@ def _ladder_setup(density: GridField, xs: np.ndarray, R: np.ndarray,
                   held: tuple[slice, slice]):
     """Each point's ladder top, node indices and windows, in one pass.
 
-    Returns k_tops (P,), the largest k with k h <= R, capped beyond the
-    grid's reach; nodes (P, 2), the node i at which the offsets ax - x[a]
+    Returns k_tops (P,), the largest k with k h <= R, capped at
+    ceil(D / h) + 1 for the distance D from x to the farthest corner of the
+    node box, beyond every node's bin; nodes (P, 2), the node i at which the offsets ax - x[a]
     equal h * (j - i) for every node j bit for bit, or -1 if none; and
     windows (P, 4), the row and the column start and stop of the nodes in
     ``held`` within (k_top + 1) h of x, (0, 0) if there are none. Offsets are
@@ -477,8 +477,9 @@ def _ladder_setup(density: GridField, xs: np.ndarray, R: np.ndarray,
     h = density.spacing
     ax = density.axis_nodes()
     n = ax.size
-    diam = (density.hi - density.lo) * math.sqrt(2.0) + np.abs(xs).max(axis=1)
-    k_tops = np.minimum(np.floor(R / h + 1e-12), np.ceil(diam / h) + 1)
+    # no node lies farther than the farthest corner of the node box
+    far = np.hypot(*np.maximum(np.abs(xs - ax[0]), np.abs(xs - ax[-1])).T)
+    k_tops = np.minimum(np.floor(R / h + 1e-12), np.ceil(far / h) + 1)
     if not k_tops.max(initial=0) < 2**62:  # no array holds such a ladder
         raise InvalidArgumentError("points lie too far from the grid for its radius ladder")
     k_tops = k_tops.astype(np.intp)

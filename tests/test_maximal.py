@@ -212,6 +212,16 @@ def _ref_disk_cummass_2d(density, x, k_max):
     return np.cumsum(counts)[: k_max + 1]
 
 
+def _ladder_top(density, x, r):
+    """The largest k with k h <= r, capped at ceil(D / h) + 1 for the distance
+    D from x to the farthest corner of the node box: no node lies beyond it."""
+    h = density.spacing
+    ax = density.axis_nodes()
+    corner = [max(abs(x[a] - ax[0]), abs(x[a] - ax[-1])) for a in (0, 1)]
+    k_cap = math.ceil(float(np.hypot(*corner)) / h) + 1
+    return k_cap if math.isinf(r) else int(min(math.floor(r / h + 1e-12), k_cap))
+
+
 def _ref_maximal_at(measure, x, R=math.inf):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if measure.total_mass == 0.0:
@@ -236,9 +246,7 @@ def _ref_maximal_at(measure, x, R=math.inf):
         mass = np.interp(x[0] + s, bounds, prefix) - np.interp(x[0] - s, bounds, prefix)
         with np.errstate(divide="ignore", invalid="ignore"):
             return float(np.max(np.where(s > 0, mass / (2.0 * s), 0.0)))
-    diam = (density.hi - density.lo) * math.sqrt(2.0) + float(np.max(np.abs(x)))
-    k_cap = math.ceil(diam / h) + 1
-    k_max = k_cap if math.isinf(R) else int(min(math.floor(R / h + 1e-12), k_cap))
+    k_max = _ladder_top(density, x, R)
     if k_max < 1:
         return 0.0
     cum = _ref_disk_cummass_2d(density, x, k_max)
@@ -324,7 +332,9 @@ def test_bin_table_memory_is_the_table(monkeypatch):
     built = _count_table_builds(monkeypatch)
     _, grad = mollified_ball_gradient(1.0, -2.0, 2.0, 512)
     n = grad.density.n_nodes_per_axis
-    x = grad.density.node_coords()[n * 200 + 300]
+    # from a corner node the farthest corner is the whole diagonal away, so the
+    # table spans every node offset
+    x = grad.density.node_coords()[0]
     tracemalloc.start()
     try:
         value = maximal_at(grad, x)
@@ -335,17 +345,16 @@ def test_bin_table_memory_is_the_table(monkeypatch):
     assert value == _ref_maximal_at(grad, x)
     # a (2n - 1)^2 float temporary next to the table would take 2x its bytes
     assert peak <= 1.6 * built[0].nbytes
+    # an inner node's ladder ends at its own farthest corner's bin, and so
+    # does its table
+    x = grad.density.node_coords()[n * 200 + 300]
+    assert maximal_at(grad, x) == _ref_maximal_at(grad, x)
+    c = _ladder_top(grad.density, x, math.inf) + 1
+    assert c < n - 1 and built[1].shape == (2 * c + 1, 2 * c + 1)
 
 
 # The per-point set-up of the 2D kernel as it was before one blocked pass
 # replaced it; _ladder_setup must give the same tops, nodes and windows.
-
-
-def _ladder_top_before(density, x, r):
-    h = density.spacing
-    diam = (density.hi - density.lo) * math.sqrt(2.0) + float(np.max(np.abs(x)))
-    k_cap = math.ceil(diam / h) + 1
-    return k_cap if math.isinf(r) else int(min(math.floor(r / h + 1e-12), k_cap))
 
 
 def _node_index_before(offsets, steps):
@@ -365,7 +374,7 @@ def _setup_before(density, xs, R, held):
     steps = h * np.arange(1 - ax.size, ax.size)
     tops, nodes, windows = [], [], []
     for x, r in zip(xs, R):
-        k = _ladder_top_before(density, x, r)
+        k = _ladder_top(density, x, r)
         tops.append(k)
         nodes.append([-1 if i is None else i
                       for i in (_node_index_before(ax - x[a], steps) for a in (0, 1))])
@@ -1149,6 +1158,10 @@ def test_node_points_of_an_exact_grid_read_the_prefix_by_index(monkeypatch):
     maximal_at(nu, [0.01])  # off the nodes: every bound is interpolated
     assert calls == [nodes.size + 1, nodes.size + 1]
     calls.clear()
+    # the node of a one-point call interpolates too, to the same value
+    assert maximal_at(nu, nodes[7]) == maximal_at(nu, nodes[:, None])[7]
+    assert calls == [nodes.size + 1, nodes.size + 1]
+    calls.clear()
     decimal = GridField(d=1, lo=-3.0, hi=3.0, spacing=0.01, values=np.ones(601))
     assert (mx._node_index_1d(decimal, decimal.axis_nodes()) == -1).all()
     maximal_field(measure_from_density(decimal))
@@ -1227,14 +1240,19 @@ def test_a_batch_with_far_points_equals_the_reference():
     hot = np.zeros((49, 49))
     hot[40, 7] = 3.0  # the nearest and the farthest held node are one node
     one = measure_from_density(GridField(d=2, lo=-2.0, hi=2.0, spacing=4.0 / 48, values=hot))
-    for nu in (random_density_2d(rng), dyadic_ball_2d(rng), one):
+    hot = np.zeros((49, 49))
+    hot[0, 0] = 3.0  # at (-2, -2): 15.56 from (9, 9), beyond the box diagonal + max |x|
+    corner = measure_from_density(GridField(d=2, lo=-2.0, hi=2.0, spacing=4.0 / 48,
+                                            values=hot))
+    assert maximal_at(corner, [9.0, 9.0]) == maximal_at(corner, [9.0, 9.0], 16.0) > 0.0
+    for nu in (random_density_2d(rng), dyadic_ball_2d(rng), one, corner):
         nodes = nu.density.node_coords()
         # the far points set every point's ladder top by their distance
         xs = np.concatenate([nodes[rng.integers(0, len(nodes), 20)],
                              rng.uniform(-3.0, 3.0, (10, 2)),
-                             [[1e3, 0.0], [0.0, -1.5e3], [40.0, 40.0]]])
+                             [[1e3, 0.0], [0.0, -1.5e3], [40.0, 40.0], [9.0, 9.0]]])
         for R in (np.full(len(xs), math.inf), rng.uniform(0.01, 3.0, len(xs)),
-                  np.full(len(xs), 1e3)):
+                  np.full(len(xs), 1e3), np.full(len(xs), 16.0)):
             ref = [_ref_maximal_at(nu, x, r) for x, r in zip(xs, R)]
             assert maximal_at(nu, xs, R).tolist() == ref
 
