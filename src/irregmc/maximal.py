@@ -22,16 +22,15 @@ table of the transforms of the interval rows |off| <= w. Its radius ladder
 stops once the total mass (times 1 + 1e-6, for rounding) over the next disk's
 volume is no larger than the smallest node value: a disk holds at most the
 total, so no later radius can raise a node. A 2D maximal_at call finds the
-ladder tops, node indices and windows of all its points in one pass, in
-blocks of at most KERNEL_ELEMENTS offsets, and looks up the radius bins of
-all its points that sit on nodes of a dyadic grid in one table over integer
-node offsets; pointwise_check sends both ends of its pairs through one such
-call. A 2D point's ladder runs from the bin of its nearest window node to
-that of its farthest: smaller disks are empty, and larger ones hold the same
-mass over a larger volume. Each of these forms does the same floating-point
-operations in the same order as the plain form it replaces, or skips only
-operations that cannot change a value, so its values are the same bit for
-bit.
+windows and ladders of all its points at once, by np.searchsorted on the
+axis nodes: a point's ladder runs from the bin of its nearest window node
+(smaller disks are empty) to that of its farthest, capped by R (larger disks
+hold the same mass over a larger volume). Its node points of an exact grid,
+found per axis by the 1D rule, read their radius bins from one table over
+integer node offsets; pointwise_check sends both ends of its pairs through
+one such call. Each of these forms does the same floating-point operations
+in the same order as the plain form it replaces, or skips only operations
+that cannot change a value, so its values are the same bit for bit.
 
 The layer needs numpy only. 2D maximal_field runs on numpy's pocketfft: the
 inverse transforms are unscaled (norm="forward") and the kept block is then
@@ -251,7 +250,7 @@ def _density_maximal_1d(density: GridField, xs: np.ndarray, R) -> np.ndarray:
     one of s = min(|x - b|, R), with mass from np.interp of the prefix sums
     at x +/- s. R is a scalar or one bound per point.
 
-    On an exact grid (_node_index_1d) every node, bound, offset and
+    On an exact grid (_node_index) every node, bound, offset and
     reflection of a node point is computed with no rounding, so at node i the
     interpolation of each bound's candidate returns prefix[min(i + o + 1, N)]
     and prefix[max(i - o, 0)] for an offset o, or an end value: such points
@@ -268,7 +267,7 @@ def _density_maximal_1d(density: GridField, xs: np.ndarray, R) -> np.ndarray:
     prefix = np.concatenate([[0.0], np.cumsum(density.values * h)])
     R = np.broadcast_to(R, xs.shape)
     out = np.empty(xs.size)
-    node = _node_index_1d(density, xs) if xs.size > 1 else np.full(xs.size, -1)
+    node = _node_index(density, xs) if xs.size > 1 else np.full(xs.size, -1)
     on = np.flatnonzero(node >= 0)
     if on.size:
         with np.errstate(invalid="ignore"):  # inf - inf of an overflowed prefix, as below
@@ -285,9 +284,10 @@ def _density_maximal_1d(density: GridField, xs: np.ndarray, R) -> np.ndarray:
     return out
 
 
-def _node_index_1d(density: GridField, xs: np.ndarray) -> np.ndarray:
+def _node_index(density: GridField, xs: np.ndarray) -> np.ndarray:
     """The node index of each point of xs that equals a node of an exact grid
-    bit for bit, -1 for other points and for every point of other grids.
+    bit for bit, -1 for other points and for every point of other grids; in
+    2D, of each coordinate on its axis.
 
     A grid is exact when, with u = h / 2 = m 2^e for an odd integer m, lo is
     a u for an integer a and m (|a| + 4 N + 4) < 2^53, for N nodes: then every
@@ -360,47 +360,34 @@ def _node_maximal_1d(prefix: np.ndarray, bounds: np.ndarray, h: float, xs: np.nd
     return out
 
 
-def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np.ndarray:
+def _density_maximal_2d(density: GridField, xs: np.ndarray, R) -> np.ndarray:
     """M_R of a 2D density on the radius ladder k h at each row of xs, shape (P,).
 
-    Cell masses are binned by ceil(|node - x| / h) into disk masses for
-    k = 0..k_max. Only the rows and columns within (k_max + 1) h of x, and
-    between the first and last row and column that hold mass, are binned:
-    every node outside the first range lies beyond radius k_max h, every
-    cell outside the second is zero (masses are >= 0, so a disk's sum never
-    changes by adding one), and the window keeps the row-major order of its
-    nodes, so each disk sums the same nonzero weights in the same order as a
-    whole-grid pass. Bins above k_max only lengthen the counts. The ladder
-    runs over the radii _ladder_span finds: below the nearest window node's
-    bin every disk is empty (0 / vol, and 0 + m == m for the disks after),
-    and from the farthest one's bin on the ratio only falls. Every ladder
-    starts its counts at the nearest bin. Ladders of points in the node box
-    (they end within 2n radii) share one table of volumes; a longer one, of
-    a point outside, takes the volumes of its own radii, so no array grows
-    with the point's distance.
+    Cell masses are binned by ceil(|node - x| / h - 1e-12) into disk masses,
+    and each point's ladder k = near..last (_ladders) takes the cumulative
+    masses over the covering volumes of radius (k + 1/2) h. Only the point's
+    window is binned. Every node left out of it lies beyond the ladder or
+    holds no mass (masses are >= 0, so a disk's sum never changes by adding
+    one), and the window keeps the row-major order of its nodes, so each disk
+    sums the same nonzero weights in the same order as a whole-grid pass.
+    Below bin near every disk is empty (0 / vol, and 0 + m == m for the disks
+    after), so the counts start there; bins above last are never read.
 
-    A point is on the node grid when its node offsets ax - x[0] and
-    ax - x[1] equal h * a for integers a bit for bit (as on the nodes of a
-    grid with dyadic spacing).
-    Its bins depend only on those integers, so all such points of a call
-    slice one table of bins, built once for the largest window; other points
-    compute their bins from their offsets. Both give the same bins. The
-    ladder tops, node indices and windows of all points come from one blocked
-    pass, _ladder_setup.
+    On an exact grid (_node_index, per axis) the offsets ax[r] - x[a] of a
+    node point are h (r - i), computed with no rounding, so its bins depend
+    only on r - i: all such points of a call slice one table of bins
+    (_bin_table), as wide as the largest node offset of their windows. Other
+    points compute the same bins from their offsets.
     """
     h = density.spacing
     ax = density.axis_nodes()
     n = ax.size
     weights = density.values * h**density.d
-    # the rows and the columns from the first to the last that hold mass
-    held = (_span(np.flatnonzero(weights.any(axis=1))),
-            _span(np.flatnonzero(weights.any(axis=0))))
-    k_tops, nodes, windows = _ladder_setup(density, xs, R, held)
-    near, lasts = _ladder_span(density, xs, k_tops, windows)
-    on_grid = (k_tops >= 1) & (nodes >= 0).all(axis=1)
-    half = int(k_tops[on_grid].max(initial=-1)) + 1
-    c = min(half, n - 1)
-    table = _bin_table(h, c) if half else None
+    nodes, windows, near, lasts = _ladders(density, xs, R, weights)
+    on_grid = (nodes >= 0).all(axis=1) & (lasts > 0)
+    # the largest |r - i| over the first and last row and column of the windows
+    half = int(np.abs(windows - [0, 1, 0, 1] - nodes.repeat(2, axis=1))[on_grid].max(initial=0))
+    table = _bin_table(h, half) if on_grid.any() else None
     # the covering volume of ladder radius k at [k - 1], for the ladders that
     # end within 2n radii (those of all points in the box); a longer one, of a
     # point outside, takes the volumes of its own radii
@@ -410,14 +397,14 @@ def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np
     for p, (x, lo, last, (i, j), (r0, r1, c0, c1)) in enumerate(
             zip(xs, near.tolist(), lasts.tolist(), nodes.tolist(), windows.tolist())):
         first = max(lo, 1)
-        if first > last:  # no disk up to the ladder top holds a node
+        if first > last:  # no disk up to the ladder's end holds a node
             continue
         rows, cols = slice(r0, r1), slice(c0, c1)
         if i < 0 or j < 0:
             dist = np.sqrt((ax[rows] - x[0])[:, None] ** 2 + (ax[cols] - x[1])[None, :] ** 2)
             bins = np.ceil(dist / h - 1e-12).astype(int)
-        else:  # the window's offsets are a run of h * a with |a| <= k_max + 1
-            bins = table[r0 - i + c : r1 - i + c, c0 - j + c : c1 - j + c]
+        else:  # the window's offsets are h (r - i) and h (c - j), up to h half
+            bins = table[r0 - i + half : r1 - i + half, c0 - j + half : c1 - j + half]
         # the disks below bin lo hold nothing, so their zeros are left out
         counts = np.bincount((bins - lo).ravel(), weights=weights[rows, cols].ravel(),
                              minlength=last + 1 - lo)
@@ -428,80 +415,59 @@ def _density_maximal_2d(density: GridField, xs: np.ndarray, R: np.ndarray) -> np
     return out
 
 
-def _ladder_span(density: GridField, xs: np.ndarray, k_tops: np.ndarray,
-                 windows: np.ndarray):
-    """The radii of each point's ladder that can set its maximum.
+def _ladders(density: GridField, xs: np.ndarray, R, weights: np.ndarray):
+    """Each point's node indices, window and ladder, for all points at once.
 
-    Returns near (P,), the bin of the window node nearest to x, and last
-    (P,), min(k_top, max(b, 1)) for the bin b of the farthest window node;
-    near > last where no window node lies within the ladder (an empty window
-    reads near 1, last 0). A bin grows with |ax[r] - x[0]| and |ax[c] - x[1]|
-    (each step of ceil(sqrt(dr^2 + dc^2) / h - 1e-12) is monotone), so the
-    bins of the window's nearest row and column and of its farthest corner
-    are its smallest and largest. Disks below near hold nothing; from the
-    largest bin on a disk holds the whole window, so its ratio only falls.
+    Returns nodes (P, 2), the index of x[a] among the nodes of an exact grid
+    (_node_index), or -1; windows (P, 4), the row and the column start and
+    stop of the window, (0, 0) if it is empty; and near and last (P,), the
+    first and the last bin of the ladder, 1 and 0 for a point with none.
+
+    On each axis the window holds the rows (columns) from the first to the
+    last that hold mass and within (k_R + 1) h of x, k_R = floor(R / h + 1e-12)
+    being the largest ladder radius within R, found by np.searchsorted on the
+    axis nodes. The search bounds are widened by 2^-48 (|x| + reach), beyond
+    their own rounding, so a window holds every node of bin <= k_R, and may
+    hold nodes of larger bins, which no value reads. A bin grows with
+    |ax[r] - x[0]| and |ax[c] - x[1]| (each step of
+    ceil(sqrt(dr^2 + dc^2) / h - 1e-12) is monotone), so the window's nearest
+    row and column give its smallest bin, near, and its farthest corner its
+    largest, far. The ladder ends at min(k_R, max(far, 1)): from far on a
+    disk holds the whole window, so its ratio only falls.
     """
     h = density.spacing
     ax = density.axis_nodes()
-    near = np.empty((len(xs), 2))
-    far = np.empty((len(xs), 2))
+    k_R = np.floor(R / h + 1e-12)
+    reach = (k_R + 1) * h
+    dist = np.empty((2, len(xs), 2))  # the nearest and the farthest |ax - x[a]|
+    nodes = np.empty((len(xs), 2), dtype=np.intp)
+    windows = np.empty((len(xs), 4), dtype=np.intp)
+    empty = np.zeros(len(xs), dtype=bool)
     for a in (0, 1):
         x = xs[:, a]
-        start = windows[:, 2 * a]
-        stop = np.maximum(windows[:, 2 * a + 1] - 1, start)  # the last row or column
-        j = np.searchsorted(ax, x)  # |ax - x| falls up to j - 1 or j and then rises
-        near[:, a] = np.minimum(np.abs(ax[np.clip(j - 1, start, stop)] - x),
-                                np.abs(ax[np.clip(j, start, stop)] - x))
-        far[:, a] = np.maximum(np.abs(ax[start] - x), np.abs(ax[stop] - x))
-    near, far = (np.ceil(np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2) / h - 1e-12) for d in (near, far))
-    last = np.minimum(k_tops, np.maximum(far, 1.0))
-    # near of a skipped point may not fit an integer
-    skip = (windows[:, 1] == 0) | (windows[:, 3] == 0) | (near > last)
-    return np.where(skip, 1, near).astype(np.intp), np.where(skip, 0, last).astype(np.intp)
-
-
-def _ladder_setup(density: GridField, xs: np.ndarray, R: np.ndarray,
-                  held: tuple[slice, slice]):
-    """Each point's ladder top, node indices and windows, in one pass.
-
-    Returns k_tops (P,), the largest k with k h <= R, capped at
-    ceil(D / h) + 1 for the distance D from x to the farthest corner of the
-    node box, beyond every node's bin; nodes (P, 2), the node i at which the offsets ax - x[a]
-    equal h * (j - i) for every node j bit for bit, or -1 if none; and
-    windows (P, 4), the row and the column start and stop of the nodes in
-    ``held`` within (k_top + 1) h of x, (0, 0) if there are none. Offsets are
-    sorted, so a window starts after the offsets below -reach and stops after
-    those at or below +reach. Points go through in blocks of at most
-    KERNEL_ELEMENTS offsets.
-    """
-    h = density.spacing
-    ax = density.axis_nodes()
-    n = ax.size
-    # no node lies farther than the farthest corner of the node box
-    far = np.hypot(*np.maximum(np.abs(xs - ax[0]), np.abs(xs - ax[-1])).T)
-    k_tops = np.minimum(np.floor(R / h + 1e-12), np.ceil(far / h) + 1)
-    if not k_tops.max(initial=0) < 2**62:  # no array holds such a ladder
+        held = np.flatnonzero(weights.any(axis=1 - a))
+        first, end = (held[0], held[-1] + 1) if held.size else (0, 0)
+        wide = reach + 2.0**-48 * (np.abs(x) + reach)
+        start = np.maximum(np.searchsorted(ax, x - wide), first)
+        stop = np.minimum(np.searchsorted(ax, x + wide, side="right"), end)
+        gone = start >= stop
+        start[gone] = stop[gone] = 0
+        empty |= gone
+        top = np.maximum(stop - 1, start)  # the last row or column
+        j = np.searchsorted(ax, x)  # |ax - x| falls up to j - 1 and rises from j
+        dist[0, :, a] = np.minimum(np.abs(ax[np.clip(j - 1, start, top)] - x),
+                                   np.abs(ax[np.clip(j, start, top)] - x))
+        dist[1, :, a] = np.maximum(np.abs(ax[start] - x), np.abs(ax[top] - x))
+        windows[:, 2 * a], windows[:, 2 * a + 1] = start, stop
+        nodes[:, a] = _node_index(density, x)
+    near, far = np.ceil(np.sqrt(dist[..., 0] ** 2 + dist[..., 1] ** 2) / h - 1e-12)
+    last = np.where(empty, 0.0, np.minimum(k_R, np.maximum(far, 1.0)))
+    if not last.max(initial=0) < 2**62:  # no array holds such a ladder
         raise InvalidArgumentError("points lie too far from the grid for its radius ladder")
-    k_tops = k_tops.astype(np.intp)
-    reach = (k_tops + 1) * h
-    steps = h * np.arange(1 - n, n)  # h * a for every node offset a
-    lo = np.array([held[0].start, held[1].start])
-    hi = np.array([held[0].stop, held[1].stop])
-    nodes = np.empty((len(xs), 2), dtype=np.intp)
-    windows = np.empty((len(xs), 2, 2), dtype=np.intp)
-    block = max(1, KERNEL_ELEMENTS // (2 * n))
-    for b in range(0, len(xs), block):
-        off = ax - xs[b : b + block, :, None]  # (B, 2, n): ax - x[a] per axis a
-        i = np.abs(off).argmin(axis=2)
-        exact = (off == steps[(n - 1 - i)[..., None] + np.arange(n)]).all(axis=2)
-        nodes[b : b + block] = np.where(exact, i, -1)
-        r = reach[b : b + block, None, None]
-        start = np.maximum(np.count_nonzero(off < -r, axis=2), lo)
-        stop = np.minimum(np.count_nonzero(off <= r, axis=2), hi)
-        empty = start >= stop
-        start[empty] = stop[empty] = 0
-        windows[b : b + block] = np.stack([start, stop], axis=2)
-    return k_tops, nodes, windows.reshape(len(xs), 4)
+    # near of a point with no ladder may not fit an integer
+    skip = np.maximum(near, 1.0) > last
+    return (nodes, windows, np.where(skip, 1, near).astype(np.intp),
+            np.where(skip, 0, last).astype(np.intp))
 
 
 def _bin_table(h: float, c: int) -> np.ndarray:
@@ -524,11 +490,6 @@ def _bin_table(h: float, c: int) -> np.ndarray:
     return table
 
 
-def _span(indices: np.ndarray) -> slice:
-    """The slice from the first to the last of sorted indices (empty if none)."""
-    return slice(indices[0], indices[-1] + 1) if indices.size else slice(0, 0)
-
-
 def maximal_at(measure: GridMeasure, x, R=math.inf):
     """M_R nu(x): sup over 0 < s <= R of |nu|(B(x;s)) / Leb(B(x;s)).
 
@@ -541,9 +502,9 @@ def maximal_at(measure: GridMeasure, x, R=math.inf):
     cell integration; the sup is attained at a cell-boundary radius). 2D
     densities restrict radii to spacing multiples and cover the included cell
     material with the ball of radius (k + 1/2) h, a conservative lower bound;
-    a call finds the ladder tops, node indices and windows of all its points
-    in one blocked pass and builds one bin table for all its points on the
-    node grid (see _density_maximal_2d); the values do not depend on either.
+    a call sets up the windows and ladders of all its points at once and
+    builds one bin table for all its node points of an exact grid (see
+    _density_maximal_2d); the values do not depend on either.
     """
     # a scalar bound and one point are checked without array round trips
     if isinstance(R, (float, int)):

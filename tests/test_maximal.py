@@ -308,6 +308,28 @@ def _count_table_builds(monkeypatch):
     return built
 
 
+def _table_size(density, xs, R):
+    """2 c + 1 for the largest node offset c over the windows of the node
+    points of xs that run a ladder: each window holds the rows and columns
+    that hold mass within (k_R + 1) h of the point, k_R = floor(R / h + 1e-12),
+    and a point runs a ladder when k_R >= 1 and a window node lies within
+    radius k_R. Per point, from the offsets; 1 (c = 0) if none runs one."""
+    h = density.spacing
+    ax = density.axis_nodes()
+    held = [np.flatnonzero(density.values.any(axis=1 - a)) for a in (0, 1)]
+    k_R = math.inf if math.isinf(R) else math.floor(R / h + 1e-12)
+    c = 0
+    for x in xs:
+        at = [int(np.flatnonzero(ax == x[a])[0]) for a in (0, 1)]
+        rows = [held[a][np.abs(ax[held[a]] - x[a]) <= (k_R + 1) * h] for a in (0, 1)]
+        if k_R < 1 or not (rows[0].size and rows[1].size):
+            continue
+        dist = np.sqrt((ax[rows[0]] - x[0])[:, None] ** 2 + (ax[rows[1]] - x[1])[None, :] ** 2)
+        if np.ceil(dist / h - 1e-12).min() <= k_R:
+            c = max(c, *(int(np.abs(r - i).max()) for r, i in zip(rows, at)))
+    return 2 * c + 1
+
+
 def test_bin_table_built_once_per_call_for_node_points(monkeypatch):
     built = _count_table_builds(monkeypatch)
     rng = np.random.default_rng(7)
@@ -315,78 +337,55 @@ def test_bin_table_built_once_per_call_for_node_points(monkeypatch):
     nodes = dyadic.density.node_coords()
     on_grid = nodes[rng.integers(0, len(nodes), 20)]
     off_grid = rng.uniform(-2.5, 2.5, (20, 2))
+    sizes = []
     for R in (math.inf, 0.5):
         maximal_at(dyadic, np.concatenate([on_grid, off_grid]), R)
         maximal_at(dyadic, on_grid[0], R)
+        sizes += [_table_size(dyadic.density, on_grid, R),
+                  _table_size(dyadic.density, on_grid[:1], R)]
     assert len(built) == 4
-    # the table spans the largest window: all nodes at R = inf, 0.5 / h + 1 at R = 0.5
-    assert [t.shape[0] for t in built] == [129, 129, 19, 19]
+    # each table spans the largest node offset of its call's windows: the
+    # rows and columns that hold mass at R = inf, 0.5 / h + 1 at R = 0.5
+    assert [t.shape for t in built] == [(s, s) for s in sizes]
+    assert sizes[0] < 2 * dyadic.density.n_nodes_per_axis - 1
     maximal_at(dyadic, off_grid)
     maximal_at(dyadic, on_grid, 0.5 * dyadic.density.spacing)  # no ladder radius
-    coarse = random_density_2d(rng)  # spacing 1/12: no node offset is exact
+    coarse = random_density_2d(rng)  # spacing 1/12: not an exact grid
     maximal_at(coarse, coarse.density.node_coords()[::7])
     assert len(built) == 4
 
 
-def test_bin_table_memory_is_the_table(monkeypatch):
-    built = _count_table_builds(monkeypatch)
-    _, grad = mollified_ball_gradient(1.0, -2.0, 2.0, 512)
-    n = grad.density.n_nodes_per_axis
-    # from a corner node the farthest corner is the whole diagonal away, so the
-    # table spans every node offset
-    x = grad.density.node_coords()[0]
+def _peak_bytes(fn, *args):
+    """fn(*args) and the peak of the memory it traced."""
     tracemalloc.start()
     try:
-        value = maximal_at(grad, x)
-        peak = tracemalloc.get_traced_memory()[1]
+        value = fn(*args)
+        return value, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [t.shape for t in built] == [(2 * n - 1, 2 * n - 1)]
+
+
+def test_bin_table_memory_is_the_table(monkeypatch):
+    _, grad = mollified_ball_gradient(1.0, -2.0, 2.0, 512)
+    density = grad.density
+    n = density.n_nodes_per_axis
+    # the widest table a 2D call can build, c = n - 1: a (2n - 1)^2 float
+    # temporary next to it would take 2x its bytes
+    table, peak = _peak_bytes(mx._bin_table, density.spacing, n - 1)
+    assert table.shape == (2 * n - 1, 2 * n - 1)
+    assert peak <= 1.6 * table.nbytes
+    built = _count_table_builds(monkeypatch)
+    # a corner node's table spans the rows and columns that hold mass
+    x = density.node_coords()[0]
+    value, peak = _peak_bytes(maximal_at, grad, x)
     assert value == _ref_maximal_at(grad, x)
-    # a (2n - 1)^2 float temporary next to the table would take 2x its bytes
-    assert peak <= 1.6 * built[0].nbytes
-    # an inner node's ladder ends at its own farthest corner's bin, and so
-    # does its table
-    x = grad.density.node_coords()[n * 200 + 300]
-    assert maximal_at(grad, x) == _ref_maximal_at(grad, x)
-    c = _ladder_top(grad.density, x, math.inf) + 1
-    assert c < n - 1 and built[1].shape == (2 * c + 1, 2 * c + 1)
-
-
-# The per-point set-up of the 2D kernel as it was before one blocked pass
-# replaced it; _ladder_setup must give the same tops, nodes and windows.
-
-
-def _node_index_before(offsets, steps):
-    n = offsets.size
-    i = int(np.argmin(np.abs(offsets)))
-    return i if np.array_equal(offsets, steps[n - 1 - i : 2 * n - 1 - i]) else None
-
-
-def _window_before(offsets, reach, held):
-    run = mx._span(np.flatnonzero(np.abs(offsets[held]) <= reach) + held.start)
-    return run.start, run.stop
-
-
-def _setup_before(density, xs, R, held):
-    h = density.spacing
-    ax = density.axis_nodes()
-    steps = h * np.arange(1 - ax.size, ax.size)
-    tops, nodes, windows = [], [], []
-    for x, r in zip(xs, R):
-        k = _ladder_top(density, x, r)
-        tops.append(k)
-        nodes.append([-1 if i is None else i
-                      for i in (_node_index_before(ax - x[a], steps) for a in (0, 1))])
-        windows.append([*_window_before(ax - x[0], (k + 1) * h, held[0]),
-                        *_window_before(ax - x[1], (k + 1) * h, held[1])])
-    return tops, nodes, windows
-
-
-def _held(density):
-    weights = density.values * density.spacing**2
-    return (mx._span(np.flatnonzero(weights.any(axis=1))),
-            mx._span(np.flatnonzero(weights.any(axis=0))))
+    assert peak <= 10 << 20
+    # an inner node's table is narrower than a corner node's
+    y = density.node_coords()[n * 200 + 300]
+    assert maximal_at(grad, y) == _ref_maximal_at(grad, y)
+    sizes = [_table_size(density, [z], math.inf) for z in (x, y)]
+    assert [t.shape for t in built] == [(s, s) for s in sizes]
+    assert sizes[1] < sizes[0] < 2 * n - 1
 
 
 def _zero_rows_and_columns(density):
@@ -398,6 +397,8 @@ def _zero_rows_and_columns(density):
 
 @pytest.mark.parametrize("case", ["dyadic", "random", "zero-edges", "empty"])
 def test_ladder_setup_equals_the_per_point_helpers(case):
+    """The set-up of all points at once (_ladders) gives every point the value
+    of the per-point reference, which bins every node of the grid."""
     rng = np.random.default_rng(17)
     density = (dyadic_ball_2d(rng) if case == "dyadic" else random_density_2d(rng)).density
     if case == "zero-edges":
@@ -407,20 +408,18 @@ def test_ladder_setup_equals_the_per_point_helpers(case):
                             values=np.zeros_like(density.values))
     h = density.spacing
     nodes = density.node_coords()
-    # on nodes, off nodes and outside the box, more than one block of points
+    nu = measure_from_density(density)
+    # on nodes, off nodes and outside the box
     xs = np.concatenate([nodes[rng.integers(0, len(nodes), 300)],
                          rng.uniform(-2.5, 2.5, (300, 2)),
                          rng.uniform(-9.0, 9.0, (40, 2)), [[9.0, -9.0], [0.0, 40.0]]])
-    assert len(xs) > mx.KERNEL_ELEMENTS // (2 * density.n_nodes_per_axis)
-    held = _held(density)
     for R in (np.full(len(xs), math.inf), np.full(len(xs), 0.5 * h),
               np.full(len(xs), 0.5), rng.uniform(0.01, 3.0, len(xs))):
-        tops, at, windows = mx._ladder_setup(density, xs, R, held)
-        assert (tops.tolist(), at.tolist(), windows.tolist()) == _setup_before(
-            density, xs, R, held)
+        ref = [_ref_maximal_at(nu, x, r) for x, r in zip(xs, R)]
+        # maximal_at returns zeros for a measure without mass before any set-up
+        assert mx._density_maximal_2d(density, xs, R).tolist() == ref
     if case == "empty":
-        assert not windows.any()
-        assert not mx._density_maximal_2d(density, xs, R).any()
+        assert not any(ref)
 
 
 def _nonfinite_measures():
@@ -1090,9 +1089,9 @@ def test_density_maximal_1d_equals_the_interp_kernel(grid, seed):
                          rng.uniform(density.lo - h, density.hi + h, 12),
                          nodes[:3] + 0.5 * h])
     if exact:  # the nodes read the prefix by index
-        assert (mx._node_index_1d(density, xs)[:42] >= 0).all()
+        assert (mx._node_index(density, xs)[:42] >= 0).all()
     else:  # every point takes the interpolation
-        assert (mx._node_index_1d(density, xs) == -1).all()
+        assert (mx._node_index(density, xs) == -1).all()
     choices = np.array([0.25 * h, h + rng.uniform() * (width + h), math.inf])
     for R in [*choices, choices[rng.integers(0, 3, xs.size)],
               rng.uniform(0.1 * h, 2.0 * width + h, xs.size)]:
@@ -1113,7 +1112,7 @@ def test_density_maximal_1d_equals_the_interp_kernel(grid, seed):
 ])
 def test_grids_that_are_not_exact_take_the_interpolation(lo, hi, h):
     density = GridField(d=1, lo=lo, hi=hi, spacing=h, values=np.ones(round((hi - lo) / h) + 1))
-    assert (mx._node_index_1d(density, density.axis_nodes()) == -1).all()
+    assert (mx._node_index(density, density.axis_nodes()) == -1).all()
 
 
 def test_node_rows_mask_the_offsets_beyond_their_own_bound():
@@ -1147,7 +1146,7 @@ def test_node_points_of_an_exact_grid_read_the_prefix_by_index(monkeypatch):
     calls = _count_interp_calls(monkeypatch)
     nu = random_density_1d(np.random.default_rng(4))  # h = 3 2^-7, lo = -3: exact
     nodes = nu.density.axis_nodes()
-    assert (mx._node_index_1d(nu.density, nodes) == np.arange(nodes.size)).all()
+    assert (mx._node_index(nu.density, nodes) == np.arange(nodes.size)).all()
     maximal_at(nu, nodes[:, None])
     maximal_field(nu)
     maximal_at(nu, nodes[:, None], np.full(nodes.size, 100.0))
@@ -1163,7 +1162,7 @@ def test_node_points_of_an_exact_grid_read_the_prefix_by_index(monkeypatch):
     assert calls == [nodes.size + 1, nodes.size + 1]
     calls.clear()
     decimal = GridField(d=1, lo=-3.0, hi=3.0, spacing=0.01, values=np.ones(601))
-    assert (mx._node_index_1d(decimal, decimal.axis_nodes()) == -1).all()
+    assert (mx._node_index(decimal, decimal.axis_nodes()) == -1).all()
     maximal_field(measure_from_density(decimal))
     rows = mx.KERNEL_ELEMENTS // 602  # points per block of the interpolation
     assert calls == [rows * 602] * (2 * (601 // rows)) + [601 % rows * 602] * 2
@@ -1254,6 +1253,80 @@ def test_a_batch_with_far_points_equals_the_reference():
         for R in (np.full(len(xs), math.inf), rng.uniform(0.01, 3.0, len(xs)),
                   np.full(len(xs), 1e3), np.full(len(xs), 16.0)):
             ref = [_ref_maximal_at(nu, x, r) for x, r in zip(xs, R)]
+            assert maximal_at(nu, xs, R).tolist() == ref
+
+
+@st.composite
+def densities_2d(draw):
+    """2D densities on 2 to 24 cells per axis: spacing 2^-k, 3 2^-k, 0.1 or
+    1/12, with lo on the lattice of h / 2 or off it; masses with zero rows and
+    columns, in one hot cell (a corner among them), uniform, or sparse."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = draw(st.sampled_from([2.0**-1, 2.0**-3, 3 * 2.0**-2, 3 * 2.0**-4, 0.1, 1 / 12]))
+    lo = 0.5 * h * draw(st.integers(-40, 10))
+    if draw(st.booleans()):  # off the lattice
+        lo += 0.1
+    cells = draw(st.integers(2, 24))
+    n = cells + 1
+    fill = draw(st.sampled_from(["zero-edges", "hot", "corner", "uniform", "sparse"]))
+    values = np.zeros((n, n)) if fill in ("hot", "corner") else np.ones((n, n))
+    if fill == "zero-edges":
+        values = rng.uniform(0.0, 2.0, (n, n))
+        values[: rng.integers(0, n)] = values[:, rng.integers(1, n + 1) :] = 0.0
+    elif fill in ("hot", "corner"):
+        at = rng.integers(0, n, 2) if fill == "hot" else rng.choice([0, n - 1], 2)
+        values[tuple(at)] = rng.uniform(0.1, 9.0)
+    elif fill == "sparse":
+        values = np.where(rng.random((n, n)) < 0.1, rng.uniform(0.0, 2.0, (n, n)), 0.0)
+    return GridField(d=2, lo=lo, hi=lo + cells * h, spacing=h, values=values), rng
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(case=densities_2d())
+def test_density_maximal_2d_equals_the_reference(case):
+    density, rng = case
+    nu = measure_from_density(density)
+    h, width = density.spacing, density.hi - density.lo
+    nodes = density.node_coords()
+    # nodes, off-node points, points outside the box and one at about 1e5
+    xs = np.concatenate([nodes[rng.integers(0, len(nodes), 12)],
+                         rng.uniform(density.lo, density.hi, (8, 2)),
+                         density.lo + rng.uniform(-2.0, 3.0, (6, 2)) * width,
+                         [[1e5 * (1.0 + rng.uniform()), density.lo]]])
+    k = int(rng.integers(1, 3 * (len(density.values) - 1)))
+    for R in (math.inf, 0.5 * h, k * h, float(rng.uniform(0.1, 2.0) * width),
+              rng.uniform(0.1 * h, 2.0 * width, len(xs))):
+        ref = [_ref_maximal_at(nu, x, r) for x, r in zip(xs, np.broadcast_to(R, len(xs)))]
+        assert maximal_at(nu, xs, R).tolist() == ref
+        assert [maximal_at(nu, x, r) for x, r in zip(xs, np.broadcast_to(R, len(xs)))] == ref
+
+
+def _far_reference(density, x, R):
+    """_ref_maximal_at in 2D for ladders too long for its arrays: the ratio
+    falls between the bins that hold nodes, so the maximum is read at those
+    bins only, with each bin's mass summed in node order, as np.bincount sums."""
+    h = density.spacing
+    dist = np.linalg.norm(density.node_coords() - x, axis=1)
+    bins = np.ceil(dist / h - 1e-12)
+    keep = bins <= np.floor(R / h + 1e-12)
+    used, where = np.unique(bins[keep], return_inverse=True)
+    if not used.size:
+        return 0.0
+    cum = np.cumsum(np.bincount(where, weights=density.values.ravel()[keep] * h**2))
+    k = np.maximum(used, 1.0)
+    return float(np.max(cum / ball_volume(2, (k + 0.5) * h)))
+
+
+def test_a_window_holds_every_node_where_its_search_bounds_round():
+    # at |x| ~ R ~ 1e16 a unit in the last place of x - R exceeds h, so the
+    # rounded search bounds alone would cut nodes within radius R out
+    nu = random_density_2d(np.random.default_rng(0))
+    for x, R in (([3.0, 0.0], math.inf), ([0.1, 9.0], 16.0), ([-1.0, 0.5], 0.7)):
+        assert _far_reference(nu.density, x, R) == _ref_maximal_at(nu, x, R)
+    for s in (1e14, 3e15, 1e16, 1e17):
+        xs = np.array([[s, 0.0], [0.0, -s]])
+        for R in s * np.linspace(1.0 - 1e-5, 1.0 + 1e-5, 11):
+            ref = [_far_reference(nu.density, x, R) for x in xs]
             assert maximal_at(nu, xs, R).tolist() == ref
 
 

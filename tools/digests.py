@@ -8,7 +8,10 @@ Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
   dyadic spacing puts its nodes on the 2D kernel's bin table, and
   ``maximal_field`` of that grid at R = inf and 0.7 (its mass sits on an
   annulus, so the radius ladder stops elsewhere than on Gaussian bumps);
-  1D ``maximal_at`` at node points of the 1024-cell tent G_{s,p} field with
+  2D ``maximal_at`` at far points ((+-9, 9), (1e5, 0) and (1e17, 0)) on a
+  seeded random measure, on that ball grid and on one hot corner cell, at
+  R = inf and 16, and at node points of a grid with h = 0.1, which is not
+  exact; 1D ``maximal_at`` at node points of the 1024-cell tent G_{s,p} field with
   R = 2|x - y|, and 1D ``maximal_field`` on a grid with h = 3 2^-7, whose
   node points read the prefix by index, and on one with h = 0.01, whose
   points all take the interpolation; ``gsp_field``
@@ -205,6 +208,29 @@ def maximal_digests():
         yield f"maximal_at/batch/ball64/R={label}", _sha(_batch(mx, nu, xs, R))
     for R in (math.inf, 0.7):
         yield f"maximal_field/ball64/R={R}", _sha(mx.maximal_field(nu, R).values)
+    # 2D points far from the mass, whose ladders end at their farthest window
+    # node, and one hot cell at the corner (-2, -2) of the 48-cell grid
+    far = np.array([[9.0, 9.0], [-9.0, 9.0], [1e5, 0.0], [1e17, 0.0]])
+    hot = np.zeros((49, 49))
+    hot[0, 0] = 3.0
+    corner = mx.measure_from_density(mx.GridField(d=2, lo=-2.0, hi=2.0, spacing=4.0 / 48,
+                                                  values=hot))
+    for label, measure, xs in (
+            ("2d/seed0", mx.random_density_2d(np.random.default_rng(0)), far),
+            ("ball64", nu, far),
+            ("corner", corner, np.concatenate([corner.density.node_coords()[::37], far]))):
+        for R in (math.inf, 16.0):
+            yield (f"maximal_at/far/{label}/R={R}",
+                   _sha(_batch(mx, measure, xs, np.full(len(xs), R))))
+    # node points of a grid with h = 0.1, which is not exact: they bin their offsets
+    f = mx.GridField.from_function(lambda x: np.exp(-(x[..., 0] ** 2 + x[..., 1] ** 2)),
+                                   2, -2.0, 2.0, 40)
+    rng = np.random.default_rng(40)
+    nodes = f.node_coords()
+    xs = nodes[rng.integers(0, len(nodes), 60)]
+    for label, R in (("inf", math.inf), ("0.5", 0.5), ("mixed", rng.uniform(0.01, 3.0, 60))):
+        yield (f"maximal_at/h=0.1/nodes/R={label}",
+               _sha(_batch(mx, mx.measure_from_density(f), xs, np.broadcast_to(R, 60))))
     tent = lambda x: np.maximum(0.0, 1.0 - np.abs(x[..., 0]))  # noqa: E731
     # 1D node points of an exact grid (h = 2^-8), at one bound per point as
     # pointwise_check sets them
