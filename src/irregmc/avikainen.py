@@ -50,9 +50,11 @@ class ErrorCurve:
 
     def csv_rows(self) -> list[str]:
         rows = ["model,payoff,q,n,value,stderr,N,seed"]
+        # a payoff's bounds are named as in interval_indicator(0,1): quoted, one field
+        payoff = f'"{self.payoff_name}"' if "," in self.payoff_name else self.payoff_name
         for n, v, se in zip(self.n, self.value, self.stderr):
             rows.append(
-                f"{self.model_name},{self.payoff_name},{float(self.q)!r},{int(n)},"
+                f"{self.model_name},{payoff},{float(self.q)!r},{int(n)},"
                 f"{float(v)!r},{float(se)!r},{self.N},{self.seed}"
             )
         return rows

@@ -203,12 +203,26 @@ class ExperimentConfig:
 
 @dataclass
 class RunSummary:
+    """The ledger of one run: its checks, the artifacts it wrote to ``out``,
+    and ``steps``, the counter every driver of the run adds its EM steps to."""
+
     config: dict
+    out: str
     checks: list = field(default_factory=list)
     artifacts: list = field(default_factory=list)
     wall_seconds: float = 0.0
-    em_steps: float = 0.0
+    steps: sde.StepCounter = field(default_factory=sde.StepCounter)
     error: dict | None = None  # type, message and diagnostics of an error that ends the run
+
+    def write(self, name: str, content: list[str] | dict) -> None:
+        """Write CSV rows (a list) or a JSON object (a dict) to out/name and list it."""
+        path = os.path.join(self.out, name)
+        if isinstance(content, dict):
+            _write_json(path, content)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(content) + "\n")
+        self.artifacts.append(path)
 
     def add_check(self, name: str, status: str, detail) -> None:
         if status not in ("pass", "fail", "informational"):
@@ -230,7 +244,7 @@ class RunSummary:
             "config": self.config,
             "checks": self.checks,
             "artifacts": self.artifacts,
-            "costs": {"wall_seconds": self.wall_seconds, "em_steps": self.em_steps},
+            "costs": {"wall_seconds": self.wall_seconds, "em_steps": float(self.steps.steps)},
             "error": self.error,
         }
 
@@ -327,30 +341,19 @@ def _build_block(doc: dict, key: str, registry: dict, make):
 # ---------------------------------------------------------------------------
 
 
-def _write_rows(path: str, rows: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
-
-
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _run_rate(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
+def _run_rate(config: ExperimentConfig, summary: RunSummary) -> None:
     model, pay = config.model, config.payoff
     p = config.params
     q, delta = float(p["q"]), float(p["delta"])
-    counter = sde.StepCounter()
-    try:
-        curve = av.qerror_curves(model, [(pay, q)], p["n_list"], p["N"], p["n_ref"],
-                                 p["seed"], counter=counter)[0]
-    finally:  # a run that fails has still stepped paths
-        summary.em_steps += counter.steps
-    curve_path = os.path.join(out, "rate_curve.csv")
-    _write_rows(curve_path, curve.csv_rows())
-    summary.artifacts.append(curve_path)
+    curve = av.qerror_curves(model, [(pay, q)], p["n_list"], p["N"], p["n_ref"],
+                             p["seed"], counter=summary.steps)[0]
+    summary.write("rate_curve.csv", curve.csv_rows())
     predicted = po.predicted_strong_exponent(pay.space, q, delta, p=pay.p, s=pay.s)
     try:
         fit = av.fit_rate(curve)
@@ -369,13 +372,11 @@ def _run_rate(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
         "delta": delta,
         "pass": gate.passed,
     }
-    fit_path = os.path.join(out, "rate_fit.json")
-    _write_json(fit_path, payload)
-    summary.artifacts.append(fit_path)
+    summary.write("rate_fit.json", payload)
     summary.add_gate(gate, f"|slope|={gate.value:.3f} vs predicted-0.1={gate.lo:.3f}")
 
 
-def _run_inequality(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
+def _run_inequality(config: ExperimentConfig, summary: RunSummary) -> None:
     pay = config.payoff
     p = config.params
     rep = av.inequality_check(
@@ -383,25 +384,21 @@ def _run_inequality(config: ExperimentConfig, out: str, summary: RunSummary) -> 
         scale_grid=p["scale_grid"], N=p["N"], seed=p["seed"], r=float(p["r"] or math.inf),
         s=p["s"],
     )
-    csv_path = os.path.join(out, "inequality.csv")
-    _write_rows(csv_path, rep.csv_rows())
-    summary.artifacts.append(csv_path)
+    summary.write("inequality.csv", rep.csv_rows())
     payload = {
         "family": rep.family, "rule": rep.rule,
         "moment_order": rep.moment_order, "outer_exponent": rep.outer_exponent,
         "max_ratio": rep.max_ratio, "min_ratio": rep.min_ratio,
         "max_over_min": rep.max_ratio / rep.min_ratio if rep.min_ratio > 0 else None,
     }
-    json_path = os.path.join(out, "inequality.json")
-    _write_json(json_path, payload)
-    summary.artifacts.append(json_path)
+    summary.write("inequality.json", payload)
     summary.add_check(
         "inequality-ratios", "informational",
         f"max_ratio={rep.max_ratio:.4g}, min_ratio={rep.min_ratio:.4g}",
     )
 
 
-def _run_maximal(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
+def _run_maximal(config: ExperimentConfig, summary: RunSummary) -> None:
     from . import maximal as mx  # only this kind loads it, at 10-20 ms of start-up
 
     p = config.params
@@ -433,35 +430,25 @@ def _run_maximal(config: ExperimentConfig, out: str, summary: RunSummary) -> Non
                                    rep.bound_values):
                 rows.append(f"{mid},{kind},{float(lam)!r},{float(sl)!r},{float(bd)!r}")
             mid += 1
-    csv_path = os.path.join(out, "weak_type.csv")
-    _write_rows(csv_path, rows)
-    summary.artifacts.append(csv_path)
-    json_path = os.path.join(out, "weak_type.json")
-    _write_json(json_path, {"measures": mid, "violations": total_violations})
-    summary.artifacts.append(json_path)
+    summary.write("weak_type.csv", rows)
+    summary.write("weak_type.json", {"measures": mid, "violations": total_violations})
     summary.add_gate(Gate("weak-type-bound", total_violations, hi=0),
                      f"{total_violations} violations over {mid} measures")
 
 
-def _run_mlmc(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
+def _run_mlmc(config: ExperimentConfig, summary: RunSummary) -> None:
     model, pay = config.model, config.payoff
     p = config.params
     eps = float(p["epsilon"])
     try:
         res = mlmc.run_mlmc(model, pay, eps, M=p["M"], alpha_hint=p["alpha_hint"],
-                            seed=p["seed"], n_pilot=p["n_pilot"])
+                            seed=p["seed"], n_pilot=p["n_pilot"], counter=summary.steps)
     except NonconvergenceError as exc:
-        summary.em_steps += exc.diagnostics["total_cost"]  # the levels it stepped
         summary.add_check("mlmc-run", "fail", f"nonconvergent: {exc.diagnostics}")
         return
-    rows = [mlmc.LEVEL_CSV_HEADER] + [ls.csv_row() for ls in res.levels]
-    csv_path = os.path.join(out, "mlmc_levels.csv")
-    _write_rows(csv_path, rows)
-    summary.artifacts.append(csv_path)
-    json_path = os.path.join(out, "mlmc.json")
-    _write_json(json_path, res.to_dict())
-    summary.artifacts.append(json_path)
-    summary.em_steps += res.total_cost
+    summary.write("mlmc_levels.csv",
+                  [mlmc.LEVEL_CSV_HEADER] + [ls.csv_row() for ls in res.levels])
+    summary.write("mlmc.json", res.to_dict())
     if config.model_name == "constant" and config.payoff_name == "clamp_ramp":
         err = abs(res.estimate - sde.constant_model_mean(model, pay))
         gate = Gate("mlmc-vs-quadrature", err, hi=3 * eps)
@@ -474,23 +461,16 @@ def _run_mlmc(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
         )
 
 
-def _run_complexity(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
+def _run_complexity(config: ExperimentConfig, summary: RunSummary) -> None:
     model, pay = config.model, config.payoff
     p = config.params
     predicted = po.predicted_mlmc_exponent(pay.space, p=pay.p, s=pay.s)
-    try:
-        sw = mlmc.complexity_sweep(
-            model, pay, p["epsilon_list"], M=p["M"], seed=p["seed"],
-            alpha_hint=p["alpha_hint"], predicted_exponent=predicted,
-            compare_single_level=p["compare_single_level"],
-        )
-    except NonconvergenceError as exc:  # a sweep that fails has still stepped paths
-        summary.em_steps += exc.diagnostics.get("total_cost", 0.0)
-        raise
-    csv_path = os.path.join(out, "complexity.csv")
-    _write_rows(csv_path, sw.csv_rows())
-    summary.artifacts.append(csv_path)
-    summary.em_steps += float(np.sum(sw.costs)) + sum(sw.failed_costs)
+    sw = mlmc.complexity_sweep(
+        model, pay, p["epsilon_list"], M=p["M"], seed=p["seed"],
+        alpha_hint=p["alpha_hint"], predicted_exponent=predicted,
+        compare_single_level=p["compare_single_level"], counter=summary.steps,
+    )
+    summary.write("complexity.csv", sw.csv_rows())
     payload = {
         "fitted_cost_exponent": sw.fitted_cost_exponent,
         "fit_r_squared": sw.fit.r_squared,
@@ -506,10 +486,7 @@ def _run_complexity(config: ExperimentConfig, out: str, summary: RunSummary) -> 
             "cost": sw.single_level.cost,
             "calibration_cost": sw.single_level.calibration_cost,
         }
-        summary.em_steps += sw.single_level.cost + sw.single_level.calibration_cost
-    json_path = os.path.join(out, "complexity.json")
-    _write_json(json_path, payload)
-    summary.artifacts.append(json_path)
+    summary.write("complexity.json", payload)
     status = "informational" if not sw.failed_epsilons else "fail"
     summary.add_check(
         "complexity-sweep", status,
@@ -518,7 +495,7 @@ def _run_complexity(config: ExperimentConfig, out: str, summary: RunSummary) -> 
     )
 
 
-def _run_density(config: ExperimentConfig, out: str, summary: RunSummary) -> None:
+def _run_density(config: ExperimentConfig, summary: RunSummary) -> None:
     model = config.model
     p = config.params
     n_list, seed = p["n_list"], p["seed"]
@@ -528,26 +505,18 @@ def _run_density(config: ExperimentConfig, out: str, summary: RunSummary) -> Non
     x0 = float(model.x0[0])
     cs = []
     env_payload = {}
-    counter = sde.StepCounter()
-    try:
-        for n in n_list:
-            # wrapped, so a seed near 2**64 keys a valid stream for every n
-            hist = dg.terminal_histogram(model, int(n), p["N"], p["bins"],
-                                         (seed + int(n)) % 2**64, value_range, counter)
-            csv_path = os.path.join(out, f"histogram_n{int(n)}.csv")
-            _write_rows(csv_path, hist.csv_rows())
-            summary.artifacts.append(csv_path)
-            env = dg.fit_gaussian_envelope(hist, x0, model.T)
-            cs.append(env.C_plus)
-            env_payload[str(int(n))] = env.to_dict()
-            env_payload[str(int(n))]["lower_bound_positive"] = dg.lower_bound_positive(
-                hist, x0, model.T
-            )
-    finally:  # a run that fails has still stepped paths
-        summary.em_steps += counter.steps
-    json_path = os.path.join(out, "envelope.json")
-    _write_json(json_path, env_payload)
-    summary.artifacts.append(json_path)
+    for n in n_list:
+        # wrapped, so a seed near 2**64 keys a valid stream for every n
+        hist = dg.terminal_histogram(model, int(n), p["N"], p["bins"],
+                                     (seed + int(n)) % 2**64, value_range, summary.steps)
+        summary.write(f"histogram_n{int(n)}.csv", hist.csv_rows())
+        env = dg.fit_gaussian_envelope(hist, x0, model.T)
+        cs.append(env.C_plus)
+        env_payload[str(int(n))] = env.to_dict()
+        env_payload[str(int(n))]["lower_bound_positive"] = dg.lower_bound_positive(
+            hist, x0, model.T
+        )
+    summary.write("envelope.json", env_payload)
     if len(cs) >= 2:
         gate = spread_gate("envelope-uniformity", cs)
         summary.add_gate(gate, f"C+ spread {gate.value:.2f} across n={list(map(int, n_list))}")
@@ -573,19 +542,17 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> RunS
     """
     out = out_dir or config.out_dir or os.environ.get(OUT_ENV_VAR) or "."
     os.makedirs(out, exist_ok=True)
-    summary = RunSummary(config=config.to_dict())
+    summary = RunSummary(config.to_dict(), out)
     t0 = time.time()
     try:
-        _RUNNERS[config.kind](config, out, summary)
+        _RUNNERS[config.kind](config, summary)
     except BaseException as exc:
         summary.error = {"type": type(exc).__name__, "message": str(exc),
                          "diagnostics": getattr(exc, "diagnostics", {})}
         raise
     finally:
         summary.wall_seconds = time.time() - t0
-        summary_path = os.path.join(out, "summary.json")
-        _write_json(summary_path, summary.to_dict())
-        summary.artifacts.append(summary_path)
+        summary.write("summary.json", summary.to_dict())
     return summary
 
 

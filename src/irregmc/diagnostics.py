@@ -73,6 +73,15 @@ def gaussian_kernel(c: float, T: float, x0: float, y) -> np.ndarray:
     return np.exp(-((y - x0) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
+def _binned(values: np.ndarray, bins: int, value_range: tuple[float, float]):
+    """np.histogram; a range it cannot cut into bins of finite nonzero width
+    (wider than the largest float, or too narrow) is an InvalidArgumentError."""
+    try:
+        return np.histogram(values, bins=bins, range=value_range)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"cannot bin the range {value_range}: {exc}") from exc
+
+
 def terminal_histogram(
     model: SdeModel, n: int, N: int, bins: int, seed: int,
     value_range: tuple[float, float] | None = None,
@@ -100,11 +109,11 @@ def terminal_histogram(
         lo, hi = float(samples.min()), float(samples.max())
         if lo == hi:
             raise InvalidArgumentError("degenerate sample range")
-        counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
+        counts, edges = _binned(samples, bins, (lo, hi))
     else:
         counts = 0
         for _, _, x, _ in windows:
-            binned, edges = np.histogram(x[:, 0], bins=bins, range=value_range)
+            binned, edges = _binned(x[:, 0], bins, value_range)
             counts = counts + binned
     inside = int(counts.sum())
     if inside == 0:

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateCurveError, InvalidArgumentError, NonconvergenceError
+from .errors import (DegenerateCurveError, InvalidArgumentError, NonconvergenceError,
+                     NumericFailureError)
 from .payoff import Payoff
 from .randomkit import derive_seed, increment_batch
 from .sde import SdeModel, StepCounter, path_terminals
@@ -98,7 +99,7 @@ class _LevelAccumulator:
 
 
 def _fold(model: SdeModel, payoff: Payoff, acc: Welford, seed: int, n_fine: int, factors,
-          n_new: int, counter: StepCounter) -> Welford:
+          n_new: int, counter: StepCounter | None) -> Welford:
     """Fold payoff(fine) - payoff(coarse), or payoff(fine) when no factor is
     named, of the next n_new paths into acc, block by block."""
     for first, _, fine, coarse in path_terminals(model, increment_batch, seed, n_fine,
@@ -108,7 +109,7 @@ def _fold(model: SdeModel, payoff: Payoff, acc: Welford, seed: int, n_fine: int,
 
 
 def _sample_level(model: SdeModel, payoff: Payoff, state: _LevelAccumulator, n_new: int,
-                  counter: StepCounter) -> None:
+                  counter: StepCounter | None) -> None:
     """Add n_new paths to the level, folded into its statistics block by block."""
     _fold(model, payoff, state.acc, state.seed, state.n_fine,
           (state.M,) if state.level else (), n_new, counter)
@@ -125,7 +126,6 @@ def level_sample(
         raise InvalidArgumentError("refinement M must be >= 2")
     if N < 2:
         raise InvalidArgumentError("need N >= 2 samples (variance undefined)")
-    counter = counter or StepCounter()
     state = _LevelAccumulator(level, M, model.T, seed)
     _sample_level(model, payoff, state, N, counter)
     return state.stats()
@@ -138,7 +138,17 @@ def allocate_samples(variances, hs, epsilon) -> np.ndarray:
     if epsilon <= 0:
         raise InvalidArgumentError("epsilon must be positive")
     weight = float(np.sum(np.sqrt(variances / hs)))
-    return np.ceil(2.0 * epsilon**-2 * np.sqrt(variances * hs) * weight).astype(int)
+    counts = np.ceil(2.0 * epsilon**-2 * np.sqrt(variances * hs) * weight)
+    _check_counts(counts, variances)
+    return counts.astype(int)
+
+
+def _check_counts(counts, variances) -> None:
+    """Raise NumericFailureError unless every count fits int64; a NaN or
+    overflowing variance would cast to a garbage count."""
+    if not np.all(np.asarray(counts) < 2.0**63):  # False for NaN too
+        raise NumericFailureError(
+            f"variances {np.asarray(variances).tolist()} give no int64 sample counts")
 
 
 def estimate_alpha_beta(levels: list[LevelStats]) -> tuple[LineFit, LineFit, list[int]]:
@@ -176,6 +186,11 @@ def _bias_estimate(states: list[_LevelAccumulator], M: int, alpha: float) -> flo
     return max(terms) / factor
 
 
+def _cost(states: list[_LevelAccumulator]) -> float:
+    """EM steps of the samples the levels hold."""
+    return float(sum(st.count * st.steps_per_sample() for st in states))
+
+
 def check_alpha_hint(alpha_hint: float | None, M: int) -> None:
     """Raise InvalidArgumentError unless alpha_hint is None or makes the bias
     test's divisor M**alpha_hint - 1 a positive finite float."""
@@ -203,17 +218,18 @@ def run_mlmc(
     seed: int = 0,
     n_pilot: int = DEFAULT_PILOT,
     max_level: int = DEFAULT_MAX_LEVEL,
+    counter: StepCounter | None = None,
 ) -> MlmcResult:
     """Adaptive MLMC driver targeting RMS error epsilon.
 
     Starts from levels 0 and 1 and grows L until the bias test passes,
     re-allocating samples after each variance update (at most
     DEFAULT_MAX_ROUNDS top-up rounds per level set); raises
-    NonconvergenceError with diagnostics, among them the EM steps taken
-    (``total_cost``), when L exceeds max_level.
+    NonconvergenceError with diagnostics, among them the EM steps of the
+    samples taken (``total_cost``), when L exceeds max_level. ``counter``
+    counts every step actually taken, also by a call that raises.
     """
     _check_target(epsilon, M, alpha_hint)
-    counter = StepCounter()
     states = [_LevelAccumulator(l, M, model.T, seed) for l in range(2)]
     for st in states:
         _sample_level(model, payoff, st, n_pilot, counter)
@@ -252,7 +268,7 @@ def run_mlmc(
                     "variances": [st.acc.variance for st in states],
                     "bias_estimate": bias,
                     "epsilon": epsilon,
-                    "total_cost": float(counter.steps),
+                    "total_cost": _cost(states),
                 },
             )
         new_state = _LevelAccumulator(states[-1].level + 1, M, model.T, seed)
@@ -267,7 +283,7 @@ def run_mlmc(
     )
     return MlmcResult(
         estimate=estimate, levels=levels, epsilon=epsilon,
-        total_cost=float(counter.steps),
+        total_cost=_cost(states),
         bias_estimate=bias,
         variance_estimate=variance_estimate,
         alpha_used=alpha, alpha_hat=alpha_est, beta_hat=beta_est,
@@ -296,38 +312,43 @@ def single_level_run(
     M: int = 2,
     alpha_hint: float | None = 1.0,
     seed: int = 0,
+    counter: StepCounter | None = None,
 ) -> SingleLevelResult:
-    """Plain Monte Carlo at the coarsest n = M^L passing the same bias test."""
+    """Plain Monte Carlo at the coarsest n = M^L passing the same bias test.
+
+    ``counter`` counts every step taken, the calibration's included, also by
+    a call that raises.
+    """
     _check_target(epsilon, M, alpha_hint)
-    calib = StepCounter()
     states = [_LevelAccumulator(l, M, model.T, derive_seed(seed, 0xB1A5))
               for l in range(3)]
     for st in states:
-        _sample_level(model, payoff, st, DEFAULT_PILOT, calib)
+        _sample_level(model, payoff, st, DEFAULT_PILOT, counter)
     alpha = alpha_hint if alpha_hint is not None else 1.0
     while _bias_estimate(states, M, alpha) > epsilon / math.sqrt(2.0):
         if states[-1].level >= DEFAULT_MAX_LEVEL:
             raise NonconvergenceError(
                 "single-level bias test unmet at level cap",
                 diagnostics={"levels": [st.level for st in states],
-                             "total_cost": float(calib.steps)},
+                             "total_cost": _cost(states)},
             )
         st = _LevelAccumulator(states[-1].level + 1, M, model.T,
                                derive_seed(seed, 0xB1A5))
-        _sample_level(model, payoff, st, DEFAULT_PILOT, calib)
+        _sample_level(model, payoff, st, DEFAULT_PILOT, counter)
         states.append(st)
     n_steps = states[-1].n_fine
 
     # pilot the payoff variance at the chosen resolution, then size N
     pilot = _fold(model, payoff, Welford(), derive_seed(seed, 0x51E6), n_steps, (),
-                  DEFAULT_PILOT, calib)
-    N = max(2, int(math.ceil(2.0 * pilot.variance / epsilon**2)))
+                  DEFAULT_PILOT, counter)
+    size = 2.0 * pilot.variance / epsilon**2
+    _check_counts(size, [pilot.variance])
+    N = max(2, int(math.ceil(size)))
 
-    counter = StepCounter()
     acc = _fold(model, payoff, Welford(), derive_seed(seed, 0xF1A7), n_steps, (), N, counter)
     return SingleLevelResult(
-        estimate=acc.mean, n_steps=n_steps, N=N,
-        cost=float(counter.steps), calibration_cost=float(calib.steps),
+        estimate=acc.mean, n_steps=n_steps, N=N, cost=float(N * n_steps),
+        calibration_cost=_cost(states) + float(DEFAULT_PILOT * n_steps),
     )
 
 
@@ -342,7 +363,6 @@ class ComplexitySweep:
     standard_mc_exponent: float
     results: list[MlmcResult] = field(default_factory=list)
     failed_epsilons: list[float] = field(default_factory=list)
-    failed_costs: list[float] = field(default_factory=list)  # EM steps of each failed run
     single_level: SingleLevelResult | None = None
 
     def csv_rows(self) -> list[str]:
@@ -361,57 +381,46 @@ def complexity_sweep(
     alpha_hint: float | None = 1.0,
     predicted_exponent: float | None = None,
     compare_single_level: bool = False,
+    counter: StepCounter | None = None,
 ) -> ComplexitySweep:
     """Cost-vs-accuracy sweep; fits log cost against log eps.
 
     The fitted exponent is compared against the class prediction and against
     the standard-MC exponent 2 + 1/alpha. Nonconvergent runs are dropped and
-    flagged rather than aborting the sweep, and their EM steps are kept. A
-    NonconvergenceError raised here carries every step the sweep took as
-    ``total_cost``.
+    flagged rather than aborting the sweep. ``counter`` counts every step the
+    sweep takes, those of failed runs included, also when it raises.
     """
     epsilon_list = sorted(float(e) for e in epsilon_list)
     if len(epsilon_list) < MIN_EPSILONS:
         raise InvalidArgumentError(f"need >= {MIN_EPSILONS} epsilons")
     if max(epsilon_list) < MIN_EPSILON_SPAN * min(epsilon_list):
         raise InvalidArgumentError(f"epsilons must span at least a {MIN_EPSILON_SPAN:g}x range")
-    results, costs, ests, eps_ok, failed, failed_costs = [], [], [], [], [], []
+    results, costs, ests, eps_ok, failed = [], [], [], [], []
     for i, eps in enumerate(epsilon_list):
         try:
             res = run_mlmc(model, payoff, eps, M=M, alpha_hint=alpha_hint,
-                           seed=derive_seed(seed, i))
-        except NonconvergenceError as exc:
+                           seed=derive_seed(seed, i), counter=counter)
+        except NonconvergenceError:
             failed.append(eps)
-            failed_costs.append(exc.diagnostics["total_cost"])
             continue
         results.append(res)
         costs.append(res.total_cost)
         ests.append(res.estimate)
         eps_ok.append(eps)
-    spent = sum(costs) + sum(failed_costs)
     if len(eps_ok) < 2:
-        raise NonconvergenceError(
-            "too few convergent runs for a cost fit",
-            diagnostics={"failed_epsilons": failed, "total_cost": spent},
-        )
+        raise NonconvergenceError("too few convergent runs for a cost fit",
+                                  diagnostics={"failed_epsilons": failed})
     fit = loglog_fit(np.array(eps_ok), np.array(costs))
     alpha = alpha_hint if alpha_hint is not None else 1.0
     single = None
     if compare_single_level:
-        try:
-            single = single_level_run(
-                model, payoff, min(eps_ok), M=M, alpha_hint=alpha_hint,
-                seed=derive_seed(seed, 0xCAFE),
-            )
-        except NonconvergenceError as exc:
-            exc.diagnostics["total_cost"] += spent
-            raise
+        single = single_level_run(model, payoff, min(eps_ok), M=M, alpha_hint=alpha_hint,
+                                  seed=derive_seed(seed, 0xCAFE), counter=counter)
     return ComplexitySweep(
         epsilons=np.array(eps_ok), costs=np.array(costs),
         estimates=np.array(ests),
         fitted_cost_exponent=-fit.slope, fit=fit,
         predicted_exponent=predicted_exponent,
         standard_mc_exponent=2.0 + 1.0 / alpha,
-        results=results, failed_epsilons=failed, failed_costs=failed_costs,
-        single_level=single,
+        results=results, failed_epsilons=failed, single_level=single,
     )

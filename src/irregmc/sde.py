@@ -37,6 +37,8 @@ class SdeModel:
 
 def diagonal_model(name: str, d: int, T, x0, drift: Callable, sigma: Callable) -> SdeModel:
     """Model with x0 broadcast to a float (d,) vector; the callables are kept as given."""
+    if d < 1:
+        raise InvalidArgumentError(f"d must be >= 1, got {d}")
     return SdeModel(
         name=name, d=d, T=float(T),
         x0=np.broadcast_to(np.asarray(x0, dtype=float), (d,)).copy(), drift=drift, sigma=sigma,
@@ -57,14 +59,16 @@ def _em_steps(model: SdeModel, increments: np.ndarray, start, k0: int, dt: float
               check_each: bool = False) -> np.ndarray:
     """States after the steps k0.. of increments from ``start``, which is copied."""
     x = np.array(np.broadcast_to(start, (increments.shape[0], model.d)), dtype=float)
-    for j in range(k0, k0 + increments.shape[1]):
-        t = j * dt
-        drift = model.drift(t, x) * dt
-        noise = model.sigma(t, x) * increments[:, j - k0, :]
-        x += drift
-        x += noise
-        if check_each and not np.isfinite(x).all():
-            raise NumericFailureError(f"non-finite state at Euler-Maruyama step {j}")
+    # an overflow is reported by NumericFailureError, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(k0, k0 + increments.shape[1]):
+            t = j * dt
+            drift = model.drift(t, x) * dt
+            noise = model.sigma(t, x) * increments[:, j - k0, :]
+            x += drift
+            x += noise
+            if check_each and not np.isfinite(x).all():
+                raise NumericFailureError(f"non-finite state at Euler-Maruyama step {j}")
     return x
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import functools
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import irregmc
 from irregmc import avikainen as av
-from irregmc import mlmc
+from irregmc import cli, mlmc
 from irregmc import payoff as po
 from irregmc import sde
 from irregmc.cli import (
@@ -321,6 +322,34 @@ def test_a_complexity_run_counts_the_steps_of_its_failed_epsilons(tmp_path, monk
     assert summary["costs"]["em_steps"] == sum(spent) > 0
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("mlmc", {"epsilon": 0.002, "seed": 1}),
+    ("complexity", {"epsilon_list": [0.002, 0.004, 0.008], "seed": 1}),
+])
+def test_a_run_that_overflows_counts_its_pilot_steps(tmp_path, kind, params):
+    # sigma * dW overflows in a top-up after the pilots of levels 0 and 1 have
+    # stepped: these runs used to write em_steps 0, and numpy's overflow
+    # warning went to stderr ahead of the error line
+    doc = {"kind": kind, "model": {"name": "constant", "params": {"mu": 0, "sigma": 4.5e307}},
+           "payoff": {"name": "clamp_ramp"}, "params": params}
+    cfg_path = tmp_path / "overflow.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    # in a child process, so that stderr is what a shell would see: pytest
+    # records warnings instead of printing them
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(irregmc.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "irregmc.cli", kind, "--config",
+                           str(cfg_path), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "run error: NumericFailureError: non-finite state at Euler-Maruyama step 0"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"]["type"] == "NumericFailureError"
+    # N_0 one-step paths, and N_1 pairs of a 2-step fine and a 1-step coarse path (M = 2)
+    assert summary["costs"]["em_steps"] == 1000 * 1 + 1000 * (2 + 1)
+
+
 def test_summary_records_the_diagnostics_of_an_error(tmp_path, monkeypatch):
     def nonconvergent(*args, **kwargs):
         raise NonconvergenceError("too few convergent runs for a cost fit",
@@ -428,6 +457,26 @@ def test_rate_constant_model_is_informational(tmp_path):
     assert (tmp_path / "rate_curve.csv").exists()
     with open(tmp_path / "rate_curve.csv") as fh:
         assert fh.readline().strip() == "model,payoff,q,n,value,stderr,N,seed"
+
+
+def test_a_payoff_name_with_a_comma_is_one_csv_field(tmp_path):
+    # interval_indicator(0,1) used to split into two fields, nine in all
+    doc = _doc("rate", {"n_list": [1, 2], "N": 1000, "n_ref": 4})
+    run_experiment(parse_config(json.dumps(doc)), out_dir=str(tmp_path))
+    with open(tmp_path / "rate_curve.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 8 and len(rows) == 2
+    assert all(len(row) == 8 and row[1] == "interval_indicator(0,1)" for row in rows)
+
+
+def test_a_model_of_no_dimension_exits_2(tmp_path, capsys):
+    # d = 0 built a model, and every path kind then ended in a ZeroDivisionError
+    doc = _doc("mlmc", {"epsilon": 0.2})
+    doc["model"] = {"name": "constant", "params": {"d": 0}}
+    cfg_path = tmp_path / "d0.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["mlmc", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "d must be >= 1" in capsys.readouterr().err
 
 
 def test_rate_sincos_passes_and_is_deterministic(tmp_path):
@@ -711,3 +760,109 @@ def test_selftest_command_writes_results(tmp_path, monkeypatch, capsys):
     assert results["2"]["gates"] == [
         {"name": "growth", "value": 2.0, "lo": None, "hi": 2.0, "passed": False},
         {"name": "spread", "value": None, "lo": 0.0, "hi": None, "passed": False}]
+
+
+# Whole configs for the exit-code property. Each param, and each model and
+# payoff block, has (valid values, rejected values): the valid ones are small
+# or extreme, and some pairs of them are rejected together. Sizes stay small,
+# since N, n_ref, bins and n_lambdas have no upper bound.
+_PARAM_VALUES = {
+    "rate": {"q": ([1, 2.5, 1e3], [0.5]), "n_list": ([[1, 2], [1, 2, 4]], [[2, 2]]),
+             "N": ([av.MIN_PATHS], [av.MIN_PATHS - 1]), "n_ref": ([4, 8], [0]),
+             "delta": ([1e-12, 0.7, 1 - 1e-12], [1])},
+    "inequality": {"family": (sorted(av.PAIR_FAMILIES), ["cauchy_shift"]),
+                   "rule": (["bv", "sobolev", "fractional"], ["holder"]),
+                   "p": ([1, 2.5, 1e3], [0.5]), "q": ([1, 2, 1e3], [math.nan]),
+                   "r": ([None, 4.0, 1e308], [1]), "s": ([0.5, 1e-12, None], [1]),
+                   "scale_grid": ([[0.2, 0.1], [1e-300], [1e300]], [[]]),
+                   "N": ([1, 100], [0])},
+    "maximal": {"n_atomic": ([0, 1], [-1]), "n_grid_1d": ([0, 1], [1.5]),
+                "n_grid_2d": ([0, 1], [True]), "n_lambdas": ([1, 3], [0])},
+    "mlmc": {"epsilon": ([0.2, 1 - 1e-12], [1.0]), "M": (list(mlmc.REFINEMENTS), [3]),
+             "alpha_hint": ([None, 1.0, 1000.0], [0]), "n_pilot": ([2, 1000], [1])},
+    "complexity": {"epsilon_list": ([[0.8, 0.4, 0.2], [0.2, 0.1, 0.05]], [[0.2, 0.1]]),
+                   "M": (list(mlmc.REFINEMENTS), [1]),
+                   "alpha_hint": ([None, 1.0, 1000.0], [-1]),
+                   "compare_single_level": ([False, True], [0])},
+    "density": {"n_list": ([[1], [1, 4]], [[0]]), "N": ([10_000], [9_999]),
+                "bins": ([20, 200], [19]),
+                "value_range": ([None, [-4, 4], [0, 1e-300]], [[1, 0]])},
+}
+_SEEDS = ([0, 2**64 - 1], [2**64])
+_MODEL_PARAMS = {
+    "constant": ([{}, {"mu": 0, "sigma": 4.5e307}, {"mu": 1e308, "sigma": 0},
+                  {"d": 2, "T": 1e-300}], [{"d": 0}]),
+    "sincos": ([{}, {"x0": 1e300, "T": 1e300}], [{"cos_amp": 1.0}]),
+    "sincos2d": ([{}, {"cos_amp": 1e-300}], [{"T": -1.0}]),
+    "zero": ([{}, {"d": 3, "x0": -1e300}], [{"x0": "far"}]),
+    "ode": ([{}, {"T": 1e-300}], [{"sigma": 1}]),
+}
+_PAYOFF_PARAMS = {
+    "interval_indicator": ([{}, {"a": -1e-300, "b": 1e-300}], [{"a": 1, "b": 0}]),
+    "ball_indicator": ([{}, {"d": 1, "radius": 1e300}], [{"radius": 0}]),
+    "clamp_ramp": ([{}, {"lo": -1e300, "hi": 1e300}], [{"lo": 1, "hi": 1}]),
+    "tent": ([{}, {"s": 1e-12, "p": 1}], [{"q": 1}]),
+    "tent_power": ([{}, {"s": 1}], [{"s": 1.5}]),
+    "capped_hat": ([{}, {"p": 1e300}], [{"p": "two"}]),
+    "inverse_quarter": ([{}, {"cap": -1}], [{"cap": None}]),
+}
+
+
+@st.composite
+def _whole_configs(draw):
+    def value(valid_and_rejected):
+        valid, rejected = valid_and_rejected
+        return draw(st.sampled_from(rejected if draw(st.integers(0, 11)) == 0 else valid))
+
+    kind = draw(st.sampled_from(sorted(cli._KINDS)))
+    doc = {"kind": kind, "params": {key: value(values)
+                                    for key, values in _PARAM_VALUES[kind].items()}}
+    doc["params"]["seed"] = value(_SEEDS)
+    for block, table in (("model", _MODEL_PARAMS), ("payoff", _PAYOFF_PARAMS)):
+        if block in cli._KINDS[kind][0]:
+            name = draw(st.sampled_from(sorted(table)))
+            doc[block] = {"name": name, "params": value(table[name])}
+    if kind == "mlmc" and doc["model"]["name"] == "zero" and draw(st.booleans()):
+        # the smallest target; it stays cheap only where every level's variance is 0
+        doc["params"]["epsilon"] = mlmc.MIN_EPSILON
+    return doc
+
+
+def test_the_whole_config_tables_cover_every_kind_model_and_payoff():
+    assert set(_PARAM_VALUES) == set(cli._KINDS)
+    for kind, (_, table, _) in cli._KINDS.items():
+        assert set(_PARAM_VALUES[kind]) | {"seed"} == set(table)
+    assert set(_MODEL_PARAMS) == set(sde.MODEL_REGISTRY)
+    assert set(_PAYOFF_PARAMS) == set(po.PAYOFF_REGISTRY)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(doc=_whole_configs())
+def test_every_whole_config_exits_cleanly_and_writes_what_it_lists(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([doc["kind"], "--config", path, "--out", out])
+        assert rc in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert not os.path.exists(out)
+            return
+        summary = json.loads(Path(out, "summary.json").read_text(),
+                             parse_constant=_no_constant)
+        assert (rc == 3) == (summary["error"] is not None)
+        assert (rc == 1) == any(c["status"] == "fail" for c in summary["checks"])
+        assert summary["costs"]["em_steps"] == int(summary["costs"]["em_steps"]) >= 0
+        listed = summary["artifacts"]
+        assert sorted(os.listdir(out)) == sorted(
+            [os.path.basename(p) for p in listed] + ["summary.json"])
+        for artifact in listed:
+            text = Path(artifact).read_text()
+            if artifact.endswith(".json"):
+                json.loads(text, parse_constant=_no_constant)
+            else:
+                rows = list(csv.reader(io.StringIO(text)))
+                assert len(rows) >= 2 and len({len(row) for row in rows}) == 1, artifact

@@ -53,6 +53,18 @@ def test_histogram_preconditions():
         terminal_histogram(model, 4, 10_000, 10, seed=0)
 
 
+@pytest.mark.parametrize("model, value_range", [
+    # terminals near +-1e308: max - min overflows, so numpy cannot cut the range
+    (make_model("constant", mu=0.0, sigma=4.5e307), None),
+    # a given range narrower than 200 float spacings
+    (make_model("constant"), (1.0, 1.0 + 1e-14)),
+])
+def test_a_range_numpy_cannot_bin_is_an_invalid_argument(model, value_range):
+    # numpy's ValueError used to end a density run in a traceback
+    with pytest.raises(InvalidArgumentError, match="cannot bin the range"):
+        terminal_histogram(model, 1, 10_000, 200, seed=0, value_range=value_range)
+
+
 def test_envelope_control_case(normal_hist):
     env = fit_gaussian_envelope(normal_hist, 0.0, 1.0)
     assert 1.0 <= env.C_plus <= 1.2

@@ -8,6 +8,7 @@ from irregmc.errors import (
     DegenerateCurveError,
     InvalidArgumentError,
     NonconvergenceError,
+    NumericFailureError,
 )
 from irregmc.mlmc import (
     LevelStats,
@@ -88,6 +89,27 @@ def test_allocation_formula_and_shape():
     h = np.array([1.0, 0.5, 0.25, 0.125])
     alloc = allocate_samples(v, h, 0.01)
     assert np.all(np.diff(alloc) <= 0)
+
+
+@pytest.mark.parametrize("variances", [[math.inf, 1.0], [math.nan, 1.0], [1e300, 1e300]])
+def test_variances_without_an_int64_sample_count_raise(variances):
+    # the cast to int used to give a garbage count, often a negative one
+    with pytest.raises(NumericFailureError, match="no int64 sample counts"):
+        allocate_samples(variances, [1.0, 0.5], 0.1)
+
+
+def test_drivers_whose_variances_overflow_raise_after_their_pilots():
+    # payoff variances near 1e20 ask for about 1e22 samples at eps = 0.2: the
+    # int cast gave run_mlmc a garbage count, and single_level_run, whose
+    # constant-model levels pass the bias test, set out to draw them all
+    model = make_model("constant", sigma=1e10)
+    pay = make_payoff("clamp_ramp", lo=-1e300, hi=1e300)
+    counter = StepCounter()
+    with pytest.raises(NumericFailureError, match="no int64 sample counts"):
+        run_mlmc(model, pay, 0.2, M=4, seed=1, counter=counter)
+    assert counter.steps == mlmc.DEFAULT_PILOT * (1 + 4 + 1)
+    with pytest.raises(NumericFailureError, match="no int64 sample counts"):
+        single_level_run(model, pay, 0.2, M=4, seed=1)
 
 
 def test_estimate_alpha_beta_exact_power_law():
@@ -198,17 +220,17 @@ def test_run_mlmc_nonconvergence_diagnostics():
 
 
 def test_a_sweep_whose_single_level_run_fails_reports_every_step(monkeypatch):
-    model, pay = make_model("constant"), make_payoff("clamp_ramp")
+    model, pay = make_model("sincos"), make_payoff("interval_indicator")
     sw = complexity_sweep(model, pay, [0.2, 0.1, 0.05], seed=2)
-
-    def nonconvergent(*args, **kwargs):
-        raise NonconvergenceError("single-level bias test unmet at level cap",
-                                  diagnostics={"levels": [0, 1, 2], "total_cost": 7.0})
-
-    monkeypatch.setattr(mlmc, "single_level_run", nonconvergent)
-    with pytest.raises(NonconvergenceError) as err:
-        complexity_sweep(model, pay, [0.2, 0.1, 0.05], seed=2, compare_single_level=True)
-    assert err.value.diagnostics["total_cost"] == float(np.sum(sw.costs)) + 7.0
+    # single_level_run reads the cap at call time; run_mlmc keeps its default of 12
+    monkeypatch.setattr(mlmc, "DEFAULT_MAX_LEVEL", 2)
+    counter = StepCounter()
+    with pytest.raises(NonconvergenceError, match="single-level") as err:
+        complexity_sweep(model, pay, [0.2, 0.1, 0.05], seed=2, compare_single_level=True,
+                         counter=counter)
+    # the single-level run stepped its three pilot levels before the cap stopped it
+    assert err.value.diagnostics["total_cost"] == mlmc.DEFAULT_PILOT * (1 + 3 + 6)
+    assert counter.steps == float(np.sum(sw.costs)) + err.value.diagnostics["total_cost"]
 
 
 def test_telescoping_zero_diffusion():
@@ -380,8 +402,11 @@ def test_unusable_targets_are_rejected_before_any_draw(monkeypatch, epsilon, M, 
 def test_single_level_run_basics():
     model = make_model("constant", mu=0.1, sigma=0.2)
     pay = make_payoff("clamp_ramp")
-    res = single_level_run(model, pay, 0.01, M=2, seed=8)
+    counter = StepCounter()
+    res = single_level_run(model, pay, 0.01, M=2, seed=8, counter=counter)
     assert res.cost == res.N * res.n_steps
+    # the costs come from the samples, and are the steps the run took
+    assert counter.steps == res.cost + res.calibration_cost
     assert res.n_steps >= 1
     gh_x, gh_w = np.polynomial.hermite_e.hermegauss(120)
     truth = float(np.sum(gh_w * np.clip(0.1 + 0.2 * gh_x, 0, 1)) / math.sqrt(2 * math.pi))

@@ -48,7 +48,9 @@ Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
   only what keeps them small, so the param defaults are compared too
   (``summary.json`` holds wall times and is left out);
 - ``checks``: the (name, status) pairs of the checks in each of those runs'
-  ``summary.json``, the verdicts the benchmark's gates read.
+  ``summary.json``, the verdicts the benchmark's gates read;
+- ``costs``: each of those runs' ``em_steps`` and error type (null for a run
+  that ends without one) from its ``summary.json``; wall times are left out.
 
 A change to ``randomkit``'s streams changes every digest drawn from them, and
 only those:
@@ -57,13 +59,15 @@ only those:
   (``constant``, ``sincos``, ``sincos2d``), ``block_sums``, ``chunked``,
   ``windows``, ``carried``, and the ``cli`` artifacts of ``rate``, ``mlmc``,
   ``complexity``, ``density`` and ``inequality`` (a coarse one, such as a
-  fitted exponent, may still match), and the ``checks`` of those runs (a
-  verdict may still match);
+  fitted exponent, may still match), the ``checks`` of those runs (a
+  verdict may still match) and the ``costs`` of the adaptive ``mlmc`` and
+  ``complexity`` runs, whose sample counts follow the draws;
 - kept by a stream change: ``maximal_at``, ``maximal_field``, ``gsp_field``,
   ``superlevel``, ``mollifier`` and ``pointwise_check`` (their measures and
   pairs come from numpy's ``default_rng``, or from no random numbers at all), the
   ``cli/maximal*`` artifacts, ``em`` and ``em_coupled_M4`` of ``ode`` and
-  ``zero``, which have no noise, ``young`` and ``predicted``.
+  ``zero``, which have no noise, ``young``, ``predicted``, and the ``costs``
+  of the fixed-size ``rate``, ``density``, ``inequality`` and ``maximal`` runs.
 
 Usage, from the repository root:
 
@@ -394,8 +398,10 @@ def cli_digests():
             for path in sorted(summary.artifacts):
                 if os.path.basename(path) != "summary.json":
                     yield f"cli/{label}/{os.path.basename(path)}", _sha(Path(path).read_bytes())
-            checks = json.loads(Path(out, "summary.json").read_text())["checks"]
-            yield f"checks/{label}", _sha([(c["name"], c["status"]) for c in checks])
+            emitted = json.loads(Path(out, "summary.json").read_text())
+            yield f"checks/{label}", _sha([(c["name"], c["status"]) for c in emitted["checks"]])
+            yield f"costs/{label}", _sha([emitted["costs"]["em_steps"],
+                                          (emitted["error"] or {}).get("type")])
 
 
 def emit() -> None:
