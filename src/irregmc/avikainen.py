@@ -248,7 +248,8 @@ def inequality_check(
         acc.update(np.abs(payoff(x) - payoff(xhat)) ** q, 0)
         lhs[i] = acc.mean
         lhs_se[i] = acc.stderr
-        gap = float(np.mean(np.linalg.norm(x - xhat, axis=-1) ** moment))
+        with np.errstate(over="ignore"):  # a gap past the largest float is inf
+            gap = float(np.mean(np.linalg.norm(x - xhat, axis=-1) ** moment))
         base[i] = gap**outer
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(base > 0, lhs / base, np.inf)

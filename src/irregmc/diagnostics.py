@@ -70,14 +70,17 @@ def gaussian_kernel(c: float, T: float, x0: float, y) -> np.ndarray:
     """Heat kernel g_{cT}(x0, y) in one dimension."""
     var = c * T
     y = np.asarray(y, dtype=float)
-    return np.exp(-((y - x0) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+    # far from x0 on a tiny c T the exponent overflows to -inf: the kernel is 0
+    with np.errstate(over="ignore"):
+        return np.exp(-((y - x0) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
 def _binned(values: np.ndarray, bins: int, value_range: tuple[float, float]):
     """np.histogram; a range it cannot cut into bins of finite nonzero width
     (wider than the largest float, or too narrow) is an InvalidArgumentError."""
     try:
-        return np.histogram(values, bins=bins, range=value_range)
+        with np.errstate(over="ignore", invalid="ignore"):  # the ValueError tells
+            return np.histogram(values, bins=bins, range=value_range)
     except ValueError as exc:
         raise InvalidArgumentError(f"cannot bin the range {value_range}: {exc}") from exc
 
@@ -144,7 +147,8 @@ def fit_gaussian_envelope(
     best_C = math.inf
     for c in np.asarray(c_grid, dtype=float):
         g = gaussian_kernel(c, T, x0, centers)
-        ratio = float(np.max(dens / g))
+        with np.errstate(divide="ignore"):  # g = 0 gives an inf ratio: no envelope at c
+            ratio = float(np.max(dens / g))
         if ratio < best_C:
             best_C, best_c = ratio, float(c)
     if not math.isfinite(best_C):

@@ -6,31 +6,36 @@ densities are exact too (the sup is attained at a cell-boundary radius); 2D
 densities restrict radii to multiples of the grid spacing, a documented
 lower-bound bias. The weak-type bound is checked against A_1 = 5^d.
 
-The 1D, atomic and G_{s,p} kernels work in blocks of at most KERNEL_ELEMENTS
-pairs, so their memory does not grow with the number of points or nodes. A
-1D grid is exact when, with u = h / 2 = m 2^e for an odd m, lo = a u for an
-integer a and m (|a| + 4 N + 4) < 2^53 (checked once per call, in integers):
-then every node, bound, offset |x - b| and reflection x +/- |x - b| of a node
-point is an integer multiple of u, computed with no rounding, so np.interp
-at x +/- |x - b| returns a prefix entry or an end value. Node points of
-exact grids read those entries by index from a padded prefix, one candidate
-per distance, and other points interpolate; the sums are the same. A
-G_{s,p} block is filled in two passes (copy x, subtract y in place), and
-squared without |.| at p = 2. A 2D maximal_field reuses one transform of the
-cell masses for every radius, and gathers each disk's row transforms from one
-table of the transforms of the interval rows |off| <= w. Its radius ladder
-stops once the total mass (times 1 + 1e-6, for rounding) over the next disk's
-volume is no larger than the smallest node value: a disk holds at most the
-total, so no later radius can raise a node. A 2D maximal_at call finds the
-windows and ladders of all its points at once, by np.searchsorted on the
-axis nodes: a point's ladder runs from the bin of its nearest window node
-(smaller disks are empty) to that of its farthest, capped by R (larger disks
-hold the same mass over a larger volume). Its node points of an exact grid,
-found per axis by the 1D rule, read their radius bins from one table over
-integer node offsets; pointwise_check sends both ends of its pairs through
-one such call. Each of these forms does the same floating-point operations
-in the same order as the plain form it replaces, or skips only operations
-that cannot change a value, so its values are the same bit for bit.
+The 1D and atomic kernels work in blocks of at most KERNEL_ELEMENTS pairs, and
+G_{s,p} in row blocks of at most GSP_BLOCK_PAIRS, so their memory does not
+grow with the number of points or nodes. A 1D grid is exact when, with u = h /
+2 = m 2^e for an odd m, lo = a u for an integer a and m (|a| + 4 N + 4) < 2^53
+(checked once per call, in integers): then every node, bound, offset |x - b|
+and reflection x +/- |x - b| of a node point is an integer multiple of u,
+computed with no rounding, so np.interp at x +/- |x - b| returns a prefix
+entry or an end value. Node points of exact grids read those entries by index
+from a padded prefix, one candidate per distance, and other points
+interpolate; the sums are the same. G_{s,p} stages the row and column sums of
+each offset's row pairs and adds them in two passes, so a node gets its terms
+in one order whatever the row blocks. A block is filled in two passes (copy x,
+subtract y in place), and squared without |.| at p = 2; a pair of equal
+constant rows (only +0.0 terms) is skipped, and a pair with one constant row
+takes its powers once per row and one broadcast product with the weights. A 2D
+maximal_field reuses one transform of the cell masses for every radius, and
+gathers each disk's row transforms from one table of the transforms of the
+interval rows |off| <= w. Its radius ladder stops once the total mass (times 1
++ 1e-6, for rounding) over the next disk's volume is no larger than the
+smallest node value: a disk holds at most the total, so no later radius can
+raise a node. A 2D maximal_at call finds the windows and ladders of all its
+points at once, by np.searchsorted on the axis nodes: a point's ladder runs
+from the bin of its nearest window node (smaller disks are empty) to that of
+its farthest, capped by R (larger disks hold the same mass over a larger
+volume). Its node points of an exact grid, found per axis by the 1D rule, read
+their radius bins from one table over integer node offsets; pointwise_check
+sends both ends of its pairs through one such call. Each of these forms does
+the same floating-point operations in the same order as the plain form it
+replaces, or skips only operations that cannot change a value, so its values
+are the same bit for bit.
 
 The layer needs numpy only. 2D maximal_field runs on numpy's pocketfft: the
 inverse transforms are unscaled (norm="forward") and the kept block is then
@@ -55,6 +60,8 @@ from .errors import (
 
 WEAK_TYPE_A1_BASE = 5.0  # A_1 = 5^d
 KERNEL_ELEMENTS = 1 << 15  # pairs per block of the 1D, atomic and G_{s,p} kernels
+GSP_BLOCK_PAIRS = 1 << 17  # pairs per row block of G_{s,p}
+_FULL, _X_CONST, _Y_CONST, _SKIP = range(4)  # G_{s,p} row-pair forms
 
 
 def ball_volume(d: int, s: float) -> float:
@@ -742,6 +749,28 @@ def percentile_lambda_grid(values, count: int = 10) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _row_pair_runs(vals: np.ndarray, skip: bool) -> list:
+    """Per offset o1, the runs (a, b, form) of row pairs (o1 + i, i), a <= i < b,
+    of one G_{s,p} form: _SKIP for equal constant rows (when skip), else
+    _X_CONST if row o1 + i is constant, _Y_CONST if row i is, else _FULL. A
+    constant row holds one finite value (+0.0 and -0.0 count as equal)."""
+    rows = vals.shape[0]
+    # inf - inf is nan, so a row of infinities is not constant
+    const = np.all(vals == vals[:, :1], axis=1) & np.isfinite(vals[:, 0])
+    i = np.arange(rows)
+    x = np.minimum(i[:, None] + i, rows - 1)  # the x row of the pair (o1, i)
+    form = np.where(const[x], _X_CONST, np.where(const, _Y_CONST, _FULL))
+    if skip:
+        form[const[x] & const & (vals[x, 0] == vals[:, 0])] = _SKIP
+    form = np.where(i[:, None] + i < rows, form, -1)  # -1 past the last pair
+    ends = [[] for _ in range(rows)]
+    for o1, b in zip(*np.nonzero(np.diff(form, axis=1, append=-2))):
+        ends[o1].append(int(b) + 1)
+    form = form.tolist()
+    return [[(a, b, form[o1][a]) for a, b in zip([0, *ends[o1]], ends[o1]) if form[o1][a] >= 0]
+            for o1 in range(rows)]
+
+
 def gsp_field(f: GridField, s: float, p: float) -> GridField:
     """Node-wise (integral over the box of |f(x)-f(y)|^p / |x-y|^{d+sp} dy)^{1/p}.
 
@@ -751,8 +780,19 @@ def gsp_field(f: GridField, s: float, p: float) -> GridField:
     rows r and r - o1 is one block of |v[r, j] - v[r - o1, j']|^p weights,
     with the weight of the offset (o1, j - j'). At o1 = 0 only j > j' has
     weight, so each unordered pair counts once; a block's row sums go to its
-    x nodes and its column sums to its y nodes. Blocks hold at most
-    KERNEL_ELEMENTS pairs.
+    x nodes and its column sums to its y nodes.
+
+    For each offset and column block the row sums and the column sums of
+    all row pairs are staged, then added in two passes, the row sums first.
+    A node so gets its terms in the order of offsets, column blocks and
+    row-then-column sum, whatever the row blocks (of at most GSP_BLOCK_PAIRS
+    pairs). Column blocks hold at most KERNEL_ELEMENTS pairs of one row pair,
+    and that grouping does fix the column sums. A row whose values are all
+    equal is constant. A pair of equal constant rows has only +0.0 terms
+    (with finite weights), which change no sum, so it is skipped. A pair with
+    one constant row takes the powers |c - y|^p or |x - c|^p once per row
+    and one broadcast product with the weights: the same terms as the full
+    block, summed the same way.
     """
     if not 0.0 < s < 1.0:
         raise InvalidArgumentError("s must lie in (0,1)")
@@ -770,32 +810,67 @@ def gsp_field(f: GridField, s: float, p: float) -> GridField:
     # toeplitz[o1][j, j'] is the weight of o2 = j - j' (a strided view)
     toeplitz = sliding_window_view(weights[:, ::-1], n, axis=1)[:, ::-1]
     cols = min(n, max(1, KERNEL_ELEMENTS // n))
-    block_rows = max(1, KERNEL_ELEMENTS // (cols * n))
-    buf = np.empty(block_rows * cols * n)
+    block_rows = max(1, GSP_BLOCK_PAIRS // (cols * n))
+    buf = np.empty(min(rows, block_rows) * cols * n)
+    powers = np.empty(min(rows, block_rows) * n)
+    row_sums, col_sums, w_buf = np.empty(rows * cols), np.empty(rows * n), np.empty(cols * n)
     ones = np.ones(n)
     square = p == 2.0
+
+    def power(a):  # |a|^p in place
+        if square:  # (x - y)^2 == |x - y|^2, and power at 2.0 is the square
+            np.square(a, out=a)
+        else:
+            np.abs(a, out=a)
+            a **= p
+
+    first = vals[:, 0]
+    # a zero difference times an infinite weight would be nan, not +0.0
+    runs = _row_pair_runs(vals, skip=bool(np.isfinite(weights).all()))
     for o1 in range(rows):
+        if all(form == _SKIP for *_, form in runs[o1]):
+            continue  # the offset adds only +0.0 terms
+        m = rows - o1  # row pairs (o1 + i, i), i < m
         for j0 in range(0, n, cols):
             j1 = min(n, j0 + cols)
+            c = j1 - j0
             width = j1 if o1 == 0 else n  # at o1 = 0 no y column j' >= j1 weighs
-            w = np.ascontiguousarray(toeplitz[o1, j0:j1, :width])
-            for r0 in range(o1, rows, block_rows):
-                r1 = min(rows, r0 + block_rows)
-                pair = buf[: (r1 - r0) * (j1 - j0) * width].reshape(r1 - r0, j1 - j0, width)
-                # x - y as a copy of x less y in place: the same differences,
-                # cheaper than one subtract that broadcasts both operands
-                np.copyto(pair, vals[r0:r1, j0:j1, None])
-                pair -= vals[r0 - o1 : r1 - o1, None, :width]
-                if square:  # (x - y)^2 == |x - y|^2, and power at 2.0 is the square
-                    np.square(pair, out=pair)
-                else:
-                    np.abs(pair, out=pair)
-                    pair **= p
-                pair *= w
-                # the terms are nonnegative, so any summation order is accurate;
-                # products with ones are the fastest row and column sums
-                acc[r0:r1, j0:j1] += pair @ ones[:width]
-                acc[r0 - o1 : r1 - o1, :width] += ones[: j1 - j0] @ pair
+            w = w_buf[: c * width].reshape(c, width)
+            np.copyto(w, toeplitz[o1, j0:j1, :width])
+            rs = row_sums[: m * c].reshape(m, c)
+            cs = col_sums[: m * width].reshape(m, width)
+            for a, b, form in runs[o1]:
+                if form == _SKIP:
+                    rs[a:b] = 0.0
+                    cs[a:b] = 0.0
+                    continue
+                for r0 in range(a, b, block_rows):
+                    r1 = min(b, r0 + block_rows)
+                    x, y = vals[o1 + r0 : o1 + r1, j0:j1], vals[r0:r1, :width]
+                    pair = buf[: (r1 - r0) * c * width].reshape(r1 - r0, c, width)
+                    if form == _FULL:
+                        # x - y as a copy of x less y in place: the same differences,
+                        # cheaper than one subtract that broadcasts both operands
+                        np.copyto(pair, x[:, :, None])
+                        pair -= y[:, None, :]
+                        power(pair)
+                        pair *= w
+                    elif form == _X_CONST:
+                        u = powers[: (r1 - r0) * width].reshape(r1 - r0, width)
+                        np.subtract(first[o1 + r0 : o1 + r1, None], y, out=u)
+                        power(u)
+                        np.multiply(u[:, None, :], w, out=pair)
+                    else:
+                        u = powers[: (r1 - r0) * c].reshape(r1 - r0, c)
+                        np.subtract(x, first[r0:r1, None], out=u)
+                        power(u)
+                        np.multiply(u[:, :, None], w, out=pair)
+                    # the terms are nonnegative, so any summation order is accurate;
+                    # products with ones are the fastest row and column sums
+                    np.matmul(pair, ones[:width], out=rs[r0:r1])
+                    np.matmul(ones[:c], pair, out=cs[r0:r1])
+            acc[o1:, j0:j1] += rs
+            acc[:m, :width] += cs
     return GridField(d=d, lo=f.lo, hi=f.hi, spacing=h,
                      values=(acc ** (1.0 / p)).reshape(f.values.shape))
 

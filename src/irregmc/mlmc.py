@@ -137,8 +137,9 @@ def allocate_samples(variances, hs, epsilon) -> np.ndarray:
     hs = np.asarray(hs, dtype=float)
     if epsilon <= 0:
         raise InvalidArgumentError("epsilon must be positive")
-    weight = float(np.sum(np.sqrt(variances / hs)))
-    counts = np.ceil(2.0 * epsilon**-2 * np.sqrt(variances * hs) * weight)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_counts reports these
+        weight = float(np.sum(np.sqrt(variances / hs)))
+        counts = np.ceil(2.0 * epsilon**-2 * np.sqrt(variances * hs) * weight)
     _check_counts(counts, variances)
     return counts.astype(int)
 

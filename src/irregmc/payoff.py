@@ -191,7 +191,8 @@ def make_ball_indicator(d: int = 2, radius: float = 1.0, center: float = 0.0) ->
     c = np.broadcast_to(np.asarray(center, dtype=float), (d,)).copy()
 
     def fn(x):
-        return (np.linalg.norm(x - c, axis=-1) < radius).astype(float)
+        with np.errstate(over="ignore"):  # a norm that overflows is inf: outside
+            return (np.linalg.norm(x - c, axis=-1) < radius).astype(float)
 
     return Payoff(
         name=f"ball_indicator(d={d},R={radius:g})", fn=fn, space="bv", sup_norm=1.0, d=d,

@@ -39,10 +39,13 @@ def diagonal_model(name: str, d: int, T, x0, drift: Callable, sigma: Callable) -
     """Model with x0 broadcast to a float (d,) vector; the callables are kept as given."""
     if d < 1:
         raise InvalidArgumentError(f"d must be >= 1, got {d}")
-    return SdeModel(
-        name=name, d=d, T=float(T),
-        x0=np.broadcast_to(np.asarray(x0, dtype=float), (d,)).copy(), drift=drift, sigma=sigma,
-    )
+    T = float(T)
+    if not 0.0 < T < math.inf:
+        raise InvalidArgumentError(f"T must be positive and finite, got {T}")
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (d,)).copy()
+    if not np.isfinite(x0).all():
+        raise InvalidArgumentError(f"x0 must be finite, got {x0.tolist()}")
+    return SdeModel(name=name, d=d, T=T, x0=x0, drift=drift, sigma=sigma)
 
 
 class StepCounter:

@@ -34,8 +34,10 @@ class Welford:
         edges = np.arange(-first % BLOCK_PATHS, values.size, BLOCK_PATHS)
         starts = np.unique(np.r_[0, edges])
         counts = np.diff(np.r_[starts, values.size])
-        means = np.add.reduceat(values, starts) / counts
-        m2s = np.add.reduceat((values - np.repeat(means, counts)) ** 2, starts)
+        # huge values give inf or nan moments, with no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = np.add.reduceat(values, starts) / counts
+            m2s = np.add.reduceat((values - np.repeat(means, counts)) ** 2, starts)
         for n_b, mean_b, m2_b in zip(counts.tolist(), means.tolist(), m2s.tolist()):
             self.update_from_moments(n_b, mean_b, m2_b)
 

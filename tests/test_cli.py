@@ -479,6 +479,20 @@ def test_a_model_of_no_dimension_exits_2(tmp_path, capsys):
     assert "d must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, name, T", [
+    ("rate", "sincos", -1.0), ("rate", "sincos", 0.0), ("density", "ode", 0.0)])
+def test_a_model_of_no_positive_horizon_exits_2(tmp_path, capsys, kind, name, T):
+    # T <= 0 was caught only when paths were drawn: exit 3 after summary.json
+    doc = _doc(kind, {})
+    doc["model"] = {"name": name, "params": {"T": T}}
+    cfg_path = tmp_path / "horizon.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([kind, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "model block" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rate_sincos_passes_and_is_deterministic(tmp_path):
     doc = json.loads(json.dumps(RATE_CONFIG))
     doc["model"] = {"name": "sincos", "params": {}}

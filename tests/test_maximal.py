@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -895,6 +896,69 @@ def test_gsp_field_equals_the_broadcast_subtract_blocks(p):
     for f in _grids_for_gsp():
         for s in (0.3, 0.5):
             assert np.array_equal(gsp_field(f, s, p).values, _gsp_field_before(f, s, p))
+
+
+@st.composite
+def piecewise_constant_grids(draw):
+    """Grids whose rows are constant (equal or not, +-0.0 mixed) or not; some
+    are constant throughout, and 1D grids are one row."""
+    d = draw(st.sampled_from([1, 2]))
+    nodes = draw(st.integers(2, 33))
+    level = st.sampled_from([0.0, -0.0, 0.75, -1.5, 2.0])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 4)) == 0:
+        values = np.full((nodes,) * d, draw(level))
+    else:
+        values = np.empty((nodes,) * (d - 1) + (nodes,))
+        for row in values.reshape(-1, nodes):
+            kind = draw(st.sampled_from(["constant", "zeros", "varied"]))
+            if kind == "constant":
+                row[:] = draw(level)
+            elif kind == "zeros":  # -0.0 beside +0.0: a constant row by ==
+                row[:] = np.where(rng.random(nodes) < 0.5, -0.0, 0.0)
+            else:
+                row[:] = rng.choice([0.0, 0.75, -1.5, rng.uniform(-1.0, 1.0)], nodes)
+    return GridField(d=d, lo=-1.0, hi=1.0, spacing=2.0 / (nodes - 1), values=values)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(f=piecewise_constant_grids(), s=st.sampled_from([0.3, 0.5]),
+       kernel=st.sampled_from([64, 256, 1 << 15]), pairs=st.sampled_from([1, 500, 1 << 17]))
+def test_gsp_field_on_constant_rows_equals_the_broadcast_subtract_blocks(f, s, kernel, pairs):
+    # small KERNEL_ELEMENTS cut 33 x 33 grids into several column blocks, and
+    # small GSP_BLOCK_PAIRS cut each run of row pairs into several row blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mx, "KERNEL_ELEMENTS", kernel)
+        mp.setattr(mx, "GSP_BLOCK_PAIRS", pairs)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            new = gsp_field(f, s, p).values
+            assert np.array_equal(new, _gsp_field_before(f, s, p))
+            assert not np.signbit(new).any()
+
+
+def test_gsp_field_makes_no_pair_block_for_equal_constant_rows(monkeypatch):
+    calls = collections.Counter()
+    for name in ("copyto", "matmul"):
+        def counted(*args, _name=name, _fn=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    for d in (1, 2):
+        for level in (0.0, -0.0, 0.75):
+            f = GridField(d=d, lo=-1.0, hi=1.0, spacing=1.0 / 16, values=np.full((33,) * d, level))
+            assert np.array_equal(gsp_field(f, 0.5, 2.0).values, np.zeros((33,) * d))
+    assert not calls
+    half = GridField(d=2, lo=-1.0, hi=1.0, spacing=1.0 / 16,
+                     values=np.repeat([[0.0], [1.0]], [16, 17], axis=0) * np.ones(33))
+    gsp_field(half, 0.5, 2.0)
+    assert calls["matmul"] > 0  # pairs of unequal rows make blocks
+
+
+def test_gsp_field_takes_no_row_of_infinities_for_constant():
+    # from_function keeps what fn returns; inf - inf is nan, not a skipped +0.0
+    f = GridField.from_function(lambda x: np.full(len(x), np.inf), 2, -1.0, 1.0, 8)
+    with pytest.raises(InvalidArgumentError, match="finite"), np.errstate(invalid="ignore"):
+        gsp_field(f, 0.5, 2.0)
 
 
 def _superlevel_before(measure, lam):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -53,6 +54,14 @@ def test_dimension_and_step_mismatch():
         em_terminal_batch(model, np.zeros((8, 2)))
     with pytest.raises(InvalidArgumentError):
         coupled_terminal_batch(model, increment_batch(1, 2, 1.0, 8, 0, 2), 3)
+
+
+@pytest.mark.parametrize("T, x0", [
+    (0.0, 0.0), (-1.0, 0.0), (math.inf, 0.0), (math.nan, 0.0), (1.0, math.nan),
+    (1.0, math.inf), (1.0, [0.0, -math.inf])])
+def test_a_model_needs_a_finite_positive_horizon_and_a_finite_start(T, x0):
+    with pytest.raises(InvalidArgumentError, match="T must|x0 must"):
+        diagonal_model("bad", 2, T, x0, drift=lambda t, x: x, sigma=lambda t, x: x)
 
 
 def test_integer_x0_gives_float_state():

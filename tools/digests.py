@@ -16,7 +16,11 @@ Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
   node points read the prefix by index, and on one with h = 0.01, whose
   points all take the interpolation; ``gsp_field``
   at (s, p) = (0.5, 2), where the power is a square, and at (0.3, 1.5),
-  (0.5, 1) and (0.7, 3), where it takes |f(x) - f(y)| first;
+  (0.5, 1) and (0.7, 3), where it takes |f(x) - f(y)| first, also on three
+  piecewise-constant 2D grids whose row pairs take every form of the kernel
+  (equal constant rows, one constant row, none): a half-plane step and a
+  ball indicator on 64 cells, and a 33 x 33 grid of -0.0/+0.0 rows with rows
+  of 0.5 and random rows among them;
 - ``superlevel_measure_atomic`` on the seeded atomic measures at 12 lambdas;
 - ``mollified_ball_gradient``'s smoothed indicator and its |gradient| density
   at 64 and 100 cells and mollifier widths of 2 and 2.5 cells;
@@ -76,8 +80,12 @@ Usage, from the repository root:
 
 ``--against`` extracts the revision's ``src/`` with ``git archive`` into a
 temporary directory, runs this same script on it and lists the digests that
-differ, with a count per group (the name up to its first ``/``); the exit
-code is 1 if any does. Floating-point results such as ``np.sin`` may differ
+differ, with a count per group (the name up to its first ``/``). A digest
+that raises is recorded as ``error:<ExceptionType>`` (a group whose own
+set-up raises, under the group's name), so an older tree that fails on one
+input is still compared on the rest; ``--against`` lists the digests that
+errored on either side apart from the compared ones. The exit code is 1 if
+any digest differs or errors in this tree. Floating-point results such as ``np.sin`` may differ
 between CPUs, so compare two trees on one machine rather than pinning digests.
 """
 
@@ -158,6 +166,11 @@ def _batch(mx, nu, xs, R):
         return np.array([mx.maximal_at(nu, x, r) for x, r in zip(xs, R)])
 
 
+def _points(mx, nu, xs, R):
+    """maximal_at one point per call."""
+    return np.array([mx.maximal_at(nu, x, r) for x, r in zip(xs, R)])
+
+
 def maximal_digests():
     from irregmc import maximal as mx
 
@@ -177,27 +190,26 @@ def maximal_digests():
                      "mixed": rng.uniform(0.01, 3.0, len(xs))}
             for label, R in radii.items():
                 tag = f"{kind}/seed{seed}/R={label}"
-                one = np.array([mx.maximal_at(nu, x, r) for x, r in zip(xs, R)])
-                yield f"maximal_at/point/{tag}", _sha(one)
-                yield f"maximal_at/batch/{tag}", _sha(_batch(mx, nu, xs, R))
+                yield f"maximal_at/point/{tag}", lambda: _sha(_points(mx, nu, xs, R))
+                yield f"maximal_at/batch/{tag}", lambda: _sha(_batch(mx, nu, xs, R))
             if not nu.is_atomic:
                 for R in (math.inf, 0.3):
                     yield (f"maximal_field/{kind}/seed{seed}/R={R}",
-                           _sha(mx.maximal_field(nu, R).values))
+                           lambda: _sha(mx.maximal_field(nu, R).values))
                 yield (f"gsp_field/{kind}/seed{seed}",
-                       _sha(mx.gsp_field(nu.density, 0.5, 2.0).values))
+                       lambda: _sha(mx.gsp_field(nu.density, 0.5, 2.0).values))
                 for s, p in ((0.3, 1.5), (0.5, 1.0), (0.7, 3.0)):
                     yield (f"gsp_field/{kind}/seed{seed}/s={s},p={p}",
-                           _sha(mx.gsp_field(nu.density, s, p).values))
+                           lambda: _sha(mx.gsp_field(nu.density, s, p).values))
             else:
                 lams = np.geomspace(0.01, 50.0, 12)
-                yield (f"superlevel/{kind}/seed{seed}",
-                       _sha(np.array([mx.superlevel_measure_atomic(nu, lam) for lam in lams])))
+                yield (f"superlevel/{kind}/seed{seed}", lambda: _sha(
+                    np.array([mx.superlevel_measure_atomic(nu, lam) for lam in lams])))
     for cells in (64, 100):
         for width in (2.0, 2.5):
             f, grad = mx.mollified_ball_gradient(1.0, -2.0, 2.0, cells, width)
-            yield f"mollifier/{cells}/width={width}/f", _sha(f.values)
-            yield f"mollifier/{cells}/width={width}/grad", _sha(grad.density.values)
+            yield f"mollifier/{cells}/width={width}/f", lambda: _sha(f.values)
+            yield f"mollifier/{cells}/width={width}/grad", lambda: _sha(grad.density.values)
     # the 64-cell ball grid has a dyadic spacing, so its nodes share one bin table
     rng = np.random.default_rng(64)
     _, nu = mx.mollified_ball_gradient(1.0, -2.0, 2.0, 64)
@@ -207,11 +219,10 @@ def maximal_digests():
     radii = {"inf": np.full(len(xs), math.inf), "0.5": np.full(len(xs), 0.5),
              "mixed": rng.uniform(0.01, 3.0, len(xs))}
     for label, R in radii.items():
-        one = np.array([mx.maximal_at(nu, x, r) for x, r in zip(xs, R)])
-        yield f"maximal_at/point/ball64/R={label}", _sha(one)
-        yield f"maximal_at/batch/ball64/R={label}", _sha(_batch(mx, nu, xs, R))
+        yield f"maximal_at/point/ball64/R={label}", lambda: _sha(_points(mx, nu, xs, R))
+        yield f"maximal_at/batch/ball64/R={label}", lambda: _sha(_batch(mx, nu, xs, R))
     for R in (math.inf, 0.7):
-        yield f"maximal_field/ball64/R={R}", _sha(mx.maximal_field(nu, R).values)
+        yield f"maximal_field/ball64/R={R}", lambda: _sha(mx.maximal_field(nu, R).values)
     # 2D points far from the mass, whose ladders end at their farthest window
     # node, and one hot cell at the corner (-2, -2) of the 48-cell grid
     far = np.array([[9.0, 9.0], [-9.0, 9.0], [1e5, 0.0], [1e17, 0.0]])
@@ -225,7 +236,7 @@ def maximal_digests():
             ("corner", corner, np.concatenate([corner.density.node_coords()[::37], far]))):
         for R in (math.inf, 16.0):
             yield (f"maximal_at/far/{label}/R={R}",
-                   _sha(_batch(mx, measure, xs, np.full(len(xs), R))))
+                   lambda: _sha(_batch(mx, measure, xs, np.full(len(xs), R))))
     # node points of a grid with h = 0.1, which is not exact: they bin their offsets
     f = mx.GridField.from_function(lambda x: np.exp(-(x[..., 0] ** 2 + x[..., 1] ** 2)),
                                    2, -2.0, 2.0, 40)
@@ -234,7 +245,7 @@ def maximal_digests():
     xs = nodes[rng.integers(0, len(nodes), 60)]
     for label, R in (("inf", math.inf), ("0.5", 0.5), ("mixed", rng.uniform(0.01, 3.0, 60))):
         yield (f"maximal_at/h=0.1/nodes/R={label}",
-               _sha(_batch(mx, mx.measure_from_density(f), xs, np.broadcast_to(R, 60))))
+               lambda: _sha(_batch(mx, mx.measure_from_density(f), xs, np.broadcast_to(R, 60))))
     tent = lambda x: np.maximum(0.0, 1.0 - np.abs(x[..., 0]))  # noqa: E731
     # 1D node points of an exact grid (h = 2^-8), at one bound per point as
     # pointwise_check sets them
@@ -246,34 +257,49 @@ def maximal_digests():
     R[R == 0.0] = 1.0
     g = mx.measure_from_density(mx.gsp_field(f, 0.5, 2.0))
     yield ("maximal_at/tent1024/nodes/R=2|x-y|",
-           _sha(_batch(mx, g, np.concatenate([xs, ys]), np.concatenate([R, R]))))
+           lambda: _sha(_batch(mx, g, np.concatenate([xs, ys]), np.concatenate([R, R]))))
     # 1D fields on an exact grid (h = 3 2^-7) and on one that is not (h = 0.01)
     for label, cells, R in (("3*2^-7", 256, 0.7), ("0.01", 600, math.inf)):
         f = mx.GridField.from_function(
             lambda x: np.abs(np.sin(3.0 * x[..., 0])) + (x[..., 0] > 1.0), 1, -3.0, 3.0, cells)
         yield (f"maximal_field/1d/h={label}",
-               _sha(mx.maximal_field(mx.measure_from_density(f), R).values))
+               lambda: _sha(mx.maximal_field(mx.measure_from_density(f), R).values))
     for cells in (32, 257):
         f = mx.GridField.from_function(tent, 1, -2.0, 2.0, cells)
-        yield f"gsp_field/tent/{cells}", _sha(mx.gsp_field(f, 0.5, 2.0).values)
-        rep = mx.pointwise_check(f, mx.gsp_field(f, 0.5, 2.0), 400, mode="fractional",
-                                 s=0.5, seed=cells)
-        yield f"pointwise_check/tent/{cells}", _sha(dataclasses.astuple(rep))
+        yield f"gsp_field/tent/{cells}", lambda: _sha(mx.gsp_field(f, 0.5, 2.0).values)
+        yield f"pointwise_check/tent/{cells}", lambda: _sha(dataclasses.astuple(
+            mx.pointwise_check(f, mx.gsp_field(f, 0.5, 2.0), 400, mode="fractional", s=0.5,
+                               seed=cells)))
     for cells in (48, 100, 256):
         f, grad = mx.mollified_ball_gradient(1.0, -2.0, 2.0, cells)
         if cells <= 100:  # the 2D G_{s,p} loop is quadratic in the node count
-            yield f"gsp_field/ball/{cells}", _sha(mx.gsp_field(f, 0.5, 2.0).values)
-        rep = mx.pointwise_check(f, grad, 200, mode="bv", seed=cells)
-        yield f"pointwise_check/ball/{cells}", _sha(dataclasses.astuple(rep))
+            yield f"gsp_field/ball/{cells}", lambda: _sha(mx.gsp_field(f, 0.5, 2.0).values)
+        yield f"pointwise_check/ball/{cells}", lambda: _sha(dataclasses.astuple(
+            mx.pointwise_check(f, grad, 200, mode="bv", seed=cells)))
+    # piecewise-constant 2D grids: rows of 0, of 1, of +-0.0 mixed and varied
+    # rows pair up in every form of the G_{s,p} kernel
+    rng = np.random.default_rng(33)
+    zeros = np.where(rng.random((33, 33)) < 0.5, -0.0, 0.0)
+    zeros[5::4] = rng.uniform(-1.0, 1.0, (7, 33))
+    zeros[3::8] = 0.5
+    for label, f in (
+            ("step64", mx.GridField.from_function(
+                lambda x: (x[..., 0] + 0.25 * x[..., 1] >= 0.0).astype(float), 2, -2.0, 2.0, 64)),
+            ("ball_indicator64", mx.GridField.from_function(
+                lambda x: (x[..., 0] ** 2 + x[..., 1] ** 2 < 1.0).astype(float), 2, -2.0, 2.0, 64)),
+            ("signed_zero_rows", mx.GridField(d=2, lo=-1.0, hi=1.0, spacing=1.0 / 16,
+                                              values=zeros))):
+        for s, p in ((0.5, 2.0), (0.3, 1.5), (0.5, 1.0), (0.7, 3.0)):
+            yield f"gsp_field/{label}/s={s},p={p}", lambda: _sha(mx.gsp_field(f, s, p).values)
 
     def cross(rng, count):
         return -rng.uniform(0.01, 3.0, (count, 1)), rng.uniform(0.01, 3.0, (count, 1))
 
     heavi = mx.GridField.from_function(lambda x: (x[..., 0] >= 0).astype(float),
                                        1, -3.0, 3.0, 300)
-    rep = mx.pointwise_check(heavi, mx.measure_from_atoms([[0.0]], [1.0]), 1000,
-                             mode="bv", seed=3, pair_sampler=cross)
-    yield "pointwise_check/heaviside", _sha(dataclasses.astuple(rep))
+    yield "pointwise_check/heaviside", lambda: _sha(dataclasses.astuple(
+        mx.pointwise_check(heavi, mx.measure_from_atoms([[0.0]], [1.0]), 1000, mode="bv",
+                           seed=3, pair_sampler=cross)))
 
 
 def em_digests():
@@ -283,10 +309,10 @@ def em_digests():
     for name in sorted(sde.MODEL_REGISTRY):
         model = sde.make_model(name)
         inc = increment_batch(11, model.d, model.T, 64, 0, 2048)
-        yield f"em/{name}", _sha(sde.em_terminal_batch(model, inc))
+        yield f"em/{name}", lambda: _sha(sde.em_terminal_batch(model, inc))
         fine, coarse = sde.coupled_terminal_batch(model, inc, 4)
-        yield f"em_coupled_M4/{name}/fine", _sha(fine)
-        yield f"em_coupled_M4/{name}/coarse", _sha(coarse)
+        yield f"em_coupled_M4/{name}/fine", lambda: _sha(fine)
+        yield f"em_coupled_M4/{name}/coarse", lambda: _sha(coarse)
 
 
 def block_sums_digests():
@@ -297,7 +323,7 @@ def block_sums_digests():
     for B, d in ((1, 1), (1, 2), (2048, 1)):
         inc = increment_batch(13, d, 1.0, 192, 0, B)
         for M in (1, 2, 3, 8, 64, 192):
-            yield f"block_sums/B={B},d={d}/M={M}", _sha(sde.block_sums(inc, M))
+            yield f"block_sums/B={B},d={d}/M={M}", lambda: _sha(sde.block_sums(inc, M))
 
 
 def chunked_digests():
@@ -310,12 +336,14 @@ def chunked_digests():
         model = sde.make_model("sincos")
         curve = avikainen.qerror_curves(model, [(make_payoff("clamp_ramp"), 2.0)], [8, 32, 64],
                                         N=3000, n_ref=256, seed=4)[0]
-        yield "chunked/qerror_curve", _sha((curve.value.tobytes(), curve.stderr.tobytes()))
+        yield "chunked/qerror_curve", lambda: _sha((curve.value.tobytes(),
+                                                    curve.stderr.tobytes()))
         stats = mlmc.level_sample(model, make_payoff("interval_indicator"), 5, 4, 1500,
                                   seed=9)
-        yield "chunked/level_sample", _sha((stats.mean, stats.variance, stats.cost))
+        yield "chunked/level_sample", lambda: _sha((stats.mean, stats.variance, stats.cost))
         hist = diagnostics.terminal_histogram(model, 256, 10_000, 40, seed=3)
-        yield "chunked/terminal_histogram", _sha((hist.edges.tobytes(), hist.counts.tobytes()))
+        yield "chunked/terminal_histogram", lambda: _sha((hist.edges.tobytes(),
+                                                          hist.counts.tobytes()))
     finally:
         randomkit.CHUNK_NORMALS = budget
 
@@ -328,21 +356,22 @@ def window_digests():
     pay = make_payoff("interval_indicator", a=-1.5, b=1.5)
     for N in (1000, 3000):
         stats = mlmc.level_sample(model, pay, 5, 4, N, seed=8)
-        yield f"windows/level_sample/L5,N{N}", _sha((stats.mean, stats.variance, stats.cost))
+        yield f"windows/level_sample/L5,N{N}", lambda: _sha((stats.mean, stats.variance,
+                                                             stats.cost))
     state = mlmc._LevelAccumulator(4, 4, model.T, 12)
     for n_new in (1500, 2300):
         mlmc._sample_level(model, pay, state, n_new, sde.StepCounter())
     stats = state.stats()
-    yield "windows/level_sample/L4,rounds1500+2300", _sha((stats.mean, stats.variance,
-                                                           stats.cost))
+    yield "windows/level_sample/L4,rounds1500+2300", lambda: _sha((stats.mean, stats.variance,
+                                                                   stats.cost))
     least = diagnostics.MIN_PATHS
     diagnostics.MIN_PATHS = 5000  # below the driver's floor, read at call time
     try:
         hist = diagnostics.terminal_histogram(model, 1024, 5000, 40, seed=5)
     finally:
         diagnostics.MIN_PATHS = least
-    yield "windows/terminal_histogram/n1024,N5000", _sha((hist.edges.tobytes(),
-                                                          hist.counts.tobytes()))
+    yield "windows/terminal_histogram/n1024,N5000", lambda: _sha((hist.edges.tobytes(),
+                                                                  hist.counts.tobytes()))
 
 
 def carried_digests():
@@ -354,8 +383,8 @@ def carried_digests():
     for n_ref, n_list, N in ((3072, [8, 12, 96], 3000), (16384, [8], 1024)):
         curve = avikainen.qerror_curves(model, [(pay, 2.0)], n_list, N, n_ref, seed=12)[0]
         name = f"n_ref{n_ref},n{'+'.join(map(str, n_list))},N{N}"
-        yield f"carried/qerror_curve/{name}", _sha((curve.value.tobytes(),
-                                                   curve.stderr.tobytes()))
+        yield f"carried/qerror_curve/{name}", lambda: _sha((curve.value.tobytes(),
+                                                           curve.stderr.tobytes()))
 
 
 def young_digests():
@@ -364,11 +393,11 @@ def young_digests():
     xs = np.geomspace(1e-3, 1e3, 25)
     for young in (payoff.young_plog(2.0, 1.0), payoff.young_plog(1.5, -0.4)):
         psi = np.array([payoff.young_complement(young, float(x)) for x in xs])
-        yield f"young/complement/{young.name}", _sha(psi)
+        yield f"young/complement/{young.name}", lambda: _sha(psi)
     for young in (payoff.young_power(2.0), payoff.young_plog(2.0, 1.0)):
         for E in (1e-2, 1e-4, 1e-6):
             bound, _ = payoff.orlicz_bound_minimize(2.0, math.inf, E, young)
-            yield f"young/orlicz_bound/{young.name},E{E:g}", _sha(bound)
+            yield f"young/orlicz_bound/{young.name},E{E:g}", lambda: _sha(bound)
 
 
 def predicted_digests():
@@ -381,11 +410,11 @@ def predicted_digests():
             for p in (1.0, 1.5, 2.0, 3.0) for s in (0.1, 0.5, 0.9)]
     for space in ("bv", "sobolev", "orlicz", "variable", "fractional", "lipschitz"):
         for q in (1.0, 2.0, 4.0):
-            yield f"predicted/strong/{space},q{q:g}", _sha(
+            yield f"predicted/strong/{space},q{q:g}", lambda: _sha(
                 [payoff.predicted_strong_exponent(space, q, delta, p=p, s=s)
                  for delta, p, s in grid])
-        yield f"predicted/mlmc/{space}", _sha([mlmc_exponent(space, delta=delta, p=p, s=s)
-                                               for delta, p, s in grid])
+        yield f"predicted/mlmc/{space}", lambda: _sha(
+            [mlmc_exponent(space, delta=delta, p=p, s=s) for delta, p, s in grid])
 
 
 def cli_digests():
@@ -397,19 +426,40 @@ def cli_digests():
             summary = cli.run_experiment(cli.parse_config(json.dumps(doc)), out_dir=out)
             for path in sorted(summary.artifacts):
                 if os.path.basename(path) != "summary.json":
-                    yield f"cli/{label}/{os.path.basename(path)}", _sha(Path(path).read_bytes())
+                    yield (f"cli/{label}/{os.path.basename(path)}",
+                           lambda: _sha(Path(path).read_bytes()))
             emitted = json.loads(Path(out, "summary.json").read_text())
-            yield f"checks/{label}", _sha([(c["name"], c["status"]) for c in emitted["checks"]])
-            yield f"costs/{label}", _sha([emitted["costs"]["em_steps"],
-                                          (emitted["error"] or {}).get("type")])
+            yield f"checks/{label}", lambda: _sha([(c["name"], c["status"])
+                                                   for c in emitted["checks"]])
+            yield f"costs/{label}", lambda: _sha([emitted["costs"]["em_steps"],
+                                                  (emitted["error"] or {}).get("type")])
 
 
-def emit() -> None:
-    for group in (maximal_digests, em_digests, block_sums_digests, chunked_digests,
-                  window_digests, carried_digests, young_digests, predicted_digests,
-                  cli_digests):
-        for name, digest in group():
-            print(f"{digest}  {name}", flush=True)
+GROUPS = (maximal_digests, em_digests, block_sums_digests, chunked_digests, window_digests,
+          carried_digests, young_digests, predicted_digests, cli_digests)
+
+
+def emit(groups=GROUPS) -> None:
+    """Print each digest; one that raises prints error:<ExceptionType> in its
+    place, and a group whose own set-up raises prints it under the group's name."""
+    for group in groups:
+        try:
+            for name, digest in group():
+                print(f"{_guarded(name, digest)}  {name}", flush=True)
+        except Exception as exc:  # noqa: BLE001 - the group stops, the run goes on
+            print(f"{_failed(group.__name__, exc)}  {group.__name__}", flush=True)
+
+
+def _guarded(name: str, digest) -> str:
+    try:
+        return digest()
+    except Exception as exc:  # noqa: BLE001 - an older tree may raise anywhere
+        return _failed(name, exc)
+
+
+def _failed(name: str, exc: Exception) -> str:
+    print(f"{name} raised {type(exc).__name__}: {exc}", file=sys.stderr, flush=True)
+    return f"error:{type(exc).__name__}"
 
 
 def _run(src: Path) -> dict[str, str]:
@@ -429,20 +479,34 @@ def against(rev: str) -> int:
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         there = _run(Path(tmp) / "src")
-    differ = sorted(n for n in here.keys() & there.keys() if here[n] != there[n])
+    return compare(here, there, rev)
+
+
+def compare(here: dict[str, str], there: dict[str, str], rev: str) -> int:
+    """Print how the digests of this tree and of rev differ; the exit code."""
+    both = here.keys() & there.keys()
+    errored = sorted(n for n in both if {_outcome(here[n]), _outcome(there[n])} != {"ok"})
+    compared = both.difference(errored)
+    differ = sorted(n for n in compared if here[n] != there[n])
     only = sorted(here.keys() ^ there.keys())
-    print(f"{len(here.keys() & there.keys())} digests compared against {rev}: "
-          f"{len(differ)} differ")
+    print(f"{len(compared)} digests compared against {rev}: {len(differ)} differ")
     for name in differ:
         print(f"differs: {name}")
+    for name in errored:
+        print(f"errored: {name} (this tree: {_outcome(here[name])}, "
+              f"{rev}: {_outcome(there[name])})")
     if differ:
-        total = collections.Counter(n.split("/", 1)[0] for n in here.keys() & there.keys())
+        total = collections.Counter(n.split("/", 1)[0] for n in compared)
         changed = collections.Counter(n.split("/", 1)[0] for n in differ)
         for g in sorted(total):
             print(f"group {g}: {changed[g]} of {total[g]} differ")
     for name in only:
         print(f"only in {'this tree' if name in here else rev}: {name}")
-    return 1 if differ else 0
+    return 1 if differ or any(_outcome(here[n]) != "ok" for n in errored) else 0
+
+
+def _outcome(digest: str) -> str:
+    return digest.removeprefix("error:") if digest.startswith("error:") else "ok"
 
 
 def main() -> int:
