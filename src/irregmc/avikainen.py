@@ -15,7 +15,7 @@ import numpy as np
 from numpy.random import Generator
 
 from .errors import DegenerateCurveError, InvalidArgumentError, NumericFailureError
-from .payoff import Payoff
+from .payoff import Payoff, euclidean_norm
 from .randomkit import StreamTag, derive_seed, increment_batch, stream
 from .sde import SdeModel, StepCounter, path_terminals
 from .sde import em_terminal_batch  # benchmarks/tracing.py rebinds it here
@@ -248,9 +248,15 @@ def inequality_check(
         acc.update(np.abs(payoff(x) - payoff(xhat)) ** q, 0)
         lhs[i] = acc.mean
         lhs_se[i] = acc.stderr
-        with np.errstate(over="ignore"):  # a gap past the largest float is inf
-            gap = float(np.mean(np.linalg.norm(x - xhat, axis=-1) ** moment))
+        gaps = euclidean_norm(x - xhat)
+        with np.errstate(over="ignore"):  # an overflow is redone below
+            gap = float(np.mean(gaps**moment))
         base[i] = gap**outer
+        if np.isinf(base[i]) and np.isfinite(gaps).all():
+            # the moment passes the largest float: take it relative to the largest gap
+            top = gaps.max()
+            with np.errstate(over="ignore"):  # a base past the largest float is inf
+                base[i] = top ** (moment * outer) * np.mean((gaps / top) ** moment) ** outer
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(base > 0, lhs / base, np.inf)
         finite = ratios[np.isfinite(ratios)]

@@ -15,9 +15,9 @@ and reflection x +/- |x - b| of a node point is an integer multiple of u,
 computed with no rounding, so np.interp at x +/- |x - b| returns a prefix
 entry or an end value. Node points of exact grids read those entries by index
 from a padded prefix, one candidate per distance, and other points
-interpolate; the sums are the same. G_{s,p} stages the row and column sums of
-each offset's row pairs and adds them in two passes, so a node gets its terms
-in one order whatever the row blocks. A block is filled in two passes (copy x,
+interpolate; the sums are the same. G_{s,p} goes through its row blocks in
+ascending rows, so for each offset a node gets its row sum before its column
+sum whatever the row blocks. A block is filled in two passes (copy x,
 subtract y in place), and squared without |.| at p = 2; a pair of equal
 constant rows (only +0.0 terms) is skipped, and a pair with one constant row
 takes its powers once per row and one broadcast product with the weights. A 2D
@@ -61,6 +61,7 @@ from .errors import (
 WEAK_TYPE_A1_BASE = 5.0  # A_1 = 5^d
 KERNEL_ELEMENTS = 1 << 15  # pairs per block of the 1D, atomic and G_{s,p} kernels
 GSP_BLOCK_PAIRS = 1 << 17  # pairs per row block of G_{s,p}
+GSP_RUN_PAIRS = 1 << 13  # fewest pairs per run of row pairs of one G_{s,p} form, on average
 _FULL, _X_CONST, _Y_CONST, _SKIP = range(4)  # G_{s,p} row-pair forms
 
 
@@ -751,24 +752,38 @@ def percentile_lambda_grid(values, count: int = 10) -> np.ndarray:
 
 def _row_pair_runs(vals: np.ndarray, skip: bool) -> list:
     """Per offset o1, the runs (a, b, form) of row pairs (o1 + i, i), a <= i < b,
-    of one G_{s,p} form: _SKIP for equal constant rows (when skip), else
-    _X_CONST if row o1 + i is constant, _Y_CONST if row i is, else _FULL. A
-    constant row holds one finite value (+0.0 and -0.0 count as equal)."""
-    rows = vals.shape[0]
+    of one G_{s,p} form: _X_CONST if row o1 + i is constant, _Y_CONST if row i
+    is, else _FULL. Pairs of equal constant rows are left out when skip. A
+    constant row holds one finite value (+0.0 and -0.0 count as equal). An
+    offset cut into runs of fewer than GSP_RUN_PAIRS pairs on average takes
+    all its pairs in one _FULL run: the full block is right for any pair
+    (equal constant rows give +0.0 terms), and a run costs numpy calls."""
+    rows, n = vals.shape
     # inf - inf is nan, so a row of infinities is not constant
     const = np.all(vals == vals[:, :1], axis=1) & np.isfinite(vals[:, 0])
+    if not const.any():
+        return [[(0, rows - o1, _FULL)] for o1 in range(rows)]
     i = np.arange(rows)
-    x = np.minimum(i[:, None] + i, rows - 1)  # the x row of the pair (o1, i)
+    x = i[:, None] + i  # the x row of the pair (o1, i)
+    past = x >= rows  # no pair
+    x[past] = rows - 1
     form = np.where(const[x], _X_CONST, np.where(const, _Y_CONST, _FULL))
     if skip:
         form[const[x] & const & (vals[x, 0] == vals[:, 0])] = _SKIP
-    form = np.where(i[:, None] + i < rows, form, -1)  # -1 past the last pair
-    ends = [[] for _ in range(rows)]
-    for o1, b in zip(*np.nonzero(np.diff(form, axis=1, append=-2))):
-        ends[o1].append(int(b) + 1)
-    form = form.tolist()
-    return [[(a, b, form[o1][a]) for a, b in zip([0, *ends[o1]], ends[o1]) if form[o1][a] >= 0]
-            for o1 in range(rows)]
+    form[past] = -1
+    count = np.count_nonzero(np.diff(form, axis=1, prepend=-1), axis=1) - past[:, -1]
+    fold = (count > 1) & ((rows - i) * n * n < GSP_RUN_PAIRS * count)
+    form[fold] = np.where(past[fold], -1, _FULL)
+    form[form == _SKIP] = -1  # -1 for no block: skipped or no pair
+    o1, last = np.nonzero(np.diff(form, axis=1, append=-2))  # the last pair of each run
+    first = np.zeros_like(last)
+    first[1:] = np.where(o1[1:] == o1[:-1], last[:-1] + 1, 0)
+    kind = form[o1, last]
+    keep = kind >= 0
+    runs = [[] for _ in range(rows)]
+    for k, a, b, fk in zip(*(v[keep].tolist() for v in (o1, first, last + 1, kind))):
+        runs[k].append((a, b, fk))
+    return runs
 
 
 def gsp_field(f: GridField, s: float, p: float) -> GridField:
@@ -780,19 +795,17 @@ def gsp_field(f: GridField, s: float, p: float) -> GridField:
     rows r and r - o1 is one block of |v[r, j] - v[r - o1, j']|^p weights,
     with the weight of the offset (o1, j - j'). At o1 = 0 only j > j' has
     weight, so each unordered pair counts once; a block's row sums go to its
-    x nodes and its column sums to its y nodes.
+    x nodes and its column sums to its y nodes. Column blocks hold at most
+    KERNEL_ELEMENTS pairs of one row pair, and row blocks at most
+    GSP_BLOCK_PAIRS pairs. Row blocks go in ascending rows, so for each
+    offset and column block a node gets its row sum before its column sum,
+    whatever the row blocks: only the column blocks fix bits.
 
-    For each offset and column block the row sums and the column sums of
-    all row pairs are staged, then added in two passes, the row sums first.
-    A node so gets its terms in the order of offsets, column blocks and
-    row-then-column sum, whatever the row blocks (of at most GSP_BLOCK_PAIRS
-    pairs). Column blocks hold at most KERNEL_ELEMENTS pairs of one row pair,
-    and that grouping does fix the column sums. A row whose values are all
-    equal is constant. A pair of equal constant rows has only +0.0 terms
-    (with finite weights), which change no sum, so it is skipped. A pair with
-    one constant row takes the powers |c - y|^p or |x - c|^p once per row
-    and one broadcast product with the weights: the same terms as the full
-    block, summed the same way.
+    A row whose values are all equal is constant. A pair of equal constant
+    rows has only +0.0 terms (with finite weights), which change no sum, so
+    it makes no block. A pair with one constant row takes the powers
+    |c - y|^p or |x - c|^p once per row and one broadcast product with the
+    weights: the same terms as the full block, summed the same way.
     """
     if not 0.0 < s < 1.0:
         raise InvalidArgumentError("s must lie in (0,1)")
@@ -813,7 +826,7 @@ def gsp_field(f: GridField, s: float, p: float) -> GridField:
     block_rows = max(1, GSP_BLOCK_PAIRS // (cols * n))
     buf = np.empty(min(rows, block_rows) * cols * n)
     powers = np.empty(min(rows, block_rows) * n)
-    row_sums, col_sums, w_buf = np.empty(rows * cols), np.empty(rows * n), np.empty(cols * n)
+    w_buf = np.empty(cols * n)
     ones = np.ones(n)
     square = p == 2.0
 
@@ -828,22 +841,15 @@ def gsp_field(f: GridField, s: float, p: float) -> GridField:
     # a zero difference times an infinite weight would be nan, not +0.0
     runs = _row_pair_runs(vals, skip=bool(np.isfinite(weights).all()))
     for o1 in range(rows):
-        if all(form == _SKIP for *_, form in runs[o1]):
-            continue  # the offset adds only +0.0 terms
-        m = rows - o1  # row pairs (o1 + i, i), i < m
+        if not runs[o1]:
+            continue  # every pair of the offset is skipped
         for j0 in range(0, n, cols):
             j1 = min(n, j0 + cols)
             c = j1 - j0
             width = j1 if o1 == 0 else n  # at o1 = 0 no y column j' >= j1 weighs
             w = w_buf[: c * width].reshape(c, width)
             np.copyto(w, toeplitz[o1, j0:j1, :width])
-            rs = row_sums[: m * c].reshape(m, c)
-            cs = col_sums[: m * width].reshape(m, width)
             for a, b, form in runs[o1]:
-                if form == _SKIP:
-                    rs[a:b] = 0.0
-                    cs[a:b] = 0.0
-                    continue
                 for r0 in range(a, b, block_rows):
                     r1 = min(b, r0 + block_rows)
                     x, y = vals[o1 + r0 : o1 + r1, j0:j1], vals[r0:r1, :width]
@@ -867,10 +873,8 @@ def gsp_field(f: GridField, s: float, p: float) -> GridField:
                         np.multiply(u[:, :, None], w, out=pair)
                     # the terms are nonnegative, so any summation order is accurate;
                     # products with ones are the fastest row and column sums
-                    np.matmul(pair, ones[:width], out=rs[r0:r1])
-                    np.matmul(ones[:c], pair, out=cs[r0:r1])
-            acc[o1:, j0:j1] += rs
-            acc[:m, :width] += cs
+                    acc[o1 + r0 : o1 + r1, j0:j1] += pair @ ones[:width]
+                    acc[r0:r1, :width] += ones[:c] @ pair
     return GridField(d=d, lo=f.lo, hi=f.hi, spacing=h,
                      values=(acc ** (1.0 / p)).reshape(f.values.shape))
 

@@ -185,14 +185,30 @@ def make_interval_indicator(a: float = 0.0, b: float = 1.0) -> Payoff:
     )
 
 
+def euclidean_norm(v) -> np.ndarray:
+    """np.linalg.norm over the last axis, except that a vector of finite
+    components whose squares overflow is first divided by its largest
+    |component|, so its norm is inf only when the norm itself passes the
+    largest float."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore"):  # the vectors that overflow are redone below
+        norm = np.asarray(np.linalg.norm(v, axis=-1))
+    redo = np.isinf(norm) & np.isfinite(v).all(axis=-1)
+    if redo.any():
+        big = v[redo]
+        top = np.abs(big).max(axis=-1, keepdims=True)
+        with np.errstate(over="ignore"):  # a norm past the largest float is inf
+            norm[redo] = top[:, 0] * np.linalg.norm(big / top, axis=-1)
+    return norm
+
+
 def make_ball_indicator(d: int = 2, radius: float = 1.0, center: float = 0.0) -> Payoff:
     if radius <= 0:
         raise InvalidArgumentError("radius must be positive")
     c = np.broadcast_to(np.asarray(center, dtype=float), (d,)).copy()
 
     def fn(x):
-        with np.errstate(over="ignore"):  # a norm that overflows is inf: outside
-            return (np.linalg.norm(x - c, axis=-1) < radius).astype(float)
+        return (euclidean_norm(x - c) < radius).astype(float)
 
     return Payoff(
         name=f"ball_indicator(d={d},R={radius:g})", fn=fn, space="bv", sup_norm=1.0, d=d,

@@ -44,3 +44,15 @@ def test_compare_lists_errors_apart_from_differences(capsys):
     assert "errored: a/both (this tree: KeyError, REV: KeyError)" in out
     del here["a/new"], here["a/both"], there["a/new"], there["a/both"]
     assert digests.compare(here, there, "REV") == 0  # only the old tree errors
+
+
+def test_compare_fails_on_an_error_only_this_tree_has(capsys):
+    there = {"a/one": "1", "a/two": "2"}
+    # the group's set-up raises here: its name errors and its digests go missing
+    assert digests.compare({"a_digests": "error:ValueError"}, there, "REV") == 1
+    assert digests.compare({"a/one": "1", "a/two": "2", "a/new": "error:KeyError"},
+                           there, "REV") == 1  # a new digest that raises
+    assert digests.compare({"a/one": "1"}, there, "REV") == 1  # a/two is lost
+    assert digests.compare({"a/one": "1", "a/two": "2", "a/new": "3"}, there, "REV") == 0
+    out = capsys.readouterr().out
+    assert "only in this tree: a_digests" in out and "only in REV: a/two" in out

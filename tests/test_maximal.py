@@ -923,22 +923,41 @@ def piecewise_constant_grids(draw):
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
 @given(f=piecewise_constant_grids(), s=st.sampled_from([0.3, 0.5]),
-       kernel=st.sampled_from([64, 256, 1 << 15]), pairs=st.sampled_from([1, 500, 1 << 17]))
-def test_gsp_field_on_constant_rows_equals_the_broadcast_subtract_blocks(f, s, kernel, pairs):
-    # small KERNEL_ELEMENTS cut 33 x 33 grids into several column blocks, and
-    # small GSP_BLOCK_PAIRS cut each run of row pairs into several row blocks
+       kernel=st.sampled_from([64, 256, 1 << 15]), pairs=st.sampled_from([1, 500, 1 << 17]),
+       run=st.sampled_from([0, 1 << 13]))
+def test_gsp_field_on_constant_rows_equals_the_broadcast_subtract_blocks(f, s, kernel, pairs,
+                                                                          run):
+    # small KERNEL_ELEMENTS cut 33 x 33 grids into several column blocks, small
+    # GSP_BLOCK_PAIRS cut each run of row pairs into several row blocks, and
+    # GSP_RUN_PAIRS = 0 keeps every run in its own form, however short
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mx, "KERNEL_ELEMENTS", kernel)
         mp.setattr(mx, "GSP_BLOCK_PAIRS", pairs)
+        mp.setattr(mx, "GSP_RUN_PAIRS", run)
         for p in (1.0, 1.5, 2.0, 3.0):
             new = gsp_field(f, s, p).values
             assert np.array_equal(new, _gsp_field_before(f, s, p))
             assert not np.signbit(new).any()
 
 
+def test_gsp_row_pair_runs_fold_short_runs_into_one_full_run(monkeypatch):
+    # zero rows between varied ones: each offset alternates forms pair by pair
+    vals = np.zeros((8, 4))
+    vals[1::2] = np.arange(4.0)
+    F, X, Y = mx._FULL, mx._X_CONST, mx._Y_CONST
+    runs = mx._row_pair_runs(vals, skip=True)
+    assert runs[0] == [(0, 8, F)] and runs[1] == [(0, 7, F)]
+    assert runs[7] == [(0, 1, Y)]  # one run is never folded
+    monkeypatch.setattr(mx, "GSP_RUN_PAIRS", 0)
+    runs = mx._row_pair_runs(vals, skip=True)
+    assert runs[0] == [(1, 2, F), (3, 4, F), (5, 6, F), (7, 8, F)]  # equal zero rows skipped
+    assert runs[1] == [(a, a + 1, Y if a % 2 == 0 else X) for a in range(7)]
+    assert mx._row_pair_runs(np.zeros((8, 4)), skip=True) == [[]] * 8
+
+
 def test_gsp_field_makes_no_pair_block_for_equal_constant_rows(monkeypatch):
     calls = collections.Counter()
-    for name in ("copyto", "matmul"):
+    for name in ("copyto", "subtract", "multiply"):
         def counted(*args, _name=name, _fn=getattr(np, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -951,7 +970,7 @@ def test_gsp_field_makes_no_pair_block_for_equal_constant_rows(monkeypatch):
     half = GridField(d=2, lo=-1.0, hi=1.0, spacing=1.0 / 16,
                      values=np.repeat([[0.0], [1.0]], [16, 17], axis=0) * np.ones(33))
     gsp_field(half, 0.5, 2.0)
-    assert calls["matmul"] > 0  # pairs of unequal rows make blocks
+    assert calls["multiply"] > 0  # pairs of unequal rows make blocks
 
 
 def test_gsp_field_takes_no_row_of_infinities_for_constant():

@@ -9,7 +9,7 @@ import pytest
 
 from irregmc import avikainen, diagnostics, mlmc
 from irregmc.errors import FitFailureError, InvalidArgumentError, NumericFailureError
-from irregmc.payoff import make_payoff
+from irregmc.payoff import euclidean_norm, make_payoff
 from irregmc.sde import make_model
 from irregmc.stats import Welford
 
@@ -55,11 +55,27 @@ def test_mlmc_counts_from_an_infinite_variance_are_a_numeric_failure():
 def test_ball_indicator_far_out():
     ball = make_payoff("ball_indicator", d=2)
     assert ball(np.array([[1e300, 1e300], [0.5, 0.0]])).tolist() == [0.0, 1.0]
+    huge = make_payoff("ball_indicator", d=2, radius=1e300)
+    inside = [[5e299, 5e299], [-7e299, 0.0], [0.0, 0.0]]
+    outside = [[8e299, 8e299], [1.5e308, 1.5e308], [np.inf, 0.0]]
+    assert huge(np.array(inside + outside)).tolist() == [1.0] * 3 + [0.0] * 3
 
 
-def test_inequality_pairs_at_scale_1e300():
-    # each shifted point leaves the ball; the gap's norm overflows to inf
+def test_norms_past_the_squares_range():
+    v = np.array([[3e300, 4e300], [3.0, 4.0], [1.5e308, 1.5e308], [np.inf, 1.0], [np.nan, 1.0]])
+    norm = euclidean_norm(v)
+    assert norm[0] == pytest.approx(5e300, rel=1e-15) and norm[1] == 5.0
+    assert norm[2] == math.inf and norm[3] == math.inf and math.isnan(norm[4])
+    assert euclidean_norm(np.array([-1e300])) == 1e300
+
+
+@pytest.mark.parametrize("p, moment", [(1.0, 1e300), (2.0, 1e200)])
+def test_inequality_pairs_at_scale_1e300(p, moment):
+    # each shifted point leaves the ball, by a gap of 1e300 whose square overflows
     rep = avikainen.inequality_check("gaussian_shift", make_payoff("ball_indicator", d=1),
-                                     1.0, 1.0, "bv", [1e300], 100, seed=0)
+                                     p, 1.0, "bv", [1e300], 100, seed=0)
+    # bv: the base is E|X - Xhat|^p to the 1/(p+1), 1e300^(p/(p+1))
+    base = moment ** (1.0 / 2.0) if p == 1.0 else moment
     assert 0.5 < rep.lhs[0] < 0.9
-    assert rep.rhs_base.tolist() == [math.inf] and rep.ratios.tolist() == [0.0]
+    assert rep.rhs_base[0] == pytest.approx(base, rel=1e-12)
+    assert rep.ratios[0] == pytest.approx(rep.lhs[0] / base, rel=1e-12)

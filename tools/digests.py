@@ -85,8 +85,10 @@ that raises is recorded as ``error:<ExceptionType>`` (a group whose own
 set-up raises, under the group's name), so an older tree that fails on one
 input is still compared on the rest; ``--against`` lists the digests that
 errored on either side apart from the compared ones. The exit code is 1 if
-any digest differs or errors in this tree. Floating-point results such as ``np.sin`` may differ
-between CPUs, so compare two trees on one machine rather than pinning digests.
+any digest differs, if any digest or group of this tree errors, or if this
+tree lacks a digest that the revision emits. Floating-point results such as
+``np.sin`` may differ between CPUs, so compare two trees on one machine rather
+than pinning digests.
 """
 
 from __future__ import annotations
@@ -489,6 +491,9 @@ def compare(here: dict[str, str], there: dict[str, str], rev: str) -> int:
     compared = both.difference(errored)
     differ = sorted(n for n in compared if here[n] != there[n])
     only = sorted(here.keys() ^ there.keys())
+    # a digest of rev that this tree no longer emits, as when a group's set-up
+    # raises here, is a digest this tree fails to reproduce
+    lost = [n for n in only if n in there and _outcome(there[n]) == "ok"]
     print(f"{len(compared)} digests compared against {rev}: {len(differ)} differ")
     for name in differ:
         print(f"differs: {name}")
@@ -502,7 +507,7 @@ def compare(here: dict[str, str], there: dict[str, str], rev: str) -> int:
             print(f"group {g}: {changed[g]} of {total[g]} differ")
     for name in only:
         print(f"only in {'this tree' if name in here else rev}: {name}")
-    return 1 if differ or any(_outcome(here[n]) != "ok" for n in errored) else 0
+    return 1 if differ or lost or any(_outcome(d) != "ok" for d in here.values()) else 0
 
 
 def _outcome(digest: str) -> str:
