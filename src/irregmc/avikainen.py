@@ -96,6 +96,8 @@ def qerror_curves(
     for n in n_list:
         if n < 1 or n_ref % n != 0:
             raise InvalidArgumentError(f"each n must divide n_ref; got n={n}, n_ref={n_ref}")
+    if len(set(n_list)) < len(n_list):
+        raise InvalidArgumentError(f"n_list must not repeat a step count; got {n_list}")
     if N < MIN_PATHS:
         raise InvalidArgumentError(f"N must be >= {MIN_PATHS}")
     accs = {(i, n): Welford() for i in range(len(targets)) for n in n_list}

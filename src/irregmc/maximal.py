@@ -118,12 +118,14 @@ class GridField:
 
     @classmethod
     def from_function(cls, fn, d: int, lo: float, hi: float, n_cells: int) -> "GridField":
+        """fn's n_nodes values at the (n_nodes, d) node coordinates, checked as any grid's."""
         spacing = (hi - lo) / n_cells
-        tmp = cls(d=d, lo=lo, hi=hi, spacing=spacing,
-                  values=np.zeros((n_cells + 1,) * d))
-        vals = fn(tmp.node_coords()).reshape((n_cells + 1,) * d)
-        tmp.values = np.asarray(vals, dtype=float)
-        return tmp
+        shape = (n_cells + 1,) * d
+        nodes = cls(d=d, lo=lo, hi=hi, spacing=spacing, values=np.zeros(shape)).node_coords()
+        vals = np.asarray(fn(nodes), dtype=float)
+        if vals.size == len(nodes):
+            vals = vals.reshape(shape)
+        return cls(d=d, lo=lo, hi=hi, spacing=spacing, values=vals)
 
 
 @dataclass

@@ -70,20 +70,27 @@ class MlmcResult:
         return asdict(self)
 
 
-class _LevelAccumulator:
-    """Welford accumulator plus the path-index cursor for one level."""
+class _Level:
+    """One level of the ladder: the statistics of its summand, f(fine) -
+    f(coarse), or f(fine) at level 0, over the paths it has folded in."""
 
-    def __init__(self, level: int, M: int, T: float, seed: int):
+    def __init__(self, model: SdeModel, payoff: Payoff, level: int, M: int, seed: int,
+                 counter: StepCounter | None):
+        self.model = model
+        self.payoff = payoff
+        self.counter = counter
         self.level = level
         self.M = M
+        self.seed = seed
         self.n_fine = M**level
-        self.h = T / self.n_fine
-        self.seed = derive_seed(seed, level)
+        self.h = model.T / self.n_fine
         self.acc = Welford()
 
-    @property
-    def count(self) -> int:
-        return self.acc.count
+    def sample(self, n_new: int) -> "_Level":
+        """Fold the next n_new paths into the statistics, block by block."""
+        _fold(self.model, self.payoff, self.acc, derive_seed(self.seed, self.level),
+              self.n_fine, (self.M,) if self.level else (), n_new, self.counter)
+        return self
 
     def steps_per_sample(self) -> int:
         if self.level == 0:
@@ -92,10 +99,15 @@ class _LevelAccumulator:
 
     def stats(self) -> LevelStats:
         return LevelStats(
-            level=self.level, h=self.h, M=self.M, N=self.count,
+            level=self.level, h=self.h, M=self.M, N=self.acc.count,
             mean=self.acc.mean, variance=self.acc.variance,
-            cost=float(self.count * self.steps_per_sample()),
+            cost=float(self.acc.count * self.steps_per_sample()),
         )
+
+    def successor(self, n_pilot: int) -> "_Level":
+        """The next finer level, piloted with n_pilot paths."""
+        return _Level(self.model, self.payoff, self.level + 1, self.M, self.seed,
+                      self.counter).sample(n_pilot)
 
 
 def _fold(model: SdeModel, payoff: Payoff, acc: Welford, seed: int, n_fine: int, factors,
@@ -106,13 +118,6 @@ def _fold(model: SdeModel, payoff: Payoff, acc: Welford, seed: int, n_fine: int,
                                                  acc.count, n_new, factors, counter):
         acc.update(payoff(fine) - payoff(coarse[0]) if coarse else payoff(fine), first)
     return acc
-
-
-def _sample_level(model: SdeModel, payoff: Payoff, state: _LevelAccumulator, n_new: int,
-                  counter: StepCounter | None) -> None:
-    """Add n_new paths to the level, folded into its statistics block by block."""
-    _fold(model, payoff, state.acc, state.seed, state.n_fine,
-          (state.M,) if state.level else (), n_new, counter)
 
 
 def level_sample(
@@ -126,9 +131,7 @@ def level_sample(
         raise InvalidArgumentError("refinement M must be >= 2")
     if N < 2:
         raise InvalidArgumentError("need N >= 2 samples (variance undefined)")
-    state = _LevelAccumulator(level, M, model.T, seed)
-    _sample_level(model, payoff, state, N, counter)
-    return state.stats()
+    return _Level(model, payoff, level, M, seed, counter).sample(N).stats()
 
 
 def allocate_samples(variances, hs, epsilon) -> np.ndarray:
@@ -173,23 +176,41 @@ def estimate_alpha_beta(levels: list[LevelStats]) -> tuple[LineFit, LineFit, lis
     return alpha_fit, beta_fit, excluded
 
 
-def _bias_estimate(states: list[_LevelAccumulator], M: int, alpha: float) -> float:
+def _bias_estimate(ladder: list[_Level], M: int, alpha: float) -> float:
     """Richardson-extrapolated remaining-bias estimate from the top two levels."""
     factor = M**alpha - 1.0
-    L = states[-1].level
+    L = ladder[-1].level
     terms = []
-    for st in states[-2:]:
-        if st.level == 0:
+    for lv in ladder[-2:]:
+        if lv.level == 0:
             continue
-        terms.append(abs(st.acc.mean) / M ** (alpha * (L - st.level)))
+        terms.append(abs(lv.acc.mean) / M ** (alpha * (L - lv.level)))
     if not terms:
         return 0.0
     return max(terms) / factor
 
 
-def _cost(states: list[_LevelAccumulator]) -> float:
+def _cost(ladder: list[_Level]) -> float:
     """EM steps of the samples the levels hold."""
-    return float(sum(st.count * st.steps_per_sample() for st in states))
+    return float(sum(lv.acc.count * lv.steps_per_sample() for lv in ladder))
+
+
+def _climb(ladder: list[_Level], n_pilot: int, bias: float, epsilon: float,
+           message: str) -> None:
+    """Append the next level, piloted with n_pilot paths; at the level cap
+    DEFAULT_MAX_LEVEL, read at call time, raise NonconvergenceError with the
+    ladder's diagnostics instead. ``message`` may name the cap as ``{cap}``."""
+    if ladder[-1].level >= DEFAULT_MAX_LEVEL:
+        raise NonconvergenceError(message.format(cap=DEFAULT_MAX_LEVEL), diagnostics={
+            "levels": [lv.level for lv in ladder],
+            "samples": [lv.acc.count for lv in ladder],
+            "means": [lv.acc.mean for lv in ladder],
+            "variances": [lv.acc.variance for lv in ladder],
+            "bias_estimate": bias,
+            "epsilon": epsilon,
+            "total_cost": _cost(ladder),
+        })
+    ladder.append(ladder[-1].successor(n_pilot))
 
 
 def check_alpha_hint(alpha_hint: float | None, M: int) -> None:
@@ -218,7 +239,6 @@ def run_mlmc(
     alpha_hint: float | None = 1.0,
     seed: int = 0,
     n_pilot: int = DEFAULT_PILOT,
-    max_level: int = DEFAULT_MAX_LEVEL,
     counter: StepCounter | None = None,
 ) -> MlmcResult:
     """Adaptive MLMC driver targeting RMS error epsilon.
@@ -227,56 +247,40 @@ def run_mlmc(
     re-allocating samples after each variance update (at most
     DEFAULT_MAX_ROUNDS top-up rounds per level set); raises
     NonconvergenceError with diagnostics, among them the EM steps of the
-    samples taken (``total_cost``), when L exceeds max_level. ``counter``
-    counts every step actually taken, also by a call that raises.
+    samples taken (``total_cost``), when L would pass DEFAULT_MAX_LEVEL, read
+    at call time. ``counter`` counts every step actually taken, also by a
+    call that raises.
     """
     _check_target(epsilon, M, alpha_hint)
-    states = [_LevelAccumulator(l, M, model.T, seed) for l in range(2)]
-    for st in states:
-        _sample_level(model, payoff, st, n_pilot, counter)
+    ladder = [_Level(model, payoff, l, M, seed, counter).sample(n_pilot) for l in range(2)]
 
     alpha_est = None
     beta_est = None
     while True:
         for _ in range(DEFAULT_MAX_ROUNDS):
-            variances = np.array([st.acc.variance for st in states])
-            hs = np.array([st.h for st in states])
+            variances = np.array([lv.acc.variance for lv in ladder])
+            hs = np.array([lv.h for lv in ladder])
             targets = allocate_samples(variances, hs, epsilon)
             grew = False
-            for st, target in zip(states, targets):
-                extra = int(target) - st.count
+            for lv, target in zip(ladder, targets):
+                extra = int(target) - lv.acc.count
                 if extra > 0:
-                    _sample_level(model, payoff, st, extra, counter)
+                    lv.sample(extra)
                     grew = True
             if not grew:
                 break
         try:
-            alpha_fit, beta_fit, _ = estimate_alpha_beta([st.stats() for st in states])
+            alpha_fit, beta_fit, _ = estimate_alpha_beta([lv.stats() for lv in ladder])
             alpha_est, beta_est = alpha_fit.slope, beta_fit.slope
         except DegenerateCurveError:
             pass
         alpha = alpha_hint if alpha_hint is not None else (alpha_est or 1.0)
-        bias = _bias_estimate(states, M, alpha)
+        bias = _bias_estimate(ladder, M, alpha)
         if bias <= epsilon / math.sqrt(2.0):
             break
-        if states[-1].level >= max_level:
-            raise NonconvergenceError(
-                f"bias test unmet at level cap {max_level}",
-                diagnostics={
-                    "levels": [st.level for st in states],
-                    "samples": [st.count for st in states],
-                    "means": [st.acc.mean for st in states],
-                    "variances": [st.acc.variance for st in states],
-                    "bias_estimate": bias,
-                    "epsilon": epsilon,
-                    "total_cost": _cost(states),
-                },
-            )
-        new_state = _LevelAccumulator(states[-1].level + 1, M, model.T, seed)
-        _sample_level(model, payoff, new_state, n_pilot, counter)
-        states.append(new_state)
+        _climb(ladder, n_pilot, bias, epsilon, "bias test unmet at level cap {cap}")
 
-    levels = [st.stats() for st in states]
+    levels = [lv.stats() for lv in ladder]
     estimate = float(sum(ls.mean for ls in levels))
     variance_estimate = float(sum(ls.variance / ls.N for ls in levels))
     flag = not (
@@ -284,7 +288,7 @@ def run_mlmc(
     )
     return MlmcResult(
         estimate=estimate, levels=levels, epsilon=epsilon,
-        total_cost=_cost(states),
+        total_cost=_cost(ladder),
         bias_estimate=bias,
         variance_estimate=variance_estimate,
         alpha_used=alpha, alpha_hat=alpha_est, beta_hat=beta_est,
@@ -317,27 +321,17 @@ def single_level_run(
 ) -> SingleLevelResult:
     """Plain Monte Carlo at the coarsest n = M^L passing the same bias test.
 
+    The levels are climbed as in ``run_mlmc``, to the same cap.
     ``counter`` counts every step taken, the calibration's included, also by
     a call that raises.
     """
     _check_target(epsilon, M, alpha_hint)
-    states = [_LevelAccumulator(l, M, model.T, derive_seed(seed, 0xB1A5))
-              for l in range(3)]
-    for st in states:
-        _sample_level(model, payoff, st, DEFAULT_PILOT, counter)
+    ladder = [_Level(model, payoff, l, M, derive_seed(seed, 0xB1A5), counter)
+              .sample(DEFAULT_PILOT) for l in range(3)]
     alpha = alpha_hint if alpha_hint is not None else 1.0
-    while _bias_estimate(states, M, alpha) > epsilon / math.sqrt(2.0):
-        if states[-1].level >= DEFAULT_MAX_LEVEL:
-            raise NonconvergenceError(
-                "single-level bias test unmet at level cap",
-                diagnostics={"levels": [st.level for st in states],
-                             "total_cost": _cost(states)},
-            )
-        st = _LevelAccumulator(states[-1].level + 1, M, model.T,
-                               derive_seed(seed, 0xB1A5))
-        _sample_level(model, payoff, st, DEFAULT_PILOT, counter)
-        states.append(st)
-    n_steps = states[-1].n_fine
+    while (bias := _bias_estimate(ladder, M, alpha)) > epsilon / math.sqrt(2.0):
+        _climb(ladder, DEFAULT_PILOT, bias, epsilon, "single-level bias test unmet at level cap")
+    n_steps = ladder[-1].n_fine
 
     # pilot the payoff variance at the chosen resolution, then size N
     pilot = _fold(model, payoff, Welford(), derive_seed(seed, 0x51E6), n_steps, (),
@@ -349,7 +343,7 @@ def single_level_run(
     acc = _fold(model, payoff, Welford(), derive_seed(seed, 0xF1A7), n_steps, (), N, counter)
     return SingleLevelResult(
         estimate=acc.mean, n_steps=n_steps, N=N, cost=float(N * n_steps),
-        calibration_cost=_cost(states) + float(DEFAULT_PILOT * n_steps),
+        calibration_cost=_cost(ladder) + float(DEFAULT_PILOT * n_steps),
     )
 
 

@@ -90,6 +90,15 @@ def test_qerror_preconditions():
         qerror_curves(model, [(pay, 2.0)], [8], 100, 256, seed=0)[0]  # N too small
 
 
+def test_a_repeated_step_count_is_rejected_before_any_path_is_stepped():
+    # rejected with the other argument checks, not by ErrorCurve after the sweep
+    counter = sde.StepCounter()
+    with pytest.raises(InvalidArgumentError, match="repeat"):
+        qerror_curves(make_model("sincos"), [(make_payoff("clamp_ramp"), 2.0)], [8, 8, 16],
+                      20000, 256, 1, counter=counter)
+    assert counter.steps == 0
+
+
 def test_curves_do_not_depend_on_the_window_size(monkeypatch):
     # folding each window as one batch gave 0.000544686832027609 at 1024-path
     # windows and ...6089 at 4096 for n = 32

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import functools
 import io
 import json
 import math
@@ -278,15 +277,14 @@ def test_a_rate_run_that_fails_counts_the_steps_it_took(tmp_path, monkeypatch):
 
 
 def test_an_mlmc_run_that_hits_the_level_cap_counts_the_steps_it_took(tmp_path, monkeypatch):
-    capped = functools.partial(mlmc.run_mlmc, max_level=1)
-    monkeypatch.setattr(mlmc, "run_mlmc", capped)
+    monkeypatch.setattr(mlmc, "DEFAULT_MAX_LEVEL", 1)
     doc = _doc("mlmc", {"epsilon": 0.02, "M": 4, "seed": 3})
     run_experiment(parse_config(json.dumps(doc)), out_dir=str(tmp_path))
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert [(c["name"], c["status"]) for c in summary["checks"]] == [("mlmc-run", "fail")]
     with pytest.raises(NonconvergenceError) as err:
-        capped(sde.make_model("sincos"), po.make_payoff("interval_indicator"), 0.02, M=4,
-               seed=3)
+        mlmc.run_mlmc(sde.make_model("sincos"), po.make_payoff("interval_indicator"), 0.02,
+                      M=4, seed=3)
     # N_0 one-step paths, and N_1 pairs of a 4-step fine and a 1-step coarse path
     n0, n1 = err.value.diagnostics["samples"]
     assert summary["costs"]["em_steps"] == n0 + n1 * (4 + 1) > 0
@@ -301,7 +299,9 @@ def test_a_complexity_run_counts_the_steps_of_its_failed_epsilons(tmp_path, monk
 
     def capped_below(model, payoff, eps, **kwargs):
         try:
-            res = real(model, payoff, eps, max_level=1 if eps < 0.05 else 12, **kwargs)
+            with monkeypatch.context() as patch:
+                patch.setattr(mlmc, "DEFAULT_MAX_LEVEL", 1 if eps < 0.05 else 12)
+                res = real(model, payoff, eps, **kwargs)
         except NonconvergenceError as exc:
             n0, n1 = exc.diagnostics["samples"]
             spent.append(n0 + n1 * (kwargs["M"] + 1))

@@ -974,10 +974,21 @@ def test_gsp_field_makes_no_pair_block_for_equal_constant_rows(monkeypatch):
 
 
 def test_gsp_field_takes_no_row_of_infinities_for_constant():
-    # from_function keeps what fn returns; inf - inf is nan, not a skipped +0.0
-    f = GridField.from_function(lambda x: np.full(len(x), np.inf), 2, -1.0, 1.0, 8)
+    # infinities set past the grid's own check; inf - inf is nan, not a skipped +0.0
+    f = GridField.from_function(lambda x: np.zeros(len(x)), 2, -1.0, 1.0, 8)
+    f.values = np.full_like(f.values, np.inf)
     with pytest.raises(InvalidArgumentError, match="finite"), np.errstate(invalid="ignore"):
         gsp_field(f, 0.5, 2.0)
+
+
+def test_from_function_checks_the_values_of_fn():
+    def half_infinite(x):
+        return np.where(x[..., 0] > 0.5, np.inf, 0.0)
+
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        GridField.from_function(half_infinite, 2, -1.0, 1.0, 8)
+    with pytest.raises(InvalidArgumentError, match="shape"):
+        GridField.from_function(lambda x: np.zeros(len(x) - 1), 2, -1.0, 1.0, 8)
 
 
 def _superlevel_before(measure, lam):

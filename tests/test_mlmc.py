@@ -207,11 +207,12 @@ def test_alpha_hint_must_be_positive(alpha_hint):
         complexity_sweep(model, pay, [0.04, 0.02, 0.01], alpha_hint=alpha_hint)
 
 
-def test_run_mlmc_nonconvergence_diagnostics():
+def test_run_mlmc_nonconvergence_diagnostics(monkeypatch):
     model = make_model("sincos")
     indicator = make_payoff("interval_indicator")
+    monkeypatch.setattr(mlmc, "DEFAULT_MAX_LEVEL", 2)
     with pytest.raises(NonconvergenceError) as err:
-        run_mlmc(model, indicator, 0.005, M=2, alpha_hint=1.0, seed=4, max_level=2)
+        run_mlmc(model, indicator, 0.005, M=2, alpha_hint=1.0, seed=4)
     diagnostics = err.value.diagnostics
     assert "bias_estimate" in diagnostics
     # the steps taken: N_0 one-step paths, then per level a 2^l- and a 2^(l-1)-step path
@@ -219,11 +220,35 @@ def test_run_mlmc_nonconvergence_diagnostics():
     assert diagnostics["total_cost"] == n0 + n1 * (2 + 1) + n2 * (4 + 2)
 
 
+def test_both_drivers_stop_at_the_one_level_cap_with_exact_costs(monkeypatch):
+    # both drivers read the cap at call time and raise the same diagnostics
+    monkeypatch.setattr(mlmc, "DEFAULT_MAX_LEVEL", 2)
+    model, pay = make_model("sincos"), make_payoff("interval_indicator")
+    keys = []
+    for driver in (run_mlmc, single_level_run):
+        counter = StepCounter()
+        with pytest.raises(NonconvergenceError, match="level cap") as err:
+            driver(model, pay, 0.005, M=2, seed=4, counter=counter)
+        diagnostics = err.value.diagnostics
+        assert diagnostics["levels"] == [0, 1, 2]
+        assert diagnostics["total_cost"] == counter.steps > 0
+        keys.append(set(diagnostics))
+    assert keys[0] == keys[1] == {"levels", "samples", "means", "variances",
+                                  "bias_estimate", "epsilon", "total_cost"}
+
+
 def test_a_sweep_whose_single_level_run_fails_reports_every_step(monkeypatch):
     model, pay = make_model("sincos"), make_payoff("interval_indicator")
     sw = complexity_sweep(model, pay, [0.2, 0.1, 0.05], seed=2)
-    # single_level_run reads the cap at call time; run_mlmc keeps its default of 12
-    monkeypatch.setattr(mlmc, "DEFAULT_MAX_LEVEL", 2)
+    real = mlmc.single_level_run
+
+    def capped(*args, **kwargs):
+        # the cap holds for the single-level run only; the MLMC runs keep 12
+        with monkeypatch.context() as patch:
+            patch.setattr(mlmc, "DEFAULT_MAX_LEVEL", 2)
+            return real(*args, **kwargs)
+
+    monkeypatch.setattr(mlmc, "single_level_run", capped)
     counter = StepCounter()
     with pytest.raises(NonconvergenceError, match="single-level") as err:
         complexity_sweep(model, pay, [0.2, 0.1, 0.05], seed=2, compare_single_level=True,

@@ -350,6 +350,18 @@ def chunked_digests():
         randomkit.CHUNK_NORMALS = budget
 
 
+def _two_rounds(mlmc, sde, model, pay):
+    """Level 4 at M = 4, seed 12, sampled in rounds of 1500 and 2300 paths;
+    through the older level accumulator where the tree has no ``_Level``."""
+    if hasattr(mlmc, "_Level"):
+        level = mlmc._Level(model, pay, 4, 4, 12, sde.StepCounter())
+        return level.sample(1500).sample(2300).stats()
+    state = mlmc._LevelAccumulator(4, 4, model.T, 12)
+    for n_new in (1500, 2300):
+        mlmc._sample_level(model, pay, state, n_new, sde.StepCounter())
+    return state.stats()
+
+
 def window_digests():
     from irregmc import diagnostics, mlmc, sde
     from irregmc.payoff import make_payoff
@@ -360,10 +372,7 @@ def window_digests():
         stats = mlmc.level_sample(model, pay, 5, 4, N, seed=8)
         yield f"windows/level_sample/L5,N{N}", lambda: _sha((stats.mean, stats.variance,
                                                              stats.cost))
-    state = mlmc._LevelAccumulator(4, 4, model.T, 12)
-    for n_new in (1500, 2300):
-        mlmc._sample_level(model, pay, state, n_new, sde.StepCounter())
-    stats = state.stats()
+    stats = _two_rounds(mlmc, sde, model, pay)
     yield "windows/level_sample/L4,rounds1500+2300", lambda: _sha((stats.mean, stats.variance,
                                                                    stats.cost))
     least = diagnostics.MIN_PATHS
