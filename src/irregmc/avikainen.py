@@ -48,17 +48,6 @@ class ErrorCurve:
         if np.any(self.value < 0) or np.any(self.stderr < 0):
             raise InvalidArgumentError("values and stderrs must be nonnegative")
 
-    def csv_rows(self) -> list[str]:
-        rows = ["model,payoff,q,n,value,stderr,N,seed"]
-        # a payoff's bounds are named as in interval_indicator(0,1): quoted, one field
-        payoff = f'"{self.payoff_name}"' if "," in self.payoff_name else self.payoff_name
-        for n, v, se in zip(self.n, self.value, self.stderr):
-            rows.append(
-                f"{self.model_name},{payoff},{float(self.q)!r},{int(n)},"
-                f"{float(v)!r},{float(se)!r},{self.N},{self.seed}"
-            )
-        return rows
-
 
 @dataclass
 class RateFit:
@@ -94,8 +83,9 @@ def qerror_curves(
     if len(n_list) == 0:
         raise InvalidArgumentError("n_list must be nonempty")
     for n in n_list:
-        if n < 1 or n_ref % n != 0:
-            raise InvalidArgumentError(f"each n must divide n_ref; got n={n}, n_ref={n_ref}")
+        if not 1 <= n < n_ref or n_ref % n:  # at n = n_ref the error reads 0
+            raise InvalidArgumentError(f"each n must divide n_ref and be smaller than it; "
+                                       f"got n={n}, n_ref={n_ref}")
     if len(set(n_list)) < len(n_list):
         raise InvalidArgumentError(f"n_list must not repeat a step count; got {n_list}")
     if N < MIN_PATHS:
@@ -203,17 +193,6 @@ class InequalityReport:
     min_ratio: float
     family: str
     rule: str
-
-    def csv_rows(self) -> list[str]:
-        rows = ["family,rule,t,lhs,lhs_stderr,rhs_base,ratio"]
-        for t, l, se, b, rho in zip(
-            self.scale_grid, self.lhs, self.lhs_stderr, self.rhs_base, self.ratios
-        ):
-            rows.append(
-                f"{self.family},{self.rule},{float(t)!r},{float(l)!r},"
-                f"{float(se)!r},{float(b)!r},{float(rho)!r}"
-            )
-        return rows
 
 
 def inequality_check(

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -347,13 +347,32 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _csv(header: str, rows) -> list[str]:
+    """The lines of a CSV artifact: header, then one line per row tuple.
+
+    A float cell is written as its shortest round-trip repr, an integer
+    (numpy's too) as its digits, and text that holds a comma is quoted, so a
+    payoff named as in interval_indicator(0,1) is one field.
+    """
+    def cell(value) -> str:
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, str):
+            return f'"{value}"' if "," in value else value
+        return repr(float(value))
+
+    return [header] + [",".join(map(cell, row)) for row in rows]
+
+
 def _run_rate(config: ExperimentConfig, summary: RunSummary) -> None:
     model, pay = config.model, config.payoff
     p = config.params
     q, delta = float(p["q"]), float(p["delta"])
     curve = av.qerror_curves(model, [(pay, q)], p["n_list"], p["N"], p["n_ref"],
                              p["seed"], counter=summary.steps)[0]
-    summary.write("rate_curve.csv", curve.csv_rows())
+    summary.write("rate_curve.csv", _csv("model,payoff,q,n,value,stderr,N,seed", (
+        (curve.model_name, curve.payoff_name, float(curve.q), n, v, se, curve.N, curve.seed)
+        for n, v, se in zip(curve.n, curve.value, curve.stderr))))
     predicted = po.predicted_strong_exponent(pay.space, q, delta, p=pay.p, s=pay.s)
     try:
         fit = av.fit_rate(curve)
@@ -384,7 +403,9 @@ def _run_inequality(config: ExperimentConfig, summary: RunSummary) -> None:
         scale_grid=p["scale_grid"], N=p["N"], seed=p["seed"], r=float(p["r"] or math.inf),
         s=p["s"],
     )
-    summary.write("inequality.csv", rep.csv_rows())
+    summary.write("inequality.csv", _csv("family,rule,t,lhs,lhs_stderr,rhs_base,ratio", (
+        (rep.family, rep.rule, *row)
+        for row in zip(rep.scale_grid, rep.lhs, rep.lhs_stderr, rep.rhs_base, rep.ratios))))
     payload = {
         "family": rep.family, "rule": rep.rule,
         "moment_order": rep.moment_order, "outer_exponent": rep.outer_exponent,
@@ -403,7 +424,7 @@ def _run_maximal(config: ExperimentConfig, summary: RunSummary) -> None:
 
     p = config.params
     rng = np.random.default_rng(p["seed"])
-    rows = ["measure_id,kind,lambda,superlevel,bound"]
+    rows = []
     total_violations = 0
     mid = 0
     plans = (
@@ -426,11 +447,10 @@ def _run_maximal(config: ExperimentConfig, summary: RunSummary) -> None:
             lams = mx.percentile_lambda_grid(vals, p["n_lambdas"])
             rep = mx.weak_type_check(nu, lams, fld)
             total_violations += rep.violations
-            for lam, sl, bd in zip(rep.lambda_grid, rep.superlevel_measures,
-                                   rep.bound_values):
-                rows.append(f"{mid},{kind},{float(lam)!r},{float(sl)!r},{float(bd)!r}")
+            rows += [(mid, kind, *row) for row in zip(rep.lambda_grid, rep.superlevel_measures,
+                                                      rep.bound_values)]
             mid += 1
-    summary.write("weak_type.csv", rows)
+    summary.write("weak_type.csv", _csv("measure_id,kind,lambda,superlevel,bound", rows))
     summary.write("weak_type.json", {"measures": mid, "violations": total_violations})
     summary.add_gate(Gate("weak-type-bound", total_violations, hi=0),
                      f"{total_violations} violations over {mid} measures")
@@ -446,9 +466,9 @@ def _run_mlmc(config: ExperimentConfig, summary: RunSummary) -> None:
     except NonconvergenceError as exc:
         summary.add_check("mlmc-run", "fail", f"nonconvergent: {exc.diagnostics}")
         return
-    summary.write("mlmc_levels.csv",
-                  [mlmc.LEVEL_CSV_HEADER] + [ls.csv_row() for ls in res.levels])
-    summary.write("mlmc.json", res.to_dict())
+    summary.write("mlmc_levels.csv", _csv("level,h,M,N,mean,variance,cost", (
+        (ls.level, ls.h, ls.M, ls.N, ls.mean, ls.variance, ls.cost) for ls in res.levels)))
+    summary.write("mlmc.json", asdict(res))
     if config.model_name == "constant" and config.payoff_name == "clamp_ramp":
         err = abs(res.estimate - sde.constant_model_mean(model, pay))
         gate = Gate("mlmc-vs-quadrature", err, hi=3 * eps)
@@ -467,14 +487,15 @@ def _run_complexity(config: ExperimentConfig, summary: RunSummary) -> None:
     predicted = po.predicted_mlmc_exponent(pay.space, p=pay.p, s=pay.s)
     sw = mlmc.complexity_sweep(
         model, pay, p["epsilon_list"], M=p["M"], seed=p["seed"],
-        alpha_hint=p["alpha_hint"], predicted_exponent=predicted,
-        compare_single_level=p["compare_single_level"], counter=summary.steps,
+        alpha_hint=p["alpha_hint"], compare_single_level=p["compare_single_level"],
+        counter=summary.steps,
     )
-    summary.write("complexity.csv", sw.csv_rows())
+    summary.write("complexity.csv", _csv("epsilon,estimate,total_cost",
+                                         zip(sw.epsilons, sw.estimates, sw.costs)))
     payload = {
         "fitted_cost_exponent": sw.fitted_cost_exponent,
         "fit_r_squared": sw.fit.r_squared,
-        "predicted_exponent_weak1": sw.predicted_exponent,
+        "predicted_exponent_weak1": predicted,
         "standard_mc_exponent": sw.standard_mc_exponent,
         "failed_epsilons": sw.failed_epsilons,
     }
@@ -509,10 +530,11 @@ def _run_density(config: ExperimentConfig, summary: RunSummary) -> None:
         # wrapped, so a seed near 2**64 keys a valid stream for every n
         hist = dg.terminal_histogram(model, int(n), p["N"], p["bins"],
                                      (seed + int(n)) % 2**64, value_range, summary.steps)
-        summary.write(f"histogram_n{int(n)}.csv", hist.csv_rows())
+        summary.write(f"histogram_n{int(n)}.csv", _csv(
+            "bin_center,density,count", zip(hist.centers, hist.density, hist.counts)))
         env = dg.fit_gaussian_envelope(hist, x0, model.T)
         cs.append(env.C_plus)
-        env_payload[str(int(n))] = env.to_dict()
+        env_payload[str(int(n))] = asdict(env)
         env_payload[str(int(n))]["lower_bound_positive"] = dg.lower_bound_positive(
             hist, x0, model.T
         )

@@ -8,7 +8,7 @@ excluded from fitting to keep Poisson noise out of the max-ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ MIN_BINS = 20  # fewest bins terminal_histogram takes
 
 @dataclass
 class Histogram:
-    dim: int
     edges: np.ndarray
     counts: np.ndarray
     N: int
@@ -48,12 +47,6 @@ class Histogram:
     def mass(self) -> float:
         return float(np.sum(self.density * self.widths))
 
-    def csv_rows(self) -> list[str]:
-        rows = ["bin_center,density,count"]
-        for c, d, k in zip(self.centers, self.density, self.counts):
-            rows.append(f"{float(c)!r},{float(d)!r},{int(k)}")
-        return rows
-
 
 @dataclass
 class GaussianEnvelope:
@@ -61,9 +54,6 @@ class GaussianEnvelope:
     c_plus: float
     residual: float
     n_bins_used: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def gaussian_kernel(c: float, T: float, x0: float, y) -> np.ndarray:
@@ -121,7 +111,7 @@ def terminal_histogram(
     inside = int(counts.sum())
     if inside == 0:
         raise InvalidArgumentError("empty histogram range")
-    return Histogram(dim=1, edges=edges, counts=counts, N=inside)
+    return Histogram(edges=edges, counts=counts, N=inside)
 
 
 def fit_gaussian_envelope(

@@ -265,11 +265,10 @@ def _density_maximal_1d(density: GridField, xs: np.ndarray, R) -> np.ndarray:
     interpolation of each bound's candidate returns prefix[min(i + o + 1, N)]
     and prefix[max(i - o, 0)] for an offset o, or an end value: such points
     read those entries by index (_node_maximal_1d) and give the same sums,
-    and so the same values, bit for bit. Other points, every point of a grid
-    that is not exact, and the point of a one-point call (the index path's
-    set-up costs more than one interpolated row) interpolate. Points go
-    through in row blocks of at most KERNEL_ELEMENTS candidates (or one row),
-    so memory does not grow with P.
+    and so the same values, bit for bit. Other points, and every point of a
+    grid that is not exact, interpolate. Points go through in row blocks of
+    at most KERNEL_ELEMENTS candidates (or one row), so memory does not grow
+    with P.
     """
     h = density.spacing
     n = density.n_nodes_per_axis
@@ -277,7 +276,7 @@ def _density_maximal_1d(density: GridField, xs: np.ndarray, R) -> np.ndarray:
     prefix = np.concatenate([[0.0], np.cumsum(density.values * h)])
     R = np.broadcast_to(R, xs.shape)
     out = np.empty(xs.size)
-    node = _node_index(density, xs) if xs.size > 1 else np.full(xs.size, -1)
+    node = _node_index(density, xs)
     on = np.flatnonzero(node >= 0)
     if on.size:
         with np.errstate(invalid="ignore"):  # inf - inf of an overflowed prefix, as below

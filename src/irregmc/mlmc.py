@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,15 +43,6 @@ class LevelStats:
     variance: float
     cost: float  # EM steps: N * (M^l + M^(l-1)), N * 1 at level 0
 
-    def csv_row(self) -> str:
-        return (
-            f"{self.level},{float(self.h)!r},{self.M},{self.N},"
-            f"{float(self.mean)!r},{float(self.variance)!r},{float(self.cost)!r}"
-        )
-
-
-LEVEL_CSV_HEADER = "level,h,M,N,mean,variance,cost"
-
 
 @dataclass
 class MlmcResult:
@@ -65,9 +56,6 @@ class MlmcResult:
     alpha_hat: float | None
     beta_hat: float | None
     alpha_beta_flag: bool  # True when alpha >= beta/2 could not be confirmed
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class _Level:
@@ -354,17 +342,9 @@ class ComplexitySweep:
     estimates: np.ndarray
     fitted_cost_exponent: float
     fit: LineFit
-    predicted_exponent: float | None
     standard_mc_exponent: float
-    results: list[MlmcResult] = field(default_factory=list)
     failed_epsilons: list[float] = field(default_factory=list)
     single_level: SingleLevelResult | None = None
-
-    def csv_rows(self) -> list[str]:
-        rows = ["epsilon,estimate,total_cost"]
-        for eps, est, cost in zip(self.epsilons, self.estimates, self.costs):
-            rows.append(f"{float(eps)!r},{float(est)!r},{float(cost)!r}")
-        return rows
 
 
 def complexity_sweep(
@@ -374,23 +354,25 @@ def complexity_sweep(
     M: int = 2,
     seed: int = 0,
     alpha_hint: float | None = 1.0,
-    predicted_exponent: float | None = None,
     compare_single_level: bool = False,
     counter: StepCounter | None = None,
 ) -> ComplexitySweep:
     """Cost-vs-accuracy sweep; fits log cost against log eps.
 
-    The fitted exponent is compared against the class prediction and against
-    the standard-MC exponent 2 + 1/alpha. Nonconvergent runs are dropped and
-    flagged rather than aborting the sweep. ``counter`` counts every step the
-    sweep takes, those of failed runs included, also when it raises.
+    The caller compares the fitted exponent with its class prediction and
+    with the standard-MC exponent 2 + 1/alpha. Every epsilon is checked
+    before the first run. Nonconvergent runs are dropped and flagged rather
+    than aborting the sweep. ``counter`` counts every step the sweep takes,
+    those of failed runs included, also when it raises.
     """
     epsilon_list = sorted(float(e) for e in epsilon_list)
     if len(epsilon_list) < MIN_EPSILONS:
         raise InvalidArgumentError(f"need >= {MIN_EPSILONS} epsilons")
     if max(epsilon_list) < MIN_EPSILON_SPAN * min(epsilon_list):
         raise InvalidArgumentError(f"epsilons must span at least a {MIN_EPSILON_SPAN:g}x range")
-    results, costs, ests, eps_ok, failed = [], [], [], [], []
+    for eps in epsilon_list:
+        _check_target(eps, M, alpha_hint)
+    costs, ests, eps_ok, failed = [], [], [], []
     for i, eps in enumerate(epsilon_list):
         try:
             res = run_mlmc(model, payoff, eps, M=M, alpha_hint=alpha_hint,
@@ -398,7 +380,6 @@ def complexity_sweep(
         except NonconvergenceError:
             failed.append(eps)
             continue
-        results.append(res)
         costs.append(res.total_cost)
         ests.append(res.estimate)
         eps_ok.append(eps)
@@ -415,7 +396,6 @@ def complexity_sweep(
         epsilons=np.array(eps_ok), costs=np.array(costs),
         estimates=np.array(ests),
         fitted_cost_exponent=-fit.slope, fit=fit,
-        predicted_exponent=predicted_exponent,
         standard_mc_exponent=2.0 + 1.0 / alpha,
-        results=results, failed_epsilons=failed, single_level=single,
+        failed_epsilons=failed, single_level=single,
     )

@@ -28,7 +28,6 @@ class YoungFunction:
     name: str
     phi: Callable
     p: float
-    alpha: float = 0.0
 
 
 def young_power(p: float) -> YoungFunction:
@@ -51,7 +50,7 @@ def young_plog(p: float, alpha: float = 1.0) -> YoungFunction:
         x = np.asarray(x, dtype=float)
         return np.power(x, p) * np.power(np.log(np.e + x), alpha)
 
-    return YoungFunction(name=f"plog(p={p:g},alpha={alpha:g})", phi=phi, p=p, alpha=alpha)
+    return YoungFunction(name=f"plog(p={p:g},alpha={alpha:g})", phi=phi, p=p)
 
 
 def _bracket_max(f, lo: float, hi: float) -> tuple[float, float]:

@@ -99,6 +99,15 @@ def test_a_repeated_step_count_is_rejected_before_any_path_is_stepped():
     assert counter.steps == 0
 
 
+def test_the_reference_step_count_is_rejected_before_any_path_is_stepped():
+    # at n = n_ref the curve reads 0, and fit_rate would blame the scheme
+    counter = sde.StepCounter()
+    with pytest.raises(InvalidArgumentError, match="smaller"):
+        qerror_curves(make_model("sincos"), [(make_payoff("interval_indicator"), 2.0)],
+                      [8, 16, 64], 2000, 64, 1, counter=counter)
+    assert counter.steps == 0
+
+
 def test_curves_do_not_depend_on_the_window_size(monkeypatch):
     # folding each window as one batch gave 0.000544686832027609 at 1024-path
     # windows and ...6089 at 4096 for n = 32
@@ -273,12 +282,6 @@ def test_qerror_2d_model_with_ball_indicator():
     assert np.all(np.diff(curve.value) < 0)
     fit = fit_rate(curve)
     assert -1.1 <= fit.slope <= -0.25
-
-
-def test_curve_csv_rows():
-    rows = _curve([1.0, 0.5, 0.25]).csv_rows()
-    assert rows[0] == "model,payoff,q,n,value,stderr,N,seed"
-    assert len(rows) == 4
 
 
 # ---------------------------------------------------------------------------

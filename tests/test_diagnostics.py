@@ -82,8 +82,7 @@ def test_envelope_monotone_in_grid(normal_hist):
 
 
 def test_envelope_fit_failure():
-    hist = Histogram(dim=1, edges=np.linspace(-1, 1, 21),
-                     counts=np.ones(20, dtype=int), N=20)
+    hist = Histogram(edges=np.linspace(-1, 1, 21), counts=np.ones(20, dtype=int), N=20)
     with pytest.raises(FitFailureError):
         fit_gaussian_envelope(hist, 0.0, 1.0, min_count=5)
 
@@ -91,7 +90,7 @@ def test_envelope_fit_failure():
 def test_lower_bound_positive(normal_hist):
     assert lower_bound_positive(normal_hist, 0.0, 1.0)
     sparse = Histogram(
-        dim=1, edges=np.linspace(-3, 3, 31),
+        edges=np.linspace(-3, 3, 31),
         counts=np.concatenate([np.zeros(15, dtype=int), [100], np.zeros(14, dtype=int)]),
         N=100,
     )

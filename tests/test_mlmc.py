@@ -424,6 +424,15 @@ def test_unusable_targets_are_rejected_before_any_draw(monkeypatch, epsilon, M, 
     assert drawn == [] and steps == []
 
 
+def test_a_sweep_checks_every_epsilon_before_its_first_run():
+    # the epsilons run smallest first, so a bad largest one came up last
+    counter = StepCounter()
+    with pytest.raises(InvalidArgumentError, match="epsilon"):
+        complexity_sweep(make_model("sincos"), make_payoff("interval_indicator", a=-1.5, b=1.5),
+                         [0.005, 0.01, 1.5], M=4, seed=1, counter=counter)
+    assert counter.steps == 0
+
+
 def test_single_level_run_basics():
     model = make_model("constant", mu=0.1, sigma=0.2)
     pay = make_payoff("clamp_ramp")

@@ -50,7 +50,9 @@ Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
 - the ``maximal``, ``inequality``, ``rate``, ``mlmc``, ``complexity`` and
   ``density`` CLI artifacts on small configs, and again on configs that set
   only what keeps them small, so the param defaults are compared too
-  (``summary.json`` holds wall times and is left out);
+  (``summary.json`` holds wall times and is left out), and those of a
+  ``rate`` config whose payoff name, ``interval_indicator(0,1)``, holds a
+  comma, so ``rate_curve.csv`` holds a quoted cell;
 - ``checks``: the (name, status) pairs of the checks in each of those runs'
   ``summary.json``, the verdicts the benchmark's gates read;
 - ``costs``: each of those runs' ``em_steps`` and error type (null for a run
@@ -121,6 +123,11 @@ CLI_CONFIGS = {
     "rate": {"kind": "rate", "model": {"name": "sincos"},
              "payoff": {"name": "clamp_ramp"},
              "params": {"q": 2, "n_list": [8, 16, 32], "N": 4000, "n_ref": 256, "seed": 1}},
+    # the payoff is named interval_indicator(0,1): a quoted cell in rate_curve.csv
+    "rate-comma-name": {"kind": "rate", "model": {"name": "sincos"},
+                        "payoff": {"name": "interval_indicator"},
+                        "params": {"q": 2, "n_list": [8, 16, 32], "N": 2000, "n_ref": 128,
+                                   "seed": 2}},
     "mlmc": {"kind": "mlmc", "model": {"name": "sincos"},
              "payoff": {"name": "interval_indicator"},
              "params": {"epsilon": 0.05, "M": 4, "seed": 3}},
