@@ -7,20 +7,25 @@ densities restrict radii to multiples of the grid spacing, a documented
 lower-bound bias. The weak-type bound is checked against A_1 = 5^d.
 
 The 1D and atomic kernels work in blocks of at most KERNEL_ELEMENTS pairs, and
-G_{s,p} in row blocks of at most GSP_BLOCK_PAIRS, so their memory does not
-grow with the number of points or nodes. A 1D grid is exact when, with u = h /
+the direct G_{s,p} kernel in row blocks of at most GSP_BLOCK_PAIRS, so their
+memory does not grow with the number of points or nodes. G_{s,2} with finite
+weights takes three FFT correlations instead, in O(L^d log L) time and a few
+arrays of L^d entries, L = _next_fast_len(2n - 1) for n nodes per axis; its
+values are the direct kernel's to rounding, not bit for bit, since they sum in
+another order. A 1D grid is exact when, with u = h /
 2 = m 2^e for an odd m, lo = a u for an integer a and m (|a| + 4 N + 4) < 2^53
 (checked once per call, in integers): then every node, bound, offset |x - b|
 and reflection x +/- |x - b| of a node point is an integer multiple of u,
 computed with no rounding, so np.interp at x +/- |x - b| returns a prefix
 entry or an end value. Node points of exact grids read those entries by index
 from a padded prefix, one candidate per distance, and other points
-interpolate; the sums are the same. G_{s,p} goes through its row blocks in
-ascending rows, so for each offset a node gets its row sum before its column
-sum whatever the row blocks. A block is filled in two passes (copy x,
-subtract y in place), and squared without |.| at p = 2; a pair of equal
-constant rows (only +0.0 terms) is skipped, and a pair with one constant row
-takes its powers once per row and one broadcast product with the weights. A 2D
+interpolate; the sums are the same. The direct G_{s,p} kernel goes through
+its row blocks in ascending rows, so for each offset a node gets its row sum
+before its column sum whatever the row blocks. A block is filled in two
+passes (copy x, subtract y in place), and squared without |.| at p = 2; a
+pair of equal constant rows (only +0.0 terms) is skipped, and a pair with one
+constant row takes its powers once per row and one broadcast product with the
+weights. A 2D
 maximal_field reuses one transform of the cell masses for every radius, and
 gathers each disk's row transforms from one table of the transforms of the
 interval rows |off| <= w. Its radius ladder stops once the total mass (times 1
@@ -37,12 +42,13 @@ the same floating-point operations in the same order as the plain form it
 replaces, or skips only operations that cannot change a value, so its values
 are the same bit for bit.
 
-The layer needs numpy only. 2D maximal_field runs on numpy's pocketfft: the
-inverse transforms are unscaled (norm="forward") and the kept block is then
-multiplied by 1 / L^2, which is the normalisation, and the rounding, of
-scipy.fft.irfft2. The mollifier of mollified_ball_gradient is scipy.ndimage's
-Gaussian filter with zero padding, written out with the same weights and the
-same summation order, so both give scipy's values bit for bit.
+The layer needs numpy only. 2D maximal_field and G_{s,2} run on numpy's
+pocketfft. The maximal field's inverse transforms are unscaled
+(norm="forward") and the kept block is then multiplied by 1 / L^2, which is
+the normalisation, and the rounding, of scipy.fft.irfft2. The mollifier of
+mollified_ball_gradient is scipy.ndimage's Gaussian filter with zero padding,
+written out with the same weights and the same summation order, so both give
+scipy's values bit for bit.
 """
 
 from __future__ import annotations
@@ -791,8 +797,68 @@ def gsp_field(f: GridField, s: float, p: float) -> GridField:
     """Node-wise (integral over the box of |f(x)-f(y)|^p / |x-y|^{d+sp} dy)^{1/p}.
 
     The singular cell |x-y| < spacing/2 is excluded; for grid nodes that is
-    exactly the diagonal term. The values are viewed as (rows, n), one row in
-    1D; for each leading-axis offset o1 >= 0 every last-axis pair (j, j') of
+    exactly the diagonal term. At p = 2 with finite weights the sums are three
+    FFT correlations (_gsp_field_fft), in O(L^d log L) time and O(L^d)
+    memory, L = _next_fast_len(2n - 1) for n nodes per axis; they give the
+    direct kernel's values to rounding, not bit for bit. Every other call
+    adds the pairs block by block (_gsp_field_direct), whose values at p != 2
+    are as before bit for bit.
+    """
+    if not 0.0 < s < 1.0:
+        raise InvalidArgumentError("s must lie in (0,1)")
+    if not 1.0 <= p < math.inf:
+        raise InvalidArgumentError(f"p must lie in [1, inf), got {p}")
+    if p == 2.0:
+        n, d = f.n_nodes_per_axis, f.d
+        o = np.arange(1 - n, n)
+        weights = _gsp_weights(f.spacing, d, o[:, None] if d == 2 else 0, o, s, p)
+        weights[(n - 1,) * d] = 0.0
+        if np.isfinite(weights).all():
+            return _gsp_field_fft(f, weights)
+    return _gsp_field_direct(f, s, p)
+
+
+def _gsp_weights(h: float, d: int, lead, last, s: float, p: float) -> np.ndarray:
+    """The weight h^d / |h o|^{d+sp} of each offset o = (lead, last), inf at o = 0."""
+    with np.errstate(divide="ignore"):
+        return h**d / (h * np.hypot(lead, last)) ** (d + s * p)
+
+
+def _gsp_field_fft(f: GridField, weights: np.ndarray) -> GridField:
+    """G_{s,2} from the weights of every offset o, |o_a| <= n - 1, at
+    weights[o + n - 1], 0 at o = 0; every weight must be finite.
+
+    With u = (v - c) / 2^k, c a median value of the grid and 2^k >= max|v -
+    c|, G^2 / 4^k = u^2 (w * 1) - 2 u (w * u) + (w * u^2), where w * g sums
+    w(x - y) g(y) over the nodes y. The weights are even, so each sum is a
+    convolution: one rfftn at L = _next_fast_len(2n - 1) per axis, whose
+    block n - 1 .. 2n - 2 has no wrap-around. Subtracting c makes u zero on
+    the background of a grid that is mostly one value, where the terms would
+    cancel, and the power-of-two scale, exact, keeps every u^2 <= 1, so no
+    square overflows. A constant grid gives u = 0 and +0.0 at every node.
+    """
+    h, d, v = f.spacing, f.d, f.values
+    n = v.shape[0]
+    L = (_next_fast_len(2 * n - 1),) * d
+    u = v - np.partition(v.ravel(), v.size // 2)[v.size // 2]
+    k = math.frexp(float(np.abs(u).max()))[1]  # 2^k > max|u|; k = 0 if u = 0
+    u = np.ldexp(u, -k)
+    # the weights' axes, and those of the stacked 1, u and u^2 after their index
+    w_hat = np.fft.rfftn(weights, s=L, axes=tuple(range(d)))
+    axes = tuple(range(1, d + 1))
+    corr = np.fft.irfftn(np.fft.rfftn([np.ones_like(u), u, u * u], s=L, axes=axes) * w_hat,
+                         s=L, axes=axes)[(slice(None),) + (slice(n - 1, 2 * n - 1),) * d]
+    g2 = u * u * corr[0] - 2.0 * u * corr[1] + corr[2]
+    # rounding may leave a small negative sum; + 0.0 turns -0.0 into +0.0
+    g = np.ldexp(np.sqrt(np.maximum(g2, 0.0) + 0.0), k)
+    return GridField(d=d, lo=f.lo, hi=f.hi, spacing=h, values=g)
+
+
+def _gsp_field_direct(f: GridField, s: float, p: float) -> GridField:
+    """G_{s,p} by adding |f(x) - f(y)|^p w(x - y) over every pair of nodes.
+
+    The values are viewed as (rows, n), one row in 1D; for each
+    leading-axis offset o1 >= 0 every last-axis pair (j, j') of
     rows r and r - o1 is one block of |v[r, j] - v[r - o1, j']|^p weights,
     with the weight of the offset (o1, j - j'). At o1 = 0 only j > j' has
     weight, so each unordered pair counts once; a block's row sums go to its
@@ -807,19 +873,22 @@ def gsp_field(f: GridField, s: float, p: float) -> GridField:
     it makes no block. A pair with one constant row takes the powers
     |c - y|^p or |x - c|^p once per row and one broadcast product with the
     weights: the same terms as the full block, summed the same way.
+
+    A grid whose largest difference max v - min v overflows when raised to
+    the power p is taken at the scale 2^-k, 2^k >= 2 max|v|, and its values
+    times 2^k; every other grid keeps its bits.
     """
-    if not 0.0 < s < 1.0:
-        raise InvalidArgumentError("s must lie in (0,1)")
-    if not 1.0 <= p < math.inf:
-        raise InvalidArgumentError(f"p must lie in [1, inf), got {p}")
     h, d = f.spacing, f.d
     vals = f.values.reshape(-1, f.values.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = not np.isfinite((vals.max() - vals.min()) ** p)
+    k = math.frexp(float(np.abs(vals).max()))[1] + 1 if big else 0
+    if k:
+        vals = np.ldexp(vals, -k)
     rows, n = vals.shape
     acc = np.zeros_like(vals)
     # weights[o1, o2 + n - 1] for the offset (o1, o2); none at o1 = 0, o2 <= 0
-    lead, last = np.ogrid[:rows, 1 - n : n]
-    with np.errstate(divide="ignore"):
-        weights = h**d / (h * np.hypot(lead, last)) ** (d + s * p)
+    weights = _gsp_weights(h, d, *np.ogrid[:rows, 1 - n : n], s, p)
     weights[0, :n] = 0.0
     # toeplitz[o1][j, j'] is the weight of o2 = j - j' (a strided view)
     toeplitz = sliding_window_view(weights[:, ::-1], n, axis=1)[:, ::-1]
@@ -877,7 +946,7 @@ def gsp_field(f: GridField, s: float, p: float) -> GridField:
                     acc[o1 + r0 : o1 + r1, j0:j1] += pair @ ones[:width]
                     acc[r0:r1, :width] += ones[:c] @ pair
     return GridField(d=d, lo=f.lo, hi=f.hi, spacing=h,
-                     values=(acc ** (1.0 / p)).reshape(f.values.shape))
+                     values=np.ldexp(acc ** (1.0 / p), k).reshape(f.values.shape))
 
 
 # ---------------------------------------------------------------------------

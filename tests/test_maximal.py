@@ -832,18 +832,21 @@ def test_gsp_field_never_builds_the_pair_matrix():
     tent = lambda x: np.maximum(0.0, 1.0 - np.abs(x[..., 0]))
     f = GridField.from_function(tent, 1, -2.0, 2.0, 1024)
     n = f.n_nodes_per_axis
-    tracemalloc.start()
-    try:
-        gsp_field(f, 0.5, 2.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the n x n float pair matrix alone is 8.4 MB; blocks hold 2**15 pairs
-    assert peak < n * n * 8 // 4
+    for kernel in (gsp_field, mx._gsp_field_direct):
+        tracemalloc.start()
+        try:
+            kernel(f, 0.5, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the n x n float pair matrix alone is 8.4 MB; blocks hold 2**15 pairs,
+        # and the transforms a few arrays of L = 2160 entries
+        assert peak < n * n * 8 // 4
 
 
 # Oracles: the kernels as they were before their blocks were made cheaper. The
-# library must give what they give bit for bit.
+# library's direct G_{s,p} kernel must give what they give bit for bit, and so
+# must gsp_field at p != 2, which is that kernel.
 
 
 def _gsp_field_before(f, s, p):
@@ -895,7 +898,10 @@ def _grids_for_gsp():
 def test_gsp_field_equals_the_broadcast_subtract_blocks(p):
     for f in _grids_for_gsp():
         for s in (0.3, 0.5):
-            assert np.array_equal(gsp_field(f, s, p).values, _gsp_field_before(f, s, p))
+            before = _gsp_field_before(f, s, p)
+            assert np.array_equal(mx._gsp_field_direct(f, s, p).values, before)
+            if p != 2.0:
+                assert np.array_equal(gsp_field(f, s, p).values, before)
 
 
 @st.composite
@@ -935,7 +941,7 @@ def test_gsp_field_on_constant_rows_equals_the_broadcast_subtract_blocks(f, s, k
         mp.setattr(mx, "GSP_BLOCK_PAIRS", pairs)
         mp.setattr(mx, "GSP_RUN_PAIRS", run)
         for p in (1.0, 1.5, 2.0, 3.0):
-            new = gsp_field(f, s, p).values
+            new = mx._gsp_field_direct(f, s, p).values
             assert np.array_equal(new, _gsp_field_before(f, s, p))
             assert not np.signbit(new).any()
 
@@ -965,11 +971,11 @@ def test_gsp_field_makes_no_pair_block_for_equal_constant_rows(monkeypatch):
     for d in (1, 2):
         for level in (0.0, -0.0, 0.75):
             f = GridField(d=d, lo=-1.0, hi=1.0, spacing=1.0 / 16, values=np.full((33,) * d, level))
-            assert np.array_equal(gsp_field(f, 0.5, 2.0).values, np.zeros((33,) * d))
+            assert np.array_equal(mx._gsp_field_direct(f, 0.5, 2.0).values, np.zeros((33,) * d))
     assert not calls
     half = GridField(d=2, lo=-1.0, hi=1.0, spacing=1.0 / 16,
                      values=np.repeat([[0.0], [1.0]], [16, 17], axis=0) * np.ones(33))
-    gsp_field(half, 0.5, 2.0)
+    mx._gsp_field_direct(half, 0.5, 2.0)
     assert calls["multiply"] > 0  # pairs of unequal rows make blocks
 
 
@@ -977,8 +983,76 @@ def test_gsp_field_takes_no_row_of_infinities_for_constant():
     # infinities set past the grid's own check; inf - inf is nan, not a skipped +0.0
     f = GridField.from_function(lambda x: np.zeros(len(x)), 2, -1.0, 1.0, 8)
     f.values = np.full_like(f.values, np.inf)
+    for kernel in (gsp_field, mx._gsp_field_direct):
+        with pytest.raises(InvalidArgumentError, match="finite"), np.errstate(invalid="ignore"):
+            kernel(f, 0.5, 2.0)
+
+
+# G_{s,2} by FFT correlations: the direct kernel's values to rounding
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(f=piecewise_constant_grids(), s=st.sampled_from([0.3, 0.5]))
+def test_gsp_field_fft_matches_the_direct_kernel_on_constant_rows(f, s):
+    new = gsp_field(f, s, 2.0).values
+    _assert_close(new, _ref_gsp_field(f, s, 2.0))
+    _assert_close(new, mx._gsp_field_direct(f, s, 2.0).values)
+    assert not np.signbit(new).any()
+
+
+def test_gsp_field_fft_matches_the_direct_kernel_on_the_mollified_ball():
+    f, _ = mollified_ball_gradient(1.0, -2.0, 2.0, 96)
+    new = gsp_field(f, 0.5, 2.0).values
+    _assert_close(new, _ref_gsp_field(f, 0.5, 2.0))
+    _assert_close(new, mx._gsp_field_direct(f, 0.5, 2.0).values)
+
+
+def test_gsp_field_fft_gives_plus_zero_on_constant_grids(monkeypatch):
+    monkeypatch.setattr(mx, "_gsp_field_direct", None)  # p = 2 takes the transforms
+    for d in (1, 2):
+        for level in (0.0, -0.0, 0.75, -1.5, 1e300):
+            f = GridField(d=d, lo=-1.0, hi=1.0, spacing=1.0 / 16, values=np.full((33,) * d, level))
+            for s in (0.3, 0.5):
+                g = gsp_field(f, s, 2.0).values
+                assert not g.any() and not np.signbit(g).any()
+
+
+def test_gsp_field_with_infinite_weights_takes_the_direct_kernel(monkeypatch):
+    calls = []
+    direct = mx._gsp_field_direct
+
+    def counted(*args):
+        calls.append(args)
+        return direct(*args)
+
+    monkeypatch.setattr(mx, "_gsp_field_fft", None)
+    monkeypatch.setattr(mx, "_gsp_field_direct", counted)
+    # a subnormal spacing: (h |o|)^2 underflows to 0, so every weight is inf,
+    # and inf times the differences gives no finite value on either kernel
+    f = GridField(d=1, lo=0.0, hi=4e-310, spacing=1e-310, values=[0.0, 1.0, 0.0, 2.0, 0.0])
+    with pytest.raises(InvalidArgumentError, match="finite"), np.errstate(all="ignore"):
+        gsp_field(f, 0.5, 2.0)
+    assert len(calls) == 1
+
+
+def test_gsp_field_fft_refuses_an_infinite_value(monkeypatch):
+    monkeypatch.setattr(mx, "_gsp_field_direct", None)  # p = 2 takes the transforms
+    f = GridField.from_function(lambda x: np.exp(-np.sum(x**2, axis=-1)), 2, -1.0, 1.0, 8)
+    f.values[3, 5] = np.inf  # past the grid's own check
     with pytest.raises(InvalidArgumentError, match="finite"), np.errstate(invalid="ignore"):
         gsp_field(f, 0.5, 2.0)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_gsp_field_takes_differences_whose_powers_overflow(p):
+    # 1e200 ** p overflows, but G is finite: 1e200 times G of the unit bump
+    def bump(top):
+        return GridField(d=1, lo=0.0, hi=1.0, spacing=0.25, values=[0.0, 0.0, top, 0.0, 0.0])
+
+    for name in ("gsp_field", "_gsp_field_direct"):
+        kernel = getattr(mx, name)
+        np.testing.assert_allclose(kernel(bump(1e200), 0.5, p).values,
+                                   1e200 * kernel(bump(1.0), 0.5, p).values, rtol=1e-13)
 
 
 def test_from_function_checks_the_values_of_fn():

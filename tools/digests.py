@@ -20,7 +20,11 @@ Each line is ``<sha256>  <name>`` for one output computed from fixed seeds:
   piecewise-constant 2D grids whose row pairs take every form of the kernel
   (equal constant rows, one constant row, none): a half-plane step and a
   ball indicator on 64 cells, and a 33 x 33 grid of -0.0/+0.0 rows with rows
-  of 0.5 and random rows among them;
+  of 0.5 and random rows among them; ``gsp_direct``: the direct pair kernel
+  ``_gsp_field_direct`` at (0.5, 2) on each of those grids, which
+  ``gsp_field`` leaves for its FFT correlations at p = 2 (a tree without it
+  runs ``gsp_field``, whose p = 2 was that kernel, so comparing with such a
+  tree checks that the kernel keeps its bits);
 - ``superlevel_measure_atomic`` on the seeded atomic measures at 12 lambdas;
 - ``mollified_ball_gradient``'s smoothed indicator and its |gradient| density
   at 64 and 100 cells and mollifier widths of 2 and 2.5 cells;
@@ -69,8 +73,9 @@ only those:
   verdict may still match) and the ``costs`` of the adaptive ``mlmc`` and
   ``complexity`` runs, whose sample counts follow the draws;
 - kept by a stream change: ``maximal_at``, ``maximal_field``, ``gsp_field``,
-  ``superlevel``, ``mollifier`` and ``pointwise_check`` (their measures and
-  pairs come from numpy's ``default_rng``, or from no random numbers at all), the
+  ``gsp_direct``, ``superlevel``, ``mollifier`` and ``pointwise_check`` (their
+  measures and pairs come from numpy's ``default_rng``, or from no random
+  numbers at all), the
   ``cli/maximal*`` artifacts, ``em`` and ``em_coupled_M4`` of ``ode`` and
   ``zero``, which have no noise, ``young``, ``predicted``, and the ``costs``
   of the fixed-size ``rate``, ``density``, ``inequality`` and ``maximal`` runs.
@@ -180,6 +185,12 @@ def _points(mx, nu, xs, R):
     return np.array([mx.maximal_at(nu, x, r) for x, r in zip(xs, R)])
 
 
+def _gsp_direct(mx, f, s, p):
+    """G_{s,p} by the direct pair kernel; by ``gsp_field`` where the tree has
+    no ``_gsp_field_direct`` (there it was ``gsp_field`` at every p)."""
+    return getattr(mx, "_gsp_field_direct", mx.gsp_field)(f, s, p).values
+
+
 def maximal_digests():
     from irregmc import maximal as mx
 
@@ -207,6 +218,8 @@ def maximal_digests():
                            lambda: _sha(mx.maximal_field(nu, R).values))
                 yield (f"gsp_field/{kind}/seed{seed}",
                        lambda: _sha(mx.gsp_field(nu.density, 0.5, 2.0).values))
+                yield (f"gsp_direct/{kind}/seed{seed}",
+                       lambda: _sha(_gsp_direct(mx, nu.density, 0.5, 2.0)))
                 for s, p in ((0.3, 1.5), (0.5, 1.0), (0.7, 3.0)):
                     yield (f"gsp_field/{kind}/seed{seed}/s={s},p={p}",
                            lambda: _sha(mx.gsp_field(nu.density, s, p).values))
@@ -276,6 +289,7 @@ def maximal_digests():
     for cells in (32, 257):
         f = mx.GridField.from_function(tent, 1, -2.0, 2.0, cells)
         yield f"gsp_field/tent/{cells}", lambda: _sha(mx.gsp_field(f, 0.5, 2.0).values)
+        yield f"gsp_direct/tent/{cells}", lambda: _sha(_gsp_direct(mx, f, 0.5, 2.0))
         yield f"pointwise_check/tent/{cells}", lambda: _sha(dataclasses.astuple(
             mx.pointwise_check(f, mx.gsp_field(f, 0.5, 2.0), 400, mode="fractional", s=0.5,
                                seed=cells)))
@@ -283,6 +297,7 @@ def maximal_digests():
         f, grad = mx.mollified_ball_gradient(1.0, -2.0, 2.0, cells)
         if cells <= 100:  # the 2D G_{s,p} loop is quadratic in the node count
             yield f"gsp_field/ball/{cells}", lambda: _sha(mx.gsp_field(f, 0.5, 2.0).values)
+            yield f"gsp_direct/ball/{cells}", lambda: _sha(_gsp_direct(mx, f, 0.5, 2.0))
         yield f"pointwise_check/ball/{cells}", lambda: _sha(dataclasses.astuple(
             mx.pointwise_check(f, grad, 200, mode="bv", seed=cells)))
     # piecewise-constant 2D grids: rows of 0, of 1, of +-0.0 mixed and varied
@@ -300,6 +315,7 @@ def maximal_digests():
                                               values=zeros))):
         for s, p in ((0.5, 2.0), (0.3, 1.5), (0.5, 1.0), (0.7, 3.0)):
             yield f"gsp_field/{label}/s={s},p={p}", lambda: _sha(mx.gsp_field(f, s, p).values)
+        yield f"gsp_direct/{label}/s=0.5,p=2.0", lambda: _sha(_gsp_direct(mx, f, 0.5, 2.0))
 
     def cross(rng, count):
         return -rng.uniform(0.01, 3.0, (count, 1)), rng.uniform(0.01, 3.0, (count, 1))
